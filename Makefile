@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race test-fuzz lint lint-self lint-fixtures audit vet verify bench bench-update smoke
+.PHONY: build test race race-workflow bench-module test-fuzz lint lint-self lint-fixtures audit vet verify bench bench-update smoke
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,17 @@ test:
 # of the concurrency gate (esselint is the static half).
 race:
 	$(GO) test -race ./...
+
+# race-workflow repeats the engine's tests under the race detector: its
+# results must not depend on goroutine scheduling, and one lucky run
+# proves nothing about that.
+race-workflow:
+	$(GO) test -race -count=20 ./internal/workflow
+
+# bench-module gates the end-to-end benchmark's own module (bench/ has
+# its own go.mod, so ./... does not reach it).
+bench-module:
+	cd bench && test -z "$$(gofmt -l .)" && $(GO) vet ./... && $(GO) test -race ./...
 
 # test-fuzz runs each native fuzz target briefly — a smoke pass over
 # the wire-boundary and directive parsers, not a soak (leave FUZZTIME

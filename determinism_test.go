@@ -4,22 +4,17 @@ import (
 	"context"
 	"testing"
 
-	"esse/internal/core"
 	"esse/internal/realtime"
 )
 
 // TestEnsembleSchedulingOrderIndependence pins the determinism contract
 // the esselint analyzers exist to protect: a fixed-master-seed twin
 // experiment must produce bit-identical science whether the ensemble
-// runs on one worker or eight. Member randomness derives from (seed,
-// member index), the accumulator canonicalizes anomaly columns by
-// member index, so the only remaining scheduling freedom is completion
-// order — which must not leak into results.
-//
-// Convergence cancellation is disabled (MinSimilarity 2 is
-// unattainable) so both runs use the identical member set; with
-// adaptive cancellation the set itself depends on timing, which is the
-// documented trade-off of the paper's convergence-driven workflow.
+// runs on one worker, two or eight — with adaptive convergence and its
+// cancellation on. Member randomness derives from (seed, member index)
+// and the workflow engine commits members in index order and discards
+// those that finish after the converging SVD, so completion order — the
+// only remaining scheduling freedom — cannot leak into results.
 func TestEnsembleSchedulingOrderIndependence(t *testing.T) {
 	type outcome struct {
 		analysis []float64
@@ -28,9 +23,9 @@ func TestEnsembleSchedulingOrderIndependence(t *testing.T) {
 	}
 	run := func(workers int) outcome {
 		cfg := integrationConfig()
-		cfg.Ensemble.Criterion = core.ConvergenceCriterion{MinSimilarity: 2, MaxVarianceChange: 0}
-		cfg.Ensemble.InitialSize = 8
-		cfg.Ensemble.MaxSize = 8
+		// A batch that does not divide the pool of 8: convergence lands
+		// inside the pool, with members in flight to be cancelled.
+		cfg.Ensemble.SVDBatch = 3
 		cfg.Ensemble.Workers = workers
 		sys, err := realtime.NewSystem(cfg)
 		if err != nil {
@@ -50,22 +45,23 @@ func TestEnsembleSchedulingOrderIndependence(t *testing.T) {
 		return out
 	}
 
-	serial := run(1)
-	parallel := run(8)
-
-	bitEqual := func(name string, a, b []float64) {
-		t.Helper()
-		if len(a) != len(b) {
-			t.Fatalf("%s: length %d vs %d", name, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Errorf("%s[%d]: Workers=1 gives %v, Workers=8 gives %v", name, i, a[i], b[i])
-				return
+	one := run(1)
+	for _, workers := range []int{2, 8} {
+		many := run(workers)
+		bitEqual := func(name string, a, b []float64) {
+			t.Helper()
+			if len(a) != len(b) {
+				t.Fatalf("%s: length %d vs %d", name, len(a), len(b))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Errorf("%s[%d]: Workers=1 gives %v, Workers=%d gives %v", name, i, a[i], workers, b[i])
+					return
+				}
 			}
 		}
+		bitEqual("analysis", one.analysis, many.analysis)
+		bitEqual("sigma", one.sigma, many.sigma)
+		bitEqual("rmse", one.rmse, many.rmse)
 	}
-	bitEqual("analysis", serial.analysis, parallel.analysis)
-	bitEqual("sigma", serial.sigma, parallel.sigma)
-	bitEqual("rmse", serial.rmse, parallel.rmse)
 }

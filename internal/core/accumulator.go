@@ -2,33 +2,31 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"esse/internal/linalg"
 )
 
 // Accumulator is the "diff loop" of the paper's Fig. 4 run as a data
-// structure: ensemble member forecasts arrive in any order and are
-// immediately differenced against the central forecast into a growing
-// anomaly matrix. Out-of-order arrival is explicitly supported — the
-// paper relaxes the requirement that covariance columns appear in
-// perturbation order and instead keeps per-column bookkeeping, which is
-// exactly what Indices records.
+// structure: each ensemble member forecast is differenced against the
+// central forecast into a growing anomaly matrix, with per-column
+// bookkeeping (Indices) of which member produced which column — failed
+// or ignored members leave gaps, so the column number alone does not
+// say.
 //
-// Snapshots (Anomalies, Indices, EnsembleMean) are returned in CANONICAL
-// member-index order, independent of arrival order: floating-point
-// results must not depend on goroutine scheduling, or chaotic model
-// dynamics amplify bit-level differences into irreproducible forecasts.
+// Columns are stored, snapshotted and summed in the order they are
+// added, and Add accepts only increasing member indices: the order in
+// which members enter the covariance is the caller's decision (the
+// workflow engine commits in member-index order so that floating-point
+// results do not depend on goroutine scheduling), and the accumulator
+// holds it to that decision instead of re-deriving it.
 //
-// Accumulator is safe for concurrent use: the many forecast tasks of the
-// MTC pool feed it directly.
+// Accumulator is safe for concurrent use.
 type Accumulator struct {
 	mu      sync.Mutex
 	central []float64
 	cols    [][]float64
 	indices []int
-	seen    map[int]bool
 }
 
 // NewAccumulator creates an accumulator for the given central forecast.
@@ -36,24 +34,23 @@ type Accumulator struct {
 func NewAccumulator(central []float64) *Accumulator {
 	c := make([]float64, len(central))
 	copy(c, central)
-	return &Accumulator{central: c, seen: make(map[int]bool)}
+	return &Accumulator{central: c}
 }
 
 // Add differences one member forecast against the central forecast and
-// appends it as a new anomaly column. The member index is recorded for
-// bookkeeping; adding the same index twice is an error (a lost-and-
-// retried task must be deduplicated by the caller's tracker, but this is
-// the last line of defense).
+// appends it as a new anomaly column. The index must be greater than
+// every index added before; a repeated or out-of-order index is an error
+// (a lost-and-retried task must be deduplicated by the caller's tracker,
+// but this is the last line of defense).
 func (a *Accumulator) Add(index int, state []float64) error {
 	if len(state) != len(a.central) {
 		return fmt.Errorf("core: member %d has dim %d, central has %d", index, len(state), len(a.central))
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.seen[index] {
-		return fmt.Errorf("core: member %d already accumulated", index)
+	if n := len(a.indices); n > 0 && index <= a.indices[n-1] {
+		return fmt.Errorf("core: member %d added after member %d; indices must increase", index, a.indices[n-1])
 	}
-	a.seen[index] = true
 	col := make([]float64, len(state))
 	for i, v := range state {
 		col[i] = v - a.central[i]
@@ -70,50 +67,26 @@ func (a *Accumulator) Len() int {
 	return len(a.cols)
 }
 
-// Indices returns the member indices in canonical (sorted) order,
-// aligned with Anomalies columns.
+// Indices returns the member indices, aligned with Anomalies columns.
 func (a *Accumulator) Indices() []int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := make([]int, len(a.indices))
 	copy(out, a.indices)
-	sort.Ints(out)
 	return out
 }
 
-// ArrivalOrder returns the member indices in completion order (pure
-// bookkeeping; snapshots never depend on it).
-func (a *Accumulator) ArrivalOrder() []int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]int, len(a.indices))
-	copy(out, a.indices)
-	return out
-}
-
-// sortedPermLocked returns column positions ordered by member index.
-// Callers must hold the mutex.
-func (a *Accumulator) sortedPermLocked() []int {
-	perm := make([]int, len(a.indices))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(x, y int) bool { return a.indices[perm[x]] < a.indices[perm[y]] })
-	return perm
-}
-
-// Anomalies snapshots the current anomaly matrix (stateDim × n), with
-// columns in canonical member-index order. The matrix is a copy: the
-// SVD stage can work on it while more members stream in (this is the
-// role of the paper's "safe file").
+// Anomalies snapshots the current anomaly matrix (stateDim × n), one
+// column per member in increasing member-index order. The matrix is a
+// copy: the SVD stage can work on it while more members stream in (this
+// is the role of the paper's "safe file").
 func (a *Accumulator) Anomalies() *linalg.Dense {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	n := len(a.cols)
 	m := len(a.central)
 	out := linalg.NewDense(m, n)
-	for j, src := range a.sortedPermLocked() {
-		col := a.cols[src]
+	for j, col := range a.cols {
 		for i, v := range col {
 			out.Data[i*n+j] = v
 		}
@@ -131,11 +104,9 @@ func (a *Accumulator) EnsembleMean() []float64 {
 	if len(a.cols) == 0 {
 		return mean
 	}
-	// Sum in canonical member order so the floating-point result is
-	// independent of completion order.
 	inv := 1 / float64(len(a.cols))
-	for _, src := range a.sortedPermLocked() {
-		for i, v := range a.cols[src] {
+	for _, col := range a.cols {
+		for i, v := range col {
 			mean[i] += v * inv
 		}
 	}

@@ -214,7 +214,7 @@ func Fig2ESSECycle(cfg realtime.Config) (*Fig2Result, string, error) {
 // ---------------------------------------------------------------------------
 // Figs. 3 & 4 — serial vs parallel workflow
 
-// Fig34Result compares the serial and parallel engines on one workload.
+// Fig34Result compares the serial and parallel runs of one workload.
 type Fig34Result struct {
 	Serial, Parallel *workflow.Result
 	Speedup          float64
@@ -222,7 +222,7 @@ type Fig34Result struct {
 }
 
 // Fig3Fig4Comparison runs the identical ensemble workload through the
-// Fig. 3 serial engine and the Fig. 4 MTC pool and compares wall-clock
+// Fig. 3 serial cadence and the Fig. 4 MTC pool and compares wall-clock
 // and results. The member runner sleeps `memberDelay` to emulate the
 // forecast cost so the exposed parallelism is measurable.
 func Fig3Fig4Comparison(members, workers int, memberDelay time.Duration, stateDim int, seed uint64) (*Fig34Result, string, error) {

@@ -29,7 +29,7 @@ func toySubspaceForBench(seed uint64, dim, p int) *core.Subspace {
 
 // delayedToyRunner draws members from the true subspace after an
 // emulated forecast delay. Member results depend only on the index, so
-// serial and parallel engines produce identical member sets.
+// serial and parallel runs produce identical member sets.
 func delayedToyRunner(truth *core.Subspace, seed uint64, delay time.Duration) workflow.MemberRunner {
 	master := rng.New(seed)
 	return func(ctx context.Context, index int) ([]float64, error) {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"os"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -232,55 +234,81 @@ func TestResumableRunnerRecordsFailures(t *testing.T) {
 }
 
 func TestWorkflowRestartWithoutRerunningAll(t *testing.T) {
-	// Interrupt a run mid-flight, then restart with the same tracker:
-	// the restart must recompute only the missing members, and the final
-	// subspace must equal an uninterrupted run's.
+	// Kill a tracked run from inside its fifth member forecast, then
+	// restart with a fresh tracker on the same directory: the restart
+	// must forecast only members the first run did not finish, and —
+	// with convergence and pool growth on — end bit-identical to a run
+	// that was never interrupted.
 	dir := t.TempDir()
 	truth := toyTruth(5, 30, 2)
 	cfg := workflow.DefaultConfig()
-	cfg.InitialSize = 24
-	cfg.MaxSize = 24
+	cfg.InitialSize = 8
+	cfg.MaxSize = 48
 	cfg.Workers = 4
-	cfg.SVDBatch = 8
-	cfg.Criterion = core.ConvergenceCriterion{MinSimilarity: 2}
+	cfg.SVDBatch = 5
+	cfg.Criterion = core.ConvergenceCriterion{MinSimilarity: 0.90, MaxVarianceChange: 0.5}
+	central := make([]float64, 30)
 
-	var calls1 int64
+	// One forecast function for all three runs: a member's state depends
+	// on its index alone.
 	var mu sync.Mutex
-	tr, _ := Open(dir)
-	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
-	defer cancel()
-	_, _ = workflow.RunParallel(ctx, cfg,
-		make([]float64, 30),
-		ResumableRunner(tr, countingRunner(truth, 6, &calls1, &mu, 5*time.Millisecond)))
-	done1, _, _ := tr.Completed()
-	if len(done1) == 0 || len(done1) >= 24 {
-		t.Skipf("interruption landed awkwardly: %d members done", len(done1))
+	var calls int64
+	forecast := countingRunner(truth, 6, &calls, &mu, 0)
+	ref, err := workflow.RunParallel(context.Background(), cfg, central, forecast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const killAt = 5
+	if !ref.Converged || ref.MembersUsed <= killAt {
+		t.Fatalf("reference run must converge after the kill point: converged=%v used=%d", ref.Converged, ref.MembersUsed)
 	}
 
-	// Restart with a fresh tracker handle on the same directory.
+	ctx, kill := context.WithCancel(context.Background())
+	defer kill()
+	var started atomic.Int64
+	dying := func(ctx context.Context, index int) ([]float64, error) {
+		if started.Add(1) >= killAt {
+			kill() // the member being forecast dies with the run
+			return nil, ctx.Err()
+		}
+		return forecast(ctx, index)
+	}
+	tr, _ := Open(dir)
+	_, _ = workflow.RunParallel(ctx, cfg, central, ResumableRunner(tr, dying))
+	done1, _, _ := tr.Completed()
+	if len(done1) == 0 || len(done1) >= killAt {
+		t.Fatalf("killed on forecast %d, yet %d members are on disk", killAt, len(done1))
+	}
+
 	tr2, _ := Open(dir)
-	var calls2 int64
-	res, err := workflow.RunParallel(context.Background(), cfg,
-		make([]float64, 30),
-		ResumableRunner(tr2, countingRunner(truth, 6, &calls2, &mu, 0)))
+	recomputed := map[int]int{}
+	res, err := workflow.RunParallel(context.Background(), cfg, central,
+		ResumableRunner(tr2, func(ctx context.Context, index int) ([]float64, error) {
+			mu.Lock()
+			recomputed[index]++
+			mu.Unlock()
+			return forecast(ctx, index)
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MembersUsed != 24 {
-		t.Fatalf("restart used %d members", res.MembersUsed)
+	for _, idx := range done1 {
+		if recomputed[idx] != 0 {
+			t.Fatalf("member %d was on disk but forecast again", idx)
+		}
 	}
-	if int(calls2) != 24-len(done1) {
-		t.Fatalf("restart recomputed %d members, want %d", calls2, 24-len(done1))
+	for _, idx := range res.MemberIndices {
+		if !slices.Contains(done1, idx) && recomputed[idx] != 1 {
+			t.Fatalf("member %d was missing from disk and forecast %d times by the restart", idx, recomputed[idx])
+		}
 	}
-	// Compare against an uninterrupted reference run.
-	var calls3 int64
-	ref, err := workflow.RunParallel(context.Background(), cfg,
-		make([]float64, 30), countingRunner(truth, 6, &calls3, &mu, 0))
-	if err != nil {
-		t.Fatal(err)
+	if !slices.Equal(res.MemberIndices, ref.MemberIndices) || res.SVDRounds != ref.SVDRounds {
+		t.Fatalf("restart used members %v in %d rounds, uninterrupted run %v in %d",
+			res.MemberIndices, res.SVDRounds, ref.MemberIndices, ref.SVDRounds)
 	}
-	if rho := core.SimilarityCoefficient(res.Subspace, ref.Subspace); rho < 1-1e-8 {
-		t.Fatalf("restarted subspace differs from uninterrupted run: rho=%v", rho)
+	if !slices.Equal(res.Subspace.Sigma, ref.Subspace.Sigma) ||
+		!slices.Equal(res.Subspace.Modes.Data, ref.Subspace.Modes.Data) {
+		t.Fatal("restarted subspace is not bit-identical to the uninterrupted run's")
 	}
 }
 

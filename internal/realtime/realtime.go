@@ -87,8 +87,8 @@ type Config struct {
 	Telemetry *telemetry.Telemetry
 	// Seed drives all randomness (truth, noise, perturbations).
 	Seed uint64
-	// Serial switches the per-cycle ensemble to the Fig. 3 serial engine
-	// (used by the serial-vs-parallel comparisons).
+	// Serial runs the per-cycle ensemble through workflow.RunSerial, the
+	// Fig. 3 reference (used by the serial-vs-parallel comparisons).
 	Serial bool
 }
 

@@ -3,6 +3,7 @@ package workflow
 import (
 	"context"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -44,22 +45,27 @@ func TestCancelMidBatchCleanShutdown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fast := toyRunner(truth, 8, 0, 0, false)
+	inFlight := make(chan struct{})
+	var blockedOnce sync.Once
 	runner := func(c context.Context, idx int) ([]float64, error) {
 		if idx < 6 {
 			return fast(c, idx)
 		}
 		// The back half of the pool blocks until cancellation, so the
 		// cancel always lands mid-batch with workers in flight.
+		blockedOnce.Do(func() { close(inFlight) })
 		<-c.Done()
 		return nil, c.Err()
 	}
 	// OnProgress runs on the coordinator after each completion; by the
 	// time Completed reaches 4 the first SVD round (SVDBatch=4) has run
-	// and its snapshot is published.
+	// and its snapshot is published. The workers do not wait for the
+	// coordinator, so one of them reaches a blocking member regardless.
 	cancelled := false
 	cfg.OnProgress = func(p Progress) {
 		if !cancelled && p.Completed >= 4 {
 			cancelled = true
+			<-inFlight
 			cancel()
 		}
 	}

@@ -1,10 +1,13 @@
 // Package workflow implements the ESSE many-task workflow of the paper's
-// Section 4: the serial reference implementation (Fig. 3) and the
-// parallel MTC implementation (Fig. 4) with a pool of concurrent
+// Section 4 as one coordinator loop with two entry points: RunParallel,
+// the MTC implementation (Fig. 4) with a pool of concurrent
 // perturb/forecast tasks, a continuously running diff stage, a
 // continuously running SVD + convergence stage, adaptive ensemble
 // growth, convergence-driven cancellation, deadline tolerance and
-// failure tolerance.
+// failure tolerance; and RunSerial, the serial reference (Fig. 3), which
+// is the same loop with one worker and the SVD held back until the
+// whole pool is in. The loop alone decides in what order members enter
+// the covariance: member-index order, whatever order they finish in.
 //
 // The five ESSE-vs-high-throughput differences the paper enumerates map
 // to engine features as follows:
@@ -34,8 +37,10 @@ import (
 // MemberRunner computes one ensemble member: it perturbs the initial
 // conditions for the given member index and integrates the forecast,
 // returning the packed forecast state. Implementations must be safe for
-// concurrent invocation and should derive all randomness from the index
-// so results are independent of scheduling order.
+// concurrent invocation, should derive all randomness from the index so
+// results are independent of scheduling order, and must return ctx.Err()
+// promptly when ctx is done (the engine calls the runner once for every
+// index it dispatches, even if the run was cancelled in between).
 type MemberRunner func(ctx context.Context, index int) ([]float64, error)
 
 // DrainPolicy selects what happens to in-flight members once the error
@@ -44,10 +49,14 @@ type DrainPolicy int
 
 const (
 	// CancelImmediately cancels queued and running members and uses the
-	// subspace from the converging SVD.
+	// subspace from the converging SVD: a member that finishes anyway
+	// (a runner that cannot be interrupted) is counted as cancelled, so
+	// the result does not depend on how many were in flight.
 	CancelImmediately DrainPolicy = iota
 	// DrainAndUse stops launching new members but lets running ones
-	// finish, then performs a final SVD over everything available.
+	// finish, then performs a final SVD over everything available. How
+	// many are running at that moment is a matter of timing, and so is
+	// the result.
 	DrainAndUse
 )
 
@@ -157,7 +166,9 @@ type Result struct {
 	MembersUsed int
 	// MembersFailed counts members abandoned after retries.
 	MembersFailed int
-	// MembersCancelled counts members cancelled by convergence/deadline.
+	// MembersCancelled counts launched members cancelled by convergence,
+	// deadline or the caller. MembersUsed + MembersFailed +
+	// MembersCancelled is the number of indices the runner was called with.
 	MembersCancelled int
 	// SVDRounds counts SVD/convergence stage executions.
 	SVDRounds int
@@ -195,15 +206,47 @@ type memberDone struct {
 	start, end time.Duration
 }
 
-// RunParallel executes the parallel (Fig. 4) ESSE workflow: a pool of
-// Workers goroutines computes members concurrently; completions stream
-// through the diff accumulator; the SVD/convergence stage runs on batch
-// boundaries; the pool grows on convergence failure and is cancelled on
-// success, deadline expiry, or external context cancellation.
+// RunParallel executes the many-task (Fig. 4) ESSE workflow: a pool of
+// Workers goroutines computes members concurrently while the coordinator
+// differences them into the accumulator, runs the SVD/convergence stage
+// every SVDBatch members, grows the pool on convergence failure and ends
+// the run on success, deadline expiry or external cancellation.
+//
+// Members enter the covariance strictly in member-index order whatever
+// order they finish in, so without a Deadline or external cancellation,
+// and under CancelImmediately, the result is a pure function of
+// (cfg, central, runner): worker count, completion order and telemetry
+// do not change a bit of it.
 func RunParallel(ctx context.Context, cfg Config, central []float64, runner MemberRunner) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	return run(ctx, cfg, central, runner, false)
+}
+
+// RunSerial executes the serial reference implementation of Fig. 3 as a
+// configuration of the same loop: one worker, and the SVD and the
+// convergence test only once the whole pool of N members is accounted
+// for; on failure the ensemble is enlarged to N₂ and members N+1..N₂
+// follow. cfg.Workers is ignored beyond validation.
+//
+// It deliberately retains the bottlenecks the paper lists — no exposed
+// parallelism between forecasts, the SVD waits for the whole pool, and
+// growth waits for the SVD — so that the Fig. 3 vs Fig. 4 benchmarks
+// quantify what the MTC transformation buys.
+func RunSerial(ctx context.Context, cfg Config, central []float64, runner MemberRunner) (*Result, error) {
+	// Validate first: Workers < 1 is rejected here as in RunParallel.
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	cfg.Workers = 1
+	return run(ctx, cfg, central, runner, true)
+}
+
+// run is the one ESSE coordinator. wholePool selects the SVD cadence:
+// false runs the SVD stage every cfg.SVDBatch committed members, true
+// only when every member of the current pool is accounted for.
+func run(ctx context.Context, cfg Config, central []float64, runner MemberRunner, wholePool bool) (*Result, error) {
 	start := time.Now()
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -231,29 +274,28 @@ func RunParallel(ctx context.Context, cfg Config, central []float64, runner Memb
 
 	var target atomic.Int64
 	target.Store(int64(cfg.InitialSize))
-	var launched atomic.Int64
 	targetChanged := make(chan struct{}, 1)
+	// finish stops the dispatcher but lets running members complete and
+	// commit; cancel additionally interrupts them.
 	finished := make(chan struct{})
+	finish := sync.OnceFunc(func() { close(finished) })
 
 	jobs := make(chan int)
 	results := make(chan memberDone, cfg.Workers*2)
 
-	// Dispatcher: hands out member indices up to the (growing) target.
+	// Dispatcher: hands out member indices 0, 1, 2, … up to the (growing)
+	// target. Every index sent is received by a worker and comes back as
+	// exactly one memberDone, which is what lets the coordinator commit
+	// in index order without ever waiting on a gap.
 	go func() {
 		defer close(jobs)
 		next := 0
-		queued := -1
 		for {
-			t := int(target.Load())
-			if next < t {
-				if next > queued {
-					queued = next
-					tel.Emit("member", next, 0, telemetry.PhaseQueued)
-				}
+			if next < int(target.Load()) {
+				tel.Emit("member", next, 0, telemetry.PhaseQueued)
 				select {
 				case jobs <- next:
 					next++
-					launched.Store(int64(next))
 				case <-runCtx.Done():
 					return
 				case <-finished:
@@ -306,13 +348,6 @@ func RunParallel(ctx context.Context, cfg Config, central []float64, runner Memb
 	res := &Result{Timeline: tl, PoolSizes: []int{cfg.InitialSize}, Central: acc.Central()}
 	var prev, cur *core.Subspace
 	lastSVD := 0
-	finishedClosed := false
-	finish := func() {
-		if !finishedClosed {
-			finishedClosed = true
-			close(finished)
-		}
-	}
 
 	runSVD := func() error {
 		// ctx (not runCtx) on purpose: runCtx is already cancelled when
@@ -348,17 +383,10 @@ func RunParallel(ctx context.Context, cfg Config, central []float64, runner Memb
 			res.Rho = rho
 			if ok {
 				res.Converged = true
-				switch cfg.Policy {
-				case CancelImmediately:
+				if cfg.Policy == DrainAndUse {
+					finish()
+				} else {
 					cancel()
-				case DrainAndUse:
-					// Stop dispatching beyond what is already launched.
-					target.Store(launched.Load())
-					gTarget.Set(float64(launched.Load()))
-					select {
-					case targetChanged <- struct{}{}:
-					default:
-					}
 				}
 			}
 		}
@@ -382,15 +410,26 @@ func RunParallel(ctx context.Context, cfg Config, central []float64, runner Memb
 		})
 	}
 
-	var loopErr error
-	for done := range results {
+	// commit is the per-member body of the loop: accumulate or count the
+	// member, run the SVD stage if it is due, then grow or end the run.
+	commit := func(done memberDone) error {
+		// The ocean run cannot be interrupted, so members in flight at
+		// convergence still finish; under CancelImmediately they are the
+		// waste the policy accepts, not input to one more SVD.
+		late := done.err == nil && res.Converged && cfg.Policy == CancelImmediately
 		switch {
-		case done.err == nil:
+		case late || isCtxErr(done.err):
+			res.MembersCancelled++
+			cMembersCancelled.Inc()
+			tel.Emit("member", done.index, 0, telemetry.PhaseCancelled)
+			return nil
+		case done.err != nil:
+			res.MembersFailed++
+			cMembersFailed.Inc()
+			tel.Emit("member", done.index, 0, telemetry.PhaseFailed)
+		default:
 			if err := acc.Add(done.index, done.state); err != nil {
-				loopErr = err
-				cancel()
-				finish()
-				continue
+				return err
 			}
 			res.MembersUsed++
 			cMembersDone.Inc()
@@ -398,54 +437,68 @@ func RunParallel(ctx context.Context, cfg Config, central []float64, runner Memb
 			tel.Emit("member", done.index, 0, telemetry.PhaseDone)
 			tl.Add(trace.SimulationTime, fmt.Sprintf("member-%d", done.index),
 				done.start.Seconds(), done.end.Seconds())
-		case errors.Is(done.err, context.Canceled) || errors.Is(done.err, context.DeadlineExceeded):
-			res.MembersCancelled++
-			cMembersCancelled.Inc()
-			tel.Emit("member", done.index, 0, telemetry.PhaseCancelled)
-			continue
-		default:
-			res.MembersFailed++
-			cMembersFailed.Inc()
-			tel.Emit("member", done.index, 0, telemetry.PhaseFailed)
 		}
 
-		if res.MembersUsed >= lastSVD+cfg.SVDBatch && !res.Converged {
+		accounted := res.MembersUsed + res.MembersFailed
+		t := int(target.Load())
+		due := res.MembersUsed >= lastSVD+cfg.SVDBatch
+		if wholePool {
+			// Fig. 3: the SVD waits for the whole pool.
+			due = accounted >= t && res.MembersUsed > lastSVD
+		}
+		if due && !res.Converged {
 			if err := runSVD(); err != nil {
-				loopErr = err
-				cancel()
-				finish()
-				continue
+				return err
 			}
 		}
 
 		notify()
 
-		accounted := res.MembersUsed + res.MembersFailed
-		t := int(target.Load())
-		if accounted >= t && !res.Converged {
-			if t >= cfg.MaxSize {
-				finish() // out of budget: use what we have
-				continue
+		if accounted < t || res.Converged {
+			return nil
+		}
+		if t >= cfg.MaxSize {
+			finish() // out of budget: use what we have
+			return nil
+		}
+		next := growTarget(t, &cfg)
+		target.Store(int64(next))
+		gTarget.Set(float64(next))
+		res.PoolSizes = append(res.PoolSizes, next)
+		select {
+		case targetChanged <- struct{}{}:
+		default:
+		}
+		return nil
+	}
+
+	// Reorder buffer: members finish in any order but are committed in
+	// index order, so SVD round k sees the same members on every run.
+	// Indices are dispatched without gaps, so the buffer is empty again
+	// by the time results closes.
+	pending := make(map[int]memberDone)
+	next := 0
+	var loopErr error
+	for done := range results {
+		pending[done.index] = done
+		for loopErr == nil {
+			d, ok := pending[next]
+			if !ok {
+				break
 			}
-			next := growTarget(t, &cfg)
-			target.Store(int64(next))
-			gTarget.Set(float64(next))
-			res.PoolSizes = append(res.PoolSizes, next)
-			select {
-			case targetChanged <- struct{}{}:
-			default:
+			delete(pending, next)
+			next++
+			if loopErr = commit(d); loopErr != nil {
+				cancel() // keep draining results so the workers can exit
 			}
-		} else if accounted >= t && res.Converged && cfg.Policy == DrainAndUse {
-			finish()
 		}
 	}
-	finish()
 	if loopErr != nil {
 		return nil, loopErr
 	}
 
-	// Final SVD if members arrived since the last one (drain policy,
-	// deadline leftovers, or non-aligned batch boundary).
+	// Final SVD if members were committed since the last one (drain
+	// policy, deadline leftovers, or non-aligned batch boundary).
 	if acc.Len() >= 2 && (acc.Len() != lastSVD || cur == nil) {
 		if err := runSVD(); err != nil {
 			return nil, err
@@ -462,13 +515,20 @@ func RunParallel(ctx context.Context, cfg Config, central []float64, runner Memb
 	return res, nil
 }
 
+func isCtxErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// runWithRetries calls the runner at least once for every index it is
+// given, so the members a Result accounts for are exactly the indices
+// the runner saw; a runner handed a dead context returns its error.
 func runWithRetries(ctx context.Context, retries, idx int, runner MemberRunner, tel *telemetry.Telemetry, cRetries *telemetry.Counter) ([]float64, error) {
 	var err error
 	for attempt := 0; attempt <= retries; attempt++ {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
 		if attempt > 0 {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
 			tel.Emit("member", idx, attempt, telemetry.PhaseRetried)
 			cRetries.Inc()
 		}
@@ -477,7 +537,7 @@ func runWithRetries(ctx context.Context, retries, idx int, runner MemberRunner, 
 		if err == nil {
 			return state, nil
 		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if isCtxErr(err) {
 			return nil, err
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -76,6 +77,16 @@ func quickConfig() Config {
 	return cfg
 }
 
+// engines are the two entry points of the one coordinator loop; tests of
+// behaviour both must have run once per entry.
+var engines = []struct {
+	name string
+	run  func(context.Context, Config, []float64, MemberRunner) (*Result, error)
+}{
+	{"RunParallel", RunParallel},
+	{"RunSerial", RunSerial},
+}
+
 func TestRunParallelProducesValidSubspace(t *testing.T) {
 	truth := toySubspace(1, 60, 3)
 	res, err := RunParallel(context.Background(), quickConfig(), make([]float64, 60),
@@ -121,9 +132,9 @@ func TestRunParallelRecoversTrueSubspace(t *testing.T) {
 }
 
 func TestParallelMatchesSerialWhenExhaustive(t *testing.T) {
-	// With convergence disabled and no failures, both engines process
-	// exactly the same member set (0..MaxSize-1) and must produce the
-	// same subspace regardless of completion order.
+	// With convergence disabled and no failures, both cadences commit
+	// exactly the same members (0..MaxSize-1) in the same order, so the
+	// final SVD sees the same matrix and gives the same bits.
 	truth := toySubspace(5, 40, 2)
 	cfg := quickConfig()
 	cfg.InitialSize = 20
@@ -141,21 +152,14 @@ func TestParallelMatchesSerialWhenExhaustive(t *testing.T) {
 	if par.MembersUsed != ser.MembersUsed {
 		t.Fatalf("member counts differ: %d vs %d", par.MembersUsed, ser.MembersUsed)
 	}
-	if len(par.Subspace.Sigma) != len(ser.Subspace.Sigma) {
-		t.Fatalf("ranks differ: %d vs %d", par.Subspace.Rank(), ser.Subspace.Rank())
+	if !slices.Equal(par.Subspace.Sigma, ser.Subspace.Sigma) {
+		t.Fatalf("sigma differs: %v vs %v", par.Subspace.Sigma, ser.Subspace.Sigma)
 	}
-	for i := range par.Subspace.Sigma {
-		if math.Abs(par.Subspace.Sigma[i]-ser.Subspace.Sigma[i]) > 1e-8 {
-			t.Fatalf("sigma[%d] differs: %v vs %v", i, par.Subspace.Sigma[i], ser.Subspace.Sigma[i])
-		}
+	if !slices.Equal(par.Subspace.Modes.Data, ser.Subspace.Modes.Data) {
+		t.Fatal("parallel and serial modes differ")
 	}
-	if rho := core.SimilarityCoefficient(par.Subspace, ser.Subspace); rho < 1-1e-8 {
-		t.Fatalf("parallel and serial subspaces differ: rho = %v", rho)
-	}
-	for i := range par.Mean {
-		if math.Abs(par.Mean[i]-ser.Mean[i]) > 1e-12 {
-			t.Fatal("ensemble means differ")
-		}
+	if !slices.Equal(par.Mean, ser.Mean) {
+		t.Fatal("ensemble means differ")
 	}
 }
 
@@ -203,24 +207,28 @@ func TestDrainAndUsePolicy(t *testing.T) {
 }
 
 func TestFailureTolerance(t *testing.T) {
-	truth := toySubspace(11, 30, 2)
-	cfg := quickConfig()
-	cfg.Retries = 0
-	cfg.Criterion = core.ConvergenceCriterion{MinSimilarity: 2}
-	res, err := RunParallel(context.Background(), cfg, make([]float64, 30),
-		toyRunner(truth, 12, 0, 5, false)) // every 5th member fails
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MembersFailed == 0 {
-		t.Fatal("no failures recorded despite injection")
-	}
-	if res.Subspace == nil {
-		t.Fatal("failures must not prevent a result")
-	}
-	if res.MembersUsed+res.MembersFailed < cfg.MaxSize {
-		t.Fatalf("accounted members %d < target %d",
-			res.MembersUsed+res.MembersFailed, cfg.MaxSize)
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			truth := toySubspace(11, 30, 2)
+			cfg := quickConfig()
+			cfg.Retries = 0
+			cfg.Criterion = core.ConvergenceCriterion{MinSimilarity: 2}
+			res, err := e.run(context.Background(), cfg, make([]float64, 30),
+				toyRunner(truth, 12, 0, 5, false)) // every 5th member fails
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.MembersFailed == 0 {
+				t.Fatal("no failures recorded despite injection")
+			}
+			if res.Subspace == nil {
+				t.Fatal("failures must not prevent a result")
+			}
+			if res.MembersUsed+res.MembersFailed < cfg.MaxSize {
+				t.Fatalf("accounted members %d < target %d",
+					res.MembersUsed+res.MembersFailed, cfg.MaxSize)
+			}
+		})
 	}
 }
 
@@ -245,36 +253,40 @@ func TestRetriesRecoverTransientFailures(t *testing.T) {
 }
 
 func TestDeadlineIgnoresLateMembers(t *testing.T) {
-	truth := toySubspace(15, 30, 2)
-	cfg := quickConfig()
-	cfg.InitialSize = 400
-	cfg.MaxSize = 400
-	cfg.SVDBatch = 2
-	cfg.Workers = 4
-	cfg.Deadline = 60 * time.Millisecond
-	cfg.Criterion = core.ConvergenceCriterion{MinSimilarity: 2}
-	res, err := RunParallel(context.Background(), cfg, make([]float64, 30),
-		toyRunner(truth, 16, 5*time.Millisecond, 0, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MembersUsed >= 400 {
-		t.Fatal("deadline did not cut the ensemble short")
-	}
-	// Members still in flight at the deadline are either cancelled or —
-	// if their select races the timer — delivered; both are legitimate
-	// ("runs that have not finished by the forecast deadline can be
-	// safely ignored"). What must hold: nothing beyond the in-flight
-	// window was processed, and a usable subspace came out.
-	if res.MembersUsed+res.MembersCancelled > 400 {
-		t.Fatalf("accounting overflow: used %d + cancelled %d",
-			res.MembersUsed, res.MembersCancelled)
-	}
-	if res.Subspace == nil {
-		t.Fatal("partial ensemble must still yield a subspace")
-	}
-	if res.Elapsed > 10*cfg.Deadline {
-		t.Fatalf("run overshot the deadline grossly: %v", res.Elapsed)
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			truth := toySubspace(15, 30, 2)
+			cfg := quickConfig()
+			cfg.InitialSize = 400
+			cfg.MaxSize = 400
+			cfg.SVDBatch = 2
+			cfg.Workers = 4
+			cfg.Deadline = 60 * time.Millisecond
+			cfg.Criterion = core.ConvergenceCriterion{MinSimilarity: 2}
+			res, err := e.run(context.Background(), cfg, make([]float64, 30),
+				toyRunner(truth, 16, 5*time.Millisecond, 0, false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.MembersUsed >= 400 {
+				t.Fatal("deadline did not cut the ensemble short")
+			}
+			// Members still in flight at the deadline are either cancelled or —
+			// if their select races the timer — delivered; both are legitimate
+			// ("runs that have not finished by the forecast deadline can be
+			// safely ignored"). What must hold: nothing beyond the in-flight
+			// window was processed, and a usable subspace came out.
+			if res.MembersUsed+res.MembersCancelled > 400 {
+				t.Fatalf("accounting overflow: used %d + cancelled %d",
+					res.MembersUsed, res.MembersCancelled)
+			}
+			if res.Subspace == nil {
+				t.Fatal("partial ensemble must still yield a subspace")
+			}
+			if res.Elapsed > 10*cfg.Deadline {
+				t.Fatalf("run overshot the deadline grossly: %v", res.Elapsed)
+			}
+		})
 	}
 }
 
@@ -405,14 +417,13 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Workers = 0 },
 		func(c *Config) { c.SVDBatch = 0 },
 	}
-	for i, mutate := range cases {
-		cfg := base
-		mutate(&cfg)
-		if _, err := RunParallel(context.Background(), cfg, make([]float64, 10), nil); err == nil {
-			t.Fatalf("case %d: invalid config accepted", i)
-		}
-		if _, err := RunSerial(context.Background(), cfg, make([]float64, 10), nil); err == nil {
-			t.Fatalf("case %d: invalid config accepted by serial", i)
+	for _, e := range engines {
+		for i, mutate := range cases {
+			cfg := base
+			mutate(&cfg)
+			if _, err := e.run(context.Background(), cfg, make([]float64, 10), nil); err == nil {
+				t.Fatalf("%s case %d: invalid config accepted", e.name, i)
+			}
 		}
 	}
 }
@@ -425,30 +436,33 @@ func TestAllMembersFailing(t *testing.T) {
 	runner := func(ctx context.Context, index int) ([]float64, error) {
 		return nil, errors.New("hardware gremlin")
 	}
-	if _, err := RunParallel(context.Background(), cfg, make([]float64, 10), runner); err == nil {
-		t.Fatal("total failure must surface an error")
-	}
-	if _, err := RunSerial(context.Background(), cfg, make([]float64, 10), runner); err == nil {
-		t.Fatal("total failure must surface an error in serial mode")
+	for _, e := range engines {
+		if _, err := e.run(context.Background(), cfg, make([]float64, 10), runner); err == nil {
+			t.Fatalf("%s: total failure must surface an error", e.name)
+		}
 	}
 }
 
 func TestExternalCancellation(t *testing.T) {
-	truth := toySubspace(25, 30, 2)
-	cfg := quickConfig()
-	cfg.InitialSize = 100
-	cfg.MaxSize = 100
-	cfg.Criterion = core.ConvergenceCriterion{MinSimilarity: 2}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
-	res, err := RunParallel(ctx, cfg, make([]float64, 30),
-		toyRunner(truth, 26, 2*time.Millisecond, 0, false))
-	// Either a partial result or a clean error is acceptable; a hang is not.
-	if err == nil && res.MembersUsed >= 100 {
-		t.Fatal("cancellation had no effect")
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			truth := toySubspace(25, 30, 2)
+			cfg := quickConfig()
+			cfg.InitialSize = 100
+			cfg.MaxSize = 100
+			cfg.Criterion = core.ConvergenceCriterion{MinSimilarity: 2}
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				time.Sleep(30 * time.Millisecond)
+				cancel()
+			}()
+			res, err := e.run(ctx, cfg, make([]float64, 30),
+				toyRunner(truth, 26, 2*time.Millisecond, 0, false))
+			// Either a partial result or a clean error is acceptable; a hang is not.
+			if err == nil && res.MembersUsed >= 100 {
+				t.Fatal("cancellation had no effect")
+			}
+		})
 	}
 }
 
@@ -471,8 +485,13 @@ func TestSerialGrowthRestartsFromN(t *testing.T) {
 	cfg.MaxSize = 32
 	cfg.GrowthFactor = 2
 	cfg.Criterion = core.ConvergenceCriterion{MinSimilarity: 2}
-	if _, err := RunSerial(context.Background(), cfg, make([]float64, 30), runner); err != nil {
+	res, err := RunSerial(context.Background(), cfg, make([]float64, 30), runner)
+	if err != nil {
 		t.Fatal(err)
+	}
+	// What still sets Fig. 3 apart: one SVD per pool, at its boundary.
+	if res.SVDRounds != len(res.PoolSizes) {
+		t.Fatalf("%d SVD rounds over pools %v, want one per pool", res.SVDRounds, res.PoolSizes)
 	}
 	for idx, n := range seen {
 		if n != 1 {
@@ -514,60 +533,5 @@ func TestResultAnomalyBookkeeping(t *testing.T) {
 				t.Fatalf("anomaly column %d does not match member %d", col, idx)
 			}
 		}
-	}
-}
-
-func TestSerialDeadlineCutsShort(t *testing.T) {
-	truth := toySubspace(41, 20, 2)
-	cfg := quickConfig()
-	cfg.InitialSize = 200
-	cfg.MaxSize = 200
-	cfg.Deadline = 40 * time.Millisecond
-	cfg.Criterion = core.ConvergenceCriterion{MinSimilarity: 2}
-	res, err := RunSerial(context.Background(), cfg, make([]float64, 20),
-		toyRunner(truth, 42, 2*time.Millisecond, 0, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MembersUsed >= 200 {
-		t.Fatal("serial deadline did not cut the batch short")
-	}
-	if res.Subspace == nil {
-		t.Fatal("partial serial run must still yield a subspace")
-	}
-}
-
-func TestSerialExternalCancel(t *testing.T) {
-	truth := toySubspace(43, 20, 2)
-	cfg := quickConfig()
-	cfg.InitialSize = 500
-	cfg.MaxSize = 500
-	cfg.Criterion = core.ConvergenceCriterion{MinSimilarity: 2}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	res, err := RunSerial(ctx, cfg, make([]float64, 20),
-		toyRunner(truth, 44, time.Millisecond, 0, false))
-	if err == nil && res.MembersUsed >= 500 {
-		t.Fatal("cancellation had no effect on the serial engine")
-	}
-}
-
-func TestSerialFailureTolerance(t *testing.T) {
-	truth := toySubspace(45, 20, 2)
-	cfg := quickConfig()
-	cfg.Retries = 0
-	cfg.InitialSize = 15
-	cfg.MaxSize = 15
-	cfg.Criterion = core.ConvergenceCriterion{MinSimilarity: 2}
-	res, err := RunSerial(context.Background(), cfg, make([]float64, 20),
-		toyRunner(truth, 46, 0, 5, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MembersFailed == 0 || res.Subspace == nil {
-		t.Fatalf("serial failure tolerance broken: failed=%d", res.MembersFailed)
 	}
 }

@@ -1,0 +1,175 @@
+package workflow
+
+import (
+	"context"
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"esse/internal/core"
+	"esse/internal/telemetry"
+)
+
+// TestSchedulingIndependence pins that a run with convergence, pool
+// growth and cancellation on is a pure function of (config, runner):
+// worker count, completion order and telemetry must not change a bit of
+// the result, because members are committed in index order and members
+// that finish after the converging SVD are discarded. The reverse-index
+// runner makes later members finish first and, like the ocean model,
+// cannot be interrupted mid-run, so members in flight at convergence
+// come back successful.
+func TestSchedulingIndependence(t *testing.T) {
+	const dim = 60
+	truth := toySubspace(1, dim, 3)
+	reverse := func(cfg Config) MemberRunner {
+		inner := toyRunner(truth, 2, 0, 0, false)
+		return func(ctx context.Context, index int) ([]float64, error) {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			time.Sleep(time.Duration(cfg.MaxSize-index) * 100 * time.Microsecond)
+			return inner(context.Background(), index)
+		}
+	}
+	run := func(workers int, tel *telemetry.Telemetry, delayed bool) *Result {
+		cfg := quickConfig()
+		cfg.InitialSize = 8
+		cfg.SVDBatch = 5
+		cfg.Workers = workers
+		cfg.Telemetry = tel
+		runner := toyRunner(truth, 2, 0, 0, false)
+		if delayed {
+			runner = reverse(cfg)
+		}
+		res, err := RunParallel(context.Background(), cfg, make([]float64, dim), runner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	// The pin needs a run that grows its pool and then converges inside
+	// a pool, so that several workers have members in flight beyond the
+	// converging SVD.
+	ref := run(1, nil, false)
+	pools := ref.PoolSizes
+	if !ref.Converged || len(pools) < 2 || ref.MembersUsed >= pools[len(pools)-1] {
+		t.Fatalf("reference run pins nothing: converged=%v used=%d pools=%v", ref.Converged, ref.MembersUsed, pools)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		for _, telOn := range []bool{false, true} {
+			for _, delayed := range []bool{false, true} {
+				t.Run(fmt.Sprintf("workers=%d/telemetry=%v/reverse=%v", workers, telOn, delayed), func(t *testing.T) {
+					var tel *telemetry.Telemetry
+					if telOn {
+						tel = telemetry.New()
+					}
+					got := run(workers, tel, delayed)
+					if got.MembersUsed != ref.MembersUsed || got.SVDRounds != ref.SVDRounds {
+						t.Fatalf("used %d members in %d SVD rounds, reference %d in %d",
+							got.MembersUsed, got.SVDRounds, ref.MembersUsed, ref.SVDRounds)
+					}
+					if !slices.Equal(got.PoolSizes, ref.PoolSizes) {
+						t.Fatalf("PoolSizes = %v, reference %v", got.PoolSizes, ref.PoolSizes)
+					}
+					if !slices.Equal(got.MemberIndices, ref.MemberIndices) {
+						t.Fatalf("MemberIndices = %v, reference %v", got.MemberIndices, ref.MemberIndices)
+					}
+					if !slices.Equal(got.Subspace.Sigma, ref.Subspace.Sigma) {
+						t.Fatalf("Sigma = %v, reference %v", got.Subspace.Sigma, ref.Subspace.Sigma)
+					}
+					if !slices.Equal(got.Subspace.Modes.Data, ref.Subspace.Modes.Data) {
+						t.Fatal("Modes differ from the reference bit for bit")
+					}
+					if !slices.Equal(got.Mean, ref.Mean) {
+						t.Fatal("Mean differs from the reference bit for bit")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestEveryLaunchedMemberIsAccountedFor pins the one definition of the
+// three outcome counters: used + failed + cancelled is the number of
+// distinct indices the runner was called with, however the run ended.
+func TestEveryLaunchedMemberIsAccountedFor(t *testing.T) {
+	loose := core.ConvergenceCriterion{MinSimilarity: 0.2, MaxVarianceChange: 0.9}
+	never := core.ConvergenceCriterion{MinSimilarity: 2}
+	scenarios := []struct {
+		name  string
+		setup func(cfg *Config, cancel context.CancelFunc)
+	}{
+		{"deadline", func(cfg *Config, _ context.CancelFunc) {
+			cfg.Criterion = never
+			cfg.Deadline = 40 * time.Millisecond
+		}},
+		{"external-cancel", func(cfg *Config, cancel context.CancelFunc) {
+			cfg.Criterion = never
+			time.AfterFunc(30*time.Millisecond, cancel)
+		}},
+		{"converged/CancelImmediately", func(cfg *Config, _ context.CancelFunc) {
+			cfg.Criterion = loose
+			cfg.Policy = CancelImmediately
+		}},
+		{"converged/DrainAndUse", func(cfg *Config, _ context.CancelFunc) {
+			cfg.Criterion = loose
+			cfg.Policy = DrainAndUse
+		}},
+	}
+	for _, e := range engines {
+		for _, sc := range scenarios {
+			t.Run(e.name+"/"+sc.name, func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				cfg := quickConfig()
+				cfg.InitialSize = 20
+				cfg.MaxSize = 300
+				cfg.SVDBatch = 10
+				cfg.Retries = 0
+				sc.setup(&cfg, cancel)
+
+				var mu sync.Mutex
+				called := map[int]bool{}
+				inner := toyRunner(toySubspace(7, 30, 2), 8, 2*time.Millisecond, 7, false) // every 7th member fails
+				runner := func(ctx context.Context, index int) ([]float64, error) {
+					mu.Lock()
+					called[index] = true
+					mu.Unlock()
+					return inner(ctx, index)
+				}
+				// At convergence under CancelImmediately the result is final:
+				// no later member is used and no further SVD runs.
+				var atConvergence *Progress
+				cfg.OnProgress = func(p Progress) {
+					if p.Converged && atConvergence == nil {
+						atConvergence = &p
+					}
+				}
+
+				res, err := e.run(ctx, cfg, make([]float64, 30), runner)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := res.MembersUsed + res.MembersFailed + res.MembersCancelled; got != len(called) {
+					t.Fatalf("used %d + failed %d + cancelled %d = %d, but the runner saw %d distinct members",
+						res.MembersUsed, res.MembersFailed, res.MembersCancelled, got, len(called))
+				}
+				if res.MembersFailed == 0 {
+					t.Fatal("injected failures were not counted")
+				}
+				if cfg.Criterion == loose && !res.Converged {
+					t.Fatal("loose criterion did not converge")
+				}
+				if res.Converged && cfg.Policy == CancelImmediately {
+					if res.MembersUsed != atConvergence.Completed || res.SVDRounds != atConvergence.SVDRounds {
+						t.Fatalf("after converging on %d members in %d rounds the run went on to %d members in %d rounds",
+							atConvergence.Completed, atConvergence.SVDRounds, res.MembersUsed, res.SVDRounds)
+					}
+				}
+			})
+		}
+	}
+}
