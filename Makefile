@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-workflow bench-module test-fuzz lint lint-self lint-fixtures audit vet verify bench bench-update smoke
+.PHONY: build test race race-workflow bench-module bench-smoke test-fuzz lint lint-self lint-fixtures audit vet verify bench bench-update smoke
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,13 @@ race-workflow:
 # its own go.mod, so ./... does not reach it).
 bench-module:
 	cd bench && test -z "$$(gofmt -l .)" && $(GO) vet ./... && $(GO) test -race ./...
+
+# bench-smoke is one short traced svd-bound run of the end-to-end
+# benchmark: its correctness checks (the Serial-oracle Sigma equality,
+# Subspace.Check at paper scale) fail the run, so they gate every
+# change and not only benchmark runs.
+bench-smoke:
+	bench/run.sh --workload svd-bound --seed 1 --seconds 1 --trace 1 >/dev/null
 
 # test-fuzz runs each native fuzz target briefly — a smoke pass over
 # the wire-boundary and directive parsers, not a soak (leave FUZZTIME

@@ -44,9 +44,11 @@ func (s *Subspace) Rank() int { return len(s.Sigma) }
 func (s *Subspace) StateDim() int { return s.Modes.Rows }
 
 // TotalVariance returns Σ σᵢ² — the trace of the low-rank covariance.
-func (s *Subspace) TotalVariance() float64 {
+func (s *Subspace) TotalVariance() float64 { return totalVariance(s.Sigma) }
+
+func totalVariance(sigma []float64) float64 {
 	t := 0.0
-	for _, v := range s.Sigma {
+	for _, v := range sigma {
 		t += v * v
 	}
 	return t
@@ -117,37 +119,14 @@ func (s *Subspace) Check(tol float64) error {
 // mode. Modes with σ below relTol·σmax are dropped (the "comparison of
 // the singular values" of the paper).
 func SubspaceFromAnomalies(a *linalg.Dense, maxRank int, relTol float64) *Subspace {
-	n := a.Cols
-	if n < 2 {
+	if a.Cols < 2 {
 		panic("core: need at least 2 anomaly columns")
 	}
-	if maxRank <= 0 || maxRank > n {
-		maxRank = n
-	}
-	f := linalg.ThinSVDGram(a, maxRank)
-	scale := 1 / math.Sqrt(float64(n-1))
-	sig := make([]float64, 0, len(f.S))
-	for _, s := range f.S {
-		sig = append(sig, s*scale)
-	}
-	// Drop degenerate tail.
-	keep := len(sig)
-	if len(sig) > 0 && relTol > 0 {
-		thresh := relTol * sig[0]
-		keep = 0
-		for _, s := range sig {
-			if s > thresh {
-				keep++
-			}
-		}
-		if keep == 0 {
-			keep = 1
-		}
-	}
-	return &Subspace{
-		Modes: f.U.Slice(0, f.U.Rows, 0, keep),
-		Sigma: sig[:keep],
-	}
+	// One round of the tracker, materialised at once: the truncation
+	// rules live there.
+	t := NewSubspaceTracker(maxRank, relTol)
+	t.fold(a)
+	return t.cur.modes(a)
 }
 
 // SubspaceFromSnapshots builds an initial error subspace from model
@@ -267,16 +246,17 @@ func (c ConvergenceCriterion) Converged(prev, cur *Subspace) (bool, float64) {
 		return false, 0
 	}
 	rho := SimilarityCoefficient(prev, cur)
+	return c.met(rho, prev.TotalVariance(), cur.TotalVariance()), rho
+}
+
+// met is the decision itself, on the similarity ρ and the total
+// variances of the previous and current subspace.
+func (c ConvergenceCriterion) met(rho, vp, vc float64) bool {
 	if rho < c.MinSimilarity {
-		return false, rho
+		return false
 	}
-	vp, vc := prev.TotalVariance(), cur.TotalVariance()
 	if vp == 0 && vc == 0 {
-		return true, rho
+		return true
 	}
-	denom := math.Max(vp, vc)
-	if math.Abs(vc-vp)/denom > c.MaxVarianceChange {
-		return false, rho
-	}
-	return true, rho
+	return math.Abs(vc-vp)/math.Max(vp, vc) <= c.MaxVarianceChange
 }

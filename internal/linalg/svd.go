@@ -129,12 +129,23 @@ func oneSidedJacobi(a *Dense) *SVDFactors {
 // Singular values below ~sqrt(eps)*s_max lose relative accuracy compared
 // to Jacobi; ESSE only consumes the dominant, well-separated part of the
 // spectrum, where the Gram approach is accurate.
+//
+// It is GramSVD followed by LeftVectors; a caller that keeps AᵀA across
+// calls (core.SubspaceTracker) uses the two halves directly.
 func ThinSVDGram(a *Dense, k int) *SVDFactors {
-	m, n := a.Rows, a.Cols
+	s, v := GramSVD(MulTA(a, a), k)
+	return &SVDFactors{U: LeftVectors(a, v, s), S: s, V: v}
+}
+
+// GramSVD returns the dominant k singular values and right singular
+// vectors (n×k) of a matrix A given only its Gram matrix AᵀA (n×n):
+// the part of ThinSVDGram that never touches the tall data. k <= 0 or
+// k > n means n.
+func GramSVD(gram *Dense, k int) ([]float64, *Dense) {
+	n := gram.Rows
 	if k <= 0 || k > n {
 		k = n
 	}
-	gram := MulTA(a, a) // n×n
 	eig := SymEig(gram)
 	s := make([]float64, 0, k)
 	v := NewDense(n, k)
@@ -150,34 +161,47 @@ func ThinSVDGram(a *Dense, k int) *SVDFactors {
 		eig.Vectors.Col(col, i)
 		v.SetCol(i, col)
 	}
-	// U = A V Σ⁻¹ for non-negligible singular values.
-	u := NewDense(m, len(s))
-	av := Mul(a, v) // m×k
-	smax := 0.0
-	if len(s) > 0 {
-		smax = s[0]
+	return s, v
+}
+
+// InvSingular returns 1/s[j] for the non-negligible singular values of
+// a descending spectrum and 0 for the degenerate ones — those at or
+// below 1e-13·(1 + s[0]) — so a degenerate direction becomes a zero
+// left vector wherever the inverse is applied.
+func InvSingular(s []float64) []float64 {
+	inv := make([]float64, len(s))
+	if len(s) == 0 {
+		return inv
 	}
 	// Abs guards the floor itself: a slightly negative leading value from
 	// the Gram eigensolve must not drag the threshold below 1e-13.
-	floor := 1e-13 * (1 + math.Abs(smax))
-	ucol := make([]float64, m)
-	for j := range s {
-		av.Col(ucol, j)
-		if s[j] > floor {
-			inv := 1 / s[j]
-			for i := range ucol {
-				ucol[i] *= inv
-			}
-		} else {
-			// Degenerate direction: leave a zero column; callers truncate
-			// at the numerical rank anyway.
-			for i := range ucol {
-				ucol[i] = 0
+	floor := 1e-13 * (1 + math.Abs(s[0]))
+	for j, sj := range s {
+		if sj > floor {
+			inv[j] = 1 / sj
+		}
+	}
+	return inv
+}
+
+// LeftVectors returns U = A V Σ⁻¹ (m×k), the left singular vectors that
+// go with right vectors v and singular values s: the one pass over the
+// tall matrix. A degenerate direction (InvSingular) is left as a zero
+// column; callers truncate at the numerical rank anyway.
+func LeftVectors(a, v *Dense, s []float64) *Dense {
+	u := Mul(a, v)
+	inv := InvSingular(s)
+	for i := 0; i < u.Rows; i++ {
+		row := u.Row(i)
+		for j, f := range inv {
+			if f == 0 {
+				row[j] = 0
+			} else {
+				row[j] *= f
 			}
 		}
-		u.SetCol(j, ucol)
 	}
-	return &SVDFactors{U: u, S: s, V: v}
+	return u
 }
 
 // Rank returns the numerical rank implied by the singular values at the

@@ -346,8 +346,10 @@ func run(ctx context.Context, cfg Config, central []float64, runner MemberRunner
 
 	// Coordinator: the continuous diff + SVD/convergence stages.
 	res := &Result{Timeline: tl, PoolSizes: []int{cfg.InitialSize}, Central: acc.Central()}
-	var prev, cur *core.Subspace
-	lastSVD := 0
+	// The SVD stage works in Gram space: a round folds the new members
+	// into the tracker and tests convergence on coefficients; the modes
+	// are formed once, after the loop.
+	tracker := core.NewSubspaceTracker(cfg.MaxRank, cfg.SigmaRelTol)
 
 	runSVD := func() error {
 		// ctx (not runCtx) on purpose: runCtx is already cancelled when
@@ -365,32 +367,30 @@ func run(ctx context.Context, cfg Config, central []float64, runner MemberRunner
 			if _, err := cfg.Store.WriteSnapshotCtx(svdCtx, anoms, indices); err != nil {
 				return fmt.Errorf("workflow: diff publish: %w", err)
 			}
-			m, _, _, err := cfg.Store.ReadSafeCtx(svdCtx)
-			if err != nil {
+			var err error
+			if anoms, indices, _, err = cfg.Store.ReadSafeCtx(svdCtx); err != nil {
 				return fmt.Errorf("workflow: SVD read: %w", err)
 			}
-			anoms = m
 		}
 		if anoms.Cols < 2 {
 			return nil
 		}
-		cur = core.SubspaceFromAnomalies(anoms, cfg.MaxRank, cfg.SigmaRelTol)
+		if err := tracker.Update(anoms, indices); err != nil {
+			return fmt.Errorf("workflow: SVD round %d: %w", res.SVDRounds, err)
+		}
 		res.SVDRounds++
 		cSVDRounds.Inc()
-		lastSVD = anoms.Cols
-		if prev != nil {
-			ok, rho := cfg.Criterion.Converged(prev, cur)
-			res.Rho = rho
-			if ok {
-				res.Converged = true
-				if cfg.Policy == DrainAndUse {
-					finish()
-				} else {
-					cancel()
-				}
+		// Not converged, ρ = 0, until there are two rounds to compare.
+		ok, rho := tracker.Converged(cfg.Criterion)
+		res.Rho = rho
+		if ok {
+			res.Converged = true // stays set through DrainAndUse's final round
+			if cfg.Policy == DrainAndUse {
+				finish()
+			} else {
+				cancel()
 			}
 		}
-		prev = cur
 		return nil
 	}
 
@@ -441,10 +441,10 @@ func run(ctx context.Context, cfg Config, central []float64, runner MemberRunner
 
 		accounted := res.MembersUsed + res.MembersFailed
 		t := int(target.Load())
-		due := res.MembersUsed >= lastSVD+cfg.SVDBatch
+		due := res.MembersUsed >= tracker.Len()+cfg.SVDBatch
 		if wholePool {
 			// Fig. 3: the SVD waits for the whole pool.
-			due = accounted >= t && res.MembersUsed > lastSVD
+			due = accounted >= t && res.MembersUsed > tracker.Len()
 		}
 		if due && !res.Converged {
 			if err := runSVD(); err != nil {
@@ -499,18 +499,26 @@ func run(ctx context.Context, cfg Config, central []float64, runner MemberRunner
 
 	// Final SVD if members were committed since the last one (drain
 	// policy, deadline leftovers, or non-aligned batch boundary).
-	if acc.Len() >= 2 && (acc.Len() != lastSVD || cur == nil) {
+	if acc.Len() >= 2 && acc.Len() != tracker.Len() {
 		if err := runSVD(); err != nil {
 			return nil, err
 		}
 	}
-	if cur == nil {
+	if res.SVDRounds == 0 {
 		return nil, fmt.Errorf("workflow: only %d members completed; cannot form a subspace", acc.Len())
 	}
-	res.Subspace = cur
 	res.Mean = acc.EnsembleMean()
 	res.Anomalies = acc.Anomalies()
 	res.MemberIndices = acc.Indices()
+	// The last round saw every committed member, so the final anomaly
+	// matrix is the one its coefficients belong to; Subspace checks.
+	_, sp := tel.SpanCtx(ctx, "workflow", "modes", -1, 0)
+	var err error
+	res.Subspace, err = tracker.Subspace(res.Anomalies)
+	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("workflow: forming the modes: %w", err)
+	}
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

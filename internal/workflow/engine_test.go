@@ -132,34 +132,53 @@ func TestRunParallelRecoversTrueSubspace(t *testing.T) {
 }
 
 func TestParallelMatchesSerialWhenExhaustive(t *testing.T) {
-	// With convergence disabled and no failures, both cadences commit
-	// exactly the same members (0..MaxSize-1) in the same order, so the
-	// final SVD sees the same matrix and gives the same bits.
-	truth := toySubspace(5, 40, 2)
-	cfg := quickConfig()
-	cfg.InitialSize = 20
-	cfg.MaxSize = 20
-	cfg.Criterion = core.ConvergenceCriterion{MinSimilarity: 2}
-	runner := toyRunner(truth, 6, 0, 0, false)
-	par, err := RunParallel(context.Background(), cfg, make([]float64, 40), runner)
-	if err != nil {
-		t.Fatal(err)
+	// With convergence disabled, both cadences commit exactly the same
+	// members in the same order. RunParallel folds them into the Gram
+	// matrix a batch at a time over several SVD rounds, RunSerial in one
+	// round, and the two must still give the same bits — with member
+	// failures leaving gaps and with the rank capped as well.
+	cases := []struct {
+		name      string
+		failEvery int
+		tune      func(*Config)
+	}{
+		{"plain", 0, func(*Config) {}},
+		{"failures, batch not dividing the pool", 7, func(c *Config) { c.SVDBatch = 3 }},
+		{"rank cap and sigma cut", 0, func(c *Config) { c.MaxRank, c.SigmaRelTol = 4, 0.05 }},
 	}
-	ser, err := RunSerial(context.Background(), cfg, make([]float64, 40), runner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.MembersUsed != ser.MembersUsed {
-		t.Fatalf("member counts differ: %d vs %d", par.MembersUsed, ser.MembersUsed)
-	}
-	if !slices.Equal(par.Subspace.Sigma, ser.Subspace.Sigma) {
-		t.Fatalf("sigma differs: %v vs %v", par.Subspace.Sigma, ser.Subspace.Sigma)
-	}
-	if !slices.Equal(par.Subspace.Modes.Data, ser.Subspace.Modes.Data) {
-		t.Fatal("parallel and serial modes differ")
-	}
-	if !slices.Equal(par.Mean, ser.Mean) {
-		t.Fatal("ensemble means differ")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			truth := toySubspace(5, 40, 2)
+			cfg := quickConfig()
+			cfg.InitialSize = 20
+			cfg.MaxSize = 20
+			cfg.Criterion = core.ConvergenceCriterion{MinSimilarity: 2}
+			tc.tune(&cfg)
+			runner := toyRunner(truth, 6, 0, tc.failEvery, false)
+			par, err := RunParallel(context.Background(), cfg, make([]float64, 40), runner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ser, err := RunSerial(context.Background(), cfg, make([]float64, 40), runner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if par.SVDRounds < 3 || ser.SVDRounds != 1 {
+				t.Fatalf("SVD rounds: parallel %d, serial %d; the test wants several against one", par.SVDRounds, ser.SVDRounds)
+			}
+			if par.MembersUsed != ser.MembersUsed {
+				t.Fatalf("member counts differ: %d vs %d", par.MembersUsed, ser.MembersUsed)
+			}
+			if !slices.Equal(par.Subspace.Sigma, ser.Subspace.Sigma) {
+				t.Fatalf("sigma differs: %v vs %v", par.Subspace.Sigma, ser.Subspace.Sigma)
+			}
+			if !slices.Equal(par.Subspace.Modes.Data, ser.Subspace.Modes.Data) {
+				t.Fatal("parallel and serial modes differ")
+			}
+			if !slices.Equal(par.Mean, ser.Mean) {
+				t.Fatal("ensemble means differ")
+			}
+		})
 	}
 }
 
@@ -356,8 +375,12 @@ func TestTripleFileStoreIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rho := core.SimilarityCoefficient(res.Subspace, res2.Subspace); rho < 1-1e-8 {
-		t.Fatalf("store round trip changed the subspace: rho = %v", rho)
+	if !slices.Equal(res.Subspace.Sigma, res2.Subspace.Sigma) || !slices.Equal(res.Subspace.Modes.Data, res2.Subspace.Modes.Data) {
+		t.Fatal("store round trip changed the subspace")
+	}
+	if res.Rho != res2.Rho || res.SVDRounds != res2.SVDRounds {
+		t.Fatalf("store round trip changed the rounds: rho %v in %d rounds, without the store %v in %d",
+			res.Rho, res.SVDRounds, res2.Rho, res2.SVDRounds)
 	}
 }
 

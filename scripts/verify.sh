@@ -31,6 +31,9 @@ go test -race -count=20 ./internal/workflow
 echo "==> bench module: gofmt, vet, race tests (its own go.mod, so ./... above does not reach it)"
 (cd bench && test -z "$(gofmt -l .)" && go vet ./... && go test -race ./...)
 
+echo "==> bench smoke: one traced svd-bound run at paper scale (Serial-oracle Sigma equality, Subspace.Check)"
+bench/run.sh --workload svd-bound --seed 1 --seconds 1 --trace 1 >/dev/null
+
 echo "==> telemetry smoke (mtc-sim /metrics scrape via promscrape)"
 ./scripts/smoke_metrics.sh
 
