@@ -23,8 +23,8 @@
 // relative repetition spread, so a noisy machine widens its own gate
 // instead of failing on jitter. -match restricts gating (and the
 // missing-from-run and unbaselined checks) to benchmark names matching
-// a regexp, which is how CI time-gates only the curated stable linalg
-// kernels (scripts/bench.sh -time-linalg) while the full suite stays
+// a regexp, which is how CI time-gates only the curated stable
+// kernels (scripts/bench.sh -time-kernels) while the full suite stays
 // allocation-only (DESIGN §7 documents the policy).
 package main
 

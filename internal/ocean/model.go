@@ -203,15 +203,11 @@ type Model struct {
 	//esselint:unit degC
 	ftr []float64
 
-	// Parallel-phase worker closures, created once on the first
-	// StepParallel so stepping allocates no per-step closures. The
-	// tracer worker reads its per-level state from trSlab/trDecay/
-	// trSurface, which stepTracerParallel writes serially before each
-	// parallelRows barrier.
-	momentumFn, continuityFn, tracerFn func(jLo, jHi int)
-	trSlab                             []float64
-	trDecay                            float64
-	trSurface                          bool
+	// decay[k] is the e-folding attenuation of the flow at level k that
+	// advects the tracers, fixed by the grid and EkmanDepth.
+	decay []float64
+	// level is the tracer sweep StepParallel's bands are on (parallel.go).
+	level tracerLevel
 }
 
 // New builds a model with the climatological initial state: linear
@@ -219,6 +215,22 @@ type Model struct {
 // upwelling-like temperature front, roughly matching the Monterey Bay
 // situation of the paper's Section 6.
 func New(cfg Config, noise *rng.Stream) *Model {
+	m := newModel(cfg, noise)
+	m.initClimatology()
+	return m
+}
+
+// NewFromState builds a model whose initial fields are the packed state
+// vector: New followed by SetState, without computing the climatology
+// that SetState would overwrite. Ensemble members start this way.
+func NewFromState(cfg Config, noise *rng.Stream, state []float64) *Model {
+	m := newModel(cfg, noise)
+	m.SetState(state)
+	return m
+}
+
+// newModel allocates a model with all fields zero.
+func newModel(cfg Config, noise *rng.Stream) *Model {
 	if cfg.Grid == nil {
 		panic("ocean: Config.Grid is nil")
 	}
@@ -242,8 +254,11 @@ func New(cfg Config, noise *rng.Stream) *Model {
 		fx:     make([]float64, g.N2()),
 		fy:     make([]float64, g.N2()),
 		ftr:    make([]float64, g.N2()),
+		decay:  make([]float64, g.NZ),
 	}
-	m.initClimatology()
+	for k := range m.decay {
+		m.decay[k] = math.Exp(-g.Depths[k] / math.Max(cfg.EkmanDepth, 1))
+	}
 	return m
 }
 
@@ -266,7 +281,7 @@ func (m *Model) initClimatology() {
 		frac := g.Depths[k] / maxD
 		baseT := 16 - 9*frac // 16°C at surface to 7°C at depth
 		baseS := 33.3 + 0.9*frac
-		decay := math.Exp(-g.Depths[k] / math.Max(m.Cfg.EkmanDepth, 1))
+		decay := m.decay[k]
 		for j := 0; j < g.NY; j++ {
 			for i := 0; i < g.NX; i++ {
 				idx := g.Idx3(i, j, k)
@@ -342,143 +357,213 @@ func (m *Model) CFLNumber() float64 {
 	return c * m.Cfg.Dt / math.Min(m.Cfg.Grid.Dx, m.Cfg.Grid.Dy)
 }
 
-// Step advances the model by one time step.
+// Step advances the model by one time step: the forcing draw, then three
+// stencil sweeps over the interior rows — momentum, continuity, and every
+// level of each tracer — with the boundary closure after each.
+//
+// The sweeps are row kernels over a row range so that StepParallel can
+// run the same code on bands. Their per-cell operation order is frozen:
+// every division stays a division and no sum is regrouped, so a forecast
+// stays a pure function of (seed, config) to the bit across versions.
+// stepReference in model_test.go, the cell-indexed form they were
+// derived from, is the oracle; change a kernel only with that test green.
 func (m *Model) Step() {
-	g := m.Cfg.Grid
-	dt := m.Cfg.Dt
-	dx, dy := g.Dx, g.Dy
-	f := m.Cfg.Coriolis
-	r := m.Cfg.BottomFriction
-	nu := m.Cfg.Viscosity
-
+	ny := m.Cfg.Grid.NY
 	m.sampleForcing()
-
-	// --- Momentum update (forward step with current eta) ---
-	for j := 1; j < g.NY-1; j++ {
-		for i := 1; i < g.NX-1; i++ {
-			id := g.Idx2(i, j)
-			ddxEta := (m.eta[g.Idx2(i+1, j)] - m.eta[g.Idx2(i-1, j)]) / (2 * dx)
-			ddyEta := (m.eta[g.Idx2(i, j+1)] - m.eta[g.Idx2(i, j-1)]) / (2 * dy)
-			// Nonlinear advection (centered).
-			dudx := (m.u[g.Idx2(i+1, j)] - m.u[g.Idx2(i-1, j)]) / (2 * dx)
-			dudy := (m.u[g.Idx2(i, j+1)] - m.u[g.Idx2(i, j-1)]) / (2 * dy)
-			dvdx := (m.v[g.Idx2(i+1, j)] - m.v[g.Idx2(i-1, j)]) / (2 * dx)
-			dvdy := (m.v[g.Idx2(i, j+1)] - m.v[g.Idx2(i, j-1)]) / (2 * dy)
-			lapU := laplacian(m.u, g, i, j, dx, dy)
-			lapV := laplacian(m.v, g, i, j, dx, dy)
-			adv := m.u[id]*dudx + m.v[id]*dudy
-			m.newU[id] = m.u[id] + dt*(-physics.Gravity*ddxEta+f*m.v[id]-r*m.u[id]-adv+nu*lapU+m.fx[id])
-			adv = m.u[id]*dvdx + m.v[id]*dvdy
-			m.newV[id] = m.v[id] + dt*(-physics.Gravity*ddyEta-f*m.u[id]-r*m.v[id]-adv+nu*lapV+m.fy[id])
+	m.momentumRows(1, ny-1)
+	m.closeVelocities()
+	m.continuityRows(1, ny-1)
+	m.commitDynamics()
+	for n, tr := range [2][]float64{m.t, m.s} {
+		for k := range m.decay {
+			m.tracerRows(tr, k, n == 0 && k == 0, 1, ny-1)
+			m.commitLevel(tr, k)
 		}
 	}
-	applyClosedBoundary(m.newU, g)
-	applyClosedBoundary(m.newV, g)
+	m.finishStep()
+}
 
-	// --- Continuity update (backward step with the new velocities) ---
-	h := m.Cfg.MeanDepth
-	for j := 1; j < g.NY-1; j++ {
-		for i := 1; i < g.NX-1; i++ {
-			id := g.Idx2(i, j)
-			div := (m.newU[g.Idx2(i+1, j)]-m.newU[g.Idx2(i-1, j)])/(2*dx) +
-				(m.newV[g.Idx2(i, j+1)]-m.newV[g.Idx2(i, j-1)])/(2*dy)
-			m.newEta[id] = m.eta[id] - dt*h*div
+// row returns row j of a horizontal field, resliced to exactly nx so the
+// cell loops index it without bounds checks.
+func row(field []float64, j, nx int) []float64 { return field[j*nx:][:nx] }
+
+// rows returns row j of a horizontal field with its south and north
+// neighbours.
+func rows(field []float64, j, nx int) (c, s, n []float64) {
+	return row(field, j, nx), row(field, j-1, nx), row(field, j+1, nx)
+}
+
+// momentumRows is the forward momentum step with the current eta on the
+// interior rows of [jLo, jHi): pressure gradient, Coriolis, bottom
+// friction, centered nonlinear advection, lateral viscosity and forcing.
+func (m *Model) momentumRows(jLo, jHi int) {
+	g := m.Cfg.Grid
+	nx := g.NX
+	dt, f, r, nu := m.Cfg.Dt, m.Cfg.Coriolis, m.Cfg.BottomFriction, m.Cfg.Viscosity
+	twoDx, twoDy, dx2, dy2 := 2*g.Dx, 2*g.Dy, g.Dx*g.Dx, g.Dy*g.Dy
+	for j := max(jLo, 1); j < min(jHi, g.NY-1); j++ {
+		ec, es, en := rows(m.eta, j, nx)
+		uc, us, un := rows(m.u, j, nx)
+		vc, vs, vn := rows(m.v, j, nx)
+		fx := row(m.fx, j, nx)
+		fy := row(m.fy, j, nx)
+		newU := row(m.newU, j, nx)
+		newV := row(m.newV, j, nx)
+		for i := 1; i < nx-1; i++ {
+			u, v := uc[i], vc[i]
+			ddxEta := (ec[i+1] - ec[i-1]) / twoDx
+			ddyEta := (en[i] - es[i]) / twoDy
+			dudx := (uc[i+1] - uc[i-1]) / twoDx
+			dudy := (un[i] - us[i]) / twoDy
+			dvdx := (vc[i+1] - vc[i-1]) / twoDx
+			dvdy := (vn[i] - vs[i]) / twoDy
+			lapU := (uc[i+1]-2*u+uc[i-1])/dx2 + (un[i]-2*u+us[i])/dy2
+			lapV := (vc[i+1]-2*v+vc[i-1])/dx2 + (vn[i]-2*v+vs[i])/dy2
+			adv := u*dudx + v*dudy
+			newU[i] = u + dt*(-physics.Gravity*ddxEta+f*v-r*u-adv+nu*lapU+fx[i])
+			adv = u*dvdx + v*dvdy
+			newV[i] = v + dt*(-physics.Gravity*ddyEta-f*u-r*v-adv+nu*lapV+fy[i])
 		}
 	}
-	zeroGradientBoundary(m.newEta, g)
+}
+
+// closeVelocities zeroes the new velocities on the domain edge.
+func (m *Model) closeVelocities() {
+	applyClosedBoundary(m.newU, m.Cfg.Grid)
+	applyClosedBoundary(m.newV, m.Cfg.Grid)
+}
+
+// continuityRows is the backward continuity step with the new velocities
+// on the interior rows of [jLo, jHi).
+func (m *Model) continuityRows(jLo, jHi int) {
+	g := m.Cfg.Grid
+	nx := g.NX
+	dt, h := m.Cfg.Dt, m.Cfg.MeanDepth
+	twoDx, twoDy := 2*g.Dx, 2*g.Dy
+	for j := max(jLo, 1); j < min(jHi, g.NY-1); j++ {
+		uc := row(m.newU, j, nx)
+		vs, vn := row(m.newV, j-1, nx), row(m.newV, j+1, nx)
+		eta := row(m.eta, j, nx)
+		newEta := row(m.newEta, j, nx)
+		for i := 1; i < nx-1; i++ {
+			div := (uc[i+1]-uc[i-1])/twoDx + (vn[i]-vs[i])/twoDy
+			newEta[i] = eta[i] - dt*h*div
+		}
+	}
+}
+
+// commitDynamics closes the new eta and makes the new eta, u, v current.
+func (m *Model) commitDynamics() {
+	zeroGradientBoundary(m.newEta, m.Cfg.Grid)
 	m.eta, m.newEta = m.newEta, m.eta
 	m.u, m.newU = m.newU, m.u
 	m.v, m.newV = m.newV, m.v
+}
 
-	// --- Tracer updates, level by level ---
-	m.stepTracer(m.t, true)
-	m.stepTracer(m.s, false)
+// tracerRows advances level k of tracer tr into newTr on the interior
+// rows of [jLo, jHi): first-order upwind advection by the depth-attenuated
+// flow, diffusion and, when forced, the stochastic surface forcing.
+func (m *Model) tracerRows(tr []float64, k int, forced bool, jLo, jHi int) {
+	g := m.Cfg.Grid
+	nx, n2 := g.NX, g.N2()
+	dt, kappa, decay := m.Cfg.Dt, m.Cfg.Diffusivity, m.decay[k]
+	dx, dy, dx2, dy2 := g.Dx, g.Dy, g.Dx*g.Dx, g.Dy*g.Dy
+	slab := tr[k*n2 : (k+1)*n2]
+	for j := max(jLo, 1); j < min(jHi, g.NY-1); j++ {
+		c, s, n := rows(slab, j, nx)
+		uc := row(m.u, j, nx)
+		vc := row(m.v, j, nx)
+		ftr := row(m.ftr, j, nx)
+		out := row(m.newTr, j, nx)
+		for i := 1; i < nx-1; i++ {
+			uu := uc[i] * decay
+			vv := vc[i] * decay
+			// First-order upwind: difference towards the side the flow
+			// comes from.
+			t, w, e := c[i], c[i-1], c[i+1]
+			xlo, xhi, ylo, yhi := w, t, s[i], t
+			if uu < 0 {
+				xlo, xhi = t, e
+			}
+			if vv < 0 {
+				ylo, yhi = t, n[i]
+			}
+			ddxT := (xhi - xlo) / dx
+			ddyT := (yhi - ylo) / dy
+			lap := (e-2*t+w)/dx2 + (n[i]-2*t+s[i])/dy2
+			val := t + dt*(-uu*ddxT-vv*ddyT+kappa*lap)
+			if forced {
+				val += ftr[i]
+			}
+			out[i] = val
+		}
+	}
+}
+
+// commitLevel copies the interior of newTr back into level k of tr and
+// gives the edge a zero gradient.
+func (m *Model) commitLevel(tr []float64, k int) {
+	g := m.Cfg.Grid
+	nx, n2 := g.NX, g.N2()
+	slab := tr[k*n2 : (k+1)*n2]
+	for j := 1; j < g.NY-1; j++ {
+		copy(slab[j*nx+1:(j+1)*nx-1], m.newTr[j*nx+1:(j+1)*nx-1])
+	}
+	zeroGradientBoundary(slab, g)
+}
+
+// finishStep applies the optional vertical mixing and advances the clock.
+func (m *Model) finishStep() {
 	if err := m.applyVerticalMixing(); err != nil {
 		// The implicit operator is diagonally dominant by construction;
 		// a failure indicates a programming error, not a data condition.
 		panic(err)
 	}
-
-	m.time += dt
-}
-
-// stepTracer advances one 3-D tracer with upwind advection by the
-// depth-attenuated flow, diffusion, and (for temperature) stochastic
-// surface forcing.
-func (m *Model) stepTracer(tr []float64, isTemp bool) {
-	g := m.Cfg.Grid
-	dt := m.Cfg.Dt
-	dx, dy := g.Dx, g.Dy
-	kappa := m.Cfg.Diffusivity
-	n2 := g.N2()
-	for k := 0; k < g.NZ; k++ {
-		decay := math.Exp(-g.Depths[k] / math.Max(m.Cfg.EkmanDepth, 1))
-		slab := tr[k*n2 : (k+1)*n2]
-		out := m.newTr
-		for j := 1; j < g.NY-1; j++ {
-			for i := 1; i < g.NX-1; i++ {
-				id := g.Idx2(i, j)
-				uu := m.u[id] * decay
-				vv := m.v[id] * decay
-				// First-order upwind advection.
-				var ddxT, ddyT float64
-				if uu >= 0 {
-					ddxT = (slab[id] - slab[g.Idx2(i-1, j)]) / dx
-				} else {
-					ddxT = (slab[g.Idx2(i+1, j)] - slab[id]) / dx
-				}
-				if vv >= 0 {
-					ddyT = (slab[id] - slab[g.Idx2(i, j-1)]) / dy
-				} else {
-					ddyT = (slab[g.Idx2(i, j+1)] - slab[id]) / dy
-				}
-				lap := laplacian(slab, g, i, j, dx, dy)
-				val := slab[id] + dt*(-uu*ddxT-vv*ddyT+kappa*lap)
-				if isTemp && k == 0 {
-					val += m.ftr[id]
-				}
-				out[id] = val
-			}
-		}
-		// Copy interior back; boundary gets zero-gradient.
-		for j := 1; j < g.NY-1; j++ {
-			row := out[j*g.NX : (j+1)*g.NX]
-			copy(slab[j*g.NX+1:(j+1)*g.NX-1], row[1:g.NX-1])
-		}
-		zeroGradientBoundary(slab, g)
-	}
+	m.time += m.Cfg.Dt
 }
 
 // sampleForcing draws the wind and tracer stochastic forcing fields for
 // this step (steady wind + smoothed Wiener increments).
 func (m *Model) sampleForcing() {
-	g := m.Cfg.Grid
 	// Validate rejects non-positive Dt; the clamp keeps the Sqrt
 	// NaN-free even on unvalidated configs.
 	sqrtDt := math.Sqrt(math.Max(m.Cfg.Dt, 0))
 	windNoise := m.Cfg.NoiseWind * sqrtDt / m.Cfg.Dt // acceleration equivalent
 	trNoise := m.Cfg.NoiseTracer * sqrtDt
-	for j := 0; j < g.NY; j++ {
-		for i := 0; i < g.NX; i++ {
-			id := g.Idx2(i, j)
-			// Steady upwelling-favorable (equatorward) wind plus noise.
-			m.fx[id] = 0
-			m.fy[id] = -m.Cfg.WindAmp
-			if windNoise > 0 {
-				m.fx[id] += windNoise * m.noise.Norm()
-				m.fy[id] += windNoise * m.noise.Norm()
-			}
-			if trNoise > 0 {
-				m.ftr[id] = trNoise * m.noise.Norm()
-			} else {
-				m.ftr[id] = 0
-			}
+	fx, fy, ftr := m.fx, m.fy[:len(m.fx)], m.ftr[:len(m.fx)]
+	for id := range fx {
+		// Steady upwelling-favorable (equatorward) wind plus noise.
+		wx, wy, wt := 0.0, -m.Cfg.WindAmp, 0.0
+		if windNoise > 0 {
+			wx += windNoise * m.noise.Norm()
+			wy += windNoise * m.noise.Norm()
 		}
+		if trNoise > 0 {
+			wt = trNoise * m.noise.Norm()
+		}
+		fx[id], fy[id], ftr[id] = wx, wy, wt
 	}
 	for p := 0; p < m.Cfg.NoiseSmoothPasses; p++ {
-		smooth(m.fx, g)
-		smooth(m.fy, g)
-		smooth(m.ftr, g)
+		m.smoothForcing()
+	}
+}
+
+// smoothForcing applies one in-place diffusive smoothing pass (5-point
+// average, Gauss-Seidel order) to fx, fy and ftr. The three fields are
+// independent, so one interleaved sweep gives each the values three
+// separate sweeps would and lets their dependency chains overlap.
+func (m *Model) smoothForcing() {
+	g := m.Cfg.Grid
+	nx := g.NX
+	for j := 1; j < g.NY-1; j++ {
+		xc, xs, xn := rows(m.fx, j, nx)
+		yc, ys, yn := rows(m.fy, j, nx)
+		tc, ts, tn := rows(m.ftr, j, nx)
+		for i := 1; i < nx-1; i++ {
+			xc[i] = 0.5*xc[i] + 0.125*(xc[i+1]+xc[i-1]+xn[i]+xs[i])
+			yc[i] = 0.5*yc[i] + 0.125*(yc[i+1]+yc[i-1]+yn[i]+ys[i])
+			tc[i] = 0.5*tc[i] + 0.125*(tc[i+1]+tc[i-1]+tn[i]+ts[i])
+		}
 	}
 }
 
@@ -523,21 +608,23 @@ func (m *Model) MeanSST() float64 {
 }
 
 // Validate sanity-checks the configuration, returning an error describing
-// the first problem found.
+// the first problem found: a time step, layer depth or grid spacing that
+// is not a positive finite number, then a CFL number beyond the stability
+// bound.
 func (m *Model) Validate() error {
+	g := m.Cfg.Grid
+	for _, q := range []struct {
+		name string
+		v    float64
+	}{{"Dt", m.Cfg.Dt}, {"MeanDepth", m.Cfg.MeanDepth}, {"Dx", g.Dx}, {"Dy", g.Dy}} {
+		if !(q.v > 0) || math.IsInf(q.v, 0) {
+			return fmt.Errorf("ocean: %s = %v, want a positive finite number", q.name, q.v)
+		}
+	}
 	if cfl := m.CFLNumber(); cfl > 0.7 {
 		return fmt.Errorf("ocean: CFL number %.3f exceeds stability bound 0.7", cfl)
 	}
-	if m.Cfg.Dt <= 0 {
-		return fmt.Errorf("ocean: non-positive time step %v", m.Cfg.Dt)
-	}
 	return nil
-}
-
-func laplacian(field []float64, g *grid.Grid, i, j int, dx, dy float64) float64 {
-	id := g.Idx2(i, j)
-	return (field[g.Idx2(i+1, j)]-2*field[id]+field[g.Idx2(i-1, j)])/(dx*dx) +
-		(field[g.Idx2(i, j+1)]-2*field[id]+field[g.Idx2(i, j-1)])/(dy*dy)
 }
 
 // applyClosedBoundary zeroes a velocity component on the domain edge.
@@ -561,16 +648,5 @@ func zeroGradientBoundary(field []float64, g *grid.Grid) {
 	for j := 0; j < g.NY; j++ {
 		field[g.Idx2(0, j)] = field[g.Idx2(1, j)]
 		field[g.Idx2(g.NX-1, j)] = field[g.Idx2(g.NX-2, j)]
-	}
-}
-
-// smooth applies one diffusive smoothing pass (5-point average) in place.
-func smooth(field []float64, g *grid.Grid) {
-	for j := 1; j < g.NY-1; j++ {
-		for i := 1; i < g.NX-1; i++ {
-			id := g.Idx2(i, j)
-			field[id] = 0.5*field[id] + 0.125*(field[g.Idx2(i+1, j)]+
-				field[g.Idx2(i-1, j)]+field[g.Idx2(i, j+1)]+field[g.Idx2(i, j-1)])
-		}
 	}
 }

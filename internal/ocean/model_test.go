@@ -2,9 +2,11 @@ package ocean
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"esse/internal/grid"
+	"esse/internal/physics"
 	"esse/internal/rng"
 )
 
@@ -219,6 +221,141 @@ func TestValidateCatchesBadCFL(t *testing.T) {
 	}
 }
 
+// TestStepBitIdenticalToReference is the contract of the row kernels:
+// whatever the grid shape, the configuration or the sign of the flow,
+// Step leaves every field and the noise stream exactly where
+// stepReference does.
+func TestStepBitIdenticalToReference(t *testing.T) {
+	noWind := func(c *Config) { c.NoiseWind = 0 }
+	noTracer := func(c *Config) { c.NoiseTracer = 0 }
+	vmix := func(c *Config) { c.VerticalDiffusivity = 1e-3 }
+	cases := []struct {
+		name       string
+		nx, ny, nz int
+		tweak      func(*Config)
+		stir       bool // load a sign-varying velocity field first
+	}{
+		{name: "32x32x6 default", nx: 32, ny: 32, nz: 6},
+		{name: "17x9x3 Dx!=Dy", nx: 17, ny: 9, nz: 3},
+		{name: "2x2x1 no interior", nx: 2, ny: 2, nz: 1},
+		{name: "3x3x1 one interior cell", nx: 3, ny: 3, nz: 1},
+		{name: "3x2x2 no interior row", nx: 3, ny: 2, nz: 2},
+		{name: "vertical mixing", nx: 12, ny: 10, nz: 4, tweak: vmix},
+		{name: "no wind noise", nx: 12, ny: 10, nz: 3, tweak: noWind},
+		{name: "no tracer noise", nx: 12, ny: 10, nz: 3, tweak: noTracer},
+		{name: "stirred, both upwind arms", nx: 20, ny: 14, nz: 3, stir: true},
+	}
+	const steps = 320
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(grid.MontereyBay(tc.nx, tc.ny, tc.nz))
+			if tc.tweak != nil {
+				tc.tweak(&cfg)
+			}
+			got, want := New(cfg, rng.New(77)), New(cfg, rng.New(77))
+			if tc.stir {
+				st := want.State(nil)
+				flow := rng.New(5)
+				u, v := want.Layout.SliceByName(st, "u"), want.Layout.SliceByName(st, "v")
+				neg := 0
+				for i := range u {
+					u[i], v[i] = 0.3*flow.Norm(), 0.3*flow.Norm()
+					if u[i] < 0 && v[i] < 0 {
+						neg++
+					}
+				}
+				if neg == 0 || neg == len(u) {
+					t.Fatalf("stirred flow is one-signed (%d of %d cells negative)", neg, len(u))
+				}
+				got.SetState(st)
+				want.SetState(st)
+			}
+			for n := 0; n < steps; n++ {
+				got.Step()
+				want.stepReference()
+			}
+			requireBitEqual(t, got.State(nil), want.State(nil))
+			if got.Time() != want.Time() {
+				t.Fatalf("time %v, reference %v", got.Time(), want.Time())
+			}
+			// Same number of draws: the next normal (which may be a held
+			// spare) and the next raw word agree.
+			if g, w := got.noise.Norm(), want.noise.Norm(); g != w {
+				t.Fatalf("next Norm %v, reference %v", g, w)
+			}
+			if g, w := got.noise.Uint64(), want.noise.Uint64(); g != w {
+				t.Fatalf("next Uint64 %#x, reference %#x", g, w)
+			}
+		})
+	}
+}
+
+// TestNewFromStateMatchesNewSetState pins the member constructor: skipping
+// the climatology changes nothing a forecast can see.
+func TestNewFromStateMatchesNewSetState(t *testing.T) {
+	cfg := DefaultConfig(grid.MontereyBay(16, 12, 4))
+	spun := New(cfg, rng.New(3))
+	spun.Run(25)
+	initial := spun.State(nil)
+
+	a := New(cfg, rng.New(9))
+	a.SetState(initial)
+	b := NewFromState(cfg, rng.New(9), initial)
+	a.Run(60)
+	b.Run(60)
+	requireBitEqual(t, b.State(nil), a.State(nil))
+}
+
+// requireBitEqual fails unless got and want are finite and equal to the
+// last bit (a NaN would compare equal by bits and pin nothing).
+func requireBitEqual(t *testing.T, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.IsNaN(want[i]) || math.IsInf(want[i], 0) {
+			t.Fatalf("state[%d] = %v: the run left the finite range", i, want[i])
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("state[%d] = %v (%#x), want %v (%#x)", i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+func TestValidateRejections(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		set  func(c *Config, bad float64)
+	}{
+		{"Dt", func(c *Config, bad float64) { c.Dt = bad }},
+		{"MeanDepth", func(c *Config, bad float64) { c.MeanDepth = bad }},
+		{"Dx", func(c *Config, bad float64) { c.Grid.Dx = bad }},
+		{"Dy", func(c *Config, bad float64) { c.Grid.Dy = bad }},
+	}
+	for _, tc := range cases {
+		for _, bad := range []float64{0, -1, nan, inf} {
+			cfg := DefaultConfig(grid.MontereyBay(8, 8, 2))
+			tc.set(&cfg, bad)
+			err := New(cfg, rng.New(1)).Validate()
+			if err == nil {
+				t.Errorf("Validate accepted %s = %v", tc.name, bad)
+			} else if !strings.Contains(err.Error(), tc.name) {
+				t.Errorf("%s = %v rejected without naming the field: %v", tc.name, bad, err)
+			}
+		}
+	}
+}
+
+// TestStepDoesNotAllocate holds the serial kernels to the zero
+// allocations per step the time-gated Step32x32 benchmark assumes.
+func TestStepDoesNotAllocate(t *testing.T) {
+	for _, n := range []int{32, 48} {
+		m := New(DefaultConfig(grid.MontereyBay(n, n, 6)), rng.New(1))
+		if allocs := testing.AllocsPerRun(20, m.Step); allocs != 0 {
+			t.Errorf("Step on %dx%dx6 allocates %v times, want 0", n, n, allocs)
+		}
+	}
+}
+
 func BenchmarkStep16x16(b *testing.B) {
 	m := testModel(1)
 	b.ResetTimer()
@@ -233,5 +370,165 @@ func BenchmarkStep32x32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Step()
+	}
+}
+
+// stepReference is Step as it stood before the row kernels — every operand
+// addressed through grid.Idx2, the Laplacian a function, the forcing
+// fields smoothed one after another, the per-level decay recomputed —
+// kept verbatim as the oracle: the kernels must reproduce it to the bit.
+func (m *Model) stepReference() {
+	g := m.Cfg.Grid
+	dt := m.Cfg.Dt
+	dx, dy := g.Dx, g.Dy
+	f := m.Cfg.Coriolis
+	r := m.Cfg.BottomFriction
+	nu := m.Cfg.Viscosity
+
+	m.sampleForcingReference()
+
+	// --- Momentum update (forward step with current eta) ---
+	for j := 1; j < g.NY-1; j++ {
+		for i := 1; i < g.NX-1; i++ {
+			id := g.Idx2(i, j)
+			ddxEta := (m.eta[g.Idx2(i+1, j)] - m.eta[g.Idx2(i-1, j)]) / (2 * dx)
+			ddyEta := (m.eta[g.Idx2(i, j+1)] - m.eta[g.Idx2(i, j-1)]) / (2 * dy)
+			// Nonlinear advection (centered).
+			dudx := (m.u[g.Idx2(i+1, j)] - m.u[g.Idx2(i-1, j)]) / (2 * dx)
+			dudy := (m.u[g.Idx2(i, j+1)] - m.u[g.Idx2(i, j-1)]) / (2 * dy)
+			dvdx := (m.v[g.Idx2(i+1, j)] - m.v[g.Idx2(i-1, j)]) / (2 * dx)
+			dvdy := (m.v[g.Idx2(i, j+1)] - m.v[g.Idx2(i, j-1)]) / (2 * dy)
+			lapU := laplacianReference(m.u, g, i, j, dx, dy)
+			lapV := laplacianReference(m.v, g, i, j, dx, dy)
+			adv := m.u[id]*dudx + m.v[id]*dudy
+			m.newU[id] = m.u[id] + dt*(-physics.Gravity*ddxEta+f*m.v[id]-r*m.u[id]-adv+nu*lapU+m.fx[id])
+			adv = m.u[id]*dvdx + m.v[id]*dvdy
+			m.newV[id] = m.v[id] + dt*(-physics.Gravity*ddyEta-f*m.u[id]-r*m.v[id]-adv+nu*lapV+m.fy[id])
+		}
+	}
+	applyClosedBoundary(m.newU, g)
+	applyClosedBoundary(m.newV, g)
+
+	// --- Continuity update (backward step with the new velocities) ---
+	h := m.Cfg.MeanDepth
+	for j := 1; j < g.NY-1; j++ {
+		for i := 1; i < g.NX-1; i++ {
+			id := g.Idx2(i, j)
+			div := (m.newU[g.Idx2(i+1, j)]-m.newU[g.Idx2(i-1, j)])/(2*dx) +
+				(m.newV[g.Idx2(i, j+1)]-m.newV[g.Idx2(i, j-1)])/(2*dy)
+			m.newEta[id] = m.eta[id] - dt*h*div
+		}
+	}
+	zeroGradientBoundary(m.newEta, g)
+	m.eta, m.newEta = m.newEta, m.eta
+	m.u, m.newU = m.newU, m.u
+	m.v, m.newV = m.newV, m.v
+
+	// --- Tracer updates, level by level ---
+	m.stepTracerReference(m.t, true)
+	m.stepTracerReference(m.s, false)
+	if err := m.applyVerticalMixing(); err != nil {
+		// The implicit operator is diagonally dominant by construction;
+		// a failure indicates a programming error, not a data condition.
+		panic(err)
+	}
+
+	m.time += dt
+}
+
+// stepTracerReference advances one 3-D tracer with upwind advection by the
+// depth-attenuated flow, diffusion, and (for temperature) stochastic
+// surface forcing.
+func (m *Model) stepTracerReference(tr []float64, isTemp bool) {
+	g := m.Cfg.Grid
+	dt := m.Cfg.Dt
+	dx, dy := g.Dx, g.Dy
+	kappa := m.Cfg.Diffusivity
+	n2 := g.N2()
+	for k := 0; k < g.NZ; k++ {
+		decay := math.Exp(-g.Depths[k] / math.Max(m.Cfg.EkmanDepth, 1))
+		slab := tr[k*n2 : (k+1)*n2]
+		out := m.newTr
+		for j := 1; j < g.NY-1; j++ {
+			for i := 1; i < g.NX-1; i++ {
+				id := g.Idx2(i, j)
+				uu := m.u[id] * decay
+				vv := m.v[id] * decay
+				// First-order upwind advection.
+				var ddxT, ddyT float64
+				if uu >= 0 {
+					ddxT = (slab[id] - slab[g.Idx2(i-1, j)]) / dx
+				} else {
+					ddxT = (slab[g.Idx2(i+1, j)] - slab[id]) / dx
+				}
+				if vv >= 0 {
+					ddyT = (slab[id] - slab[g.Idx2(i, j-1)]) / dy
+				} else {
+					ddyT = (slab[g.Idx2(i, j+1)] - slab[id]) / dy
+				}
+				lap := laplacianReference(slab, g, i, j, dx, dy)
+				val := slab[id] + dt*(-uu*ddxT-vv*ddyT+kappa*lap)
+				if isTemp && k == 0 {
+					val += m.ftr[id]
+				}
+				out[id] = val
+			}
+		}
+		// Copy interior back; boundary gets zero-gradient.
+		for j := 1; j < g.NY-1; j++ {
+			row := out[j*g.NX : (j+1)*g.NX]
+			copy(slab[j*g.NX+1:(j+1)*g.NX-1], row[1:g.NX-1])
+		}
+		zeroGradientBoundary(slab, g)
+	}
+}
+
+// sampleForcingReference draws the wind and tracer stochastic forcing fields for
+// this step (steady wind + smoothed Wiener increments).
+func (m *Model) sampleForcingReference() {
+	g := m.Cfg.Grid
+	// Validate rejects non-positive Dt; the clamp keeps the Sqrt
+	// NaN-free even on unvalidated configs.
+	sqrtDt := math.Sqrt(math.Max(m.Cfg.Dt, 0))
+	windNoise := m.Cfg.NoiseWind * sqrtDt / m.Cfg.Dt // acceleration equivalent
+	trNoise := m.Cfg.NoiseTracer * sqrtDt
+	for j := 0; j < g.NY; j++ {
+		for i := 0; i < g.NX; i++ {
+			id := g.Idx2(i, j)
+			// Steady upwelling-favorable (equatorward) wind plus noise.
+			m.fx[id] = 0
+			m.fy[id] = -m.Cfg.WindAmp
+			if windNoise > 0 {
+				m.fx[id] += windNoise * m.noise.Norm()
+				m.fy[id] += windNoise * m.noise.Norm()
+			}
+			if trNoise > 0 {
+				m.ftr[id] = trNoise * m.noise.Norm()
+			} else {
+				m.ftr[id] = 0
+			}
+		}
+	}
+	for p := 0; p < m.Cfg.NoiseSmoothPasses; p++ {
+		smoothReference(m.fx, g)
+		smoothReference(m.fy, g)
+		smoothReference(m.ftr, g)
+	}
+}
+
+func laplacianReference(field []float64, g *grid.Grid, i, j int, dx, dy float64) float64 {
+	id := g.Idx2(i, j)
+	return (field[g.Idx2(i+1, j)]-2*field[id]+field[g.Idx2(i-1, j)])/(dx*dx) +
+		(field[g.Idx2(i, j+1)]-2*field[id]+field[g.Idx2(i, j-1)])/(dy*dy)
+}
+
+// smoothReference applies one diffusive smoothing pass (5-point average) in place.
+func smoothReference(field []float64, g *grid.Grid) {
+	for j := 1; j < g.NY-1; j++ {
+		for i := 1; i < g.NX-1; i++ {
+			id := g.Idx2(i, j)
+			field[id] = 0.5*field[id] + 0.125*(field[g.Idx2(i+1, j)]+
+				field[g.Idx2(i-1, j)]+field[g.Idx2(i, j+1)]+field[g.Idx2(i, j-1)])
+		}
 	}
 }

@@ -1,169 +1,55 @@
 package ocean
 
-import (
-	"math"
-	"sync"
-
-	"esse/internal/physics"
-)
+import "sync"
 
 // StepParallel advances the model one time step using `tasks` goroutines
 // that each own a band of grid rows — the Go analog of the paper's
 // future-work "massive ensembles of small (2-3 task) MPI jobs", where
 // each ensemble member is itself a small parallel program.
 //
-// The decomposition is deterministic and bit-identical to Step(): every
-// phase reads only the previous phase's arrays and writes disjoint rows,
-// with a barrier between phases (the role halo exchanges play in the
-// MPI version). The stochastic forcing is drawn serially from the
-// member's stream so the noise sequence is independent of the task
-// count.
+// It is Step with each sweep's row kernel called on bands instead of on
+// the whole interior, and so bit-identical to it: every sweep reads only
+// the previous sweep's arrays and writes disjoint rows, with a barrier
+// between sweeps (the role halo exchanges play in the MPI version). The
+// stochastic forcing is drawn serially from the member's stream so the
+// noise sequence is independent of the task count.
 func (m *Model) StepParallel(tasks int) {
 	if tasks <= 1 {
 		m.Step()
 		return
 	}
-	m.initPhases()
-	g := m.Cfg.Grid
-
-	m.sampleForcing() // serial: keeps the noise sequence task-count independent
-
-	// --- Momentum phase: disjoint row bands of newU/newV ---
-	m.parallelRows(tasks, m.momentumFn)
-	applyClosedBoundary(m.newU, g)
-	applyClosedBoundary(m.newV, g)
-
-	// --- Continuity phase ---
-	m.parallelRows(tasks, m.continuityFn)
-	zeroGradientBoundary(m.newEta, g)
-	m.eta, m.newEta = m.newEta, m.eta
-	m.u, m.newU = m.newU, m.u
-	m.v, m.newV = m.newV, m.v
-
-	// --- Tracer phases ---
-	m.stepTracerParallel(m.t, true, tasks)
-	m.stepTracerParallel(m.s, false, tasks)
-	if err := m.applyVerticalMixing(); err != nil {
-		panic(err)
-	}
-
-	m.time += m.Cfg.Dt
-}
-
-// initPhases lazily builds the per-phase worker closures. Each closure
-// captures only the model and rereads configuration and the
-// double-buffered field slices on every invocation, so one closure per
-// phase serves every subsequent step — repeated stepping allocates
-// nothing.
-func (m *Model) initPhases() {
-	if m.momentumFn == nil {
-		m.momentumFn = func(jLo, jHi int) {
-			g := m.Cfg.Grid
-			dt := m.Cfg.Dt
-			dx, dy := g.Dx, g.Dy
-			f := m.Cfg.Coriolis
-			r := m.Cfg.BottomFriction
-			nu := m.Cfg.Viscosity
-			for j := jLo; j < jHi; j++ {
-				if j == 0 || j == g.NY-1 {
-					continue
-				}
-				for i := 1; i < g.NX-1; i++ {
-					id := g.Idx2(i, j)
-					ddxEta := (m.eta[g.Idx2(i+1, j)] - m.eta[g.Idx2(i-1, j)]) / (2 * dx)
-					ddyEta := (m.eta[g.Idx2(i, j+1)] - m.eta[g.Idx2(i, j-1)]) / (2 * dy)
-					dudx := (m.u[g.Idx2(i+1, j)] - m.u[g.Idx2(i-1, j)]) / (2 * dx)
-					dudy := (m.u[g.Idx2(i, j+1)] - m.u[g.Idx2(i, j-1)]) / (2 * dy)
-					dvdx := (m.v[g.Idx2(i+1, j)] - m.v[g.Idx2(i-1, j)]) / (2 * dx)
-					dvdy := (m.v[g.Idx2(i, j+1)] - m.v[g.Idx2(i, j-1)]) / (2 * dy)
-					lapU := laplacian(m.u, g, i, j, dx, dy)
-					lapV := laplacian(m.v, g, i, j, dx, dy)
-					adv := m.u[id]*dudx + m.v[id]*dudy
-					m.newU[id] = m.u[id] + dt*(-physics.Gravity*ddxEta+f*m.v[id]-r*m.u[id]-adv+nu*lapU+m.fx[id])
-					adv = m.u[id]*dvdx + m.v[id]*dvdy
-					m.newV[id] = m.v[id] + dt*(-physics.Gravity*ddyEta-f*m.u[id]-r*m.v[id]-adv+nu*lapV+m.fy[id])
-				}
-			}
-		}
-		m.continuityFn = func(jLo, jHi int) {
-			g := m.Cfg.Grid
-			dt := m.Cfg.Dt
-			dx, dy := g.Dx, g.Dy
-			h := m.Cfg.MeanDepth
-			for j := jLo; j < jHi; j++ {
-				if j == 0 || j == g.NY-1 {
-					continue
-				}
-				for i := 1; i < g.NX-1; i++ {
-					id := g.Idx2(i, j)
-					div := (m.newU[g.Idx2(i+1, j)]-m.newU[g.Idx2(i-1, j)])/(2*dx) +
-						(m.newV[g.Idx2(i, j+1)]-m.newV[g.Idx2(i, j-1)])/(2*dy)
-					m.newEta[id] = m.eta[id] - dt*h*div
-				}
-			}
-		}
-		m.tracerFn = func(jLo, jHi int) {
-			g := m.Cfg.Grid
-			dt := m.Cfg.Dt
-			dx, dy := g.Dx, g.Dy
-			kappa := m.Cfg.Diffusivity
-			slab, decay, out := m.trSlab, m.trDecay, m.newTr
-			for j := jLo; j < jHi; j++ {
-				if j == 0 || j == g.NY-1 {
-					continue
-				}
-				for i := 1; i < g.NX-1; i++ {
-					id := g.Idx2(i, j)
-					uu := m.u[id] * decay
-					vv := m.v[id] * decay
-					var ddxT, ddyT float64
-					if uu >= 0 {
-						ddxT = (slab[id] - slab[g.Idx2(i-1, j)]) / dx
-					} else {
-						ddxT = (slab[g.Idx2(i+1, j)] - slab[id]) / dx
-					}
-					if vv >= 0 {
-						ddyT = (slab[id] - slab[g.Idx2(i, j-1)]) / dy
-					} else {
-						ddyT = (slab[g.Idx2(i, j+1)] - slab[id]) / dy
-					}
-					lap := laplacian(slab, g, i, j, dx, dy)
-					val := slab[id] + dt*(-uu*ddxT-vv*ddyT+kappa*lap)
-					if m.trSurface {
-						val += m.ftr[id]
-					}
-					out[id] = val
-				}
-			}
+	m.sampleForcing()
+	m.parallelRows(tasks, (*Model).momentumRows)
+	m.closeVelocities()
+	m.parallelRows(tasks, (*Model).continuityRows)
+	m.commitDynamics()
+	for n, tr := range [2][]float64{m.t, m.s} {
+		for k := range m.decay {
+			m.level = tracerLevel{tr, k, n == 0 && k == 0}
+			m.parallelRows(tasks, (*Model).tracerLevelRows)
+			m.commitLevel(tr, k)
 		}
 	}
+	m.finishStep()
 }
 
-// stepTracerParallel mirrors stepTracer with row-band parallelism per
-// level. Per-level state reaches the shared tracer worker through the
-// model's trSlab/trDecay/trSurface fields, written serially before the
-// spawn so the goroutine start orders the writes before every read.
-func (m *Model) stepTracerParallel(tr []float64, isTemp bool, tasks int) {
-	g := m.Cfg.Grid
-	n2 := g.N2()
-	for k := 0; k < g.NZ; k++ {
-		m.trDecay = math.Exp(-g.Depths[k] / math.Max(m.Cfg.EkmanDepth, 1))
-		m.trSlab = tr[k*n2 : (k+1)*n2]
-		m.trSurface = isTemp && k == 0
-		m.parallelRows(tasks, m.tracerFn)
-		// Copy interior back (barrier above guarantees newTr is complete).
-		slab := m.trSlab
-		for j := 1; j < g.NY-1; j++ {
-			row := m.newTr[j*g.NX : (j+1)*g.NX]
-			copy(slab[j*g.NX+1:(j+1)*g.NX-1], row[1:g.NX-1])
-		}
-		zeroGradientBoundary(slab, g)
-	}
+// tracerLevel names the tracerRows sweep the bands are running. It reaches
+// them through the model, written before the spawn, so that stepping
+// allocates no closure per level.
+type tracerLevel struct {
+	tr     []float64
+	k      int
+	forced bool
 }
 
-// parallelRows splits rows [0, NY) into contiguous bands, one goroutine
-// each, and waits for all (the phase barrier).
-func (m *Model) parallelRows(tasks int, fn func(jLo, jHi int)) {
+func (m *Model) tracerLevelRows(jLo, jHi int) {
+	m.tracerRows(m.level.tr, m.level.k, m.level.forced, jLo, jHi)
+}
+
+// parallelRows splits rows [0, NY) into contiguous bands, runs the row
+// kernel on each in its own goroutine, and waits for all (the sweep
+// barrier).
+func (m *Model) parallelRows(tasks int, kernel func(m *Model, jLo, jHi int)) {
 	ny := m.Cfg.Grid.NY
 	if tasks > ny {
 		tasks = ny
@@ -182,7 +68,7 @@ func (m *Model) parallelRows(tasks int, fn func(jLo, jHi int)) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			fn(lo, hi)
+			kernel(m, lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()

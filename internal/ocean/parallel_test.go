@@ -8,7 +8,7 @@ import (
 )
 
 func TestStepParallelBitIdenticalToSerial(t *testing.T) {
-	for _, tasks := range []int{2, 3, 4, 7} {
+	for _, tasks := range []int{1, 2, 3, 4, 7, 17} { // 17 = NY+1: more bands than rows
 		serial := testModel(42)
 		parallel := testModel(42)
 		for step := 0; step < 30; step++ {

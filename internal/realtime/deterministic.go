@@ -32,8 +32,7 @@ func (s *System) deterministicForecast(ctx context.Context, centralZ []float64) 
 		}
 		// Split is a pure read of the parent, so concurrent prop calls
 		// may each derive their own child here.
-		m := ocean.New(quiet, s.seeds.Split(quietStreamID))
-		m.SetState(s.scaler.FromScaled(nil, initialZ))
+		m := ocean.NewFromState(quiet, s.seeds.Split(quietStreamID), s.scaler.FromScaled(nil, initialZ))
 		m.Run(steps)
 		return s.scaler.ToScaled(nil, m.State(nil)), nil
 	}

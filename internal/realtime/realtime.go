@@ -180,6 +180,9 @@ func NewSystem(cfg Config) (*System, error) {
 	seeds := rng.New(cfg.Seed)
 
 	truth := ocean.New(oceanCfg, seeds.Split(1))
+	if err := truth.Validate(); err != nil {
+		return nil, fmt.Errorf("realtime: ocean model: %w", err)
+	}
 	layout := truth.Layout
 
 	network, err := obs.AOSN2Network(layout)
@@ -272,8 +275,7 @@ func (s *System) TruthState() []float64 { return s.truth.State(nil) }
 // runMember integrates one forecast from the given initial state with an
 // independent noise stream.
 func (s *System) runMember(initial []float64, noise *rng.Stream) []float64 {
-	m := ocean.New(s.oceanCfg, noise)
-	m.SetState(initial)
+	m := ocean.NewFromState(s.oceanCfg, noise, initial)
 	m.Run(s.Cfg.StepsPerCycle)
 	return m.State(nil)
 }

@@ -12,19 +12,22 @@
 #                                 suite: runs -count=3 so benchgate can
 #                                 widen its tolerance to this machine's
 #                                 own repetition spread
-#   scripts/bench.sh -time-linalg wall-time gate over the curated
-#                                 stable linalg kernels only — the
-#                                 compute-bound benchmarks whose ns/op
-#                                 is reproducible enough to gate in CI
+#   scripts/bench.sh -time-kernels wall-time gate over the curated
+#                                 stable kernels only — the
+#                                 compute-bound linalg and ocean
+#                                 benchmarks whose ns/op is
+#                                 reproducible enough to gate in CI
 #                                 (the full suite stays allocation-only;
 #                                 see DESIGN §7)
 set -eu
 
 cd "$(dirname "$0")/.."
 
-# The curated subset for -time-linalg: single-package, compute-bound,
-# no scheduler or I/O in the timed loop.
-linalg_stable='^(MulSmall|MulLargeParallel|LUSolve64|QR64|SVDEnsembleShape|SymEig32)$'
+# The curated subset for -time-kernels: single-package, compute-bound,
+# no scheduler or I/O in the timed loop, 0 allocs/op where the kernel
+# owns its buffers. A kernel joins when a PR makes it faster (ROADMAP
+# item 3): six from internal/linalg, Step32x32 from internal/ocean.
+stable_kernels='^(MulSmall|MulLargeParallel|LUSolve64|QR64|SVDEnsembleShape|SymEig32|Step32x32)$'
 
 mode="${1:-}"
 tmp="$(mktemp)"
@@ -36,14 +39,15 @@ case "$mode" in
 -time-gate)
     count=3
     ;;
--time-linalg)
+-time-kernels)
     count=3
-    bench_pkgs=./internal/linalg/
+    bench_pkgs="./internal/linalg/ ./internal/ocean/"
     ;;
 esac
 
 echo "==> go test -bench=. -benchtime=1x -benchmem -count=$count $bench_pkgs"
-go test -run='^$' -bench=. -benchtime=1x -benchmem -count="$count" "$bench_pkgs" | tee "$tmp"
+# shellcheck disable=SC2086 # bench_pkgs is a word list on purpose
+go test -run='^$' -bench=. -benchtime=1x -benchmem -count="$count" $bench_pkgs | tee "$tmp"
 
 case "$mode" in
 -update)
@@ -52,9 +56,9 @@ case "$mode" in
 -time-gate)
     go run ./cmd/benchgate -baseline BENCH_10.json -out bench-observed.json -time-gate <"$tmp"
     ;;
--time-linalg)
-    go run ./cmd/benchgate -baseline BENCH_10.json -out bench-time-linalg.json \
-        -time-gate -match "$linalg_stable" <"$tmp"
+-time-kernels)
+    go run ./cmd/benchgate -baseline BENCH_10.json -out bench-time-kernels.json \
+        -time-gate -match "$stable_kernels" <"$tmp"
     ;;
 *)
     go run ./cmd/benchgate -baseline BENCH_10.json -out bench-observed.json <"$tmp"
