@@ -86,8 +86,8 @@ func main() {
 		totalTask += t.Elapsed.Seconds()
 	}
 	st := metrics.Stats(meanTLs)
-	fmt.Printf("completed %d tasks (%d failed) in %s wall, %.2f s task-seconds\n",
-		len(res.Tasks), res.Failed, res.Elapsed.Round(1e6), totalTask)
+	fmt.Printf("completed %d tasks (%d failed, %d cancelled) in %s wall, %.2f s task-seconds\n",
+		len(res.Tasks), res.Failed, res.Cancelled, res.Elapsed.Round(1e6), totalTask)
 	fmt.Printf("per-task mean TL: min %.1f dB, max %.1f dB, mean %.1f dB\n", st.Min, st.Max, st.Mean)
 	if res.Elapsed.Seconds() > 0 {
 		fmt.Printf("throughput: %.1f tasks/s (speedup vs serial ~%.1fx)\n",

@@ -42,32 +42,25 @@ func (s *Section) NZ() int { return len(s.Depths) }
 // SpeedAt bilinearly interpolates the sound speed at (r, z), clamped to
 // the section bounds.
 func (s *Section) SpeedAt(r, z float64) float64 {
-	ri, rf := locate(s.Ranges, r)
-	zi, zf := locate(s.Depths, z)
-	c00 := s.C.At(ri, zi)
-	c10 := s.C.At(ri+1, zi)
-	c01 := s.C.At(ri, zi+1)
-	c11 := s.C.At(ri+1, zi+1)
-	return (1-rf)*(1-zf)*c00 + rf*(1-zf)*c10 + (1-rf)*zf*c01 + rf*zf*c11
+	ri, rf := seek(s.Ranges, 0, r)
+	zi, zf := seek(s.Depths, 0, z)
+	return speed(s.C.Row(ri), s.C.Row(ri+1), rf, 1-rf, zi, zf)
 }
 
-// dCdZ estimates the vertical sound-speed gradient at (r, z).
-func (s *Section) dCdZ(r, z float64) float64 {
-	dz := (s.Depths[len(s.Depths)-1] - s.Depths[0]) / float64(len(s.Depths)-1)
-	if dz == 0 {
-		return 0
-	}
-	zp := math.Min(z+dz/2, s.Depths[len(s.Depths)-1])
-	zm := math.Max(z-dz/2, s.Depths[0])
-	//esselint:allow floatcmp exact equality is the zero-denominator guard for the gradient below
-	if zp == zm {
-		return 0
-	}
-	return (s.SpeedAt(r, zp) - s.SpeedAt(r, zm)) / (zp - zm)
+// speed is the package's one bilinear expression: lo and hi are the
+// section rows at range cell ri and ri+1, rf the range fraction, orf =
+// 1−rf, (zi, zf) the depth cell and fraction. The grouping of the four
+// terms is frozen (see TLSolver.Trace).
+func speed(lo, hi []float64, rf, orf float64, zi int, zf float64) float64 {
+	return orf*(1-zf)*lo[zi] + rf*(1-zf)*hi[zi] + orf*zf*lo[zi+1] + rf*zf*hi[zi+1]
 }
 
-// locate finds the cell index and fraction for x in the ascending grid xs.
-func locate(xs []float64, x float64) (int, float64) {
+// seek finds the cell index and fraction for x in the strictly ascending
+// grid xs by walking up or down from cell i (0 ≤ i ≤ len(xs)−2), clamped
+// to the ends. Successive lookups of a march land in or next to the cell
+// of the one before, so a walk from there ends after a compare or two
+// where a binary search pays its full depth every time.
+func seek(xs []float64, i int, x float64) (int, float64) {
 	n := len(xs)
 	if x <= xs[0] {
 		return 0, 0
@@ -75,17 +68,13 @@ func locate(xs []float64, x float64) (int, float64) {
 	if x >= xs[n-1] {
 		return n - 2, 1
 	}
-	lo, hi := 0, n-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if xs[mid] <= x {
-			lo = mid
-		} else {
-			hi = mid
-		}
+	for xs[i] > x {
+		i--
 	}
-	f := (x - xs[lo]) / (xs[lo+1] - xs[lo])
-	return lo, f
+	for xs[i+1] <= x {
+		i++
+	}
+	return i, (x - xs[i]) / (xs[i+1] - xs[i])
 }
 
 // ExtractSection samples temperature and salinity from a packed ocean
@@ -198,6 +187,15 @@ func (f *TLField) Flatten() []float64 {
 	return out
 }
 
+// clone returns a copy that shares no memory with f.
+func (f *TLField) clone() *TLField {
+	return &TLField{
+		Ranges: append([]float64(nil), f.Ranges...),
+		Depths: append([]float64(nil), f.Depths...),
+		TL:     f.TL.Clone(),
+	}
+}
+
 // ComputeTL traces the ray fan through the section and returns the TL
 // field. The field is freshly allocated and owned by the caller; use a
 // TLSolver to amortize the grid allocations over repeated solves.
@@ -206,59 +204,172 @@ func ComputeTL(sec *Section, cfg TLConfig) (*TLField, error) {
 	return s.Compute(sec, cfg)
 }
 
-// TLSolver runs repeated TL solves of one grid shape through reusable
-// buffers: the ray-deposit grid and the output field are allocated on
-// the first Compute (or whenever the requested shape changes) and
-// overwritten in place afterwards. The returned field is owned by the
-// solver — callers that retain it across calls must use ComputeTL or
-// copy it. The zero value is ready to use; a solver must not be shared
-// between goroutines.
+// TLSolver runs TL solves in two stages through reusable buffers. Trace
+// marches the ray fan of one (section, source) pair into the deposit
+// grid; Field turns the deposit into dB at one frequency. Frequency
+// enters only the second stage, so the fields of several frequencies
+// cost one Trace. The deposit grid, the step table and the output field
+// are allocated on the first Trace (or whenever the requested shape
+// changes) and overwritten in place afterwards. The returned field is
+// owned by the solver — callers that retain it across calls must use
+// ComputeTL or copy it. The zero value is ready to use; a solver must
+// not be shared between goroutines.
 type TLSolver struct {
-	deposit *linalg.Dense
-	field   *TLField
+	deposit    *linalg.Dense
+	field      *TLField
+	steps      []traceStep
+	rMax, zMax float64 // extent of the traced section
+}
+
+// traceStep is what every ray of a fan shares at one integration step,
+// because all of them walk the same r = 0, dr, 2dr, … sequence: the
+// section rows bracketing r, the range fraction, and the deposit row
+// that r+dr falls in.
+type traceStep struct {
+	cOff    int // offset in C.Data of section row ri; row ri+1 follows it
+	rf, orf float64
+	depOff  int // offset in deposit.Data of the output row
 }
 
 // Compute traces the ray fan through the section into the solver's
 // reused field.
 func (s *TLSolver) Compute(sec *Section, cfg TLConfig) (*TLField, error) {
+	if err := s.Trace(sec, cfg); err != nil {
+		return nil, err
+	}
+	return s.Field(cfg.FreqKHz), nil
+}
+
+// checkAxis reports an axis the depth and range walks cannot run on.
+func checkAxis(name string, xs []float64) error {
+	if len(xs) < 2 {
+		return fmt.Errorf("acoustics: %s has %d points, need at least 2", name, len(xs))
+	}
+	for i := 1; i < len(xs); i++ {
+		if d := xs[i] - xs[i-1]; !(d > 0) || math.IsInf(d, 1) {
+			return fmt.Errorf("acoustics: %s not finite and strictly ascending at index %d", name, i)
+		}
+	}
+	return nil
+}
+
+// checkTrace validates everything Trace indexes or divides by. On an
+// axis that is not ascending a carried-cell walk ends wherever it
+// started from, and one NaN sound speed turns every later depth into
+// NaN and every deposit index into garbage (int(NaN) is negative on
+// amd64: the whole fan lands in depth cell 0 of a finite field), so
+// malformed input stops here.
+func checkTrace(sec *Section, cfg TLConfig) error {
 	if cfg.NumRays < 10 {
-		return nil, fmt.Errorf("acoustics: need at least 10 rays")
+		return fmt.Errorf("acoustics: NumRays %d, need at least 10", cfg.NumRays)
 	}
-	if sec.NR() < 2 || sec.NZ() < 2 {
-		return nil, fmt.Errorf("acoustics: degenerate section %dx%d", sec.NR(), sec.NZ())
+	if cfg.RangeCells < 1 || cfg.DepthCells < 1 {
+		return fmt.Errorf("acoustics: RangeCells x DepthCells %dx%d, need at least 1x1", cfg.RangeCells, cfg.DepthCells)
 	}
-	rMax := sec.Ranges[len(sec.Ranges)-1]
-	zMax := sec.Depths[len(sec.Depths)-1]
-	if cfg.SourceDepth < 0 || cfg.SourceDepth > zMax {
-		return nil, fmt.Errorf("acoustics: source depth %v outside water column [0, %v]", cfg.SourceDepth, zMax)
+	if !(cfg.MaxAngleDeg > 0 && cfg.MaxAngleDeg < 90) {
+		return fmt.Errorf("acoustics: MaxAngleDeg %v outside (0, 90)", cfg.MaxAngleDeg)
 	}
+	if math.IsNaN(cfg.BottomLossDB) || math.IsInf(cfg.BottomLossDB, 0) {
+		return fmt.Errorf("acoustics: BottomLossDB %v not finite", cfg.BottomLossDB)
+	}
+	if err := checkAxis("Ranges", sec.Ranges); err != nil {
+		return err
+	}
+	if err := checkAxis("Depths", sec.Depths); err != nil {
+		return err
+	}
+	nr, nz := sec.NR(), sec.NZ()
+	if sec.C == nil || sec.C.Rows != nr || sec.C.Cols != nz || len(sec.C.Data) != nr*nz {
+		return fmt.Errorf("acoustics: C is not the %dx%d of Ranges x Depths", nr, nz)
+	}
+	for i, c := range sec.C.Data {
+		if !(c > 0) || math.IsInf(c, 1) {
+			return fmt.Errorf("acoustics: C[%d][%d] = %v, need a finite positive sound speed", i/nz, i%nz, c)
+		}
+	}
+	if zMax := sec.Depths[nz-1]; !(cfg.SourceDepth >= 0 && cfg.SourceDepth <= zMax) {
+		return fmt.Errorf("acoustics: SourceDepth %v outside water column [0, %v]", cfg.SourceDepth, zMax)
+	}
+	return nil
+}
+
+// Trace marches the ray fan of (sec, cfg.SourceDepth) into the solver's
+// deposit grid. cfg.FreqKHz is not read.
+//
+// The per-step operation order is frozen: TL fields feed the coupled
+// assimilation and the climate digests to the bit, so a change here may
+// alter how operands are found, never which floating-point operations
+// run or in what order — every division stays a division, speed keeps
+// its grouping. traceReference in acoustics_test.go, the per-step
+// binary-search form this was derived from, is the oracle.
+func (s *TLSolver) Trace(sec *Section, cfg TLConfig) error {
+	if err := checkTrace(sec, cfg); err != nil {
+		return err
+	}
+	snz := sec.NZ()
+	depths := sec.Depths
+	rMax, zTop, zMax := sec.Ranges[sec.NR()-1], depths[0], depths[snz-1]
 	nr, nz := cfg.RangeCells, cfg.DepthCells
-	if s.deposit == nil || s.deposit.Rows != nr || s.deposit.Cols != nz {
-		s.deposit = linalg.NewDense(nr, nz)
-		s.field = &TLField{
+	dr := rMax / float64(nr) / 4 // 4 integration steps per output cell
+	if !(dr > 0 && zMax > 0) {
+		return fmt.Errorf("acoustics: Ranges and Depths end at %v and %v, need both beyond 0", rMax, zMax)
+	}
+	dep, field, steps := s.deposit, s.field, s.steps[:0]
+	if dep == nil || dep.Rows != nr || dep.Cols != nz {
+		dep = linalg.NewDense(nr, nz)
+		field = &TLField{
 			Ranges: make([]float64, nr),
 			Depths: make([]float64, nz),
 			TL:     linalg.NewDense(nr, nz),
 		}
+		// r reaches rMax after 4·nr additions of dr, give or take one
+		// for the rounding of the running sum.
+		steps = make([]traceStep, 0, 4*nr+1)
 	} else {
-		for i := range s.deposit.Data {
-			s.deposit.Data[i] = 0
-		}
+		dep.Zero()
 	}
-	deposit := s.deposit
-	dr := rMax / float64(nr) / 4 // 4 integration steps per output cell
-	cellH := zMax / float64(nz)
+	for r, ri := 0.0, 0; r < rMax; {
+		var rf float64
+		ri, rf = seek(sec.Ranges, ri, r)
+		r += dr
+		di := int(r / rMax * float64(nr))
+		if di >= nr {
+			di = nr - 1
+		}
+		steps = append(steps, traceStep{cOff: ri * snz, rf: rf, orf: 1 - rf, depOff: di * nz})
+	}
+	// From here on the solver describes this trace and nothing of the last.
+	*s = TLSolver{deposit: dep, field: field, steps: steps, rMax: rMax, zMax: zMax}
 
+	speeds, deposit := sec.C.Data, dep.Data
+	dz := (zMax - zTop) / float64(snz-1)
+	half := dz / 2
+	bounce := math.Pow(10, -cfg.BottomLossDB/10)
 	w := 1.0 / float64(cfg.NumRays)
 	maxAngle := cfg.MaxAngleDeg * math.Pi / 180
 	for rayI := 0; rayI < cfg.NumRays; rayI++ {
 		theta := -maxAngle + 2*maxAngle*float64(rayI)/float64(cfg.NumRays-1)
 		z := cfg.SourceDepth
 		amp := w
-		r := 0.0
-		for r < rMax && amp > 1e-12 {
-			c := sec.SpeedAt(r, z)
-			gradC := sec.dCdZ(r, z)
+		zi := 0
+		for k := 0; k < len(steps) && amp > 1e-12; k++ {
+			st := &steps[k]
+			lo := speeds[st.cOff : st.cOff+snz]
+			hi := speeds[st.cOff+snz : st.cOff+2*snz]
+			var zf float64
+			zi, zf = seek(depths, zi, z)
+			c := speed(lo, hi, st.rf, st.orf, zi, zf)
+			// Centred vertical gradient over one mean level spacing,
+			// one-sided where that leaves the column.
+			gradC := 0.0
+			zp := min(z+half, zMax)
+			zm := max(z-half, zTop)
+			//esselint:allow floatcmp exact equality is the zero-denominator guard for the gradient below
+			if zp != zm {
+				pi, pf := seek(depths, zi, zp)
+				mi, mf := seek(depths, zi, zm)
+				gradC = (speed(lo, hi, st.rf, st.orf, pi, pf) - speed(lo, hi, st.rf, st.orf, mi, mf)) / (zp - zm)
+			}
 			theta += -gradC / c * dr
 			z += math.Tan(theta) * dr
 			// Surface and bottom reflections.
@@ -269,29 +380,33 @@ func (s *TLSolver) Compute(sec *Section, cfg TLConfig) (*TLField, error) {
 			if z > zMax {
 				z = 2*zMax - z
 				theta = -theta
-				amp *= math.Pow(10, -cfg.BottomLossDB/10)
+				amp *= bounce
 			}
 			if z < 0 { // pathological double reflection: clamp
 				z = 0
 			}
-			r += dr
-			ri := int(r / rMax * float64(nr))
-			zi := int(z / zMax * float64(nz))
-			if ri >= nr {
-				ri = nr - 1
+			di := int(z / zMax * float64(nz))
+			if di >= nz {
+				di = nz - 1
 			}
-			if zi >= nz {
-				zi = nz - 1
+			if di < 0 {
+				di = 0
 			}
-			if zi < 0 {
-				zi = 0
-			}
-			deposit.Set(ri, zi, deposit.At(ri, zi)+amp)
+			deposit[st.depOff+di] += amp
 		}
 	}
+	return nil
+}
 
-	alpha := physics.ThorpAttenuation(cfg.FreqKHz) // dB/km
-	out := s.field
+// Field converts the last Trace's deposit into the TL field at freqKHz,
+// which sets the Thorp volume absorption. It must follow a successful
+// Trace and overwrites the field the previous call returned.
+func (s *TLSolver) Field(freqKHz float64) *TLField {
+	deposit, out := s.deposit, s.field
+	nr, nz := deposit.Rows, deposit.Cols
+	rMax, zMax := s.rMax, s.zMax
+	cellH := zMax / float64(nz)
+	alpha := physics.ThorpAttenuation(freqKHz) // dB/km
 	for i := 0; i < nr; i++ {
 		out.Ranges[i] = (float64(i) + 0.5) * rMax / float64(nr)
 	}
@@ -314,7 +429,7 @@ func (s *TLSolver) Compute(sec *Section, cfg TLConfig) (*TLField, error) {
 			out.TL.Set(i, k, tl)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // TLStats holds the ensemble mean and standard deviation of TL fields —

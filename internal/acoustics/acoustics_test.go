@@ -2,13 +2,19 @@ package acoustics
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"esse/internal/grid"
 	"esse/internal/linalg"
 	"esse/internal/ocean"
+	"esse/internal/physics"
 	"esse/internal/rng"
+	"esse/internal/telemetry"
 )
 
 // syntheticSection builds a downward-refracting section: sound speed
@@ -43,6 +49,233 @@ func oceanSection(t *testing.T, seed uint64) (*Section, *ocean.Model) {
 		t.Fatal(err)
 	}
 	return sec, m
+}
+
+// The oracle: the TL solve as it stood before TLSolver was split into
+// Trace and Field, moved here verbatim — a binary search per lookup,
+// six lookups a step, Dense accessors, every range term recomputed per
+// ray. Production keeps one seek and one interpolation expression;
+// TestTraceBitIdenticalToReference holds them to this form bit for bit.
+
+func (s *Section) speedAtReference(r, z float64) float64 {
+	ri, rf := locate(s.Ranges, r)
+	zi, zf := locate(s.Depths, z)
+	c00 := s.C.At(ri, zi)
+	c10 := s.C.At(ri+1, zi)
+	c01 := s.C.At(ri, zi+1)
+	c11 := s.C.At(ri+1, zi+1)
+	return (1-rf)*(1-zf)*c00 + rf*(1-zf)*c10 + (1-rf)*zf*c01 + rf*zf*c11
+}
+
+// dCdZ estimates the vertical sound-speed gradient at (r, z).
+func (s *Section) dCdZ(r, z float64) float64 {
+	dz := (s.Depths[len(s.Depths)-1] - s.Depths[0]) / float64(len(s.Depths)-1)
+	if dz == 0 {
+		return 0
+	}
+	zp := math.Min(z+dz/2, s.Depths[len(s.Depths)-1])
+	zm := math.Max(z-dz/2, s.Depths[0])
+	if zp == zm {
+		return 0
+	}
+	return (s.speedAtReference(r, zp) - s.speedAtReference(r, zm)) / (zp - zm)
+}
+
+// locate finds the cell index and fraction for x in the ascending grid xs.
+func locate(xs []float64, x float64) (int, float64) {
+	n := len(xs)
+	if x <= xs[0] {
+		return 0, 0
+	}
+	if x >= xs[n-1] {
+		return n - 2, 1
+	}
+	lo, hi := 0, n-1
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		if xs[mid] <= x {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	f := (x - xs[lo]) / (xs[lo+1] - xs[lo])
+	return lo, f
+}
+
+// traceReference is the old TLSolver.Compute on fresh grids, returning
+// the deposit beside the field.
+func traceReference(sec *Section, cfg TLConfig) (*linalg.Dense, *TLField) {
+	rMax := sec.Ranges[len(sec.Ranges)-1]
+	zMax := sec.Depths[len(sec.Depths)-1]
+	nr, nz := cfg.RangeCells, cfg.DepthCells
+	deposit := linalg.NewDense(nr, nz)
+	dr := rMax / float64(nr) / 4 // 4 integration steps per output cell
+	cellH := zMax / float64(nz)
+
+	w := 1.0 / float64(cfg.NumRays)
+	maxAngle := cfg.MaxAngleDeg * math.Pi / 180
+	for rayI := 0; rayI < cfg.NumRays; rayI++ {
+		theta := -maxAngle + 2*maxAngle*float64(rayI)/float64(cfg.NumRays-1)
+		z := cfg.SourceDepth
+		amp := w
+		r := 0.0
+		for r < rMax && amp > 1e-12 {
+			c := sec.speedAtReference(r, z)
+			gradC := sec.dCdZ(r, z)
+			theta += -gradC / c * dr
+			z += math.Tan(theta) * dr
+			// Surface and bottom reflections.
+			if z < 0 {
+				z = -z
+				theta = -theta
+			}
+			if z > zMax {
+				z = 2*zMax - z
+				theta = -theta
+				amp *= math.Pow(10, -cfg.BottomLossDB/10)
+			}
+			if z < 0 { // pathological double reflection: clamp
+				z = 0
+			}
+			r += dr
+			ri := int(r / rMax * float64(nr))
+			zi := int(z / zMax * float64(nz))
+			if ri >= nr {
+				ri = nr - 1
+			}
+			if zi >= nz {
+				zi = nz - 1
+			}
+			if zi < 0 {
+				zi = 0
+			}
+			deposit.Set(ri, zi, deposit.At(ri, zi)+amp)
+		}
+	}
+
+	alpha := physics.ThorpAttenuation(cfg.FreqKHz) // dB/km
+	out := &TLField{
+		Ranges: make([]float64, nr),
+		Depths: make([]float64, nz),
+		TL:     linalg.NewDense(nr, nz),
+	}
+	for i := 0; i < nr; i++ {
+		out.Ranges[i] = (float64(i) + 0.5) * rMax / float64(nr)
+	}
+	for k := 0; k < nz; k++ {
+		out.Depths[k] = (float64(k) + 0.5) * zMax / float64(nz)
+	}
+	const tiny = 1e-300
+	ref := 1.0 / cellH / 1.0 // all energy through 1 cell at r = 1 m
+	for i := 0; i < nr; i++ {
+		rr := out.Ranges[i]
+		for k := 0; k < nz; k++ {
+			intensity := deposit.At(i, k) / cellH / rr
+			tl := -10*math.Log10((intensity+tiny)/ref) + alpha*rr/1000
+			if tl > 200 {
+				tl = 200 // shadow-zone floor
+			}
+			out.TL.Set(i, k, tl)
+		}
+	}
+	return deposit, out
+}
+
+// sameBits fails the test at the first element of got whose bit pattern
+// differs from want's.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v (%#x), reference %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// benchSection is a section of the shape bench/'s acoustic-climate
+// workload cuts: a 32x32x6 Monterey Bay member after Run(30), 2*NX
+// range points along row j.
+func benchSection(t testing.TB, seed uint64, j int) *Section {
+	t.Helper()
+	g := grid.MontereyBay(32, 32, 6)
+	m := ocean.New(ocean.DefaultConfig(g), rng.New(seed))
+	m.Run(30)
+	sec, err := ExtractSection(m.Layout, m.State(nil), 1, j, g.NX-2, j, 2*g.NX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sec
+}
+
+func TestTraceBitIdenticalToReference(t *testing.T) {
+	type oracleCase struct {
+		name string
+		sec  *Section
+		cfg  TLConfig
+	}
+	var cases []oracleCase
+	add := func(name string, sec *Section, mod func(*TLConfig)) {
+		cfg := DefaultTLConfig()
+		if mod != nil {
+			mod(&cfg)
+		}
+		cases = append(cases, oracleCase{name, sec, cfg})
+	}
+
+	for j, sec := range []*Section{benchSection(t, 3, 5), benchSection(t, 4, 16), benchSection(t, 5, 26)} {
+		zMax := sec.Depths[sec.NZ()-1]
+		for _, d := range []float64{0, 10, 30, 50, 80, 120, zMax} {
+			add(fmt.Sprintf("bench-%d/source-%g", j, d), sec, func(c *TLConfig) { c.SourceDepth = d })
+		}
+	}
+	add("synthetic-20x20", syntheticSection(20, 20, 10e3, 200), nil)
+	add("minimal-2x2", syntheticSection(2, 2, 5e3, 100), nil)
+
+	// Non-uniform levels that start below the surface: the top clamp of
+	// the depth walk and the one-sided gradient are both exercised, and
+	// the mean level spacing is not any actual spacing.
+	uneven := syntheticSection(12, 6, 8e3, 150)
+	copy(uneven.Depths, []float64{4, 9, 21, 48, 95, 150})
+	for i := 0; i < uneven.NR(); i++ {
+		for k, z := range uneven.Depths {
+			uneven.C.Set(i, k, 1500-0.08*z+0.4*math.Sin(float64(i)+z/30))
+		}
+	}
+	add("uneven-depths/source-0", uneven, func(c *TLConfig) { c.SourceDepth = 0 })
+	add("uneven-depths/source-2", uneven, func(c *TLConfig) { c.SourceDepth = 2 })
+	add("uneven-depths/source-60", uneven, func(c *TLConfig) { c.SourceDepth = 60 })
+
+	add("grid-7x5", benchSection(t, 6, 11), func(c *TLConfig) { c.RangeCells, c.DepthCells = 7, 5 })
+	add("steep-lossy", benchSection(t, 7, 20), func(c *TLConfig) {
+		c.MaxAngleDeg, c.BottomLossDB = 80, 30
+	})
+
+	// One solver for every case: a trace must not depend on what the
+	// solver traced before, across shape changes or not.
+	var solver TLSolver
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			wantDeposit, wantField := traceReference(tc.sec, tc.cfg)
+			if err := solver.Trace(tc.sec, tc.cfg); err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "deposit", solver.deposit.Data, wantDeposit.Data)
+			got := solver.Field(tc.cfg.FreqKHz)
+			sameBits(t, "TL", got.TL.Data, wantField.TL.Data)
+			sameBits(t, "Ranges", got.Ranges, wantField.Ranges)
+			sameBits(t, "Depths", got.Depths, wantField.Depths)
+			fresh, err := ComputeTL(tc.sec, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "ComputeTL", fresh.TL.Data, wantField.TL.Data)
+		})
+	}
 }
 
 func TestSpeedAtInterpolation(t *testing.T) {
@@ -187,16 +420,112 @@ func TestTLSourceDepthMatters(t *testing.T) {
 }
 
 func TestComputeTLValidation(t *testing.T) {
-	sec := syntheticSection(10, 10, 1000, 100)
-	bad := DefaultTLConfig()
-	bad.NumRays = 3
-	if _, err := ComputeTL(sec, bad); err == nil {
-		t.Fatal("tiny ray fan accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name  string
+		spoil func(sec *Section, cfg *TLConfig)
+		field string // the error must name it
+	}{
+		{"tiny ray fan", func(_ *Section, c *TLConfig) { c.NumRays = 3 }, "NumRays"},
+		{"source below bottom", func(_ *Section, c *TLConfig) { c.SourceDepth = 1e6 }, "SourceDepth"},
+		{"source above surface", func(_ *Section, c *TLConfig) { c.SourceDepth = -1 }, "SourceDepth"},
+		{"NaN source depth", func(_ *Section, c *TLConfig) { c.SourceDepth = nan }, "SourceDepth"},
+		{"NaN bottom loss", func(_ *Section, c *TLConfig) { c.BottomLossDB = nan }, "BottomLossDB"},
+		{"infinite bottom loss", func(_ *Section, c *TLConfig) { c.BottomLossDB = inf }, "BottomLossDB"},
+		{"zero fan angle", func(_ *Section, c *TLConfig) { c.MaxAngleDeg = 0 }, "MaxAngleDeg"},
+		{"vertical fan angle", func(_ *Section, c *TLConfig) { c.MaxAngleDeg = 90 }, "MaxAngleDeg"},
+		{"NaN fan angle", func(_ *Section, c *TLConfig) { c.MaxAngleDeg = nan }, "MaxAngleDeg"},
+		{"no range cells", func(_ *Section, c *TLConfig) { c.RangeCells = 0 }, "RangeCells"},
+		{"negative depth cells", func(_ *Section, c *TLConfig) { c.DepthCells = -2 }, "DepthCells"},
+		{"one range point", func(s *Section, _ *TLConfig) { s.Ranges = s.Ranges[:1] }, "Ranges"},
+		{"one depth point", func(s *Section, _ *TLConfig) { s.Depths = s.Depths[:1] }, "Depths"},
+		{"descending ranges", func(s *Section, _ *TLConfig) { s.Ranges[4], s.Ranges[5] = s.Ranges[5], s.Ranges[4] }, "Ranges"},
+		{"repeated depth", func(s *Section, _ *TLConfig) { s.Depths[3] = s.Depths[2] }, "Depths"},
+		{"NaN depth", func(s *Section, _ *TLConfig) { s.Depths[0] = nan }, "Depths"},
+		{"infinite range", func(s *Section, _ *TLConfig) { s.Ranges[9] = inf }, "Ranges"},
+		{"ranges end at zero", func(s *Section, _ *TLConfig) {
+			for i := range s.Ranges {
+				s.Ranges[i] -= 1000
+			}
+		}, "Ranges"},
+		{"no sound speeds", func(s *Section, _ *TLConfig) { s.C = nil }, "C is not"},
+		{"sound speeds of another shape", func(s *Section, _ *TLConfig) { s.C = linalg.NewDense(11, 10) }, "C is not"},
+		{"NaN sound speed", func(s *Section, _ *TLConfig) { s.C.Set(3, 4, nan) }, "C[3][4]"},
+		{"infinite sound speed", func(s *Section, _ *TLConfig) { s.C.Set(0, 0, inf) }, "C[0][0]"},
+		{"zero sound speed", func(s *Section, _ *TLConfig) { s.C.Set(9, 9, 0) }, "C[9][9]"},
+		{"negative sound speed", func(s *Section, _ *TLConfig) { s.C.Set(2, 0, -1500) }, "C[2][0]"},
 	}
-	bad2 := DefaultTLConfig()
-	bad2.SourceDepth = 1e6
-	if _, err := ComputeTL(sec, bad2); err == nil {
-		t.Fatal("source below bottom accepted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sec := syntheticSection(10, 10, 1000, 100)
+			cfg := DefaultTLConfig()
+			tc.spoil(sec, &cfg)
+			f, err := ComputeTL(sec, cfg)
+			if err == nil {
+				t.Fatalf("accepted, field finite: %v", f.TL.IsFinite())
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("error %q does not name %s", err, tc.field)
+			}
+		})
+	}
+}
+
+func TestSolverSeesSectionEditedInPlace(t *testing.T) {
+	// The sharing of a trace is in the call structure, not in state keyed
+	// on the section: the same pointer with new contents is a new solve.
+	sec := syntheticSection(20, 20, 10e3, 200)
+	cfg := DefaultTLConfig()
+	cfg.NumRays = 100
+	var solver TLSolver
+	first, err := solver.Compute(sec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := first.Flatten()
+	for i := 0; i < sec.NR(); i++ {
+		for k := 0; k < sec.NZ(); k++ {
+			sec.C.Set(i, k, sec.C.At(i, k)+0.2*float64(k)*float64(i%3))
+		}
+	}
+	second, err := solver.Compute(sec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := ComputeTL(sec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "TL after edit", second.TL.Data, fresh.TL.Data)
+	changed := false
+	for i, v := range fresh.TL.Data {
+		if v != before[i] {
+			changed = true
+			break
+		}
+	}
+	if !changed {
+		t.Fatal("the edit did not change the field; the test proves nothing")
+	}
+}
+
+func TestSolverSteadyStateDoesNotAllocate(t *testing.T) {
+	sec := syntheticSection(20, 20, 10e3, 200)
+	cfg := DefaultTLConfig()
+	cfg.NumRays = 50
+	var solver TLSolver
+	if _, err := solver.Compute(sec, cfg); err != nil { // warm: grids and step table
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := solver.Trace(sec, cfg); err != nil {
+			t.Fatal(err)
+		}
+		solver.Field(0.5)
+		solver.Field(2)
+	})
+	if allocs != 0 {
+		t.Fatalf("Trace + Field on a warmed solver: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -327,6 +656,199 @@ func TestClimateCancellation(t *testing.T) {
 	}
 	if len(res.Tasks) != 0 {
 		t.Fatalf("%d tasks completed after pre-cancellation", len(res.Tasks))
+	}
+}
+
+// terminalPhases counts, per climate task id, the done/failed/cancelled
+// events in the log.
+func terminalPhases(tel *telemetry.Telemetry) map[int]int {
+	n := make(map[int]int)
+	for _, e := range tel.Events().Snapshot(0) {
+		if e.Task != "climate" {
+			continue
+		}
+		switch e.Phase {
+		case telemetry.PhaseDone, telemetry.PhaseFailed, telemetry.PhaseCancelled:
+			n[e.Index]++
+		}
+	}
+	return n
+}
+
+func TestClimateAccountsForEveryTask(t *testing.T) {
+	sec := syntheticSection(10, 10, 5e3, 150)
+	for _, workers := range []int{1, 2, 8} {
+		for _, stopAfter := range []int32{1, 7, 20} {
+			tel := telemetry.New()
+			spec := ClimateSpec{
+				Sections:     []*Section{sec, sec, sec, sec},
+				SourceDepths: []float64{10, 30, 50, 80, 120},
+				FreqsKHz:     []float64{0.5, 1, 2},
+				Base:         DefaultTLConfig(),
+				Workers:      workers,
+				Telemetry:    tel,
+			}
+			spec.Base.NumRays = 20
+			ctx, cancel := context.WithCancel(context.Background())
+			var delivered atomic.Int32
+			res, err := ComputeClimate(ctx, spec, func(ClimateTask, *TLField) {
+				if delivered.Add(1) == stopAfter {
+					cancel() // mid-fan unless stopAfter is a multiple of 3
+				}
+			})
+			cancel()
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := spec.TaskCount()
+			if got := len(res.Tasks) + res.Failed + res.Cancelled; got != total {
+				t.Fatalf("workers %d, cancel after %d: %d done + %d failed + %d cancelled = %d of %d tasks",
+					workers, stopAfter, len(res.Tasks), res.Failed, res.Cancelled, got, total)
+			}
+			if len(res.Tasks) < int(stopAfter) || res.Cancelled == 0 || res.Failed != 0 {
+				t.Fatalf("workers %d, cancel after %d: done %d failed %d cancelled %d",
+					workers, stopAfter, len(res.Tasks), res.Failed, res.Cancelled)
+			}
+			ends := terminalPhases(tel)
+			for id := 0; id < total; id++ {
+				if ends[id] != 1 {
+					t.Fatalf("workers %d, cancel after %d: task %d has %d terminal phases, want 1",
+						workers, stopAfter, id, ends[id])
+				}
+			}
+			if len(ends) != total {
+				t.Fatalf("terminal phases for %d task ids, want %d", len(ends), total)
+			}
+		}
+	}
+}
+
+func TestClimateFailedTraceFailsItsFan(t *testing.T) {
+	good := syntheticSection(10, 10, 5e3, 150)
+	bad := syntheticSection(10, 10, 5e3, 150)
+	bad.C.Set(4, 4, math.NaN())
+	tel := telemetry.New()
+	spec := ClimateSpec{
+		Sections:     []*Section{good, bad},
+		SourceDepths: []float64{10, 50},
+		FreqsKHz:     []float64{0.5, 1, 2},
+		Base:         DefaultTLConfig(),
+		Workers:      2,
+		Telemetry:    tel,
+	}
+	spec.Base.NumRays = 20
+	res, err := ComputeClimate(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tasks) != 6 || res.Failed != 6 || res.Cancelled != 0 {
+		t.Fatalf("done %d failed %d cancelled %d, want 6/6/0", len(res.Tasks), res.Failed, res.Cancelled)
+	}
+	for _, task := range res.Tasks {
+		if task.Task.Slice != 0 {
+			t.Fatalf("task %+v of the NaN section completed", task.Task)
+		}
+	}
+	for id, n := range terminalPhases(tel) {
+		if n != 1 {
+			t.Fatalf("task %d has %d terminal phases", id, n)
+		}
+	}
+}
+
+func TestClimateMatchesPerTaskComputeTL(t *testing.T) {
+	// Tasks of one (slice, source) pair share a trace; nothing of that
+	// may show in the result. The reference is the plain product loop.
+	a := syntheticSection(12, 8, 6e3, 150)
+	b := syntheticSection(9, 11, 9e3, 220)
+	for i := 0; i < b.NR(); i++ {
+		for k := 0; k < b.NZ(); k++ {
+			b.C.Set(i, k, b.C.At(i, k)+0.3*math.Sin(float64(i+2*k)))
+		}
+	}
+	spec := ClimateSpec{
+		Sections:     []*Section{a, b, a}, // the same pointer twice
+		SourceDepths: []float64{10, 60, 140},
+		FreqsKHz:     []float64{0.5, 1, 2, 8},
+		Base:         DefaultTLConfig(),
+	}
+	spec.Base.NumRays = 40
+
+	type ref struct {
+		task  ClimateTask
+		field *TLField
+		mean  float64
+	}
+	var want []ref
+	for si, sec := range spec.Sections {
+		for di, depth := range spec.SourceDepths {
+			for fi, freq := range spec.FreqsKHz {
+				cfg := spec.Base
+				cfg.SourceDepth, cfg.FreqKHz = depth, freq
+				f, err := ComputeTL(sec, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mean := 0.0
+				for _, v := range f.TL.Data {
+					mean += v
+				}
+				mean /= float64(len(f.TL.Data))
+				want = append(want, ref{ClimateTask{si, di, fi}, f, mean})
+			}
+		}
+	}
+
+	for _, workers := range []int{1, 2, 8} {
+		for _, withSink := range []bool{false, true} {
+			spec.Workers = workers
+			var mu sync.Mutex
+			kept := make(map[ClimateTask]*TLField)
+			var sink func(ClimateTask, *TLField)
+			if withSink {
+				sink = func(task ClimateTask, f *TLField) {
+					mu.Lock()
+					kept[task] = f
+					mu.Unlock()
+				}
+			}
+			res, err := ComputeClimate(context.Background(), spec, sink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Tasks) != len(want) || res.Failed != 0 || res.Cancelled != 0 {
+				t.Fatalf("workers %d sink %v: done %d failed %d cancelled %d",
+					workers, withSink, len(res.Tasks), res.Failed, res.Cancelled)
+			}
+			for i, w := range want {
+				got := res.Tasks[i]
+				if got.Task != w.task || math.Float64bits(got.MeanTL) != math.Float64bits(w.mean) {
+					t.Fatalf("workers %d sink %v: result %d = %+v mean %v, per-task ComputeTL gives %+v mean %v",
+						workers, withSink, i, got.Task, got.MeanTL, w.task, w.mean)
+				}
+			}
+			if !withSink {
+				continue
+			}
+			// Compared after the run: a field that aliased a solver buffer
+			// or a sibling has been overwritten by now.
+			owner := make(map[*float64]ClimateTask)
+			for _, w := range want {
+				f := kept[w.task]
+				if f == nil {
+					t.Fatalf("workers %d: no field for %+v", workers, w.task)
+				}
+				sameBits(t, "sink TL", f.TL.Data, w.field.TL.Data)
+				sameBits(t, "sink Ranges", f.Ranges, w.field.Ranges)
+				sameBits(t, "sink Depths", f.Depths, w.field.Depths)
+				for _, p := range []*float64{&f.TL.Data[0], &f.Ranges[0], &f.Depths[0]} {
+					if other, dup := owner[p]; dup {
+						t.Fatalf("workers %d: fields of %+v and %+v share memory", workers, other, w.task)
+					}
+					owner[p] = w.task
+				}
+			}
+		}
 	}
 }
 

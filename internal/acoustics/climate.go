@@ -45,8 +45,11 @@ type ClimateTask struct {
 // ClimateTaskResult is the per-task summary kept by the climate run
 // (full fields are delivered through the optional sink to bound memory).
 type ClimateTaskResult struct {
-	Task    ClimateTask
-	MeanTL  float64
+	Task   ClimateTask
+	MeanTL float64
+	// Elapsed is the worker's time in this task. The tasks of one
+	// (slice, source) pair share a ray trace, which the first of them
+	// carries; the others cost a dB conversion each.
 	Elapsed time.Duration
 }
 
@@ -58,8 +61,18 @@ type ClimateResult struct {
 	Elapsed   time.Duration
 }
 
+// fan is the dispatch unit of a climate: the tasks of one (slice, source)
+// pair, one per frequency. They trace the same rays — frequency enters a
+// TL solve only in the dB conversion — so one worker traces once and
+// levels the deposit for each frequency.
+type fan struct {
+	slice, source int
+}
+
 // ComputeClimate runs the full task product on a worker pool. If sink is
 // non-nil it receives every completed field (from multiple goroutines).
+// Every task ends in exactly one of Tasks, Failed and Cancelled, also
+// when ctx is cancelled mid-run.
 func ComputeClimate(ctx context.Context, spec ClimateSpec, sink func(ClimateTask, *TLField)) (*ClimateResult, error) {
 	if spec.TaskCount() == 0 {
 		return nil, fmt.Errorf("acoustics: empty climate specification")
@@ -83,91 +96,103 @@ func ComputeClimate(ctx context.Context, spec ClimateSpec, sink func(ClimateTask
 	ctx, poolSpan := tel.SpanCtx(ctx, "acoustics", "climate", -1, 0)
 	defer poolSpan.End()
 
-	tasks := make(chan ClimateTask)
-	go func() {
-		defer close(tasks)
-		for si := range spec.Sections {
-			for di := range spec.SourceDepths {
-				for fi := range spec.FreqsKHz {
-					t := ClimateTask{Slice: si, Source: di, Freq: fi}
-					tel.Emit("climate", spec.taskID(t), 0, telemetry.PhaseQueued)
-					select {
-					case tasks <- t:
-					case <-ctx.Done():
-						return
-					}
-				}
-			}
-		}
-	}()
-
-	res := &ClimateResult{}
+	res := &ClimateResult{Tasks: make([]ClimateTaskResult, 0, spec.TaskCount())}
 	var mu sync.Mutex
+	cancelTask := func(id int) {
+		tel.Emit("climate", id, 0, telemetry.PhaseCancelled)
+		cTasksCancelled.Inc()
+		mu.Lock()
+		res.Cancelled++
+		mu.Unlock()
+	}
+
+	fans := make(chan fan)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		lane := int64(w + 1)
 		go func() {
 			defer wg.Done()
-			// One solver per worker amortizes the TL grids across tasks.
-			// A non-nil sink retains each field, so that path must hand
-			// out fresh allocations instead.
+			// One solver per worker amortizes the TL grids across fans.
 			var solver TLSolver
-			for task := range tasks {
-				// Emitted by the receiving worker so queued < dispatched <
-				// running is ordered per task, not racing the dispatcher.
-				tel.Emit("climate", spec.taskID(task), 0, telemetry.PhaseDispatched)
-				if ctx.Err() != nil {
-					tel.Emit("climate", spec.taskID(task), 0, telemetry.PhaseCancelled)
-					cTasksCancelled.Inc()
-					mu.Lock()
-					res.Cancelled++
-					mu.Unlock()
-					continue
-				}
+			for f := range fans {
 				cfg := spec.Base
-				cfg.SourceDepth = spec.SourceDepths[task.Source]
-				cfg.FreqKHz = spec.FreqsKHz[task.Freq]
-				tel.Emit("climate", spec.taskID(task), 0, telemetry.PhaseRunning)
-				_, sp := tel.SpanCtx(ctx, "acoustics", "tl-task", int64(spec.taskID(task)), lane)
-				t0 := time.Now()
-				var field *TLField
+				cfg.SourceDepth = spec.SourceDepths[f.source]
+				traced := false
 				var err error
-				if sink != nil {
-					field, err = ComputeTL(spec.Sections[task.Slice], cfg)
-				} else {
-					field, err = solver.Compute(spec.Sections[task.Slice], cfg)
-				}
-				sp.End()
-				hTaskSec.Observe(time.Since(t0).Seconds())
-				if err != nil {
-					tel.Emit("climate", spec.taskID(task), 0, telemetry.PhaseFailed)
-					cTasksFailed.Inc()
+				for fi, freq := range spec.FreqsKHz {
+					task := ClimateTask{Slice: f.slice, Source: f.source, Freq: fi}
+					id := spec.taskID(task)
+					// Emitted by the receiving worker so queued < dispatched <
+					// running is ordered per task, not racing the dispatcher.
+					tel.Emit("climate", id, 0, telemetry.PhaseDispatched)
+					if ctx.Err() != nil {
+						cancelTask(id)
+						continue
+					}
+					tel.Emit("climate", id, 0, telemetry.PhaseRunning)
+					_, sp := tel.SpanCtx(ctx, "acoustics", "tl-task", int64(id), lane)
+					t0 := time.Now()
+					// The first task of a fan carries the trace in its span
+					// and Elapsed, so the sum of Elapsed stays the pool's
+					// busy time; a failed trace fails every task of the fan.
+					if !traced {
+						err = solver.Trace(spec.Sections[f.slice], cfg)
+						traced = true
+					}
+					var field *TLField
+					if err == nil {
+						field = solver.Field(freq)
+						if sink != nil {
+							field = field.clone() // the sink retains it
+						}
+					}
+					sp.End()
+					elapsed := time.Since(t0)
+					hTaskSec.Observe(elapsed.Seconds())
+					if err != nil {
+						tel.Emit("climate", id, 0, telemetry.PhaseFailed)
+						cTasksFailed.Inc()
+						mu.Lock()
+						res.Failed++
+						mu.Unlock()
+						continue
+					}
+					tel.Emit("climate", id, 0, telemetry.PhaseDone)
+					cTasksDone.Inc()
+					if sink != nil {
+						sink(task, field)
+					}
+					mean := 0.0
+					for _, v := range field.TL.Data {
+						mean += v
+					}
+					mean /= float64(len(field.TL.Data))
 					mu.Lock()
-					res.Failed++
+					res.Tasks = append(res.Tasks, ClimateTaskResult{Task: task, MeanTL: mean, Elapsed: elapsed})
 					mu.Unlock()
-					continue
 				}
-				tel.Emit("climate", spec.taskID(task), 0, telemetry.PhaseDone)
-				cTasksDone.Inc()
-				if sink != nil {
-					sink(task, field)
-				}
-				mean := 0.0
-				for _, v := range field.TL.Data {
-					mean += v
-				}
-				mean /= float64(len(field.TL.Data))
-				mu.Lock()
-				res.Tasks = append(res.Tasks, ClimateTaskResult{
-					Task:    task,
-					MeanTL:  mean,
-					Elapsed: time.Since(t0),
-				})
-				mu.Unlock()
 			}
 		}()
 	}
+	// Dispatch from this goroutine. Once ctx is cancelled no fan needs a
+	// worker any more: whichever side of the select takes it, its tasks
+	// are counted as cancelled.
+	for si := range spec.Sections {
+		for di := range spec.SourceDepths {
+			for fi := range spec.FreqsKHz {
+				tel.Emit("climate", spec.taskID(ClimateTask{Slice: si, Source: di, Freq: fi}), 0, telemetry.PhaseQueued)
+			}
+			select {
+			case fans <- fan{slice: si, source: di}:
+			case <-ctx.Done():
+				for fi := range spec.FreqsKHz {
+					cancelTask(spec.taskID(ClimateTask{Slice: si, Source: di, Freq: fi}))
+				}
+			}
+		}
+	}
+	close(fans)
 	wg.Wait()
 	// Canonicalize: workers append in completion order, which depends on
 	// scheduling; the published result must be independent of Workers.

@@ -14,8 +14,8 @@
 #                                 own repetition spread
 #   scripts/bench.sh -time-kernels wall-time gate over the curated
 #                                 stable kernels only — the
-#                                 compute-bound linalg and ocean
-#                                 benchmarks whose ns/op is
+#                                 compute-bound linalg, ocean and
+#                                 acoustics benchmarks whose ns/op is
 #                                 reproducible enough to gate in CI
 #                                 (the full suite stays allocation-only;
 #                                 see DESIGN §7)
@@ -26,8 +26,9 @@ cd "$(dirname "$0")/.."
 # The curated subset for -time-kernels: single-package, compute-bound,
 # no scheduler or I/O in the timed loop, 0 allocs/op where the kernel
 # owns its buffers. A kernel joins when a PR makes it faster (ROADMAP
-# item 3): six from internal/linalg, Step32x32 from internal/ocean.
-stable_kernels='^(MulSmall|MulLargeParallel|LUSolve64|QR64|SVDEnsembleShape|SymEig32|Step32x32)$'
+# item 3): six from internal/linalg, Step32x32 from internal/ocean,
+# ComputeTL from internal/acoustics.
+stable_kernels='^(MulSmall|MulLargeParallel|LUSolve64|QR64|SVDEnsembleShape|SymEig32|Step32x32|ComputeTL)$'
 
 mode="${1:-}"
 tmp="$(mktemp)"
@@ -41,7 +42,7 @@ case "$mode" in
     ;;
 -time-kernels)
     count=3
-    bench_pkgs="./internal/linalg/ ./internal/ocean/"
+    bench_pkgs="./internal/linalg/ ./internal/ocean/ ./internal/acoustics/"
     ;;
 esac
 
