@@ -48,24 +48,27 @@ test-fuzz:
 vet:
 	$(GO) vet ./...
 
-# lint runs the custom determinism/concurrency analyzers bundled with
-# the stock vet passes (see internal/lint and cmd/esselint).
+# lint runs the custom analyzers (`esselint -list` names them; each is
+# kept on a real-tree mutant only it catches, DESIGN.md §7) bundled with
+# the stock vet passes.
 lint:
 	$(GO) run ./cmd/esselint ./...
 
 # lint-self is the self-hosting gate: the analyzers must pass over
 # their own implementation (a lint suite that trips its own map-order
 # or lock-discipline rules has no business enforcing them). -stats
-# prints per-analyzer wall time and summary fact counts; -escapes
-# cross-checks allocation findings against the compiler's escape
-# analysis.
+# prints per-analyzer wall time and the summary fact counts (call
+# graph, effect/numeric/lock summaries, ctx, entry-held, wire types,
+# obligations); -escapes cross-checks allocation findings against the
+# compiler's escape analysis.
 lint-self:
 	$(GO) run ./cmd/esselint -vet=false -stats -escapes ./internal/lint/... ./cmd/esselint/...
 
-# lint-fixtures runs only the analyzer fixture tests — the fast inner
-# loop when developing an analyzer.
+# lint-fixtures runs the analyzer fixture tests and the mutation table
+# (each rule against one-edit mutants of real tree code) — the inner
+# loop when developing an analyzer. `make test` runs them too.
 lint-fixtures:
-	$(GO) test ./internal/lint -run 'Fixture|DirectivePlacement'
+	$(GO) test ./internal/lint -run 'Fixture|DirectivePlacement|RulesCatchRealMutants'
 
 # audit lists every //esselint:allow[file] directive and fails if any
 # is missing a reason or names an unknown analyzer.

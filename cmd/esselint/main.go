@@ -44,15 +44,9 @@ type statsJSON struct {
 	LockSummaryKeys  int                `json:"lock_summary_keys"`
 	LockPairs        int                `json:"lock_pairs"`
 	CtxParams        int                `json:"ctx_params"`
-	AtomicKeys       int                `json:"atomic_keys"`
 	EntryHeldFuncs   int                `json:"entry_held_funcs"`
 	WireTypes        int                `json:"wire_types"`
-	FSMTables        int                `json:"fsm_tables"`
-	FSMTransitions   int                `json:"fsm_transitions"`
 	Obligations      int                `json:"obligations"`
-	DimSummaries     int                `json:"dim_summaries"`
-	DimRequires      int                `json:"dim_requires"`
-	UnitFacts        int                `json:"unit_facts"`
 	Analyzers        []analyzerStatJSON `json:"analyzers"`
 }
 
@@ -180,13 +174,10 @@ func main() {
 func printStats(s *lint.RunStats) {
 	fmt.Fprintf(os.Stderr, "esselint: stats: call graph %d funcs in %d SCCs; summaries: %d effect, %d numeric, %d lock keys, %d lock pairs; program build %v\n",
 		s.Funcs, s.SCCs, s.EffectFacts, s.NumericSummaries, s.LockSummaryKeys, s.LockPairs, s.ProgramWall.Round(time.Microsecond))
-	fmt.Fprintf(os.Stderr, "esselint: stats: concurrency facts: %d ctx-taking funcs, %d atomic keys, %d funcs entered with locks held\n",
-		s.CtxParams, s.AtomicKeys, s.EntryHeldFuncs)
+	fmt.Fprintf(os.Stderr, "esselint: stats: concurrency facts: %d ctx-taking funcs, %d funcs entered with locks held\n",
+		s.CtxParams, s.EntryHeldFuncs)
 	fmt.Fprintf(os.Stderr, "esselint: stats: wire facts: %d types reaching a json sink\n", s.WireTypes)
-	fmt.Fprintf(os.Stderr, "esselint: stats: lifecycle facts: %d fsm tables carrying %d transitions; %d obligations tracked\n",
-		s.FSMTables, s.FSMTransitions, s.Obligations)
-	fmt.Fprintf(os.Stderr, "esselint: stats: dimension facts: %d shape summaries carrying %d requirements; %d unit annotations\n",
-		s.DimSummaries, s.DimRequires, s.UnitFacts)
+	fmt.Fprintf(os.Stderr, "esselint: stats: lifecycle facts: %d obligations tracked\n", s.Obligations)
 	for _, a := range s.Analyzers {
 		fmt.Fprintf(os.Stderr, "esselint: stats: %-16s %10v  findings=%d suppressed=%d\n",
 			a.Name, a.Wall.Round(time.Microsecond), a.Findings, a.Suppressed)
@@ -205,15 +196,9 @@ func writeStatsJSON(path string, s *lint.RunStats) error {
 		LockSummaryKeys:  s.LockSummaryKeys,
 		LockPairs:        s.LockPairs,
 		CtxParams:        s.CtxParams,
-		AtomicKeys:       s.AtomicKeys,
 		EntryHeldFuncs:   s.EntryHeldFuncs,
 		WireTypes:        s.WireTypes,
-		FSMTables:        s.FSMTables,
-		FSMTransitions:   s.FSMTransitions,
 		Obligations:      s.Obligations,
-		DimSummaries:     s.DimSummaries,
-		DimRequires:      s.DimRequires,
-		UnitFacts:        s.UnitFacts,
 	}
 	for _, a := range s.Analyzers {
 		out.Analyzers = append(out.Analyzers, analyzerStatJSON{

@@ -15,10 +15,8 @@ import "fmt"
 type Grid struct {
 	NX, NY, NZ int
 	// Dx, Dy are horizontal spacings in meters.
-	//esselint:unit m
 	Dx, Dy float64
 	// Depths are the vertical level depths in meters (surface first).
-	//esselint:unit m
 	Depths []float64
 	// Lon0, Lat0 anchor the grid's south-west corner (degrees).
 	Lon0, Lat0 float64

@@ -2,201 +2,74 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 )
 
-// AtomicMix enforces the all-or-nothing rule for sync/atomic: a field
-// or package variable accessed through the sync/atomic functions
-// anywhere in the tree must be accessed atomically everywhere. A plain
-// read racing an atomic write is just as undefined as two plain
-// accesses — the atomic call only orders itself against other atomics.
-// The canonical access keys come from the program summary
-// (Program.AtomicKeys), so a plain access in one package is checked
-// against an atomic access in another.
+// AtomicMix flags a read-modify-write of a typed atomic split across
+// two operations — x.Store(x.Load()+1) — which is two atomic steps, not
+// one: a concurrent update between the Load and the Store is lost. Add
+// or a CompareAndSwap loop is the single-operation form; a Load feeding
+// a CompareAndSwap is that loop's idiom and passes.
 //
-// The analyzer also flags atomic read-modify-write split across two
-// operations — Store(Load()+1) in either the function style or the
-// typed-atomic style — which loses concurrent updates between the load
-// and the store; Add or a CompareAndSwap loop is the single-operation
-// form. A Load feeding a CompareAndSwap is the CAS-loop idiom and
-// passes.
-//
-// Escape hatches: constructors (New*/Open*/init, or functions returning
-// the owner type) may initialize plainly before the value is published;
-// fresh locally-allocated values are owned until they escape. Soundness
-// gap: ownership is the same defining-assignment heuristic sharedguard
-// uses — publication through a later store is not tracked.
+// The mix the name refers to — a word accessed through the sync/atomic
+// functions in one place and plainly in another — is not checked: the
+// tree declares every atomic as a sync/atomic type, and the type system
+// forbids the plain access.
 var AtomicMix = &Analyzer{
-	Name: "atomicmix",
-	Doc: "flag plain accesses to fields/variables that are accessed via sync/atomic elsewhere, " +
-		"and atomic read-modify-write split across separate Load/Store operations",
+	Name:  "atomicmix",
+	Doc:   "flag a typed atomic's read-modify-write split across separate Load and Store operations",
 	Scope: underInternalOrCmd,
 	Run:   runAtomicMix,
 }
 
 func runAtomicMix(pass *Pass) error {
-	if pass.Prog == nil {
-		return nil
-	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkAtomicMixDecl(pass, fd)
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
 			}
+			ctx := &lockCtx{Info: pass.Info, Pkg: pass.Pkg, Path: pass.Path, Enclosing: enclosingName(pass, fd)}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) != 1 {
+					return true
+				}
+				x, ok := typedAtomicCall(pass.Info, call, "Store")
+				if !ok {
+					return true
+				}
+				key := lockKeyOf(ctx, x)
+				if loadsAtomic(pass.Info, ctx, call.Args[0], key) {
+					pass.Reportf(call.Pos(), "read-modify-write of %s is two atomic operations, not one; "+
+						"a concurrent update between the Load and the Store is lost — use Add or a CompareAndSwap loop", key)
+					return false
+				}
+				return true
+			})
 		}
 	}
 	return nil
 }
 
-func checkAtomicMixDecl(pass *Pass, fd *ast.FuncDecl) {
-	obj, _ := pass.Info.Defs[fd.Name].(*types.Func)
-	if obj == nil {
-		return
+// typedAtomicCall returns the receiver of call when it is method name
+// on one of sync/atomic's typed wrappers.
+func typedAtomicCall(info *types.Info, call *ast.CallExpr, name string) (ast.Expr, bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != name {
+		return nil, false
 	}
-	ctx := &lockCtx{Info: pass.Info, Pkg: pass.Pkg, Path: pass.Path, Enclosing: obj.FullName()}
-	checkAtomicRMW(pass, ctx, fd)
-
-	if len(pass.Prog.AtomicKeys) == 0 {
-		return
-	}
-	ctorAll := false
-	ctorFor := map[string]bool{}
-	if fn := pass.Prog.Graph.Funcs[obj.FullName()]; fn != nil {
-		ctorAll, ctorFor = constructorOf(fn)
-	}
-	if ctorAll {
-		return
-	}
-	owned := ownedLocals(pass.Info, fd)
-	skip := atomicTargets(pass.Info, fd)
-	ast.Inspect(fd, func(n ast.Node) bool {
-		e, ok := n.(ast.Expr)
-		if !ok {
-			return true
-		}
-		switch e.(type) {
-		case *ast.SelectorExpr, *ast.Ident:
-		default:
-			return true
-		}
-		if skip[e.Pos()] {
-			return false
-		}
-		key := lockKeyOf(ctx, e)
-		atomicAt, hot := pass.Prog.AtomicKeys[key]
-		if !hot {
-			return true
-		}
-		if owner, isField := ownerOf(key); isField && ctorFor[owner] {
-			return false
-		}
-		if root := rootIdent(e); root != nil {
-			if v, isVar := pass.Info.Uses[root].(*types.Var); isVar && owned[v] {
-				return false
-			}
-		}
-		pass.Reportf(e.Pos(), "%s is accessed with sync/atomic at %s but plainly here; "+
-			"plain and atomic accesses race — use the atomic API at every access", key, atomicAt)
-		return false
-	})
+	tv, ok := info.Types[sel.X]
+	return sel.X, ok && isTypedAtomic(tv.Type)
 }
 
-// atomicTargets collects the positions of expressions that ARE the
-// atomic accesses: the &x arguments of sync/atomic calls and the
-// receivers of typed-atomic method calls. The plain-access walk skips
-// them.
-func atomicTargets(info *types.Info, root ast.Node) map[token.Pos]bool {
-	skip := map[token.Pos]bool{}
-	ast.Inspect(root, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if e := atomicAddrArg(info, call); e != nil {
-			skip[e.Pos()] = true
-		}
-		if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel {
-			if tv, hasType := info.Types[sel.X]; hasType && isTypedAtomic(tv.Type) {
-				skip[sel.X.Pos()] = true
-			}
-		}
-		return true
-	})
-	return skip
-}
-
-// checkAtomicRMW flags Store-of-Load on the same key: the two atomic
-// operations are individually ordered but the pair is not, so a
-// concurrent Add or Store between them is silently overwritten.
-func checkAtomicRMW(pass *Pass, ctx *lockCtx, fd *ast.FuncDecl) {
-	report := func(call *ast.CallExpr, key string) {
-		pass.Reportf(call.Pos(), "read-modify-write of %s is two atomic operations, not one; "+
-			"a concurrent update between the Load and the Store is lost — use Add or a CompareAndSwap loop", key)
-	}
-	ast.Inspect(fd, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		// Function style: atomic.StoreX(&k, ...atomic.LoadX(&k)...).
-		// (The typed methods also live in sync/atomic, but have no &k
-		// first argument, so atomicAddrArg filters them out.)
-		if obj := StaticCallee(pass.Info, call); obj != nil && obj.Pkg() != nil &&
-			obj.Pkg().Path() == "sync/atomic" && strings.HasPrefix(obj.Name(), "Store") && len(call.Args) >= 2 {
-			if target := atomicAddrArg(pass.Info, call); target != nil {
-				key := lockKeyOf(ctx, target)
-				if loadsKeyFunc(pass.Info, ctx, call.Args[1], key) {
-					report(call, key)
-					return false
-				}
-			}
-		}
-		// Typed style: x.Store(...x.Load()...).
-		if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel && sel.Sel.Name == "Store" && len(call.Args) == 1 {
-			if tv, hasType := pass.Info.Types[sel.X]; hasType && isTypedAtomic(tv.Type) {
-				key := lockKeyOf(ctx, sel.X)
-				if loadsKeyTyped(pass.Info, ctx, call.Args[0], key) {
-					report(call, key)
-					return false
-				}
-			}
-		}
-		return true
-	})
-}
-
-// loadsKeyFunc reports whether e contains a sync/atomic Load* of key.
-func loadsKeyFunc(info *types.Info, ctx *lockCtx, e ast.Expr, key string) bool {
+// loadsAtomic reports whether e contains a Load of the typed atomic
+// with the given key.
+func loadsAtomic(info *types.Info, ctx *lockCtx, e ast.Expr, key string) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || found {
-			return !found
-		}
-		if obj := StaticCallee(info, call); obj != nil && obj.Pkg() != nil &&
-			obj.Pkg().Path() == "sync/atomic" && strings.HasPrefix(obj.Name(), "Load") {
-			if target := atomicAddrArg(info, call); target != nil && lockKeyOf(ctx, target) == key {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// loadsKeyTyped reports whether e contains a typed-atomic .Load() of
-// key.
-func loadsKeyTyped(info *types.Info, ctx *lockCtx, e ast.Expr, key string) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || found {
-			return !found
-		}
-		if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel && sel.Sel.Name == "Load" && len(call.Args) == 0 {
-			if tv, hasType := info.Types[sel.X]; hasType && isTypedAtomic(tv.Type) && lockKeyOf(ctx, sel.X) == key {
+		if call, ok := n.(*ast.CallExpr); ok && !found && len(call.Args) == 0 {
+			if x, ok := typedAtomicCall(info, call, "Load"); ok && lockKeyOf(ctx, x) == key {
 				found = true
 			}
 		}

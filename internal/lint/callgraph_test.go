@@ -220,72 +220,3 @@ func TestLockPairCollection(t *testing.T) {
 		t.Errorf("ordered type's a→b pair missing: %+v", p.LockPairs)
 	}
 }
-
-// TestDimSummaries pins the shape summaries shapecheck computes
-// bottom-up: direct, transitive, and mutually recursive functions all
-// converge to exact parametric result shapes.
-func TestDimSummaries(t *testing.T) {
-	p := BuildProgram([]*Package{loadFixturePkg(t, "dimsum")})
-	shape := func(r, c string) []*DimShape { return []*DimShape{{R: r, C: c}} }
-	wantResults := map[string][]*DimShape{
-		"dimsum.Outer":    shape("$l0", "$l1"),
-		"dimsum.Chain":    shape("$l0", "$l0"),
-		"dimsum.Gram":     shape("$c0", "$c0"),
-		"dimsum.MulPair":  shape("$r0", "$c1"),
-		"dimsum.MulChain": shape("$r0", "$c1"),
-		"dimsum.Even":     shape("$r0", "$c0"),
-		"dimsum.Odd":      shape("$c0", "$r0"),
-		"dimsum.Mixed":    shape("$l0", "?"),
-	}
-	for key, want := range wantResults {
-		sum := p.DimSummaries[key]
-		if sum == nil {
-			t.Errorf("missing DimSummary for %s", key)
-			continue
-		}
-		if !reflect.DeepEqual(sum.Results, want) {
-			t.Errorf("%s Results = %+v, want %+v", key, sum.Results[0], want[0])
-		}
-	}
-	// Mul's conformance constraint travels: directly into MulPair's
-	// summary and transitively into MulChain's. Gram's is trivially
-	// satisfied and must not appear.
-	wantReq := [][2]string{{"$c0", "$r1"}}
-	for _, key := range []string{"dimsum.MulPair", "dimsum.MulChain"} {
-		if sum := p.DimSummaries[key]; sum == nil || !reflect.DeepEqual(sum.Requires, wantReq) {
-			t.Errorf("%s Requires = %+v, want %+v", key, sum, wantReq)
-		}
-	}
-	for _, key := range []string{"dimsum.Outer", "dimsum.Gram", "dimsum.Even", "dimsum.Odd"} {
-		if sum := p.DimSummaries[key]; sum != nil && len(sum.Requires) != 0 {
-			t.Errorf("%s has unexpected Requires %+v", key, sum.Requires)
-		}
-	}
-}
-
-// TestDimSummariesNonConvergent proves the soundness valve: when an SCC
-// fails to reach a fixpoint within the iteration budget its summaries
-// are deleted outright, and the analyzer runs finding-free without
-// them rather than trusting a half-converged fact.
-func TestDimSummariesNonConvergent(t *testing.T) {
-	saved := dimSummaryIterCap
-	dimSummaryIterCap = 0
-	defer func() { dimSummaryIterCap = saved }()
-
-	pkg := loadFixturePkg(t, "dimsum")
-	p := BuildProgram([]*Package{pkg})
-	for key, sum := range p.DimSummaries {
-		t.Errorf("summary %s survived a forced non-convergence: %+v", key, sum)
-	}
-	// The fixture is clean code: with all summaries dropped the
-	// analyzer must stay silent, not crash or invent findings.
-	an := *ShapeCheck
-	an.Scope = func(string) bool { return true }
-	diags, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{&an})
-	if err != nil {
-		t.Fatalf("running shapecheck without summaries: %v", err)
-	}
-	for _, d := range diags {
-		t.Errorf("unexpected diagnostic without summaries: %s", d)
-	}
-}

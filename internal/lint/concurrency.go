@@ -7,16 +7,12 @@ import (
 	"sort"
 )
 
-// This file computes the concurrency-safety summaries the v5 analyzers
-// (sharedguard, ctxflow, atomicmix) consume, extending the
-// interprocedural layer of summary.go:
+// This file computes the concurrency-safety summaries sharedguard and
+// ctxflow consume, extending the interprocedural layer of summary.go:
 //
 //   - CtxParam: which functions receive a context.Context, and at which
 //     parameter index — the propagation table ctxflow checks dropped
 //     contexts against;
-//   - AtomicKeys: every word accessed through a function-style
-//     sync/atomic call anywhere in the set, keyed like lock keys —
-//     atomicmix's "atomic anywhere means atomic everywhere" domain;
 //   - EntryHeld: for every function, the locks held on every observed
 //     static path into it, computed as a descending fixpoint over the
 //     call graph. This is what lets sharedguard see that an xxxLocked
@@ -56,64 +52,6 @@ func isCtxType(t types.Type) bool {
 		return false
 	}
 	return named.Obj().Pkg().Path() == "context" && named.Obj().Name() == "Context"
-}
-
-// atomicAddrFuncs are the sync/atomic package functions whose first
-// argument is the address of the shared word.
-var atomicAddrFuncs = map[string]bool{
-	"AddInt32": true, "AddInt64": true, "AddUint32": true, "AddUint64": true, "AddUintptr": true,
-	"LoadInt32": true, "LoadInt64": true, "LoadUint32": true, "LoadUint64": true, "LoadUintptr": true, "LoadPointer": true,
-	"StoreInt32": true, "StoreInt64": true, "StoreUint32": true, "StoreUint64": true, "StoreUintptr": true, "StorePointer": true,
-	"SwapInt32": true, "SwapInt64": true, "SwapUint32": true, "SwapUint64": true, "SwapUintptr": true, "SwapPointer": true,
-	"CompareAndSwapInt32": true, "CompareAndSwapInt64": true, "CompareAndSwapUint32": true,
-	"CompareAndSwapUint64": true, "CompareAndSwapUintptr": true, "CompareAndSwapPointer": true,
-}
-
-// atomicAddrArg returns the expression whose address is passed to a
-// function-style sync/atomic call (atomic.AddInt64(&x.f, 1) → x.f), or
-// nil when call is not one.
-func atomicAddrArg(info *types.Info, call *ast.CallExpr) ast.Expr {
-	obj := StaticCallee(info, call)
-	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "sync/atomic" {
-		return nil
-	}
-	if !atomicAddrFuncs[obj.Name()] || len(call.Args) == 0 {
-		return nil
-	}
-	if u, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr); ok && u.Op == token.AND {
-		return ast.Unparen(u.X)
-	}
-	return nil
-}
-
-// computeAtomicKeys records the canonical key of each word accessed
-// through a function-style sync/atomic call anywhere in the set, with
-// the first access position. Typed atomics (atomic.Uint64 and friends)
-// need no entry: the type system already forbids plain access to them.
-func (p *Program) computeAtomicKeys() {
-	p.AtomicKeys = map[string]token.Position{}
-	for _, key := range p.Graph.Keys {
-		fn := p.Graph.Funcs[key]
-		if fn.Decl.Body == nil {
-			continue
-		}
-		ctx := &lockCtx{Info: fn.Pkg.Info, Pkg: fn.Pkg.Pkg, Path: fn.Pkg.Path, Enclosing: key}
-		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			target := atomicAddrArg(fn.Pkg.Info, call)
-			if target == nil {
-				return true
-			}
-			k := lockKeyOf(ctx, target)
-			if _, seen := p.AtomicKeys[k]; !seen {
-				p.AtomicKeys[k] = fn.Pkg.Fset.Position(call.Pos())
-			}
-			return true
-		})
-	}
 }
 
 // entrySite is one observed static call: callee entered from caller

@@ -34,12 +34,10 @@ func (d Directive) String() string {
 	return s
 }
 
-// ParseDirective parses any //esselint: directive comment into its
-// canonical rendering: fields single-spaced, fsm arcs trimmed and
-// comma-joined, unit expressions reduced to the Unit algebra's
-// canonical form. It returns ok=false for comments that are not
-// esselint directives or whose payload the corresponding collector
-// would reject. Accepted directives are a fixpoint: re-parsing the
+// ParseDirective parses an //esselint:allow[file] directive comment
+// into its canonical rendering, fields single-spaced. It returns
+// ok=false for comments that are not esselint directives or name
+// another kind. Accepted directives are a fixpoint: re-parsing the
 // canonical form yields the same string (the FuzzParseDirective
 // property).
 func ParseDirective(text string) (string, bool) {
@@ -51,69 +49,10 @@ func ParseDirective(text string) (string, bool) {
 	if i := strings.IndexAny(rest, " \t"); i >= 0 {
 		kind = rest[:i]
 	}
-	// A trailing note after an embedded "//" is not part of fsm/unit
-	// payloads (mirroring fsmDirectives and unitDirectives).
-	payload := strings.TrimPrefix(rest, kind)
-	if i := strings.Index(payload, "//"); i >= 0 && (kind == "fsm" || kind == "unit") {
-		payload = payload[:i]
+	if kind != "allow" && kind != "allowfile" {
+		return "", false
 	}
-	switch kind {
-	case "allow", "allowfile":
-		return "//esselint:" + kind + joinFields(strings.Fields(payload)), true
-	case "fsm":
-		var arcs []string
-		for _, arc := range strings.Split(payload, ",") {
-			arc = strings.TrimSpace(arc)
-			if arc == "" {
-				continue
-			}
-			from, to, ok := strings.Cut(arc, "->")
-			from, to = strings.TrimSpace(from), strings.TrimSpace(to)
-			if !ok || from == "" || to == "" {
-				return "", false
-			}
-			arcs = append(arcs, from+"->"+to)
-		}
-		if len(arcs) == 0 {
-			return "", false
-		}
-		return "//esselint:fsm " + strings.Join(arcs, ", "), true
-	case "unit":
-		fields := strings.Fields(payload)
-		if len(fields) == 0 {
-			return "", false
-		}
-		funcForm := false
-		for _, f := range fields {
-			if strings.Contains(f, "=") {
-				funcForm = true
-			}
-		}
-		if !funcForm {
-			if len(fields) != 1 {
-				return "", false
-			}
-			u, err := ParseUnit(fields[0])
-			if err != nil {
-				return "", false
-			}
-			return "//esselint:unit " + u.String(), true
-		}
-		out := make([]string, 0, len(fields))
-		for _, f := range fields {
-			name, expr, found := strings.Cut(f, "=")
-			if !found || name == "" {
-				return "", false
-			}
-			u, err := ParseUnit(expr)
-			if err != nil {
-				return "", false
-			}
-			out = append(out, name+"="+u.String())
-		}
-		return "//esselint:unit " + strings.Join(out, " "), true
-	}
-	return "", false
+	return "//esselint:" + kind + joinFields(strings.Fields(strings.TrimPrefix(rest, kind))), true
 }
 
 func joinFields(fields []string) string {

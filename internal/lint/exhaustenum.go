@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// ExhaustEnum (DESIGN §7 rule 19) treats a package-level const block of
+// ExhaustEnum (DESIGN §7) treats a package-level const block of
 // a named type — task phases, lease states, scheduler stages — as a
 // closed enum: every value switch on that type, in any package of the
 // set, must either cover every member or carry a default clause. The

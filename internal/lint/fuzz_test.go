@@ -2,12 +2,12 @@ package lint
 
 import "testing"
 
-// FuzzParseDirective fuzzes the shared //esselint: directive grammar —
-// allow, allowfile, fsm, and unit (both the single-expression and the
-// name=unit function forms). The invariant is canonical-form
-// idempotence: any accepted directive must re-render and re-parse to
-// exactly the same canonical string, so the audit tooling can rewrite
-// directives without changing their meaning.
+// FuzzParseDirective fuzzes the //esselint:allow[file] directive
+// grammar. The invariant is canonical-form idempotence: any accepted
+// directive must re-render and re-parse to exactly the same canonical
+// string, so the audit tooling can rewrite directives without changing
+// their meaning. The retired fsm and unit kinds stay in the corpus as
+// inputs that must now be rejected like any other unknown kind.
 func FuzzParseDirective(f *testing.F) {
 	seeds := []string{
 		"//esselint:allow maporder iteration order is sorted below",
@@ -15,24 +15,24 @@ func FuzzParseDirective(f *testing.F) {
 		"//esselint:allowfile rngdet fixture exercises raw rand",
 		"//esselint:allow  divguard   extra   spacing",
 		"//esselint:allow",
-		"//esselint:fsm Pending->Active, Active->Completed",
-		"//esselint:fsm A->B",
-		"//esselint:fsm A->B, B->A // with a trailing note",
-		"//esselint:fsm ->B",
-		"//esselint:fsm A-B",
-		"//esselint:unit m/s",
-		"//esselint:unit kg/m^3",
-		"//esselint:unit degC/s^0.5",
-		"//esselint:unit 1/s",
-		"//esselint:unit m^-1",
+		"//esselint:allowfile",
+		"//esselint:allow\tfloatcmp\ttab separated",
+		"//esselint:allow errdrop trailing space ",
+		"//esselint:allow errdrop reason with // a nested comment",
+		"//esselint:allow hotalloc reason — with unicode ρ",
+		"//esselint:allow\u00a0floatcmp no-break space is not a separator",
+		"//esselint:allowfile all",
+		"//esselint:allowfilefloatcmp run-on kind",
+		"//esselint:allows trap",
+		"//esselint: allow floatcmp space after the colon",
+		"// esselint:allow floatcmp space before the prefix",
+		"//esselint:ALLOW floatcmp kinds are case-sensitive",
+		"//esselint:fsm A->B, B->A",
 		"//esselint:unit t=degC s=psu return=kg/m^3",
-		"//esselint:unit h=m return=m/s // wave speed",
-		"//esselint:unit m^x",
-		"//esselint:unit",
 		"//esselint:nonsense payload",
 		"// not a directive",
-		"//esselint:unitless trap",
-		"//esselint:fsmish trap",
+		"//esselint:",
+		"",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -14,6 +14,8 @@ import (
 //   - make/new builtin calls and slice/map composite literals — a fresh
 //     heap object per iteration (value struct literals are excluded:
 //     they need not allocate);
+//   - the copy idiom `append([]T(nil), xs...)` / `append([]T{}, xs...)`:
+//     an append onto an empty base allocates its whole result;
 //   - &T{...} pointer literals;
 //   - string concatenation (`a + b`, `s += x`) — each produces a new
 //     backing array;
@@ -28,10 +30,10 @@ import (
 // make(...) }`, `if cap(buf) < n`), branches that terminate the loop
 // (return/panic — they run at most once), and goroutine/defer spawn
 // sites (the spawn is the dominant cost and is governed elsewhere) are
-// excluded. `append` growth is preallocate's domain and is not
-// reported here. Genuinely unavoidable per-iteration allocation (e.g.
-// results that must escape to a caller-owned sink) can carry an
-// audited //esselint:allow hotalloc directive.
+// excluded. `append` growth of a live slice is preallocate's domain
+// and is not reported here. Genuinely unavoidable per-iteration
+// allocation (e.g. results that must escape to a caller-owned sink) can
+// carry an audited //esselint:allow hotalloc directive.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "flag per-iteration heap allocation in hot-package loops: make/new, slice and map " +
@@ -87,8 +89,14 @@ func checkHotNode(pass *Pass, n ast.Node, reported, skip map[token.Pos]bool) {
 	case *ast.CallExpr:
 		if id, ok := ast.Unparen(v.Fun).(*ast.Ident); ok {
 			if _, builtin := pass.Info.Uses[id].(*types.Builtin); builtin {
-				if id.Name == "make" || id.Name == "new" {
+				switch {
+				case id.Name == "make" || id.Name == "new":
 					report(v.Pos(), "%s allocated per loop iteration; hoist it or reuse a buffer", exprSnippet(v))
+				case id.Name == "append" && len(v.Args) >= 2 && isEmptySliceExpr(pass.Info, v.Args[0]):
+					// Claim an empty literal base so it is not reported twice.
+					skip[ast.Unparen(v.Args[0]).Pos()] = true
+					report(v.Pos(), "%s copies into a fresh backing array per loop iteration; "+
+						"hoist a buffer and append onto buf[:0]", exprSnippet(v))
 				}
 				return
 			}
@@ -126,6 +134,26 @@ func checkHotNode(pass *Pass, n ast.Node, reported, skip map[token.Pos]bool) {
 				"hoist the literal and pass per-iteration state as arguments")
 		}
 	}
+}
+
+// isEmptySliceExpr recognizes the base of the copy idiom
+// `append([]T(nil), xs...)` / `append([]T{}, xs...)`: a nil conversion
+// to a slice type or an empty slice literal, either of which makes the
+// append allocate its whole result.
+func isEmptySliceExpr(info *types.Info, e ast.Expr) bool {
+	switch v := ast.Unparen(e).(type) {
+	case *ast.CompositeLit:
+		_, slice := exprType(info, v).(*types.Slice)
+		return slice && len(v.Elts) == 0
+	case *ast.CallExpr:
+		if tv, ok := info.Types[v.Fun]; !ok || !tv.IsType() || len(v.Args) != 1 {
+			return false
+		}
+		_, slice := exprType(info, v).(*types.Slice)
+		id, isIdent := ast.Unparen(v.Args[0]).(*ast.Ident)
+		return slice && isIdent && id.Name == "nil"
+	}
+	return false
 }
 
 func isStringExpr(info *types.Info, e ast.Expr) bool {

@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// HTTPGuard (DESIGN §7 rule 18) enforces the HTTP hygiene a retrying
+// HTTPGuard (DESIGN §7) enforces the HTTP hygiene a retrying
 // task-lease protocol lives or dies by:
 //
 //   - every *http.Response obtained in a function must have its Body

@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// JSONWire (DESIGN §7 rule 17) audits every named type that reaches an
+// JSONWire (DESIGN §7) audits every named type that reaches an
 // encoding/json sink anywhere in the package set — the Program.WireTypes
 // fact table, closed over the call graph and the type structure — for
 // the silent and the runtime failure modes of the encoder:

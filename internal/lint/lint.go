@@ -1,24 +1,8 @@
-// Package lint implements esselint, a static-analysis suite enforcing
-// the repository's determinism and concurrency invariants:
-//
-//   - rngdeterminism: stochastic code must draw from esse/internal/rng
-//     streams — the stdlib rand packages (global-state and entropy
-//     seeded alike) are forbidden imports under internal/ and cmd/,
-//     and seeds must never be derived from time.Now().
-//   - streamshare: a *rng.Stream is not safe for concurrent use; the
-//     analyzer flags streams shared with goroutines (captured by a go
-//     statement's function literal, or passed as a bare argument)
-//     instead of handing each goroutine its own Split child.
-//   - errdrop: non-test code under internal/ must not discard error
-//     returns, either via `_ =` or by ignoring a call's results.
-//   - divguard: float divisions and math.Sqrt/math.Log operands in the
-//     numerical kernels must be dominated by a zero/sign guard or an
-//     epsilon clamp (CFG + sign dataflow; see cfg.go, dataflow.go).
-//   - floatcmp: no ==/!= between non-constant float expressions.
-//   - goroutineleak: a goroutine blocking on a channel must be released
-//     (drained, closed, Waited) on every path of its spawner.
-//   - aliasguard: in-place linalg kernels must not be handed aliasing
-//     destination and source arguments.
+// Package lint implements esselint, the static-analysis suite that
+// enforces the repository's determinism, numerical-safety, concurrency
+// and allocation invariants. `esselint -list` prints the analyzers;
+// each has a fixture under testdata/ and rows of real-tree mutants in
+// mutants_test.go, the evidence it is kept on (DESIGN.md §7).
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic) but is self-contained: packages are
@@ -110,15 +94,14 @@ func (d Diagnostic) String() string {
 // Analyzers returns the full esselint suite.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		RngDeterminism, StreamShare, ErrDrop,
-		DivGuard, FloatCmp, GoroutineLeak, AliasGuard,
+		RngDeterminism, ErrDrop,
+		DivGuard, FloatCmp, GoroutineLeak,
 		MapOrder, LockHeld,
 		HotAlloc, Preallocate, Boxing,
-		MetricLabels, SlogKV,
+		SlogKV,
 		SharedGuard, CtxFlow, AtomicMix,
 		JSONWire, HTTPGuard, ExhaustEnum,
-		StateFSM, ResLeak, RetryBudget,
-		ShapeCheck, UnitDim,
+		ResLeak, RetryBudget,
 	}
 }
 
@@ -170,28 +153,17 @@ type RunStats struct {
 	NumericSummaries int
 	LockSummaryKeys  int
 	LockPairs        int
-	// Concurrency-layer facts: functions taking a context.Context,
-	// atomically-accessed field/variable keys, and functions whose
-	// every caller holds a lock at entry.
+	// Concurrency-layer facts: functions taking a context.Context and
+	// functions whose every caller holds a lock at entry.
 	CtxParams      int
-	AtomicKeys     int
 	EntryHeldFuncs int
 	// WireTypes is the size of the jsonwire fact table: named types
 	// reaching an encoding/json sink anywhere in the set.
 	WireTypes int
-	// Lifecycle-layer facts: declared FSM tables and the arcs they
-	// carry, and the obligations the solver tracked across all
+	// Obligations counts the facts the solver tracked across all
 	// obligation-discipline analyzers (httpguard, ctxflow, resleak).
-	FSMTables      int
-	FSMTransitions int
-	Obligations    int
-	// Symbolic-dimension facts: functions with a shape summary, the
-	// conformance requirements those summaries carry, and the number of
-	// //esselint:unit annotations in the unit table.
-	DimSummaries int
-	DimRequires  int
-	UnitFacts    int
-	Analyzers    []AnalyzerStats
+	Obligations int
+	Analyzers   []AnalyzerStats
 }
 
 // RunAnalyzersStats is RunAnalyzersAll plus per-analyzer wall time and
@@ -206,18 +178,8 @@ func RunAnalyzersStats(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *R
 	stats.LockPairs = len(prog.LockPairs)
 	stats.NumericSummaries = len(prog.Numeric)
 	stats.CtxParams = len(prog.CtxParam)
-	stats.AtomicKeys = len(prog.AtomicKeys)
 	stats.EntryHeldFuncs = len(prog.EntryHeld)
 	stats.WireTypes = len(prog.WireTypes)
-	stats.FSMTables = len(prog.FSMTables)
-	stats.DimSummaries = len(prog.DimSummaries)
-	stats.DimRequires = dimRequireCount(prog.DimSummaries)
-	stats.UnitFacts = prog.Units.Facts()
-	for _, t := range prog.FSMTables {
-		for _, tos := range t.Trans {
-			stats.FSMTransitions += len(tos)
-		}
-	}
 	for _, key := range prog.Graph.Keys {
 		if prog.Effects[key] != 0 {
 			stats.EffectFacts++
@@ -225,19 +187,34 @@ func RunAnalyzersStats(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *R
 		stats.LockSummaryKeys += len(prog.Locks[key])
 	}
 
-	perAnalyzer := map[string]*AnalyzerStats{}
-	for _, a := range analyzers {
-		perAnalyzer[a.Name] = &AnalyzerStats{Name: a.Name}
+	diags, perAnalyzer, err := runPasses(prog, pkgs, analyzers)
+	if err != nil {
+		return nil, nil, err
 	}
+	// The solver tallies obligations while analyzers run, so this read
+	// must come after the passes.
+	stats.Obligations = prog.Obligations
+	stats.Analyzers = perAnalyzer
+	return diags, stats, nil
+}
 
+// runPasses applies each analyzer to each in-scope package of pkgs
+// against prog, which may cover more packages than are analyzed (the
+// mutation table analyzes one package against the program of all it
+// imports). Diagnostics come back in file/position order.
+func runPasses(prog *Program, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerStats, error) {
+	perAnalyzer := make([]AnalyzerStats, len(analyzers))
+	for i, a := range analyzers {
+		perAnalyzer[i].Name = a.Name
+	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		sup := newSuppressor(pkg)
-		for _, a := range analyzers {
+		for i, a := range analyzers {
 			if a.Scope != nil && !a.Scope(pkg.RelPath) {
 				continue
 			}
-			acc := perAnalyzer[a.Name]
+			acc := &perAnalyzer[i]
 			pass := &Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
@@ -266,12 +243,6 @@ func RunAnalyzersStats(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *R
 			}
 		}
 	}
-	// The solver tallies obligations while analyzers run, so this read
-	// must come after the loop.
-	stats.Obligations = prog.Obligations
-	for _, a := range analyzers {
-		stats.Analyzers = append(stats.Analyzers, *perAnalyzer[a.Name])
-	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
 		if a.Filename != b.Filename {
@@ -285,7 +256,7 @@ func RunAnalyzersStats(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *R
 		}
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
-	return diags, stats, nil
+	return diags, perAnalyzer, nil
 }
 
 // suppressor indexes a package's //esselint: directive comments.

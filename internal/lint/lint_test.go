@@ -6,10 +6,6 @@ func TestRngDeterminismFixture(t *testing.T) {
 	RunFixture(t, RngDeterminism, "rngdet")
 }
 
-func TestStreamShareFixture(t *testing.T) {
-	RunFixture(t, StreamShare, "streamshare")
-}
-
 func TestErrDropFixture(t *testing.T) {
 	RunFixture(t, ErrDrop, "errdrop")
 }
@@ -24,10 +20,6 @@ func TestFloatCmpFixture(t *testing.T) {
 
 func TestGoroutineLeakFixture(t *testing.T) {
 	RunFixture(t, GoroutineLeak, "goroutineleak")
-}
-
-func TestAliasGuardFixture(t *testing.T) {
-	RunFixture(t, AliasGuard, "aliasguard")
 }
 
 func TestMapOrderFixture(t *testing.T) {
@@ -48,10 +40,6 @@ func TestPreallocateFixture(t *testing.T) {
 
 func TestBoxingFixture(t *testing.T) {
 	RunFixture(t, Boxing, "boxing")
-}
-
-func TestMetricLabelsFixture(t *testing.T) {
-	RunFixture(t, MetricLabels, "metriclabels")
 }
 
 func TestSlogKVFixture(t *testing.T) {
@@ -89,24 +77,12 @@ func TestExhaustEnumFixture(t *testing.T) {
 	RunFixture(t, ExhaustEnum, "exhaustenum")
 }
 
-func TestStatefsmFixture(t *testing.T) {
-	RunFixture(t, StateFSM, "statefsm")
-}
-
 func TestResleakFixture(t *testing.T) {
 	RunFixture(t, ResLeak, "resleak")
 }
 
 func TestRetrybudgetFixture(t *testing.T) {
 	RunFixture(t, RetryBudget, "retrybudget")
-}
-
-func TestShapecheckFixture(t *testing.T) {
-	RunFixture(t, ShapeCheck, "shapecheck")
-}
-
-func TestUnitdimFixture(t *testing.T) {
-	RunFixture(t, UnitDim, "unitdim")
 }
 
 // TestLoadRealPackage exercises the go-list/export-data loader against
@@ -136,8 +112,10 @@ func TestLoadRealPackage(t *testing.T) {
 	}
 }
 
-// TestScopes pins the path filters: rngdeterminism and errdrop are
-// scoped gates, streamshare applies everywhere.
+// TestScopes pins the path filters: rngdeterminism, errdrop and
+// divguard are scoped gates of their own; the interprocedural analyzers
+// gate everything under internal/ and cmd/, including the lint suite
+// itself (the lint-self target), and nothing under examples/.
 func TestScopes(t *testing.T) {
 	cases := []struct {
 		rel      string
@@ -152,36 +130,16 @@ func TestScopes(t *testing.T) {
 		{"examples/quickstart", false, false, false},
 		{".", false, false, false},
 	}
-	// The interprocedural analyzers gate everything under internal/ and
-	// cmd/, including the lint suite itself (the lint-self target).
-	for _, rel := range []string{"internal/lint", "cmd/esselint", "internal/sched"} {
-		if !MapOrder.Scope(rel) || !LockHeld.Scope(rel) {
-			t.Errorf("maporder/lockheld must cover %q", rel)
+	treeWide := []*Analyzer{MapOrder, LockHeld, SharedGuard, CtxFlow, AtomicMix, ResLeak, RetryBudget, SlogKV}
+	for _, a := range treeWide {
+		for _, rel := range []string{"internal/lint", "cmd/esselint", "internal/sched"} {
+			if !a.Scope(rel) {
+				t.Errorf("%s must cover %q", a.Name, rel)
+			}
 		}
-		if !SharedGuard.Scope(rel) || !CtxFlow.Scope(rel) || !AtomicMix.Scope(rel) {
-			t.Errorf("sharedguard/ctxflow/atomicmix must cover %q", rel)
+		if a.Scope("examples/quickstart") {
+			t.Errorf("%s must not cover examples/", a.Name)
 		}
-		if !StateFSM.Scope(rel) || !ResLeak.Scope(rel) || !RetryBudget.Scope(rel) {
-			t.Errorf("statefsm/resleak/retrybudget must cover %q", rel)
-		}
-		if !ShapeCheck.Scope(rel) || !UnitDim.Scope(rel) {
-			t.Errorf("shapecheck/unitdim must cover %q", rel)
-		}
-		if !SlogKV.Scope(rel) {
-			t.Errorf("slogkv must cover %q", rel)
-		}
-	}
-	if MapOrder.Scope("examples/quickstart") || LockHeld.Scope("examples/quickstart") {
-		t.Error("maporder/lockheld must not cover examples/")
-	}
-	if SharedGuard.Scope("examples/quickstart") || CtxFlow.Scope("examples/quickstart") || AtomicMix.Scope("examples/quickstart") {
-		t.Error("sharedguard/ctxflow/atomicmix must not cover examples/")
-	}
-	if StateFSM.Scope("examples/quickstart") || ResLeak.Scope("examples/quickstart") || RetryBudget.Scope("examples/quickstart") {
-		t.Error("statefsm/resleak/retrybudget must not cover examples/")
-	}
-	if ShapeCheck.Scope("examples/quickstart") || UnitDim.Scope("examples/quickstart") {
-		t.Error("shapecheck/unitdim must not cover examples/")
 	}
 	for _, c := range cases {
 		if got := RngDeterminism.Scope(c.rel); got != c.rngdet {
@@ -192,9 +150,6 @@ func TestScopes(t *testing.T) {
 		}
 		if got := DivGuard.Scope(c.rel); got != c.divguard {
 			t.Errorf("divguard scope(%q) = %v, want %v", c.rel, got, c.divguard)
-		}
-		if StreamShare.Scope != nil {
-			t.Error("streamshare must not be path-scoped")
 		}
 	}
 }

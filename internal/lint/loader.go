@@ -68,7 +68,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if underTestdata(m.ImportPath) {
 			continue
 		}
-		p, err := checkPackage(fset, imp, m)
+		p, err := checkPackage(fset, imp, m, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -196,8 +196,10 @@ func newExportImporter(fset *token.FileSet, exports map[string]string) types.Imp
 	})
 }
 
-// checkPackage parses and type-checks one listed package.
-func checkPackage(fset *token.FileSet, imp types.Importer, m listPkg) (*Package, error) {
+// checkPackage parses and type-checks one listed package. A file whose
+// path is a key of overlay is parsed from that source instead of from
+// disk (the mutation table's way of editing a file without writing it).
+func checkPackage(fset *token.FileSet, imp types.Importer, m listPkg, overlay map[string][]byte) (*Package, error) {
 	if len(m.CgoFiles) > 0 {
 		return nil, fmt.Errorf("lint: %s uses cgo, which esselint does not support", m.ImportPath)
 	}
@@ -211,15 +213,23 @@ func checkPackage(fset *token.FileSet, imp types.Importer, m listPkg) (*Package,
 		}
 	}
 	pkg := &Package{Path: m.ImportPath, RelPath: rel, Dir: m.Dir, Fset: fset}
+	parse := func(name string) (*ast.File, error) {
+		path := filepath.Join(m.Dir, name)
+		var src any // nil reads the file; a nil []byte would parse as empty
+		if b, ok := overlay[path]; ok {
+			src = b
+		}
+		return parser.ParseFile(fset, path, src, parser.ParseComments|parser.SkipObjectResolution)
+	}
 	for _, name := range m.GoFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(m.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parse(name)
 		if err != nil {
 			return nil, err
 		}
 		pkg.Files = append(pkg.Files, f)
 	}
 	for _, name := range append(append([]string{}, m.TestGoFiles...), m.XTestGoFiles...) {
-		f, err := parser.ParseFile(fset, filepath.Join(m.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parse(name)
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// ResLeak (DESIGN §7 rule 21) proves that acquired resources — files,
+// ResLeak (DESIGN §7) proves that acquired resources — files,
 // tickers, timers, sockets — are released on every path out of the
 // acquiring function, using the shared obligation solver (obligation.go)
 // with httpguard's defer and ownership-transfer semantics: a bare

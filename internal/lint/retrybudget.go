@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// RetryBudget (DESIGN §7 rule 22) flags retry and poll loops that can
+// RetryBudget (DESIGN §7) flags retry and poll loops that can
 // spin forever: a for-loop that talks to the network (directly or
 // through a callee whose summary carries EffNetwork) or busy-polls with
 // time.Sleep must carry an attempt bound — an integer comparison in the

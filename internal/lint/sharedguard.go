@@ -42,8 +42,8 @@ import (
 // WaitGroup.Wait that follows every go statement, the spawner has the
 // location to itself); per-slot slice writes (walkAccesses demotes
 // element writes to base reads). Locations that are themselves sync
-// primitives, channels, or atomically accessed (AtomicKeys) belong to
-// other analyzers. Calls through function values, interface methods,
+// primitives, channels or typed atomics are not tracked: their own
+// API is the guard. Calls through function values, interface methods,
 // and closures executed on foreign goroutines (e.g. handler callbacks)
 // are invisible, so a context classified as non-concurrent may in
 // reality run concurrently — the usual soundness gap of the static
@@ -205,9 +205,6 @@ func collectDeclAccesses(p *Program, fn *FuncInfo, table map[string]*sgLoc) {
 			}
 			if isSyncPrimitiveType(vr.Type()) || isTypedAtomic(vr.Type()) {
 				return
-			}
-			if _, atomic := p.AtomicKeys[key]; atomic {
-				return // atomicmix's domain
 			}
 			exempt := false
 			if kind == accKindField {

@@ -23,9 +23,9 @@ import (
 // Seed signatures are recognized structurally: any in-module function
 // whose trailing variadic is `kv ...any`, plus everything in log/slog
 // with a trailing ...any variadic. Wrappers are followed through the
-// call graph exactly as metriclabels does for label variadics: a
-// function splatting its own trailing ...any variadic into a kv-taking
-// callee is itself kv-taking, and its call sites are checked instead.
+// call graph: a function splatting its own trailing ...any variadic
+// into a kv-taking callee is itself kv-taking, and its call sites are
+// checked instead.
 var SlogKV = &Analyzer{
 	Name: "slogkv",
 	Doc: "structured-logging kv arguments must be even-count, compile-time-constant, duplicate-free keys; " +
@@ -135,6 +135,21 @@ func forwardsKVVariadic(info *FuncInfo, set map[string]bool) bool {
 		return true
 	})
 	return found
+}
+
+// finalVariadicParamObj resolves the types.Object of decl's trailing
+// variadic parameter, or nil when the last parameter is not variadic
+// or is unnamed.
+func finalVariadicParamObj(info *types.Info, decl *ast.FuncDecl) types.Object {
+	params := decl.Type.Params
+	if params == nil || len(params.List) == 0 {
+		return nil
+	}
+	last := params.List[len(params.List)-1]
+	if _, ok := last.Type.(*ast.Ellipsis); !ok || len(last.Names) == 0 {
+		return nil
+	}
+	return info.Defs[last.Names[len(last.Names)-1]]
 }
 
 func runSlogKV(pass *Pass) error {

@@ -118,11 +118,6 @@ type Program struct {
 	// context.Context parameter; functions without one are absent.
 	// ctxflow reads it to decide whether a callee can carry a context.
 	CtxParam map[string]int
-	// AtomicKeys holds the canonical key of every word accessed through
-	// a function-style sync/atomic call anywhere in the set, with the
-	// first observed position. atomicmix's "atomic anywhere means atomic
-	// everywhere" domain; see concurrency.go.
-	AtomicKeys map[string]token.Position
 	// EntryHeld maps a function key to the locks held on every observed
 	// static path into it (empty/absent = none provable). sharedguard
 	// reads it so xxxLocked helpers inherit their callers' guards.
@@ -135,29 +130,11 @@ type Program struct {
 	// tree. jsonwire consumes both; see wirefacts.go.
 	WireTypes    map[string]*WireFact
 	FiniteFields map[string]bool
-	// FSMTables maps the canonical "pkgpath.TypeName" key of every
-	// module-local lifecycle enum carrying an //esselint:fsm directive
-	// (or an adjacent transitions map var) to its declared transition
-	// table. statefsm consumes it; see fsmfacts.go.
-	FSMTables map[string]*FSMTable
-	// Units is the //esselint:unit fact table (field, object and
-	// function annotations plus malformed-directive problems); unitdim
-	// consumes it. DimSummaries maps a function key to its symbolic
-	// shape summary — result shapes and conformance requirements as
-	// terms over the parameters; shapecheck consumes it. See dimfacts.go
-	// and shapecheck.go.
-	Units        *UnitTable
-	DimSummaries map[string]*DimSummary
 	// Obligations counts the facts the obligation solver tracked over
 	// the run (httpguard responses, ctxflow cancels, resleak handles);
 	// surfaced by -stats. The analyzer loop is sequential, so a plain
 	// int is safe.
 	Obligations int
-
-	// labelTakers caches metriclabels' label-taking function set
-	// (seed signatures plus wrapper propagation); see metriclabels.go.
-	labelTakers map[string]bool
-	labelOnce   sync.Once
 
 	// kvTakers caches slogkv's kv-taking function set (seed signatures
 	// plus wrapper propagation); see slogkv.go.
@@ -187,7 +164,6 @@ func BuildProgram(pkgs []*Package) *Program {
 	p.computeNumeric()
 	p.LockPairs = collectLockPairs(p)
 	p.computeCtxParams()
-	p.computeAtomicKeys()
 	p.computeEntryHeld()
 	loaded := map[string]bool{}
 	for _, pkg := range pkgs {
@@ -195,9 +171,6 @@ func BuildProgram(pkgs []*Package) *Program {
 	}
 	p.computeWireTypes(loaded)
 	p.computeFiniteFields(loaded)
-	p.computeFSMTables(pkgs)
-	p.computeUnitTable(pkgs)
-	p.computeDimSummaries()
 	return p
 }
 

@@ -2,41 +2,13 @@ package atomicmix
 
 import "sync/atomic"
 
-type stats struct {
-	hits  int64
-	total atomic.Uint64
-}
+type stats struct{ total atomic.Int64 }
 
-func (s *stats) bump() {
-	atomic.AddInt64(&s.hits, 1)
-}
-
-func (s *stats) read() int64 {
-	return s.hits // want "accessed with sync/atomic at .* but plainly here"
-}
-
-func (s *stats) rmwFunc() {
-	atomic.StoreInt64(&s.hits, atomic.LoadInt64(&s.hits)+1) // want "read-modify-write of .* is two atomic operations"
-}
-
-func (s *stats) rmwTyped() {
+func (s *stats) rmwField() {
 	s.total.Store(s.total.Load() + 1) // want "read-modify-write of .* is two atomic operations"
 }
 
-var counter int64
-
-func incr() {
-	atomic.AddInt64(&counter, 1)
-}
-
-func peek() int64 {
-	return counter // want "accessed with sync/atomic at .* but plainly here"
-}
-
-// A bare local of a named atomic type is its own key — loading and
-// storing the same local is still a split read-modify-write.
-func localRMW() int64 {
+func rmwLocal() {
 	var n atomic.Int64
 	n.Store(n.Load() + 1) // want "read-modify-write of .* is two atomic operations"
-	return n.Load()
 }

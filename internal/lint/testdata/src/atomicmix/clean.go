@@ -2,55 +2,13 @@ package atomicmix
 
 import "sync/atomic"
 
-type gauge struct {
-	v atomic.Uint64
-	n int64
-}
-
-func (g *gauge) inc() {
-	atomic.AddInt64(&g.n, 1)
-}
-
-// Constructor initialization happens before the value is published.
-func newGauge(start int64) *gauge {
-	g := &gauge{}
-	g.n = start
-	return g
-}
-
-// The CAS loop is the single-operation read-modify-write idiom.
-func (g *gauge) add(d uint64) {
-	for {
-		old := g.v.Load()
-		if g.v.CompareAndSwap(old, old+d) {
-			return
-		}
-	}
-}
-
-var total int64
-
-func addTotal(d int64) {
-	for {
-		old := atomic.LoadInt64(&total)
-		if atomic.CompareAndSwapInt64(&total, old, old+d) {
-			return
-		}
-	}
-}
-
-// Store of a Load from a DIFFERENT key is a copy, not a lost update.
 var src, dst atomic.Int64
 
-func mirror() {
+// Add is one operation, a Load feeding a CompareAndSwap is the CAS
+// loop, and a Store of another atomic's Load is a copy.
+func (s *stats) ok(d int64) {
+	s.total.Add(d)
+	for old := s.total.Load(); !s.total.CompareAndSwap(old, old+d); old = s.total.Load() {
+	}
 	dst.Store(src.Load())
-}
-
-// Distinct locals of the same named atomic type must not collapse to
-// one key: a copy between two locals is not a read-modify-write.
-func copyLocals() int64 {
-	var a, b atomic.Int64
-	a.Store(1)
-	b.Store(a.Load())
-	return b.Load()
 }

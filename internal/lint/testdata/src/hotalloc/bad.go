@@ -8,6 +8,7 @@ func makePerIteration(n int) [][]float64 {
 		row := make([]float64, 8) // want "allocated per loop iteration"
 		row[0] = float64(i)
 		out = append(out, row)
+		out = append(out, append([]float64(nil), row...)) // want "copies into a fresh backing array per loop iteration"
 	}
 	return out
 }

@@ -6,6 +6,7 @@ func hoisted(n int) float64 {
 	t := 0.0
 	for i := 0; i < n; i++ {
 		buf[0] = float64(i)
+		buf = append(buf[:0], buf[:1]...) // the copy idiom onto a hoisted backing array
 		t += buf[0]
 	}
 	return t

@@ -27,45 +27,34 @@ import (
 type Config struct {
 	Grid *grid.Grid
 	// Dt is the time step in seconds.
-	//esselint:unit s
 	Dt float64
 	// MeanDepth is the resting layer depth H (m) of the shallow-water core.
-	//esselint:unit m
 	MeanDepth float64
 	// Coriolis parameter f (1/s).
-	//esselint:unit 1/s
 	Coriolis float64
 	// BottomFriction is the linear drag coefficient r (1/s).
-	//esselint:unit 1/s
 	BottomFriction float64
 	// Viscosity is the lateral eddy viscosity for momentum (m²/s).
-	//esselint:unit m^2/s
 	Viscosity float64
 	// Diffusivity is the horizontal tracer diffusivity (m²/s).
-	//esselint:unit m^2/s
 	Diffusivity float64
 	// WindAmp is the steady wind-stress acceleration amplitude (m/s²).
-	//esselint:unit m/s^2
 	WindAmp float64
 	// NoiseWind is the std-dev of the stochastic wind acceleration
 	// integrated over one step, per sqrt(s) (Wiener forcing): an
 	// acceleration times sqrt(s), i.e. m/s^1.5.
-	//esselint:unit m/s^1.5
 	NoiseWind float64
 	// NoiseTracer is the std-dev of stochastic surface temperature
 	// forcing per sqrt(s).
-	//esselint:unit degC/s^0.5
 	NoiseTracer float64
 	// NoiseSmoothPasses controls the spatial correlation of the
 	// stochastic forcing (diffusive smoothing passes over white noise).
 	NoiseSmoothPasses int
 	// EkmanDepth sets the e-folding depth (m) of velocity used to advect
 	// the 3-D tracers.
-	//esselint:unit m
 	EkmanDepth float64
 	// VerticalDiffusivity Kv (m²/s) enables implicit vertical tracer
 	// mixing when positive (0 = off; see vertmix.go).
-	//esselint:unit m^2/s
 	VerticalDiffusivity float64
 	// Climo parameterizes the initial mesoscale state (eddy + front).
 	Climo ClimatologyParams
@@ -83,14 +72,11 @@ type ClimatologyParams struct {
 	// EddyRadiusFrac sets the eddy radius as a fraction of min(NX, NY).
 	EddyRadiusFrac float64
 	// EddyAmpT is the eddy core temperature anomaly (degC).
-	//esselint:unit degC
 	EddyAmpT float64
 	// EddyAmpSSH is the eddy sea-surface height anomaly (m).
-	//esselint:unit m
 	EddyAmpSSH float64
 	// FrontAmpT is the upwelling front temperature anomaly (degC,
 	// negative = cold).
-	//esselint:unit degC
 	FrontAmpT float64
 	// FrontWidthFrac is the front e-folding width (fraction of NX).
 	FrontWidthFrac float64
@@ -129,11 +115,7 @@ func (p ClimatologyParams) Jitter(s *rng.Stream) ClimatologyParams {
 	return out
 }
 
-// defaultMeanDepth is the resting layer depth DefaultConfig uses. Named
-// (and unit-annotated) so the gravity-wave speed and the derived time
-// step below carry m/s and s through the unit analysis.
-//
-//esselint:unit m
+// defaultMeanDepth is the resting layer depth (m) DefaultConfig uses.
 const defaultMeanDepth = 50.0
 
 // DefaultConfig returns a numerically stable configuration for grid g
@@ -178,30 +160,22 @@ type Model struct {
 	Cfg    Config
 	Layout *grid.StateLayout
 
-	//esselint:unit m
-	eta []float64 // n2
-	//esselint:unit m/s
-	u, v []float64 // n2
-	//esselint:unit degC
-	t []float64 // n3
-	//esselint:unit psu
-	s []float64 // n3
+	eta  []float64 // n2, m
+	u, v []float64 // n2, m/s
+	t    []float64 // n3, °C
+	s    []float64 // n3, psu
 
 	noise  *rng.Stream
 	time   float64
 	vmixer *VerticalMixer
 
 	// scratch buffers reused across steps. newTr is shared between the
-	// temperature and salinity sweeps, so it carries no unit directive.
-	//esselint:unit m
-	newEta []float64
-	//esselint:unit m/s
+	// temperature and salinity sweeps.
+	newEta     []float64
 	newU, newV []float64
 	newTr      []float64
-	//esselint:unit m/s^2
-	fx, fy []float64
-	//esselint:unit degC
-	ftr []float64
+	fx, fy     []float64
+	ftr        []float64
 
 	// decay[k] is the e-folding attenuation of the flow at level k that
 	// advects the tracers, fixed by the grid and EkmanDepth.

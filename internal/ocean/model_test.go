@@ -24,6 +24,15 @@ func TestDefaultConfigStable(t *testing.T) {
 	if cfl := m.CFLNumber(); cfl <= 0 || cfl > 0.7 {
 		t.Fatalf("CFL = %v, want (0, 0.7]", cfl)
 	}
+	// The range does not pin the formula — √(g·Dt) for √(g·H) stays
+	// inside it — and Validate gates every model on this number.
+	for _, g := range []*grid.Grid{grid.MontereyBay(16, 16, 4), grid.MontereyBay(17, 9, 3)} {
+		m := New(DefaultConfig(g), rng.New(1))
+		want := math.Sqrt(physics.Gravity*m.Cfg.MeanDepth) * m.Cfg.Dt / math.Min(g.Dx, g.Dy)
+		if got := m.CFLNumber(); math.Abs(got-want) > 1e-12*want {
+			t.Errorf("%dx%d: CFL = %v, want √(g·H)·Dt/min(Dx,Dy) = %v", g.NX, g.NY, got, want)
+		}
+	}
 }
 
 func TestStateRoundTrip(t *testing.T) {

@@ -24,32 +24,22 @@ func SoundSpeedMackenzie(t, s, d float64) float64 {
 
 // Reference state for the linearized equation of state.
 const (
-	//esselint:unit kg/m^3
-	RhoRef = 1025.0
-	//esselint:unit degC
-	TRef = 12.0
-	//esselint:unit psu
-	SRef = 33.5
-	// AlphaT is the thermal expansion coefficient.
-	//esselint:unit 1/degC
+	RhoRef = 1025.0 // kg/m³
+	TRef   = 12.0   // °C
+	SRef   = 33.5   // psu
+	// AlphaT is the thermal expansion coefficient (1/°C).
 	AlphaT = 2.0e-4
-	// BetaS is the haline contraction coefficient.
-	//esselint:unit 1/psu
-	BetaS = 7.6e-4
-	//esselint:unit m/s^2
-	Gravity = 9.81
+	// BetaS is the haline contraction coefficient (1/psu).
+	BetaS   = 7.6e-4
+	Gravity = 9.81 // m/s²
 )
 
-// OmegaEarth is Earth's rotation rate.
-//
-//esselint:unit 1/s
+// OmegaEarth is Earth's rotation rate (rad/s).
 const OmegaEarth = 7.2921e-5
 
 // Density returns seawater density (kg/m³) from a linearized equation of
 // state about the California-coast reference values above. Adequate for
 // the mesoscale dynamics window the paper targets.
-//
-//esselint:unit t=degC s=psu return=kg/m^3
 func Density(t, s float64) float64 {
 	return RhoRef * (1 - AlphaT*(t-TRef) + BetaS*(s-SRef))
 }
@@ -61,11 +51,8 @@ func ThorpAttenuation(fKHz float64) float64 {
 	return 0.11*f2/(1+f2) + 44*f2/(4100+f2) + 2.75e-4*f2 + 0.003
 }
 
-// Coriolis returns the Coriolis parameter f = 2 Ω sin(lat) for a
-// latitude in degrees. latDeg carries no unit directive: the degree→
-// radian conversion inside would read as a dimensioned argument to sin.
-//
-//esselint:unit return=1/s
+// Coriolis returns the Coriolis parameter f = 2 Ω sin(lat) (1/s) for a
+// latitude in degrees.
 func Coriolis(latDeg float64) float64 {
 	return 2 * OmegaEarth * math.Sin(latDeg*math.Pi/180)
 }

@@ -252,8 +252,6 @@ func (h *eventHeap) push(t float64, core, seq int) { heap.Push(h, event{t: t, co
 // model-CPU → output-IO ladder; a mid-model failure or a finished
 // output hands the core back to tryAssign, which parks it or
 // dispatches the next job. No stage is terminal — cores are reused.
-//
-//esselint:fsm stIdle->stIdle, stIdle->stDispatch, stDispatch->stPertIO, stPertIO->stPertCPU, stPertCPU->stModelIO, stModelIO->stModelCPU, stModelCPU->stOutIO, stModelCPU->stIdle, stModelCPU->stDispatch, stOutIO->stIdle, stOutIO->stDispatch
 type stage int
 
 const (

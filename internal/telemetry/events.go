@@ -21,8 +21,6 @@ const DefaultEventCap = 4096
 // retried members consumed one of their failure-tolerance attempts,
 // cancelled members were overtaken by convergence or the deadline.
 // PhaseDone, PhaseFailed and PhaseCancelled are terminal.
-//
-//esselint:fsm PhaseQueued->PhaseDispatched, PhaseDispatched->PhaseRunning, PhaseRunning->PhaseDone, PhaseRunning->PhaseFailed, PhaseRunning->PhaseRetried, PhaseRetried->PhaseDispatched, PhaseQueued->PhaseCancelled, PhaseDispatched->PhaseCancelled, PhaseRunning->PhaseCancelled
 type Phase uint8
 
 const (

@@ -182,8 +182,8 @@ func NewRegistry() *Registry {
 
 // Counter registers (or fetches) a counter series. labelKV alternates
 // label keys and values; keys must be compile-time constants, sorted
-// and distinct (enforced statically by esselint's metriclabels and
-// dynamically here — misuse panics, it is a programming error).
+// and distinct (enforced here — misuse panics, it is a programming
+// error).
 func (r *Registry) Counter(name, help string, labelKV ...string) *Counter {
 	if r == nil {
 		return nil

@@ -80,9 +80,8 @@ func (t *Telemetry) Tracer() *Tracer {
 
 // Counter registers (or fetches) a counter series. labelKV alternates
 // constant label keys and values; keys must be sorted and distinct —
-// the esselint metriclabels analyzer enforces this at compile time and
-// the registry re-checks at registration. Nil-safe: returns nil when
-// telemetry is disabled.
+// the registry checks at registration and panics on misuse. Nil-safe:
+// returns nil when telemetry is disabled.
 func (t *Telemetry) Counter(name, help string, labelKV ...string) *Counter {
 	return t.Registry().Counter(name, help, labelKV...)
 }

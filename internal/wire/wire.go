@@ -135,12 +135,8 @@ func (k TaskKind) valid() bool {
 }
 
 // LeaseState is the lifecycle of one task lease on the dispatcher.
-// The legal transitions are declared once, below, for both the
-// statefsm analyzer and the runtime (LeaseTransitions); statefsm flags
-// any drift between the two. LeaseCompleted has no successors: a
-// completed lease is terminal.
-//
-//esselint:fsm LeasePending->LeaseActive, LeaseActive->LeaseActive, LeaseActive->LeaseExpired, LeaseActive->LeaseCompleted, LeaseActive->LeaseFailed, LeaseExpired->LeasePending, LeaseFailed->LeasePending
+// The legal transitions are declared once, below (LeaseTransitions).
+// LeaseCompleted has no successors: a completed lease is terminal.
 type LeaseState uint8
 
 const (
@@ -178,8 +174,7 @@ func (s LeaseState) valid() bool {
 }
 
 // LeaseTransitions is the runtime form of the lease lifecycle: every
-// legal from→to pair, mirroring the //esselint:fsm directive on
-// LeaseState. LeaseActive renews onto itself; LeaseExpired and
+// legal from→to pair. LeaseActive renews onto itself; LeaseExpired and
 // LeaseFailed re-offer the task; LeaseCompleted is absent because it
 // has no successors.
 var LeaseTransitions = map[LeaseState][]LeaseState{

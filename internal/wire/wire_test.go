@@ -163,8 +163,8 @@ func TestEnumStrings(t *testing.T) {
 }
 
 // TestLeaseTransitionTable asserts every (from, to) pair of the lease
-// lifecycle explicitly, so neither the runtime table nor the statefsm
-// directive can drift without this test naming the pair that moved.
+// lifecycle explicitly, so the runtime table cannot drift without this
+// test naming the pair that moved.
 func TestLeaseTransitionTable(t *testing.T) {
 	states := []LeaseState{LeasePending, LeaseActive, LeaseExpired, LeaseCompleted, LeaseFailed}
 	legal := map[[2]LeaseState]bool{

@@ -2,13 +2,18 @@ package workflow
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"esse/internal/core"
+	"esse/internal/covstore"
 	"esse/internal/telemetry"
 )
 
@@ -171,5 +176,78 @@ func TestEveryLaunchedMemberIsAccountedFor(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFailedSVDStageDrainsTheWorkers pins the error path of the commit
+// loop: when the SVD stage fails mid-ensemble the run returns that
+// error and every worker still exits. A coordinator that returns from
+// the loop without draining results passes every other test, `-race`
+// and the analyzers, and strands each worker blocked on its send. The
+// store's directory is removed while the second batch is being
+// committed, so the second snapshot cannot be published; the
+// coordinator is held in OnProgress until the workers have filled the
+// result buffer and stalled behind it, which is the state a slow SVD
+// round leaves them in.
+func TestFailedSVDStageDrainsTheWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+
+	dir := t.TempDir()
+	store, err := covstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := quickConfig()
+	cfg.InitialSize = 48
+	cfg.MaxSize = 48
+	cfg.SVDBatch = 4
+	cfg.Workers = 4
+	cfg.Criterion = core.ConvergenceCriterion{MinSimilarity: 2, MaxVarianceChange: 0} // never converge
+	cfg.Store = store
+
+	// Members past the first dozen wait for the coordinator to reach the
+	// commit before the failing round, so however the early members are
+	// scheduled most of the ensemble is still to run at that point.
+	var ran atomic.Int64
+	gate := make(chan struct{})
+	inner := toyRunner(toySubspace(7, 40, 3), 8, 0, 0, false)
+	runner := func(ctx context.Context, index int) ([]float64, error) {
+		if index >= 12 {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+			}
+		}
+		defer ran.Add(1)
+		return inner(ctx, index)
+	}
+	cfg.OnProgress = func(p Progress) {
+		if p.Completed != 2*cfg.SVDBatch-1 {
+			return
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			t.Error(err)
+		}
+		close(gate)
+		// Until no member has finished for a while: the buffer is full
+		// and the workers are blocked sending into it.
+		deadline := time.Now().Add(2 * time.Second)
+		for n := int64(-1); n != ran.Load() && time.Now().Before(deadline); {
+			n = ran.Load()
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+
+	_, err = RunParallel(context.Background(), cfg, make([]float64, 40), runner)
+	if !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("err = %v, want the failed snapshot publish", err)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before+2 {
+		t.Fatalf("goroutines leaked: %d before the run, %d after it failed", before, n)
 	}
 }

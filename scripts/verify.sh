@@ -1,8 +1,9 @@
 #!/bin/sh
 # verify.sh — the repository's standing gate: build, vet, the custom
-# esselint determinism/numerical-safety/concurrency analyzers, the
-# suppression audit, and the race-enabled test suite. CI runs exactly
-# this; run it locally before sending a change.
+# esselint analyzers (`esselint -list`), the suppression audit, and the
+# race-enabled test suite, which includes the mutation table the
+# analyzers are kept on (internal/lint, TestRulesCatchRealMutants). CI
+# runs exactly this; run it locally before sending a change.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -13,7 +14,7 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> esselint -stats -escapes ./... (determinism, numerics, concurrency, allocation analyzers + compiler escape-fact cross-check)"
+echo "==> esselint -stats -escapes ./... (the analyzers of esselint -list + compiler escape-fact cross-check)"
 go run ./cmd/esselint -vet=false -stats -escapes ./...
 
 echo "==> esselint self-hosting gate (internal/lint + cmd/esselint)"
