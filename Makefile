@@ -35,14 +35,12 @@ bench-smoke:
 	bench/run.sh --workload svd-bound --seed 1 --seconds 1 --trace 1 >/dev/null
 
 # test-fuzz runs each native fuzz target briefly — a smoke pass over
-# the wire-boundary and directive parsers, not a soak (leave FUZZTIME
-# at the default in CI; raise it locally to hunt).
+# the exposition, traceparent and directive parsers, not a soak (leave
+# FUZZTIME at the default in CI; raise it locally to hunt).
 FUZZTIME ?= 10s
 test-fuzz:
 	$(GO) test -fuzz=FuzzParsePrometheus -fuzztime=$(FUZZTIME) ./internal/telemetry
 	$(GO) test -fuzz=FuzzParseTraceContext -fuzztime=$(FUZZTIME) ./internal/telemetry
-	$(GO) test -fuzz=FuzzDecodeTask -fuzztime=$(FUZZTIME) ./internal/wire
-	$(GO) test -fuzz=FuzzDecodeResult -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -fuzz=FuzzParseDirective -fuzztime=$(FUZZTIME) ./internal/lint
 
 vet:

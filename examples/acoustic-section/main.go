@@ -4,8 +4,8 @@
 // ocean physics uncertainties are transferred to acoustical
 // uncertainties along such a section." This example runs a small ocean
 // ensemble, extracts a sound-speed section per member, computes the
-// broadband transmission-loss field for each realization, and maps the
-// TL mean and standard deviation (the acoustical uncertainty).
+// broadband transmission-loss field for each realization, maps the TL
+// mean and standard deviation, and assimilates TL data (coupled, §2.2).
 //
 //	go run ./examples/acoustic-section [-members 8] [-freq 1.0]
 package main
@@ -16,6 +16,7 @@ import (
 	"log"
 
 	"esse/internal/acoustics"
+	"esse/internal/core"
 	"esse/internal/grid"
 	"esse/internal/metrics"
 	"esse/internal/ocean"
@@ -31,11 +32,20 @@ func main() {
 
 	g := grid.MontereyBay(16, 16, 5)
 	master := rng.New(*seed)
+	tlCfg := acoustics.DefaultTLConfig()
+	tlCfg.FreqKHz = *freq
+	tlCfg.SourceDepth = *srcDepth
+	scaler, err := core.NewScaler(grid.NewLayout(g, ocean.Vars(g)), core.DefaultVarScales())
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Ocean ensemble: jittered climatology + stochastic forcing, like
 	// the ESSE perturbation step.
 	fmt.Printf("running %d ocean members and extracting a zonal section...\n", *members)
 	var sections []*acoustics.Section
+	var oceanZ [][]float64
+	var tls []*acoustics.TLField
 	for m := 0; m < *members; m++ {
 		st := master.Split(uint64(m))
 		cfg := ocean.DefaultConfig(g)
@@ -48,11 +58,14 @@ func main() {
 			log.Fatal(err)
 		}
 		sections = append(sections, sec)
+		tl, err := acoustics.ComputeTL(sec, tlCfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		oceanZ = append(oceanZ, scaler.ToScaled(nil, state))
+		tls = append(tls, tl)
 	}
 
-	tlCfg := acoustics.DefaultTLConfig()
-	tlCfg.FreqKHz = *freq
-	tlCfg.SourceDepth = *srcDepth
 	stats, err := acoustics.EnsembleTL(sections, tlCfg)
 	if err != nil {
 		log.Fatal(err)
@@ -83,4 +96,31 @@ func main() {
 	st := metrics.Stats(stats.Std.TL.Data)
 	fmt.Printf("\nTL std-dev: max %.1f dB, mean %.1f dB — ocean uncertainty has become\n", st.Max, st.Mean)
 	fmt.Println("acoustical uncertainty, ready for coupled physical-acoustical assimilation.")
+
+	// §2.2: stack each member's scaled ocean state on its TL field; the
+	// coupled subspace carries ocean–acoustic cross-covariances, so TL
+	// receivers 2 dB off the ensemble mean also update the ocean fields.
+	ens, err := acoustics.NewCoupledEnsemble(oceanZ, tls, 5, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	receivers := []acoustics.TLObservation{
+		{RI: nr / 4, ZI: nz / 3, Stddev: 1}, {RI: nr / 2, ZI: nz / 2, Stddev: 1}, {RI: 3 * nr / 4, ZI: nz / 4, Stddev: 1},
+	}
+	net, err := ens.NewTLNetwork(receivers)
+	if err != nil {
+		log.Fatal(err)
+	}
+	meanTL := ens.TLPart(ens.Mean)
+	y := make([]float64, len(receivers))
+	for i, o := range receivers {
+		y[i] = meanTL[o.RI*ens.TLCols+o.ZI] + 2
+	}
+	prior := ens.Subspace.TotalVariance()
+	an, err := ens.AssimilateTL(net, y)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\ncoupled assimilation of %d TL receivers, each 2 dB above the ensemble mean:\n", len(receivers))
+	fmt.Printf("  innovation norm %.3f -> residual norm %.3f; coupled total variance %.4g -> %.4g\n", an.InnovationNorm, an.ResidualNorm, prior, ens.Subspace.TotalVariance())
 }

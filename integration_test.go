@@ -24,7 +24,6 @@ import (
 	"esse/internal/realtime"
 	"esse/internal/rng"
 	"esse/internal/telemetry"
-	"esse/internal/wire"
 	"esse/internal/workflow"
 )
 
@@ -283,9 +282,8 @@ func TestOpenDAPPrestageFlow(t *testing.T) {
 // real-time run, the way cmd/esse-report does after an operational
 // cycle: the exported Chrome trace must rebuild into a span tree where
 // every member and phase span parent-chains to its cycle root under a
-// single seed-derived trace identity, that identity must survive a
-// wire round trip bit-for-bit, and the forensic digest must recover a
-// non-empty critical path for every cycle.
+// single seed-derived trace identity, and the forensic digest must
+// recover a non-empty critical path for every cycle.
 func TestCausalTraceForensics(t *testing.T) {
 	const seed = 42
 	tel := telemetry.New()
@@ -339,30 +337,6 @@ func TestCausalTraceForensics(t *testing.T) {
 	}
 	if phases == 0 {
 		t.Fatal("no phase spans in the trace")
-	}
-
-	// Wire propagation: the cycle root's identity rides a Task across
-	// an encode/decode round trip unchanged.
-	root := tree.Roots[0]
-	task := &wire.Task{
-		ID:      "t-trace",
-		Kind:    wire.KindForecast,
-		Member:  1,
-		Seed:    seed,
-		Dt:      0.5,
-		Horizon: 3600,
-		Trace:   wire.TraceContext{TraceID: root.TraceID, SpanID: root.SpanID},
-	}
-	var wbuf bytes.Buffer
-	if err := wire.EncodeTask(&wbuf, task); err != nil {
-		t.Fatal(err)
-	}
-	var got wire.Task
-	if err := wire.DecodeTask(&wbuf, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Trace.TraceID != wantTrace || got.Trace != task.Trace {
-		t.Fatalf("trace context changed on the wire: %+v != %+v", got.Trace, task.Trace)
 	}
 
 	// Forensics digest: every cycle recovers a non-empty critical path

@@ -14,11 +14,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 
 	"esse/internal/telemetry"
-	"esse/internal/wire"
 )
 
 // chromeEvent is the decode-side view of one trace event.
@@ -104,10 +104,10 @@ func ParseTrace(r io.Reader) (*Tree, error) {
 		}
 		// A trace with non-finite timestamps cannot be digested (and
 		// could not be re-encoded); reject it rather than propagate.
-		if err := wire.CheckFinite("ts", e.Ts); err != nil {
+		if err := checkFinite("ts", e.Ts); err != nil {
 			return nil, fmt.Errorf("forensics: span %s: %w", e.Args.SpanID, err)
 		}
-		if err := wire.CheckFinite("dur", e.Dur); err != nil {
+		if err := checkFinite("dur", e.Dur); err != nil {
 			return nil, fmt.Errorf("forensics: span %s: %w", e.Args.SpanID, err)
 		}
 		sp := &Span{
@@ -379,30 +379,38 @@ func counterTotals(exp *telemetry.Exposition) map[string]float64 {
 	return out
 }
 
-// Validate checks every numeric field of the digest is finite — the
-// same encode-path guard wire payloads use; json.Marshal fails on
-// NaN/Inf, so WriteDigest runs this first to fail with a named field.
+// checkFinite returns an error naming field when v is NaN or ±Inf.
+func checkFinite(field string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("field %s is not finite (%v)", field, v)
+	}
+	return nil
+}
+
+// Validate checks every numeric field of the digest is finite:
+// json.Marshal fails on NaN/Inf, so WriteDigest runs this first to fail
+// with a named field.
 func (d *Digest) Validate() error {
 	for _, c := range d.Cycles {
-		if err := wire.CheckFinite("start_ms", c.StartMS); err != nil {
+		if err := checkFinite("start_ms", c.StartMS); err != nil {
 			return fmt.Errorf("forensics: cycle %s: %w", c.Root, err)
 		}
-		if err := wire.CheckFinite("dur_ms", c.DurMS); err != nil {
+		if err := checkFinite("dur_ms", c.DurMS); err != nil {
 			return fmt.Errorf("forensics: cycle %s: %w", c.Root, err)
 		}
 		for _, p := range c.Phases {
-			if err := wire.CheckFinite("total_ms", p.TotalMS); err != nil {
+			if err := checkFinite("total_ms", p.TotalMS); err != nil {
 				return fmt.Errorf("forensics: phase %s/%s: %w", p.Cat, p.Name, err)
 			}
-			if err := wire.CheckFinite("max_ms", p.MaxMS); err != nil {
+			if err := checkFinite("max_ms", p.MaxMS); err != nil {
 				return fmt.Errorf("forensics: phase %s/%s: %w", p.Cat, p.Name, err)
 			}
 		}
 		for _, s := range c.CriticalPath {
-			if err := wire.CheckFinite("start_ms", s.StartMS); err != nil {
+			if err := checkFinite("start_ms", s.StartMS); err != nil {
 				return fmt.Errorf("forensics: path step %s: %w", s.Name, err)
 			}
-			if err := wire.CheckFinite("dur_ms", s.DurMS); err != nil {
+			if err := checkFinite("dur_ms", s.DurMS); err != nil {
 				return fmt.Errorf("forensics: path step %s: %w", s.Name, err)
 			}
 		}

@@ -2,6 +2,7 @@ package forensics
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -213,6 +214,17 @@ func TestDigestRoundTrip(t *testing.T) {
 	}
 	if back.Cycles[0].CriticalPath[0].SpanID != d.Cycles[0].CriticalPath[0].SpanID {
 		t.Fatal("critical path lost in round trip")
+	}
+}
+
+func TestCheckFinite(t *testing.T) {
+	if err := checkFinite("dur_ms", 1.5); err != nil {
+		t.Fatalf("finite value rejected: %v", err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := checkFinite("dur_ms", v); err == nil || !strings.Contains(err.Error(), "dur_ms") {
+			t.Fatalf("checkFinite(%v) = %v, want an error naming the field", v, err)
+		}
 	}
 }
 

@@ -10,8 +10,7 @@
 // the member's exit code, plus (optionally) the member's forecast state,
 // checksummed. This is what makes an interrupted ESSE run restartable
 // "without rerunning all jobs" — completed indices are detected and
-// their results reloaded — and what the master script's kill-signal
-// handler cleans up.
+// their results reloaded.
 package jobdir
 
 import (
@@ -148,24 +147,6 @@ func (t *Tracker) Completed() (successes, failures []int, err error) {
 	sort.Ints(successes)
 	sort.Ints(failures)
 	return successes, failures, nil
-}
-
-// Cleanup removes every tracking file — the master script's SIGTERM
-// handler behaviour ("catches the kill signal and proceeds to cancel all
-// pending jobs and do some cleanup").
-func (t *Tracker) Cleanup() error {
-	entries, err := os.ReadDir(t.dir)
-	if err != nil {
-		return fmt.Errorf("jobdir: %w", err)
-	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "member_") {
-			if err := os.Remove(filepath.Join(t.dir, e.Name())); err != nil {
-				return fmt.Errorf("jobdir: %w", err)
-			}
-		}
-	}
-	return nil
 }
 
 var stateCRC = crc64.MakeTable(crc64.ISO)

@@ -89,19 +89,6 @@ func TestResetForcesRerun(t *testing.T) {
 	}
 }
 
-func TestCleanupRemovesEverything(t *testing.T) {
-	tr, _ := Open(t.TempDir())
-	_ = tr.Complete(1, 0)
-	_ = tr.SaveState(1, []float64{1})
-	if err := tr.Cleanup(); err != nil {
-		t.Fatal(err)
-	}
-	ok, bad, _ := tr.Completed()
-	if len(ok)+len(bad) != 0 {
-		t.Fatal("Cleanup left tracking files behind")
-	}
-}
-
 func TestStateRoundTrip(t *testing.T) {
 	tr, _ := Open(t.TempDir())
 	want := []float64{1.5, -2.25, 3.125, 0}
@@ -342,13 +329,6 @@ func TestCompletedIgnoresForeignFiles(t *testing.T) {
 	}
 	if len(ok) != 1 || len(bad) != 0 {
 		t.Fatalf("foreign files leaked into scan: ok=%v bad=%v", ok, bad)
-	}
-	// Cleanup removes member_ files but leaves everything else.
-	if err := tr.Cleanup(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(tr.Dir() + "/README"); err != nil {
-		t.Fatal("Cleanup removed a non-tracking file")
 	}
 }
 

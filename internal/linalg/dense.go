@@ -108,14 +108,6 @@ func (m *Dense) Clone() *Dense {
 	return &Dense{Rows: m.Rows, Cols: m.Cols, Data: d}
 }
 
-// CopyFrom copies src into m; shapes must match.
-func (m *Dense) CopyFrom(src *Dense) {
-	if m.Rows != src.Rows || m.Cols != src.Cols {
-		panic("linalg: CopyFrom shape mismatch")
-	}
-	copy(m.Data, src.Data)
-}
-
 // T returns the transpose as a new matrix.
 func (m *Dense) T() *Dense {
 	t := NewDense(m.Cols, m.Rows)
@@ -135,13 +127,6 @@ func (m *Dense) Zero() {
 	}
 }
 
-// Fill sets every element to v.
-func (m *Dense) Fill(v float64) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
 // Slice returns a copy of the submatrix rows [r0,r1) x cols [c0,c1).
 func (m *Dense) Slice(r0, r1, c0, c1 int) *Dense {
 	if r0 < 0 || r1 > m.Rows || c0 < 0 || c1 > m.Cols || r0 > r1 || c0 > c1 {
@@ -153,19 +138,6 @@ func (m *Dense) Slice(r0, r1, c0, c1 int) *Dense {
 		copy(s.Row(i-r0), m.Row(i)[c0:c1])
 	}
 	return s
-}
-
-// AppendCols returns [m | b] as a new matrix.
-func (m *Dense) AppendCols(b *Dense) *Dense {
-	if m.Rows != b.Rows {
-		panic(fmt.Sprintf("linalg: AppendCols row mismatch: %d vs %d", m.Rows, b.Rows))
-	}
-	out := NewDense(m.Rows, m.Cols+b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		copy(out.Row(i)[:m.Cols], m.Row(i))
-		copy(out.Row(i)[m.Cols:], b.Row(i))
-	}
-	return out
 }
 
 // MaxAbs returns the largest absolute element value.

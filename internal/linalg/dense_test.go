@@ -131,16 +131,6 @@ func TestSlice(t *testing.T) {
 	}
 }
 
-func TestAppendCols(t *testing.T) {
-	a := NewDenseFrom(2, 2, []float64{1, 2, 3, 4})
-	b := NewDenseFrom(2, 1, []float64{5, 6})
-	ab := a.AppendCols(b)
-	want := NewDenseFrom(2, 3, []float64{1, 2, 5, 3, 4, 6})
-	if !ab.EqualApprox(want, 0) {
-		t.Fatalf("AppendCols = %v", ab)
-	}
-}
-
 func TestTraceAndNorms(t *testing.T) {
 	m := NewDenseFrom(2, 2, []float64{3, 0, 0, -4})
 	if m.Trace() != -1 {
@@ -170,14 +160,13 @@ func TestIsFinite(t *testing.T) {
 }
 
 func TestFillZero(t *testing.T) {
-	m := NewDense(3, 3)
-	m.Fill(2.5)
+	m := NewDenseFrom(2, 2, []float64{1, 2, 3, 4})
+	m.Zero()
 	for _, v := range m.Data {
-		if v != 2.5 {
-			t.Fatal("Fill failed")
+		if v != 0 {
+			t.Fatal("Zero failed")
 		}
 	}
-	m.Zero()
 	for _, v := range m.Data {
 		if v != 0 {
 			t.Fatal("Zero failed")
@@ -242,8 +231,4 @@ func TestSliceRejectsBadBounds(t *testing.T) {
 	wantPanic(t, "Slice", func() { m.Slice(0, 4, 0, 4) })
 	wantPanic(t, "Slice", func() { m.Slice(2, 1, 0, 3) })
 	wantPanic(t, "Slice", func() { m.Slice(0, 4, 2, 1) })
-}
-
-func TestAppendColsRejectsRowMismatch(t *testing.T) {
-	wantPanic(t, "AppendCols", func() { NewDense(3, 2).AppendCols(NewDense(4, 2)) })
 }

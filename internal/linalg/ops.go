@@ -20,16 +20,6 @@ func Add(a, b *Dense) *Dense {
 	return out
 }
 
-// Sub returns a - b.
-func Sub(a, b *Dense) *Dense {
-	checkSameShape(a, b, "Sub")
-	out := NewDense(a.Rows, a.Cols)
-	for i, v := range a.Data {
-		out.Data[i] = v - b.Data[i]
-	}
-	return out
-}
-
 // AddInPlace accumulates b into a.
 func AddInPlace(a, b *Dense) {
 	checkSameShape(a, b, "AddInPlace")
@@ -223,19 +213,6 @@ func Norm2(x []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// Axpy computes y += alpha*x.
-func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: Axpy length mismatch")
-	}
-	if alpha == 0 {
-		return
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
 // VecSub returns x - y as a new slice.
 func VecSub(x, y []float64) []float64 {
 	if len(x) != len(y) {
@@ -256,15 +233,6 @@ func VecAdd(x, y []float64) []float64 {
 	out := make([]float64, len(x))
 	for i, v := range x {
 		out[i] = v + y[i]
-	}
-	return out
-}
-
-// VecScale returns s*x as a new slice.
-func VecScale(s float64, x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = s * v
 	}
 	return out
 }

@@ -89,35 +89,8 @@ func QR(a *Dense) *QRFactors {
 	return &QRFactors{Q: q, R: rOut}
 }
 
-// SolveUpperTri solves R x = b for upper-triangular R.
-func SolveUpperTri(r *Dense, b []float64) []float64 {
-	n := r.Rows
-	if r.Cols != n || len(b) != n {
-		panic("linalg: SolveUpperTri dimension mismatch")
-	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		row := r.Row(i)
-		for j := i + 1; j < n; j++ {
-			s -= row[j] * x[j]
-		}
-		d := row[i]
-		if d == 0 {
-			panic("linalg: SolveUpperTri singular matrix")
-		}
-		x[i] = s / d
-	}
-	return x
-}
-
-// SolveLowerTri solves L x = b for lower-triangular L.
-func SolveLowerTri(l *Dense, b []float64) []float64 {
-	return solveLowerTriInto(make([]float64, l.Rows), l, b)
-}
-
-// solveLowerTriInto is SolveLowerTri into a caller-supplied x (len n,
-// not aliasing b); it allocates nothing.
+// solveLowerTriInto solves L x = b for lower-triangular L into a
+// caller-supplied x (len n, not aliasing b); it allocates nothing.
 func solveLowerTriInto(x []float64, l *Dense, b []float64) []float64 {
 	n := l.Rows
 	if l.Cols != n || len(b) != n || len(x) != n {
@@ -136,16 +109,6 @@ func solveLowerTriInto(x []float64, l *Dense, b []float64) []float64 {
 		x[i] = s / d
 	}
 	return x
-}
-
-// LeastSquares solves min ||A x - b||₂ via QR (m >= n).
-func LeastSquares(a *Dense, b []float64) []float64 {
-	if a.Rows != len(b) {
-		panic("linalg: LeastSquares dimension mismatch")
-	}
-	f := QR(a)
-	qtb := MatTVec(f.Q, b)
-	return SolveUpperTri(f.R, qtb)
 }
 
 // Cholesky computes the lower-triangular factor L with A = L Lᵀ for a
@@ -180,24 +143,9 @@ func Cholesky(a *Dense) (l *Dense, ok bool) {
 	return l, true
 }
 
-// SolveSPD solves A x = b for symmetric positive-definite A via Cholesky.
-func SolveSPD(a *Dense, b []float64) ([]float64, bool) {
-	l, ok := Cholesky(a)
-	if !ok {
-		return nil, false
-	}
-	y := SolveLowerTri(l, b)
-	return solveCholeskyT(l, y), true
-}
-
-// solveCholeskyT solves Lᵀ x = y without forming the transpose. l must
-// be a factor returned by a successful Cholesky call.
-func solveCholeskyT(l *Dense, y []float64) []float64 {
-	return solveCholeskyTInto(make([]float64, l.Rows), l, y)
-}
-
-// solveCholeskyTInto is solveCholeskyT into a caller-supplied x (len
-// n, not aliasing y); it allocates nothing.
+// solveCholeskyTInto solves Lᵀ x = y without forming the transpose,
+// into a caller-supplied x (len n, not aliasing y); it allocates
+// nothing. l must be a factor returned by a successful Cholesky call.
 func solveCholeskyTInto(x []float64, l *Dense, y []float64) []float64 {
 	n := l.Rows
 	for i := n - 1; i >= 0; i-- {

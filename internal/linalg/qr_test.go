@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -58,49 +57,6 @@ func TestQRProperty(t *testing.T) {
 	}
 }
 
-func TestSolveUpperTri(t *testing.T) {
-	r := NewDenseFrom(3, 3, []float64{2, 1, -1, 0, 3, 2, 0, 0, 4})
-	x := SolveUpperTri(r, []float64{1, 13, 8})
-	// Back-check.
-	b := MatVec(r, x)
-	if math.Abs(b[0]-1) > 1e-12 || math.Abs(b[1]-13) > 1e-12 || math.Abs(b[2]-8) > 1e-12 {
-		t.Fatalf("SolveUpperTri residual: %v", b)
-	}
-}
-
-func TestSolveLowerTri(t *testing.T) {
-	l := NewDenseFrom(2, 2, []float64{2, 0, 1, 3})
-	x := SolveLowerTri(l, []float64{4, 7})
-	if math.Abs(x[0]-2) > 1e-12 || math.Abs(x[1]-5.0/3) > 1e-12 {
-		t.Fatalf("SolveLowerTri = %v", x)
-	}
-}
-
-func TestLeastSquaresExact(t *testing.T) {
-	// Square nonsingular system: least squares must solve it exactly.
-	a := NewDenseFrom(2, 2, []float64{1, 2, 3, 4})
-	x := LeastSquares(a, []float64{5, 11})
-	if math.Abs(x[0]-1) > 1e-10 || math.Abs(x[1]-2) > 1e-10 {
-		t.Fatalf("LeastSquares = %v, want [1 2]", x)
-	}
-}
-
-func TestLeastSquaresOverdetermined(t *testing.T) {
-	// Fit y = 2x + 1 through noisy-free points: exact recovery expected.
-	xs := []float64{0, 1, 2, 3, 4}
-	a := NewDense(5, 2)
-	b := make([]float64, 5)
-	for i, x := range xs {
-		a.Set(i, 0, x)
-		a.Set(i, 1, 1)
-		b[i] = 2*x + 1
-	}
-	coef := LeastSquares(a, b)
-	if math.Abs(coef[0]-2) > 1e-10 || math.Abs(coef[1]-1) > 1e-10 {
-		t.Fatalf("LeastSquares fit = %v, want [2 1]", coef)
-	}
-}
-
 func TestCholeskyReconstruction(t *testing.T) {
 	s := rng.New(14)
 	// Build SPD matrix A = BᵀB + I.
@@ -120,22 +76,6 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := NewDenseFrom(2, 2, []float64{1, 2, 2, 1}) // eigenvalues 3, -1
 	if _, ok := Cholesky(a); ok {
 		t.Fatal("Cholesky accepted an indefinite matrix")
-	}
-}
-
-func TestSolveSPD(t *testing.T) {
-	s := rng.New(15)
-	b := randomDense(s, 5, 5)
-	a := MulTA(b, b)
-	AddInPlace(a, Identity(5))
-	rhs := []float64{1, 2, 3, 4, 5}
-	x, ok := SolveSPD(a, rhs)
-	if !ok {
-		t.Fatal("SolveSPD failed")
-	}
-	res := VecSub(MatVec(a, x), rhs)
-	if Norm2(res) > 1e-9 {
-		t.Fatalf("SolveSPD residual %v", Norm2(res))
 	}
 }
 

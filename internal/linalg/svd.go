@@ -204,34 +204,6 @@ func LeftVectors(a, v *Dense, s []float64) *Dense {
 	return u
 }
 
-// Rank returns the numerical rank implied by the singular values at the
-// given relative tolerance.
-func (f *SVDFactors) Rank(relTol float64) int {
-	if len(f.S) == 0 {
-		return 0
-	}
-	thresh := relTol * f.S[0]
-	r := 0
-	for _, s := range f.S {
-		if s > thresh {
-			r++
-		}
-	}
-	return r
-}
-
-// Truncate returns a copy keeping only the first k triplets.
-func (f *SVDFactors) Truncate(k int) *SVDFactors {
-	if k >= len(f.S) {
-		return f
-	}
-	u := f.U.Slice(0, f.U.Rows, 0, k)
-	v := f.V.Slice(0, f.V.Rows, 0, k)
-	s := make([]float64, k)
-	copy(s, f.S[:k])
-	return &SVDFactors{U: u, S: s, V: v}
-}
-
 // Reconstruct returns U diag(S) Vᵀ (mainly for testing).
 func (f *SVDFactors) Reconstruct() *Dense {
 	k := len(f.S)

@@ -208,27 +208,6 @@ func TestThinSVDGramTruncation(t *testing.T) {
 	}
 }
 
-func TestSVDRank(t *testing.T) {
-	// Build an exactly rank-2 matrix.
-	s := rng.New(32)
-	u := randomDense(s, 10, 2)
-	v := randomDense(s, 6, 2)
-	a := MulBT(u, v)
-	f := SVD(a)
-	if r := f.Rank(1e-10); r != 2 {
-		t.Fatalf("Rank = %d, want 2 (σ = %v)", r, f.S)
-	}
-}
-
-func TestSVDTruncate(t *testing.T) {
-	s := rng.New(33)
-	a := randomDense(s, 8, 6)
-	f := SVD(a).Truncate(3)
-	if len(f.S) != 3 || f.U.Cols != 3 || f.V.Cols != 3 {
-		t.Fatal("Truncate shapes wrong")
-	}
-}
-
 func TestSVDZeroMatrix(t *testing.T) {
 	a := NewDense(5, 3)
 	f := SVD(a)

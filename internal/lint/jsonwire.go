@@ -25,8 +25,8 @@ import (
 //     at runtime on non-finite values, and ESSE state (variances,
 //     condition numbers, timing ratios) is exactly where they appear.
 //     A finite check anywhere in the tree (math.IsNaN/IsInf on the
-//     field, directly or through a checker like wire.Finite) blesses
-//     the field — see Program.FiniteFields;
+//     field, directly or through a function that feeds its parameter
+//     to them) blesses the field — see Program.FiniteFields;
 //   - encode/decode asymmetry: an exported wire type in a non-cmd
 //     package marshalled somewhere but never unmarshalled anywhere in
 //     the tree (or vice versa) has no in-repo proof its wire form is
@@ -165,7 +165,7 @@ func checkWireFields(pass *Pass, typeName, typeKey string, st *ast.StructType) {
 			if b, ok := ft.Underlying().(*types.Basic); ok && b.Info()&types.IsFloat != 0 {
 				if !pass.Prog.FiniteFields[typeKey+"."+name.Name] {
 					pass.Reportf(name.Pos(),
-						"float field %s of wire type %s is not provably NaN/Inf-free: json.Marshal fails at runtime on non-finite values; guard it on the encode path with math.IsNaN/IsInf (e.g. wire.Finite)",
+						"float field %s of wire type %s is not provably NaN/Inf-free: json.Marshal fails at runtime on non-finite values; guard it on the encode path with math.IsNaN/IsInf",
 						name.Name, typeName)
 				}
 			}

@@ -1,7 +1,7 @@
-// Package metrics provides the skill and uncertainty diagnostics used to
-// evaluate ESSE runs (RMSE against truth, ensemble field statistics) and
-// the field renderers that regenerate the paper's uncertainty maps
-// (Figs. 5 and 6) as ASCII art and portable graymap (PGM) images.
+// Package metrics provides the ensemble field statistics used to
+// evaluate ESSE runs and the field renderers that regenerate the
+// paper's uncertainty maps (Figs. 5 and 6) as ASCII art and portable
+// graymap (PGM) images.
 package metrics
 
 import (
@@ -9,37 +9,6 @@ import (
 	"math"
 	"strings"
 )
-
-// RMSE returns the root-mean-square difference between two vectors.
-func RMSE(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("metrics: RMSE length mismatch")
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i, v := range a {
-		d := v - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(a)))
-}
-
-// MAE returns the mean absolute error.
-func MAE(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("metrics: MAE length mismatch")
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i, v := range a {
-		s += math.Abs(v - b[i])
-	}
-	return s / float64(len(a))
-}
 
 // FieldStats summarizes a scalar field.
 type FieldStats struct {
@@ -133,33 +102,4 @@ func RenderPGM(field []float64, nx, ny int) []byte {
 		b.WriteByte('\n')
 	}
 	return []byte(b.String())
-}
-
-// SqrtField returns element-wise sqrt of a (variance) field, clipping
-// small negatives from round-off.
-func SqrtField(v []float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		if x < 0 {
-			x = 0
-		}
-		out[i] = math.Sqrt(x)
-	}
-	return out
-}
-
-// Correlation returns the Pearson correlation of two fields.
-func Correlation(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) == 0 {
-		panic("metrics: Correlation needs equal, non-empty fields")
-	}
-	sa, sb := Stats(a), Stats(b)
-	if sa.Std == 0 || sb.Std == 0 {
-		return 0
-	}
-	s := 0.0
-	for i := range a {
-		s += (a[i] - sa.Mean) * (b[i] - sb.Mean)
-	}
-	return s / float64(len(a)) / (sa.Std * sb.Std)
 }

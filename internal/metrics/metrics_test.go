@@ -4,57 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestRMSEKnown(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{1, 2, 3}
-	if RMSE(a, b) != 0 {
-		t.Fatal("identical vectors must have zero RMSE")
-	}
-	c := []float64{2, 3, 4}
-	if got := RMSE(a, c); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("RMSE = %v, want 1", got)
-	}
-}
-
-func TestRMSEEmptyAndMismatch(t *testing.T) {
-	if RMSE(nil, nil) != 0 {
-		t.Fatal("empty RMSE should be 0")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch must panic")
-		}
-	}()
-	RMSE([]float64{1}, []float64{1, 2})
-}
-
-func TestMAE(t *testing.T) {
-	a := []float64{0, 0}
-	b := []float64{3, -1}
-	if got := MAE(a, b); got != 2 {
-		t.Fatalf("MAE = %v, want 2", got)
-	}
-}
-
-func TestRMSEAtLeastMAEProperty(t *testing.T) {
-	if err := quick.Check(func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		zero := make([]float64, len(raw))
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e100 {
-				return true
-			}
-		}
-		return RMSE(raw, zero) >= MAE(raw, zero)-1e-12
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestStats(t *testing.T) {
 	st := Stats([]float64{1, 2, 3, 4})
@@ -110,28 +60,5 @@ func TestRenderPGMHeader(t *testing.T) {
 	}
 	if !strings.Contains(img, "255") || !strings.Contains(img, "0") {
 		t.Fatal("PGM must span full gray range")
-	}
-}
-
-func TestSqrtField(t *testing.T) {
-	out := SqrtField([]float64{4, 9, -1e-15})
-	if out[0] != 2 || out[1] != 3 || out[2] != 0 {
-		t.Fatalf("SqrtField = %v", out)
-	}
-}
-
-func TestCorrelation(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	b := []float64{2, 4, 6, 8}
-	if got := Correlation(a, b); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("perfect correlation = %v", got)
-	}
-	c := []float64{4, 3, 2, 1}
-	if got := Correlation(a, c); math.Abs(got+1) > 1e-12 {
-		t.Fatalf("perfect anticorrelation = %v", got)
-	}
-	flat := []float64{1, 1, 1, 1}
-	if got := Correlation(a, flat); got != 0 {
-		t.Fatalf("correlation with constant = %v", got)
 	}
 }

@@ -11,13 +11,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
 	"time"
 
 	"esse/internal/telemetry"
-	"esse/internal/wire"
 	"esse/internal/workflow"
 )
 
@@ -131,7 +131,7 @@ func (m *Monitor) HandlerWith(tel *telemetry.Telemetry) http.Handler {
 
 // finiteOr returns v, or fallback when v is NaN/±Inf.
 func finiteOr(v, fallback float64) float64 {
-	if !wire.Finite(v) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return fallback
 	}
 	return v

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -136,6 +137,17 @@ func TestStatusEndpoints(t *testing.T) {
 	}
 	if len(hist) == 0 {
 		t.Fatal("empty history endpoint")
+	}
+}
+
+func TestFiniteOr(t *testing.T) {
+	if got := finiteOr(0.75, 0); got != 0.75 {
+		t.Fatalf("finiteOr(0.75, 0) = %v", got)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got := finiteOr(v, 0); got != 0 {
+			t.Fatalf("finiteOr(%v, 0) = %v, want the fallback", v, got)
+		}
 	}
 }
 

@@ -1,27 +1,16 @@
-// Package ncdf is a minimal self-describing gridded-array file format —
+// Package ncdf is a minimal self-describing gridded-array dataset —
 // the stdlib stand-in for NetCDF, which the paper's infrastructure uses
 // for all model inputs and outputs ("the shared input files can be read
 // remotely from OpenDAP servers ... using the NetCDF-OpenDAP library").
 //
 // A File holds named dimensions, attributed variables over those
-// dimensions, and float64 data. The binary encoding is checksummed, and
-// variables support strided hyperslab subsetting — the operation the
-// OpenDAP constraint system (internal/opendap) exposes over HTTP.
+// dimensions, and float64 data, in memory only: opendap serves it and
+// nothing reads or writes a file form. Variables support strided
+// hyperslab subsetting — the operation the OpenDAP constraint system
+// (internal/opendap) exposes over HTTP.
 package ncdf
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"hash/crc64"
-	"io"
-	"math"
-	"sort"
-)
-
-const magic = "NCDFGO1\n"
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
+import "fmt"
 
 // Dimension is a named axis length.
 type Dimension struct {
@@ -181,230 +170,4 @@ func (f *File) DDS(name string) string {
 	}
 	out += fmt.Sprintf("} %s;\n", name)
 	return out
-}
-
-// --- binary encoding --------------------------------------------------------
-
-// Write serializes the file with a trailing checksum.
-func Write(w io.Writer, f *File) error {
-	bw := bufio.NewWriter(w)
-	h := crc64.New(crcTable)
-	mw := io.MultiWriter(bw, h)
-
-	if _, err := mw.Write([]byte(magic)); err != nil {
-		return err
-	}
-	writeStr := func(s string) error {
-		if err := binary.Write(mw, binary.LittleEndian, int64(len(s))); err != nil {
-			return err
-		}
-		_, err := mw.Write([]byte(s))
-		return err
-	}
-	writeAttrs := func(attrs map[string]string) error {
-		keys := make([]string, 0, len(attrs))
-		for k := range attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		if err := binary.Write(mw, binary.LittleEndian, int64(len(keys))); err != nil {
-			return err
-		}
-		for _, k := range keys {
-			if err := writeStr(k); err != nil {
-				return err
-			}
-			if err := writeStr(attrs[k]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	if err := writeAttrs(f.Attrs); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.LittleEndian, int64(len(f.Dims))); err != nil {
-		return err
-	}
-	for _, d := range f.Dims {
-		if err := writeStr(d.Name); err != nil {
-			return err
-		}
-		if err := binary.Write(mw, binary.LittleEndian, int64(d.Len)); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(mw, binary.LittleEndian, int64(len(f.Vars))); err != nil {
-		return err
-	}
-	for _, v := range f.Vars {
-		if err := writeStr(v.Name); err != nil {
-			return err
-		}
-		if err := binary.Write(mw, binary.LittleEndian, int64(len(v.Dims))); err != nil {
-			return err
-		}
-		for _, dn := range v.Dims {
-			if err := writeStr(dn); err != nil {
-				return err
-			}
-		}
-		if err := writeAttrs(v.Attrs); err != nil {
-			return err
-		}
-		if err := binary.Write(mw, binary.LittleEndian, int64(len(v.Data))); err != nil {
-			return err
-		}
-		if err := binary.Write(mw, binary.LittleEndian, v.Data); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, h.Sum64()); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// Read parses a serialized file, verifying the checksum.
-func Read(r io.Reader) (*File, error) {
-	br := bufio.NewReader(r)
-	h := crc64.New(crcTable)
-	tr := io.TeeReader(br, h)
-
-	mg := make([]byte, len(magic))
-	if _, err := io.ReadFull(tr, mg); err != nil {
-		return nil, fmt.Errorf("ncdf: %w", err)
-	}
-	if string(mg) != magic {
-		return nil, fmt.Errorf("ncdf: bad magic %q", mg)
-	}
-	readI64 := func() (int64, error) {
-		var v int64
-		err := binary.Read(tr, binary.LittleEndian, &v)
-		return v, err
-	}
-	readStr := func() (string, error) {
-		n, err := readI64()
-		if err != nil {
-			return "", err
-		}
-		if n < 0 || n > 1<<20 {
-			return "", fmt.Errorf("ncdf: implausible string length %d", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(tr, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	readAttrs := func() (map[string]string, error) {
-		n, err := readI64()
-		if err != nil {
-			return nil, err
-		}
-		if n < 0 || n > 1<<16 {
-			return nil, fmt.Errorf("ncdf: implausible attribute count %d", n)
-		}
-		attrs := make(map[string]string, n)
-		for i := int64(0); i < n; i++ {
-			k, err := readStr()
-			if err != nil {
-				return nil, err
-			}
-			v, err := readStr()
-			if err != nil {
-				return nil, err
-			}
-			attrs[k] = v
-		}
-		return attrs, nil
-	}
-
-	f := New()
-	var err error
-	if f.Attrs, err = readAttrs(); err != nil {
-		return nil, fmt.Errorf("ncdf: %w", err)
-	}
-	nDims, err := readI64()
-	if err != nil {
-		return nil, fmt.Errorf("ncdf: %w", err)
-	}
-	if nDims < 0 || nDims > 1<<16 {
-		return nil, fmt.Errorf("ncdf: implausible dimension count %d", nDims)
-	}
-	for i := int64(0); i < nDims; i++ {
-		name, err := readStr()
-		if err != nil {
-			return nil, fmt.Errorf("ncdf: %w", err)
-		}
-		l, err := readI64()
-		if err != nil {
-			return nil, fmt.Errorf("ncdf: %w", err)
-		}
-		if err := f.AddDim(name, int(l)); err != nil {
-			return nil, err
-		}
-	}
-	nVars, err := readI64()
-	if err != nil {
-		return nil, fmt.Errorf("ncdf: %w", err)
-	}
-	if nVars < 0 || nVars > 1<<16 {
-		return nil, fmt.Errorf("ncdf: implausible variable count %d", nVars)
-	}
-	for i := int64(0); i < nVars; i++ {
-		name, err := readStr()
-		if err != nil {
-			return nil, fmt.Errorf("ncdf: %w", err)
-		}
-		nd, err := readI64()
-		if err != nil {
-			return nil, fmt.Errorf("ncdf: %w", err)
-		}
-		if nd < 0 || nd > 16 {
-			return nil, fmt.Errorf("ncdf: implausible rank %d", nd)
-		}
-		dims := make([]string, nd)
-		for j := range dims {
-			if dims[j], err = readStr(); err != nil {
-				return nil, fmt.Errorf("ncdf: %w", err)
-			}
-		}
-		attrs, err := readAttrs()
-		if err != nil {
-			return nil, fmt.Errorf("ncdf: %w", err)
-		}
-		nData, err := readI64()
-		if err != nil {
-			return nil, fmt.Errorf("ncdf: %w", err)
-		}
-		if nData < 0 || nData > 1<<32 {
-			return nil, fmt.Errorf("ncdf: implausible data length %d", nData)
-		}
-		data := make([]float64, nData)
-		if err := binary.Read(tr, binary.LittleEndian, data); err != nil {
-			return nil, fmt.Errorf("ncdf: %w", err)
-		}
-		if err := f.AddVar(name, dims, attrs, data); err != nil {
-			return nil, err
-		}
-	}
-	want := h.Sum64()
-	var sum uint64
-	if err := binary.Read(br, binary.LittleEndian, &sum); err != nil {
-		return nil, fmt.Errorf("ncdf: %w", err)
-	}
-	if sum != want {
-		return nil, fmt.Errorf("ncdf: checksum mismatch")
-	}
-	for _, v := range f.Vars {
-		for _, x := range v.Data {
-			if math.IsInf(x, 0) {
-				// NaN is legal (masked cells); infinities are not.
-				return nil, fmt.Errorf("ncdf: variable %q contains infinities", v.Name)
-			}
-		}
-	}
-	return f, nil
 }

@@ -315,13 +315,6 @@ func (m *Model) SetState(state []float64) {
 	copy(m.s, m.Layout.SliceByName(state, "S"))
 }
 
-// SST returns a copy of the surface temperature field.
-func (m *Model) SST() []float64 {
-	out := make([]float64, len(m.t[:m.Cfg.Grid.N2()]))
-	copy(out, m.t[:m.Cfg.Grid.N2()])
-	return out
-}
-
 // CFLNumber returns the gravity-wave CFL number c·dt/min(dx,dy); values
 // below ~0.7 are stable for the forward-backward scheme.
 func (m *Model) CFLNumber() float64 {
@@ -548,14 +541,6 @@ func (m *Model) Run(n int) {
 	}
 }
 
-// RunFor advances the model by the given duration in seconds (rounded to
-// whole steps) and returns the number of steps taken.
-func (m *Model) RunFor(seconds float64) int {
-	n := int(seconds / m.Cfg.Dt)
-	m.Run(n)
-	return n
-}
-
 // Energy returns the total (kinetic + potential) shallow-water energy,
 // a bounded diagnostic used by stability tests.
 func (m *Model) Energy() float64 {
@@ -566,19 +551,6 @@ func (m *Model) Energy() float64 {
 			0.5*physics.Gravity*m.eta[id]*m.eta[id]
 	}
 	return e * g.Dx * g.Dy
-}
-
-// MeanSST returns the domain-averaged surface temperature (°C).
-func (m *Model) MeanSST() float64 {
-	n2 := m.Cfg.Grid.N2()
-	if n2 == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range m.t[:n2] {
-		s += v
-	}
-	return s / float64(n2)
 }
 
 // Validate sanity-checks the configuration, returning an error describing

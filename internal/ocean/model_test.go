@@ -128,6 +128,9 @@ func TestStratification(t *testing.T) {
 	if surf <= bot {
 		t.Fatalf("no stratification: surface %v <= bottom %v", surf, bot)
 	}
+	if sst := surf / float64(g.N2()); sst < 8 || sst > 25 {
+		t.Fatalf("mean SST = %v, implausible for California coast", sst)
+	}
 }
 
 func TestClosedBoundaryVelocities(t *testing.T) {
@@ -159,29 +162,6 @@ func TestTimeAdvances(t *testing.T) {
 	want := 5 * m.Cfg.Dt
 	if math.Abs(m.Time()-want) > 1e-9 {
 		t.Fatalf("time = %v, want %v", m.Time(), want)
-	}
-	n := m.RunFor(10 * m.Cfg.Dt)
-	if n != 10 {
-		t.Fatalf("RunFor took %d steps, want 10", n)
-	}
-}
-
-func TestSSTCopy(t *testing.T) {
-	m := testModel(11)
-	sst := m.SST()
-	if len(sst) != m.Cfg.Grid.N2() {
-		t.Fatalf("SST length = %d", len(sst))
-	}
-	sst[0] = -999
-	if m.SST()[0] == -999 {
-		t.Fatal("SST must return a copy")
-	}
-}
-
-func TestMeanSSTPlausible(t *testing.T) {
-	m := testModel(12)
-	if sst := m.MeanSST(); sst < 8 || sst > 25 {
-		t.Fatalf("mean SST = %v, implausible for California coast", sst)
 	}
 }
 

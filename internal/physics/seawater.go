@@ -1,7 +1,6 @@
 // Package physics provides seawater physical relations used to couple
-// the ocean state to acoustics: sound speed (Mackenzie 1981), a
-// linearized equation of state for density, and Thorp's attenuation
-// formula for acoustic absorption.
+// the ocean state to acoustics: sound speed (Mackenzie 1981) and
+// Thorp's attenuation formula for acoustic absorption.
 package physics
 
 import "math"
@@ -22,27 +21,11 @@ func SoundSpeedMackenzie(t, s, d float64) float64 {
 		7.139e-13*t*d*d*d
 }
 
-// Reference state for the linearized equation of state.
-const (
-	RhoRef = 1025.0 // kg/m³
-	TRef   = 12.0   // °C
-	SRef   = 33.5   // psu
-	// AlphaT is the thermal expansion coefficient (1/°C).
-	AlphaT = 2.0e-4
-	// BetaS is the haline contraction coefficient (1/psu).
-	BetaS   = 7.6e-4
-	Gravity = 9.81 // m/s²
-)
+// Gravity is the gravitational acceleration (m/s²).
+const Gravity = 9.81
 
 // OmegaEarth is Earth's rotation rate (rad/s).
 const OmegaEarth = 7.2921e-5
-
-// Density returns seawater density (kg/m³) from a linearized equation of
-// state about the California-coast reference values above. Adequate for
-// the mesoscale dynamics window the paper targets.
-func Density(t, s float64) float64 {
-	return RhoRef * (1 - AlphaT*(t-TRef) + BetaS*(s-SRef))
-}
 
 // ThorpAttenuation returns the volume absorption coefficient in dB/km at
 // frequency f in kHz (Thorp 1967 with the low-frequency correction term).

@@ -45,24 +45,6 @@ func TestSoundSpeedIncreasesWithDepthAtFixedT(t *testing.T) {
 	}
 }
 
-func TestDensityReference(t *testing.T) {
-	if got := Density(TRef, SRef); math.Abs(got-RhoRef) > 1e-9 {
-		t.Fatalf("Density at reference = %v, want %v", got, RhoRef)
-	}
-}
-
-func TestDensityWarmerIsLighter(t *testing.T) {
-	if Density(20, SRef) >= Density(10, SRef) {
-		t.Fatal("warmer water must be lighter")
-	}
-}
-
-func TestDensitySaltierIsHeavier(t *testing.T) {
-	if Density(TRef, 35) <= Density(TRef, 33) {
-		t.Fatal("saltier water must be heavier")
-	}
-}
-
 func TestThorpAttenuationShape(t *testing.T) {
 	// Monotone increasing in frequency and positive.
 	prev := 0.0

@@ -59,17 +59,6 @@ func TestORNLPertPenaltyShape(t *testing.T) {
 	}
 }
 
-func TestMixedPoolImbalance(t *testing.T) {
-	spec := sched.ESSEJob()
-	imb := MixedPoolImbalance(TeragridSites(), spec)
-	if imb <= 1.3 {
-		t.Fatalf("imbalance = %v; disparate hosts must show uneven progress", imb)
-	}
-	if MixedPoolImbalance(nil, spec) != 1 {
-		t.Fatal("empty site list should be balanced")
-	}
-}
-
 func TestTable2Calibration(t *testing.T) {
 	spec := sched.ESSEJob()
 	want := map[string][3]float64{

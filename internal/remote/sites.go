@@ -64,29 +64,3 @@ func TeragridSites() []Site {
 		mk("local", "Opteron 250 2.4GHz", 6.21, 1531.33, 210),
 	}
 }
-
-// MixedPoolImbalance estimates how uneven ensemble progress becomes when
-// the workload is spread across sites with different speeds: it returns
-// the ratio of the slowest to fastest per-member turnaround ("pert 900
-// may very well finish well before number 700"). A ratio well above 1
-// means remote members complete far out of submission order, which is
-// why the workflow tracks per-member indices instead of assuming order.
-func MixedPoolImbalance(sites []Site, spec sched.JobSpec) float64 {
-	if len(sites) == 0 {
-		return 1
-	}
-	min, max := 0.0, 0.0
-	for i, s := range sites {
-		t := s.PertTime(spec) + s.ModelTime(spec)
-		if i == 0 || t < min {
-			min = t
-		}
-		if t > max {
-			max = t
-		}
-	}
-	if min == 0 {
-		return 1
-	}
-	return max / min
-}

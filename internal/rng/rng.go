@@ -121,11 +121,6 @@ func (s *Stream) Norm() float64 {
 	}
 }
 
-// NormScaled returns mean + stddev*Norm().
-func (s *Stream) NormScaled(mean, stddev float64) float64 {
-	return mean + stddev*s.Norm()
-}
-
 // NormVec fills dst with independent standard normal variates and
 // returns it. If dst is nil a new slice of length n is allocated.
 func (s *Stream) NormVec(dst []float64, n int) []float64 {
@@ -139,49 +134,7 @@ func (s *Stream) NormVec(dst []float64, n int) []float64 {
 	return dst
 }
 
-// UniformVec fills dst with uniform variates in [lo, hi).
-func (s *Stream) UniformVec(dst []float64, n int, lo, hi float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	w := hi - lo
-	for i := range dst {
-		dst[i] = lo + w*s.Float64()
-	}
-	return dst
-}
-
-// Exp returns an exponentially distributed variate with the given mean.
-func (s *Stream) Exp(mean float64) float64 {
-	for {
-		u := s.Float64()
-		if u > 0 {
-			return -mean * math.Log(u)
-		}
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Bool returns true with probability p.
 func (s *Stream) Bool(p float64) bool {
 	return s.Float64() < p
-}
-
-// LogNormal returns a log-normal variate with the given parameters of the
-// underlying normal (mu, sigma).
-func (s *Stream) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*s.Norm())
 }

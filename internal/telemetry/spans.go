@@ -67,9 +67,6 @@ func (s Span) Context() SpanContext {
 	return SpanContext{Trace: s.trace, Span: s.span}
 }
 
-// Lane returns the Chrome tid the span renders on (0 for a zero Span).
-func (s Span) Lane() int64 { return s.lane }
-
 // NewTracer returns an empty tracer whose clock starts now. Its trace
 // identity defaults to DeriveTraceID(0); runs that want a seed-stable
 // identity call SetTraceID before the first span.

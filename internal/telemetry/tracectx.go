@@ -14,10 +14,7 @@ import (
 // scheduler, but parent/child edges do not).
 //
 // The wire form is W3C-traceparent-shaped: lowercase hex, 32 digits of
-// trace ID, 16 of span ID, all-zero invalid. wire.TraceContext carries
-// the same hex strings across process boundaries; SpanContextFromHex
-// and SpanContext.TraceHex/SpanHex convert without either package
-// importing the other.
+// trace ID, 16 of span ID, all-zero invalid.
 
 // TraceID is a 128-bit run identity. The zero value means "no trace".
 type TraceID struct{ Hi, Lo uint64 }
@@ -54,9 +51,7 @@ type SpanContext struct {
 // IsZero reports whether the context carries no span identity.
 func (sc SpanContext) IsZero() bool { return sc.Trace.IsZero() && sc.Span == 0 }
 
-// TraceHex and SpanHex render the wire (hex-string) form used by
-// wire.TraceContext. Zero IDs render as "" so legacy payloads stay
-// byte-identical.
+// TraceHex renders the trace ID as 32 hex digits, or "" when zero.
 func (sc SpanContext) TraceHex() string {
 	if sc.Trace.IsZero() {
 		return ""
@@ -70,35 +65,6 @@ func (sc SpanContext) SpanHex() string {
 		return ""
 	}
 	return sc.Span.String()
-}
-
-// SpanContextFromHex parses the wire (hex-string) form. Empty strings
-// yield the corresponding zero component; malformed hex returns
-// ok=false. A context with only one half set is accepted here — wire
-// validation decides whether that is legal for a given payload.
-func SpanContextFromHex(traceID, spanID string) (sc SpanContext, ok bool) {
-	if traceID != "" {
-		if len(traceID) != 32 {
-			return SpanContext{}, false
-		}
-		hi, ok1 := parseHex(traceID[:16])
-		lo, ok2 := parseHex(traceID[16:])
-		if !ok1 || !ok2 {
-			return SpanContext{}, false
-		}
-		sc.Trace = TraceID{Hi: hi, Lo: lo}
-	}
-	if spanID != "" {
-		if len(spanID) != 16 {
-			return SpanContext{}, false
-		}
-		v, okv := parseHex(spanID)
-		if !okv {
-			return SpanContext{}, false
-		}
-		sc.Span = SpanID(v)
-	}
-	return sc, true
 }
 
 // DeriveTraceID maps a run seed to a non-zero TraceID with a

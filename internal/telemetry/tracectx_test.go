@@ -30,36 +30,6 @@ func TestTraceIDDerivationAndFormat(t *testing.T) {
 	}
 }
 
-func TestSpanContextFromHex(t *testing.T) {
-	tr := DeriveTraceID(7)
-	sc := SpanContext{Trace: tr, Span: 0x1234}
-	back, ok := SpanContextFromHex(sc.TraceHex(), sc.SpanHex())
-	if !ok || back != sc {
-		t.Fatalf("round trip = %+v, %v", back, ok)
-	}
-	// Empty halves decode as zero halves.
-	if got, ok := SpanContextFromHex("", ""); !ok || !got.IsZero() {
-		t.Fatalf("empty = %+v, %v", got, ok)
-	}
-	bad := []struct{ tr, sp string }{
-		{"xyz", sc.SpanHex()},                                    // non-hex
-		{sc.TraceHex()[:31], sc.SpanHex()},                       // short trace
-		{sc.TraceHex() + "0", sc.SpanHex()},                      // long trace
-		{sc.TraceHex(), "123"},                                   // short span
-		{strings.ToUpper(sc.TraceHex()), "0" + sc.SpanHex()[1:]}, // uppercase
-	}
-	for _, c := range bad {
-		if _, ok := SpanContextFromHex(c.tr, c.sp); ok {
-			t.Errorf("accepted %q/%q", c.tr, c.sp)
-		}
-	}
-	// Zero context renders empty hex so wire payloads stay omitempty.
-	var zero SpanContext
-	if zero.TraceHex() != "" || zero.SpanHex() != "" {
-		t.Fatalf("zero hex = %q/%q, want empty", zero.TraceHex(), zero.SpanHex())
-	}
-}
-
 func TestTraceParentRoundTrip(t *testing.T) {
 	sc := SpanContext{Trace: DeriveTraceID(3), Span: 42}
 	h := FormatTraceParent(sc)

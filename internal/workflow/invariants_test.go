@@ -104,22 +104,24 @@ func TestEveryLaunchedMemberIsAccountedFor(t *testing.T) {
 	loose := core.ConvergenceCriterion{MinSimilarity: 0.2, MaxVarianceChange: 0.9}
 	never := core.ConvergenceCriterion{MinSimilarity: 2}
 	scenarios := []struct {
-		name  string
-		setup func(cfg *Config, cancel context.CancelFunc)
+		name     string
+		cancelAt int // the runner cancels the run when called with this many distinct indices (0: never)
+		setup    func(cfg *Config)
 	}{
-		{"deadline", func(cfg *Config, _ context.CancelFunc) {
+		{"deadline", 0, func(cfg *Config) {
 			cfg.Criterion = never
 			cfg.Deadline = 40 * time.Millisecond
 		}},
-		{"external-cancel", func(cfg *Config, cancel context.CancelFunc) {
+		// Cancelled by member count, not by a timer: a clock cannot
+		// promise that the failing members 0 and 7 ran before it fired.
+		{"external-cancel", 15, func(cfg *Config) {
 			cfg.Criterion = never
-			time.AfterFunc(30*time.Millisecond, cancel)
 		}},
-		{"converged/CancelImmediately", func(cfg *Config, _ context.CancelFunc) {
+		{"converged/CancelImmediately", 0, func(cfg *Config) {
 			cfg.Criterion = loose
 			cfg.Policy = CancelImmediately
 		}},
-		{"converged/DrainAndUse", func(cfg *Config, _ context.CancelFunc) {
+		{"converged/DrainAndUse", 0, func(cfg *Config) {
 			cfg.Criterion = loose
 			cfg.Policy = DrainAndUse
 		}},
@@ -134,7 +136,7 @@ func TestEveryLaunchedMemberIsAccountedFor(t *testing.T) {
 				cfg.MaxSize = 300
 				cfg.SVDBatch = 10
 				cfg.Retries = 0
-				sc.setup(&cfg, cancel)
+				sc.setup(&cfg)
 
 				var mu sync.Mutex
 				called := map[int]bool{}
@@ -142,6 +144,9 @@ func TestEveryLaunchedMemberIsAccountedFor(t *testing.T) {
 				runner := func(ctx context.Context, index int) ([]float64, error) {
 					mu.Lock()
 					called[index] = true
+					if len(called) == sc.cancelAt {
+						cancel()
+					}
 					mu.Unlock()
 					return inner(ctx, index)
 				}

@@ -4,7 +4,6 @@
 package esse_test
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -193,44 +192,6 @@ func TestPropertyCovstoreRoundTrip(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: ncdf round-trips random small datasets bit-exactly.
-func TestPropertyNcdfRoundTrip(t *testing.T) {
-	master := rng.New(106)
-	f := func(seed uint16) bool {
-		s := master.Split(uint64(seed))
-		f := ncdf.New()
-		nx, ny := 1+s.Intn(6), 1+s.Intn(6)
-		if f.AddDim("x", nx) != nil || f.AddDim("y", ny) != nil {
-			return false
-		}
-		data := s.NormVec(nil, nx*ny)
-		if f.AddVar("v", []string{"y", "x"}, map[string]string{"seed": "q"}, data) != nil {
-			return false
-		}
-		var buf bytes.Buffer
-		if ncdf.Write(&buf, f) != nil {
-			return false
-		}
-		got, err := ncdf.Read(&buf)
-		if err != nil {
-			return false
-		}
-		v, ok := got.Var("v")
-		if !ok || len(v.Data) != nx*ny {
-			return false
-		}
-		for i := range data {
-			if v.Data[i] != data[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -26,9 +26,9 @@ cd "$(dirname "$0")/.."
 # The curated subset for -time-kernels: single-package, compute-bound,
 # no scheduler or I/O in the timed loop, 0 allocs/op where the kernel
 # owns its buffers. A kernel joins when a PR makes it faster (ROADMAP
-# item 3): six from internal/linalg, Step32x32 from internal/ocean,
+# item 3): five from internal/linalg, Step32x32 from internal/ocean,
 # ComputeTL from internal/acoustics.
-stable_kernels='^(MulSmall|MulLargeParallel|LUSolve64|QR64|SVDEnsembleShape|SymEig32|Step32x32|ComputeTL)$'
+stable_kernels='^(MulSmall|MulLargeParallel|QR64|SVDEnsembleShape|SymEig32|Step32x32|ComputeTL)$'
 
 mode="${1:-}"
 tmp="$(mktemp)"

@@ -11,6 +11,9 @@ cd "$(dirname "$0")/.."
 echo "==> go build ./..."
 go build ./...
 
+echo "==> go run scripts/unlinked.go (report only: function lines under internal/ that no binary links)"
+go run scripts/unlinked.go | grep -v '\.go:'
+
 echo "==> go vet ./..."
 go vet ./...
 
