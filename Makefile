@@ -35,13 +35,12 @@ bench-smoke:
 	bench/run.sh --workload svd-bound --seed 1 --seconds 1 --trace 1 >/dev/null
 
 # test-fuzz runs each native fuzz target briefly — a smoke pass over
-# the exposition, traceparent and directive parsers, not a soak (leave
+# the exposition and traceparent parsers, not a soak (leave
 # FUZZTIME at the default in CI; raise it locally to hunt).
 FUZZTIME ?= 10s
 test-fuzz:
 	$(GO) test -fuzz=FuzzParsePrometheus -fuzztime=$(FUZZTIME) ./internal/telemetry
 	$(GO) test -fuzz=FuzzParseTraceContext -fuzztime=$(FUZZTIME) ./internal/telemetry
-	$(GO) test -fuzz=FuzzParseDirective -fuzztime=$(FUZZTIME) ./internal/lint
 
 vet:
 	$(GO) vet ./...
@@ -56,11 +55,9 @@ lint:
 # their own implementation (a lint suite that trips its own map-order
 # or lock-discipline rules has no business enforcing them). -stats
 # prints per-analyzer wall time and the summary fact counts (call
-# graph, effect/numeric/lock summaries, ctx, entry-held, wire types,
-# obligations); -escapes cross-checks allocation findings against the
-# compiler's escape analysis.
+# graph, effect summaries, ctx, entry-held, obligations).
 lint-self:
-	$(GO) run ./cmd/esselint -vet=false -stats -escapes ./internal/lint/... ./cmd/esselint/...
+	$(GO) run ./cmd/esselint -vet=false -stats ./internal/lint/... ./cmd/esselint/...
 
 # lint-fixtures runs the analyzer fixture tests and the mutation table
 # (each rule against one-edit mutants of real tree code) — the inner

@@ -36,18 +36,14 @@ type jsonDiag struct {
 // fact-table sizes and per-analyzer wall times, written as a single
 // JSON object so CI can diff analyzer cost across runs.
 type statsJSON struct {
-	ProgramBuildNs   int64              `json:"program_build_ns"`
-	Funcs            int                `json:"funcs"`
-	SCCs             int                `json:"sccs"`
-	EffectFacts      int                `json:"effect_facts"`
-	NumericSummaries int                `json:"numeric_summaries"`
-	LockSummaryKeys  int                `json:"lock_summary_keys"`
-	LockPairs        int                `json:"lock_pairs"`
-	CtxParams        int                `json:"ctx_params"`
-	EntryHeldFuncs   int                `json:"entry_held_funcs"`
-	WireTypes        int                `json:"wire_types"`
-	Obligations      int                `json:"obligations"`
-	Analyzers        []analyzerStatJSON `json:"analyzers"`
+	ProgramBuildNs int64              `json:"program_build_ns"`
+	Funcs          int                `json:"funcs"`
+	SCCs           int                `json:"sccs"`
+	EffectFacts    int                `json:"effect_facts"`
+	CtxParams      int                `json:"ctx_params"`
+	EntryHeldFuncs int                `json:"entry_held_funcs"`
+	Obligations    int                `json:"obligations"`
+	Analyzers      []analyzerStatJSON `json:"analyzers"`
 }
 
 type analyzerStatJSON struct {
@@ -64,7 +60,6 @@ func main() {
 	audit := flag.Bool("audit", false, "list every //esselint:allow[file] directive; exit non-zero on directives with no reason or an unknown analyzer")
 	stats := flag.Bool("stats", false, "print per-analyzer wall time and interprocedural fact counts to stderr after the run")
 	statsJSONPath := flag.String("stats-json", "", "write the fact counts and per-analyzer wall times as a JSON object to this file")
-	escapes := flag.Bool("escapes", false, "cross-check hotalloc/boxing findings against the compiler's escape analysis (go build -gcflags=-m): heap facts confirm, stack facts suppress")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: esselint [flags] [package patterns]\n\n")
 		fmt.Fprintf(os.Stderr, "Runs the ESSE determinism/concurrency analyzers (default patterns: ./...).\n\n")
@@ -100,22 +95,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "esselint:", err)
 		os.Exit(2)
-	}
-	if *escapes {
-		facts, err := lint.LoadEscapeFacts("", patterns...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "esselint:", err)
-			os.Exit(2)
-		}
-		cc := lint.CrossCheck(diags, facts)
-		if *stats {
-			source := "recompiled"
-			if facts.Cached {
-				source = "cache hit"
-			}
-			fmt.Fprintf(os.Stderr, "esselint: stats: escape facts (%s): %d heap, %d stack; findings %d compiler-confirmed, %d downgraded to stack\n",
-				source, facts.HeapCount(), facts.StackCount(), cc.Confirmed, cc.Downgraded)
-		}
 	}
 	if *stats {
 		printStats(runStats)
@@ -172,11 +151,10 @@ func main() {
 // slowdowns show up in CI logs instead of silently stretching the
 // verify stage.
 func printStats(s *lint.RunStats) {
-	fmt.Fprintf(os.Stderr, "esselint: stats: call graph %d funcs in %d SCCs; summaries: %d effect, %d numeric, %d lock keys, %d lock pairs; program build %v\n",
-		s.Funcs, s.SCCs, s.EffectFacts, s.NumericSummaries, s.LockSummaryKeys, s.LockPairs, s.ProgramWall.Round(time.Microsecond))
+	fmt.Fprintf(os.Stderr, "esselint: stats: call graph %d funcs in %d SCCs; summaries: %d effect; program build %v\n",
+		s.Funcs, s.SCCs, s.EffectFacts, s.ProgramWall.Round(time.Microsecond))
 	fmt.Fprintf(os.Stderr, "esselint: stats: concurrency facts: %d ctx-taking funcs, %d funcs entered with locks held\n",
 		s.CtxParams, s.EntryHeldFuncs)
-	fmt.Fprintf(os.Stderr, "esselint: stats: wire facts: %d types reaching a json sink\n", s.WireTypes)
 	fmt.Fprintf(os.Stderr, "esselint: stats: lifecycle facts: %d obligations tracked\n", s.Obligations)
 	for _, a := range s.Analyzers {
 		fmt.Fprintf(os.Stderr, "esselint: stats: %-16s %10v  findings=%d suppressed=%d\n",
@@ -188,17 +166,13 @@ func printStats(s *lint.RunStats) {
 // analyzer-cost artifact.
 func writeStatsJSON(path string, s *lint.RunStats) error {
 	out := statsJSON{
-		ProgramBuildNs:   s.ProgramWall.Nanoseconds(),
-		Funcs:            s.Funcs,
-		SCCs:             s.SCCs,
-		EffectFacts:      s.EffectFacts,
-		NumericSummaries: s.NumericSummaries,
-		LockSummaryKeys:  s.LockSummaryKeys,
-		LockPairs:        s.LockPairs,
-		CtxParams:        s.CtxParams,
-		EntryHeldFuncs:   s.EntryHeldFuncs,
-		WireTypes:        s.WireTypes,
-		Obligations:      s.Obligations,
+		ProgramBuildNs: s.ProgramWall.Nanoseconds(),
+		Funcs:          s.Funcs,
+		SCCs:           s.SCCs,
+		EffectFacts:    s.EffectFacts,
+		CtxParams:      s.CtxParams,
+		EntryHeldFuncs: s.EntryHeldFuncs,
+		Obligations:    s.Obligations,
 	}
 	for _, a := range s.Analyzers {
 		out.Analyzers = append(out.Analyzers, analyzerStatJSON{

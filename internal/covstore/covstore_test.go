@@ -2,6 +2,7 @@ package covstore
 
 import (
 	"errors"
+	"io"
 	"os"
 	"sync"
 	"testing"
@@ -210,5 +211,22 @@ func TestWriteSnapshotDirectoryRemoved(t *testing.T) {
 	m, idx := testMatrix(1, 3, 2)
 	if _, err := st.WriteSnapshot(m, idx); err == nil {
 		t.Fatal("write into removed directory succeeded")
+	}
+}
+
+// writeSnapshot hands binary.Write the header and the member indices as
+// one slice each, so its allocation count is fixed, whatever the number
+// of members.
+func TestWriteSnapshotAllocs(t *testing.T) {
+	for _, members := range []int{2, 64} {
+		m, idx := testMatrix(1, 20, members)
+		got := testing.AllocsPerRun(20, func() {
+			if err := writeSnapshot(io.Discard, 1, m, idx); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 7 {
+			t.Errorf("writeSnapshot with %d members: %.0f allocs/op, want 7", members, got)
+		}
 	}
 }

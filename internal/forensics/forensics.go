@@ -431,15 +431,6 @@ func WriteDigest(w io.Writer, d *Digest) error {
 	return nil
 }
 
-// ParseDigest decodes a digest written by WriteDigest.
-func ParseDigest(r io.Reader) (*Digest, error) {
-	var d Digest
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("forensics: decoding digest: %w", err)
-	}
-	return &d, nil
-}
-
 // RenderText formats the digest as the human-readable report
 // esse-report prints: one block per cycle with its phase table and
 // critical path, then the audit and warnings.

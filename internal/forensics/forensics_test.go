@@ -2,6 +2,7 @@ package forensics
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -205,9 +206,9 @@ func TestDigestRoundTrip(t *testing.T) {
 	if err := WriteDigest(&buf, d); err != nil {
 		t.Fatalf("WriteDigest: %v", err)
 	}
-	back, err := ParseDigest(&buf)
-	if err != nil {
-		t.Fatalf("ParseDigest: %v", err)
+	var back Digest
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+		t.Fatalf("decoding the digest: %v", err)
 	}
 	if back.TraceID != d.TraceID || back.Spans != d.Spans || len(back.Cycles) != len(d.Cycles) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", back, d)
@@ -224,6 +225,38 @@ func TestCheckFinite(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if err := checkFinite("dur_ms", v); err == nil || !strings.Contains(err.Error(), "dur_ms") {
 			t.Fatalf("checkFinite(%v) = %v, want an error naming the field", v, err)
+		}
+	}
+}
+
+// Validate must reject a non-finite value in every float field of the
+// digest, naming it: json.Marshal would fail on it without saying where.
+func TestValidateNamesEveryFloatField(t *testing.T) {
+	fields := []struct {
+		name string // the error names both the record and the field
+		set  func(*Digest, float64)
+	}{
+		{"cycle c: field start_ms", func(d *Digest, v float64) { d.Cycles[0].StartMS = v }},
+		{"cycle c: field dur_ms", func(d *Digest, v float64) { d.Cycles[0].DurMS = v }},
+		{"phase w/p: field total_ms", func(d *Digest, v float64) { d.Cycles[0].Phases[0].TotalMS = v }},
+		{"phase w/p: field max_ms", func(d *Digest, v float64) { d.Cycles[0].Phases[0].MaxMS = v }},
+		{"path step s: field start_ms", func(d *Digest, v float64) { d.Cycles[0].CriticalPath[0].StartMS = v }},
+		{"path step s: field dur_ms", func(d *Digest, v float64) { d.Cycles[0].CriticalPath[0].DurMS = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			d := &Digest{Cycles: []CycleDigest{{
+				Root:         "c",
+				Phases:       []PhaseStat{{Cat: "w", Name: "p"}},
+				CriticalPath: []PathStep{{Name: "s"}},
+			}}}
+			if err := d.Validate(); err != nil {
+				t.Fatalf("finite digest rejected: %v", err)
+			}
+			f.set(d, v)
+			if err := d.Validate(); err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %v: Validate() = %v, want an error naming it", f.name, v, err)
+			}
 		}
 	}
 }

@@ -4,9 +4,9 @@ import (
 	"testing"
 )
 
-// assertAllocs pins the steady-state heap cost of a hot kernel. These
-// are the teeth behind the hotalloc analyzer: if a refactor reintroduces
-// a per-call allocation the lint suite may or may not see, this fails.
+// assertAllocs pins the steady-state heap cost of a hot kernel. The
+// pins are the gate on allocation: a refactor that reintroduces a
+// per-call or per-iteration allocation fails here.
 func assertAllocs(t *testing.T, name string, want float64, fn func()) {
 	t.Helper()
 	if got := testing.AllocsPerRun(20, fn); got != want {
@@ -38,6 +38,17 @@ func TestMulIntoAllocFree(t *testing.T) {
 		}
 		mulInto(out, a, b)
 	})
+}
+
+// GramSVD sizes σ and its column buffer once, so its count does not
+// grow with the number of modes kept.
+func TestGramSVDAllocsIndependentOfRank(t *testing.T) {
+	gram := spdMatrix(32)
+	few := testing.AllocsPerRun(20, func() { GramSVD(gram, 2) })
+	all := testing.AllocsPerRun(20, func() { GramSVD(gram, 32) })
+	if few != all {
+		t.Errorf("GramSVD: %.0f allocs/op at k=2, %.0f at k=32, want equal", few, all)
+	}
 }
 
 func TestOuterAddAllocFree(t *testing.T) {

@@ -153,7 +153,6 @@ func solveCholeskyTInto(x []float64, l *Dense, y []float64) []float64 {
 		for j := i + 1; j < n; j++ {
 			s -= l.At(j, i) * x[j]
 		}
-		//esselint:allow divguard Cholesky success guarantees a strictly positive diagonal
 		x[i] = s / l.At(i, i)
 	}
 	return x

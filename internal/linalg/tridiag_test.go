@@ -40,4 +40,8 @@ func TestSolveTridiagonalErrors(t *testing.T) {
 	if _, err := SolveTridiagonal([]float64{0, 0}, []float64{0, 1}, []float64{0, 0}, []float64{1, 1}); err == nil {
 		t.Fatal("zero pivot accepted")
 	}
+	// diag[1] - sub[1]*super[0]/diag[0] = 0: the pivot vanishes at row 1.
+	if _, err := SolveTridiagonal([]float64{0, 1}, []float64{1, 1}, []float64{1, 0}, []float64{1, 1}); err == nil {
+		t.Fatal("zero pivot at row 1 accepted")
+	}
 }

@@ -102,20 +102,6 @@ func TestEffectSummaries(t *testing.T) {
 		// The recursive pair converges without looping forever.
 		{"interproc.Even", 0, EffMayBlock},
 		{"interproc.SelfRec", 0, EffMayBlock},
-		// Allocation effects: direct, transitive, and across a
-		// mutually recursive SCC (only AllocEven allocates directly).
-		{"interproc.Allocates", EffAllocates, EffMayBlock},
-		{"interproc.CallsAllocates", EffAllocates, EffMayBlock},
-		{"interproc.AllocEven", EffAllocates, 0},
-		{"interproc.AllocOdd", EffAllocates, 0},
-		// Lazy-init guards amortize: neither the guarded allocation
-		// nor a guarded call to an allocator produces the bit.
-		{"interproc.LazyAlloc", 0, EffAllocates},
-		{"interproc.CallsLazyAlloc", 0, EffAllocates},
-		{"interproc.GuardedCall", 0, EffAllocates},
-		// Spawned literals are the spawn's cost, not an allocation
-		// effect of the spawner.
-		{"interproc.Spawns", EffSpawns, EffAllocates},
 	}
 	for _, c := range cases {
 		eff := p.Effects[c.key]
@@ -151,72 +137,5 @@ func TestReleaseAndNetworkEffects(t *testing.T) {
 	}
 	if rb.Effects["retrybudget.channelLoop"]&EffNetwork != 0 {
 		t.Errorf("channelLoop (no network I/O) must not carry EffNetwork: %b", rb.Effects["retrybudget.channelLoop"])
-	}
-}
-
-func TestNumericSummaryFixpoint(t *testing.T) {
-	p := BuildProgram([]*Package{loadFixturePkg(t, "divguardsum")})
-	base := func(key string) uint8 {
-		t.Helper()
-		sum := p.Numeric[key]
-		if sum == nil || len(sum.Base) != 1 {
-			t.Fatalf("missing single-result numeric summary for %s", key)
-		}
-		return sum.Base[0]
-	}
-	allPos := func(key string) uint8 {
-		t.Helper()
-		return p.Numeric[key].AllPos[0]
-	}
-
-	if got := base("divguardsum.clampPos"); got != sfPos {
-		t.Errorf("clampPos Base = %b, want positive (%b)", got, sfPos)
-	}
-	if got := base("divguardsum.clampNonNeg"); got != sfNonNeg {
-		t.Errorf("clampNonNeg Base = %b, want non-negative (%b)", got, sfNonNeg)
-	}
-	if got := base("divguardsum.half"); got != 0 {
-		t.Errorf("half Base = %b, want nothing proven", got)
-	}
-	if got := allPos("divguardsum.half"); got != sfPos {
-		t.Errorf("half AllPos = %b, want positive (%b)", got, sfPos)
-	}
-	if got := allPos("divguardsum.square"); got != sfPos {
-		t.Errorf("square AllPos = %b, want positive (%b)", got, sfPos)
-	}
-	// The mutually recursive pair must reach the greatest fixpoint, not
-	// stay at the optimistic all-bits initialization or collapse to 0.
-	for _, key := range []string{"divguardsum.evenPow", "divguardsum.oddPow"} {
-		if got := base(key); got != sfPos {
-			t.Errorf("%s Base = %b, want positive (%b) via recursion fixpoint", key, got, sfPos)
-		}
-	}
-	// Multi-result summary: both results of posPair prove positive.
-	sum := p.Numeric["divguardsum.posPair"]
-	if sum == nil || len(sum.Base) != 2 {
-		t.Fatalf("posPair summary missing or wrong arity: %+v", sum)
-	}
-	if sum.Base[0] != sfPos || sum.Base[1] != sfPos {
-		t.Errorf("posPair Base = %b,%b, want both positive", sum.Base[0], sum.Base[1])
-	}
-}
-
-func TestLockPairCollection(t *testing.T) {
-	p := BuildProgram([]*Package{loadFixturePkg(t, "lockheld")})
-	type ba struct{ before, after string }
-	seen := map[ba]bool{}
-	for _, pr := range p.LockPairs {
-		seen[ba{pr.Before, pr.After}] = true
-	}
-	if !seen[ba{"(lockheld.pair).a", "(lockheld.pair).b"}] ||
-		!seen[ba{"(lockheld.pair).b", "(lockheld.pair).a"}] {
-		t.Errorf("expected both a→b and b→a pairs, got %+v", p.LockPairs)
-	}
-	// The consistently ordered type must only ever appear one way.
-	if seen[ba{"(lockheld.ordered).b", "(lockheld.ordered).a"}] {
-		t.Errorf("ordered type reported an inverted pair: %+v", p.LockPairs)
-	}
-	if !seen[ba{"(lockheld.ordered).a", "(lockheld.ordered).b"}] {
-		t.Errorf("ordered type's a→b pair missing: %+v", p.LockPairs)
 	}
 }

@@ -6,12 +6,12 @@ import (
 )
 
 // This file implements the control-flow-graph layer the dataflow
-// analyzers (divguard, goroutineleak) are built on. The graph is
-// intraprocedural and syntactic: one CFG per *ast.FuncDecl or
-// *ast.FuncLit body, with basic blocks holding the statements (and
-// branch-condition expressions) that execute straight-line, and edges
-// labelled with the branch condition where one exists so dataflow
-// transfer functions can refine facts per branch arm.
+// analyzers (goroutineleak, lockheld, the obligation solver) are built
+// on. The graph is intraprocedural and syntactic: one CFG per
+// *ast.FuncDecl or *ast.FuncLit body, with basic blocks holding the
+// statements (and branch-condition expressions) that execute
+// straight-line, and edges labelled with the branch condition where one
+// exists so dataflow transfer functions can refine facts per branch arm.
 //
 // Handled control constructs: if/else, for (all three clauses), range,
 // switch (expression and type), select, labeled statements,

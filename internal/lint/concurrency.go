@@ -129,7 +129,7 @@ func (p *Program) computeEntryHeld() {
 			}
 			held := in.clone()
 			for _, n := range b.Nodes {
-				replayHeld(ctx, n, held, nil, nil,
+				replayHeld(ctx, n, held, nil,
 					func(callee *types.Func, pos token.Pos) {
 						if _, inSet := p.Graph.Funcs[callee.FullName()]; !inSet {
 							return
@@ -424,7 +424,7 @@ func forEachHeldAccess(ctx *lockCtx, node ast.Node, entry []string,
 			walkAccesses(ctx.Info, n, func(e ast.Expr, write bool) {
 				visit(e, write, held)
 			})
-			replayHeld(ctx, n, held, nil, nil, nil)
+			replayHeld(ctx, n, held, nil, nil)
 		}
 	}
 }

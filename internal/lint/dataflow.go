@@ -5,8 +5,8 @@ import "go/ast"
 // This file implements the generic forward-dataflow fixpoint solver the
 // CFG analyzers share. An analysis supplies a lattice (Top, Meet,
 // Equal), a boundary fact for function entry, a block transfer
-// function, and an optional edge refinement (used by divguard to learn
-// from branch conditions). The solver iterates a worklist to a
+// function, and an optional edge refinement (used by the obligation
+// solver to learn from nil tests). The solver iterates a worklist to a
 // fixpoint; analyses must be monotone with finite-height lattices for
 // termination, and a generous iteration cap turns any violation into a
 // sound over-approximation rather than a hang.

@@ -34,34 +34,6 @@ func (d Directive) String() string {
 	return s
 }
 
-// ParseDirective parses an //esselint:allow[file] directive comment
-// into its canonical rendering, fields single-spaced. It returns
-// ok=false for comments that are not esselint directives or name
-// another kind. Accepted directives are a fixpoint: re-parsing the
-// canonical form yields the same string (the FuzzParseDirective
-// property).
-func ParseDirective(text string) (string, bool) {
-	rest, ok := strings.CutPrefix(text, "//esselint:")
-	if !ok {
-		return "", false
-	}
-	kind := rest
-	if i := strings.IndexAny(rest, " \t"); i >= 0 {
-		kind = rest[:i]
-	}
-	if kind != "allow" && kind != "allowfile" {
-		return "", false
-	}
-	return "//esselint:" + kind + joinFields(strings.Fields(strings.TrimPrefix(rest, kind))), true
-}
-
-func joinFields(fields []string) string {
-	if len(fields) == 0 {
-		return ""
-	}
-	return " " + strings.Join(fields, " ")
-}
-
 // CollectDirectives parses every suppression directive in the packages,
 // in file/position order.
 func CollectDirectives(pkgs []*Package) []Directive {

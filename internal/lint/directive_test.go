@@ -78,7 +78,7 @@ func TestAuditDirectives(t *testing.T) {
 		{Kind: "allow", Analyzer: "floatcmp", Reason: "deliberate exact comparison"},
 		{Kind: "allow", Analyzer: "all", Reason: "blanket, but reasoned"},
 		{Kind: "allow", Analyzer: "flaotcmp", Reason: "typo in the name"},
-		{Kind: "allow", Analyzer: "divguard"},
+		{Kind: "allow", Analyzer: "lockheld"},
 		{Kind: "allowfile"},
 	}
 	problems := AuditDirectives(dirs, Analyzers())

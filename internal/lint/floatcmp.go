@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -14,9 +15,8 @@ import (
 // required spelling is a tolerance test, math.Abs(a-b) <= tol.
 //
 // Comparisons against constants are allowed — `x == 0` and `x != 1`
-// are legitimate sentinel and guard tests (divguard depends on the
-// former) — as is comparing an expression to itself, the idiomatic
-// NaN probe `x != x`.
+// are legitimate sentinel and guard tests — as is comparing an
+// expression to itself, the idiomatic NaN probe `x != x`.
 var FloatCmp = &Analyzer{
 	Name: "floatcmp",
 	Doc: "flag ==/!= between non-constant float expressions; exact equality depends on " +
@@ -62,4 +62,13 @@ func isFloatOperand(pass *Pass, e ast.Expr) bool {
 func isConstExpr(pass *Pass, e ast.Expr) bool {
 	tv, ok := pass.Info.Types[e]
 	return ok && tv.Value != nil
+}
+
+// exprSnippet renders e compactly for diagnostics.
+func exprSnippet(e ast.Expr) string {
+	s := types.ExprString(e)
+	if len(s) > 40 {
+		s = s[:37] + "..."
+	}
+	return fmt.Sprintf("%q", s)
 }

@@ -1,6 +1,6 @@
 // Package lint implements esselint, the static-analysis suite that
-// enforces the repository's determinism, numerical-safety, concurrency
-// and allocation invariants. `esselint -list` prints the analyzers;
+// enforces the repository's determinism, numerical-safety and
+// concurrency invariants. `esselint -list` prints the analyzers;
 // each has a fixture under testdata/ and rows of real-tree mutants in
 // mutants_test.go, the evidence it is kept on (DESIGN.md §7).
 //
@@ -60,8 +60,8 @@ type Pass struct {
 	Pkg       *types.Package
 	Info      *types.Info
 	// Prog carries the package set's call graph and interprocedural
-	// summaries (effects, numeric, lock order). Nil only in unit tests
-	// that drive an analyzer without a Program.
+	// summaries (effects, contexts, entry-held locks). Nil only in unit
+	// tests that drive an analyzer without a Program.
 	Prog *Program
 
 	report func(Diagnostic)
@@ -95,12 +95,11 @@ func (d Diagnostic) String() string {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		RngDeterminism, ErrDrop,
-		DivGuard, FloatCmp, GoroutineLeak,
+		FloatCmp, GoroutineLeak,
 		MapOrder, LockHeld,
-		HotAlloc, Preallocate, Boxing,
 		SlogKV,
 		SharedGuard, CtxFlow, AtomicMix,
-		JSONWire, HTTPGuard, ExhaustEnum,
+		HTTPGuard, ExhaustEnum,
 		ResLeak, RetryBudget,
 	}
 }
@@ -143,23 +142,16 @@ type AnalyzerStats struct {
 // interprocedural facts the summaries produced.
 type RunStats struct {
 	// ProgramWall is the time spent building the call graph and the
-	// effect/numeric/lock summaries.
+	// summaries.
 	ProgramWall time.Duration
-	// Funcs and SCCs size the call graph; the fact counts tally the
-	// summaries: functions with a nonzero effect mask, functions with a
-	// numeric summary, transitive lock keys, and observed lock pairs.
-	Funcs, SCCs      int
-	EffectFacts      int
-	NumericSummaries int
-	LockSummaryKeys  int
-	LockPairs        int
+	// Funcs and SCCs size the call graph; EffectFacts counts functions
+	// with a nonzero effect mask.
+	Funcs, SCCs int
+	EffectFacts int
 	// Concurrency-layer facts: functions taking a context.Context and
 	// functions whose every caller holds a lock at entry.
 	CtxParams      int
 	EntryHeldFuncs int
-	// WireTypes is the size of the jsonwire fact table: named types
-	// reaching an encoding/json sink anywhere in the set.
-	WireTypes int
 	// Obligations counts the facts the solver tracked across all
 	// obligation-discipline analyzers (httpguard, ctxflow, resleak).
 	Obligations int
@@ -175,16 +167,12 @@ func RunAnalyzersStats(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *R
 	stats.ProgramWall = time.Since(start)
 	stats.Funcs = len(prog.Graph.Keys)
 	stats.SCCs = len(prog.Graph.SCCs)
-	stats.LockPairs = len(prog.LockPairs)
-	stats.NumericSummaries = len(prog.Numeric)
 	stats.CtxParams = len(prog.CtxParam)
 	stats.EntryHeldFuncs = len(prog.EntryHeld)
-	stats.WireTypes = len(prog.WireTypes)
 	for _, key := range prog.Graph.Keys {
 		if prog.Effects[key] != 0 {
 			stats.EffectFacts++
 		}
-		stats.LockSummaryKeys += len(prog.Locks[key])
 	}
 
 	diags, perAnalyzer, err := runPasses(prog, pkgs, analyzers)
@@ -273,37 +261,21 @@ func newSuppressor(pkg *Package) *suppressor {
 		line: map[string]map[int][]string{},
 		file: map[string][]string{},
 	}
-	index := func(f *ast.File) {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "//esselint:")
-				if !ok {
-					continue
-				}
-				fields := strings.Fields(text)
-				if len(fields) < 2 {
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				switch fields[0] {
-				case "allow":
-					m := s.line[pos.Filename]
-					if m == nil {
-						m = map[int][]string{}
-						s.line[pos.Filename] = m
-					}
-					m[pos.Line] = append(m[pos.Line], fields[1])
-				case "allowfile":
-					s.file[pos.Filename] = append(s.file[pos.Filename], fields[1])
-				}
-			}
+	for _, d := range CollectDirectives([]*Package{pkg}) {
+		if d.Analyzer == "" {
+			continue
 		}
-	}
-	for _, f := range pkg.Files {
-		index(f)
-	}
-	for _, f := range pkg.TestFiles {
-		index(f)
+		switch d.Kind {
+		case "allow":
+			m := s.line[d.Pos.Filename]
+			if m == nil {
+				m = map[int][]string{}
+				s.line[d.Pos.Filename] = m
+			}
+			m[d.Pos.Line] = append(m[d.Pos.Line], d.Analyzer)
+		case "allowfile":
+			s.file[d.Pos.Filename] = append(s.file[d.Pos.Filename], d.Analyzer)
+		}
 	}
 	return s
 }

@@ -10,10 +10,6 @@ func TestErrDropFixture(t *testing.T) {
 	RunFixture(t, ErrDrop, "errdrop")
 }
 
-func TestDivGuardFixture(t *testing.T) {
-	RunFixture(t, DivGuard, "divguard")
-}
-
 func TestFloatCmpFixture(t *testing.T) {
 	RunFixture(t, FloatCmp, "floatcmp")
 }
@@ -30,27 +26,8 @@ func TestLockHeldFixture(t *testing.T) {
 	RunFixture(t, LockHeld, "lockheld")
 }
 
-func TestHotAllocFixture(t *testing.T) {
-	RunFixture(t, HotAlloc, "hotalloc")
-}
-
-func TestPreallocateFixture(t *testing.T) {
-	RunFixture(t, Preallocate, "preallocate")
-}
-
-func TestBoxingFixture(t *testing.T) {
-	RunFixture(t, Boxing, "boxing")
-}
-
 func TestSlogKVFixture(t *testing.T) {
 	RunFixture(t, SlogKV, "slogkv")
-}
-
-// TestDivGuardSummaryFixture drives divguard over call sites whose
-// safety only the interprocedural numeric summaries can prove (or
-// refuse to prove).
-func TestDivGuardSummaryFixture(t *testing.T) {
-	RunFixture(t, DivGuard, "divguardsum")
 }
 
 func TestSharedGuardFixture(t *testing.T) {
@@ -63,10 +40,6 @@ func TestCtxFlowFixture(t *testing.T) {
 
 func TestAtomicMixFixture(t *testing.T) {
 	RunFixture(t, AtomicMix, "atomicmix")
-}
-
-func TestJSONWireFixture(t *testing.T) {
-	RunFixture(t, JSONWire, "jsonwire")
 }
 
 func TestHTTPGuardFixture(t *testing.T) {
@@ -112,23 +85,21 @@ func TestLoadRealPackage(t *testing.T) {
 	}
 }
 
-// TestScopes pins the path filters: rngdeterminism, errdrop and
-// divguard are scoped gates of their own; the interprocedural analyzers
+// TestScopes pins the path filters: rngdeterminism and errdrop are
+// scoped gates of their own; the interprocedural analyzers
 // gate everything under internal/ and cmd/, including the lint suite
 // itself (the lint-self target), and nothing under examples/.
 func TestScopes(t *testing.T) {
 	cases := []struct {
-		rel      string
-		rngdet   bool
-		errdrop  bool
-		divguard bool
+		rel     string
+		rngdet  bool
+		errdrop bool
 	}{
-		{"internal/workflow", true, true, false},
-		{"internal/linalg", true, true, true},
-		{"internal/ocean", true, true, true},
-		{"cmd/esse-forecast", true, false, false},
-		{"examples/quickstart", false, false, false},
-		{".", false, false, false},
+		{"internal/workflow", true, true},
+		{"internal/linalg", true, true},
+		{"cmd/esse-forecast", true, false},
+		{"examples/quickstart", false, false},
+		{".", false, false},
 	}
 	treeWide := []*Analyzer{MapOrder, LockHeld, SharedGuard, CtxFlow, AtomicMix, ResLeak, RetryBudget, SlogKV}
 	for _, a := range treeWide {
@@ -148,9 +119,6 @@ func TestScopes(t *testing.T) {
 		if got := ErrDrop.Scope(c.rel); got != c.errdrop {
 			t.Errorf("errdrop scope(%q) = %v, want %v", c.rel, got, c.errdrop)
 		}
-		if got := DivGuard.Scope(c.rel); got != c.divguard {
-			t.Errorf("divguard scope(%q) = %v, want %v", c.rel, got, c.divguard)
-		}
 	}
 }
 
@@ -159,7 +127,7 @@ func TestScopes(t *testing.T) {
 // targets, whatever `go list` pattern semantics do.
 func TestLoadSkipsTestdata(t *testing.T) {
 	for _, path := range []string{
-		"esse/internal/lint/testdata/src/divguard",
+		"esse/internal/lint/testdata/src/floatcmp",
 		"a/testdata",
 		"testdata/b",
 	} {

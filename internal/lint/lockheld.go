@@ -5,26 +5,17 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
-// LockHeld enforces the two lock disciplines the continuously running
-// assimilation pipeline depends on:
-//
-//  1. A mutex must not be held across an operation that can block
-//     indefinitely — a channel send/receive, a select without default,
-//     sync.WaitGroup.Wait, time.Sleep, or a call to any function whose
-//     interprocedural effect summary (summary.go) says it may block.
-//     A blocked critical section stalls every other goroutine touching
-//     that lock; in the paper's setting that is the scheduler freezing
-//     mid-ensemble.
-//  2. Pairwise lock-acquisition order must be consistent across the
-//     whole package set: if one code path takes A then B (directly or
-//     through a callee's transitive lock summary) and another takes B
-//     then A, the two paths can deadlock. Pairs are collected globally
-//     at Program build time and inversions reported in the package
-//     that acquires second.
+// LockHeld enforces the lock discipline the continuously running
+// assimilation pipeline depends on: a mutex must not be held across an
+// operation that can block indefinitely — a channel send/receive, a
+// select without default, sync.WaitGroup.Wait, time.Sleep, or a call to
+// any function whose interprocedural effect summary (summary.go) says
+// it may block. A blocked critical section stalls every other goroutine
+// touching that lock; in the paper's setting that is the scheduler
+// freezing mid-ensemble.
 //
 // Held-lock state is a must-analysis (forward dataflow, meet =
 // intersection): a lock counts as held at a point only when every path
@@ -34,14 +25,12 @@ import (
 // Lock identity is canonical-by-type for receiver fields: s.mu and
 // m.mu are the same key when s and m share a named type. Two distinct
 // instances of one type therefore collapse (documented precision
-// loss); per-instance ordering bugs need the race detector. Calls
-// through function values and interface methods contribute no summary,
-// so blocking hidden behind them is invisible (shared soundness gap of
-// the whole interprocedural layer).
+// loss). Calls through function values and interface methods
+// contribute no summary, so blocking hidden behind them is invisible
+// (shared soundness gap of the whole interprocedural layer).
 var LockHeld = &Analyzer{
-	Name: "lockheld",
-	Doc: "flag mutexes held across may-block operations (channel ops, waits, blocking callees) " +
-		"and inconsistent pairwise lock-acquisition order across the package set",
+	Name:  "lockheld",
+	Doc:   "flag mutexes held across may-block operations (channel ops, waits, blocking callees)",
 	Scope: underInternalOrCmd,
 	Run:   runLockHeld,
 }
@@ -92,18 +81,6 @@ func lockCall(ctx *lockCtx, call *ast.CallExpr) (string, lockOp) {
 		return "", lockNone
 	}
 	return lockKeyOf(ctx, sel.X), op
-}
-
-// lockAcquire reports the canonical key when call acquires a mutex
-// inside fn; summary.go records it in the function's transitive lock
-// set.
-func lockAcquire(fn *FuncInfo, call *ast.CallExpr) (string, lockOp) {
-	ctx := &lockCtx{Info: fn.Pkg.Info, Pkg: fn.Pkg.Pkg, Path: fn.Pkg.Path, Enclosing: fn.Key}
-	key, op := lockCall(ctx, call)
-	if op != lockTake {
-		return "", lockNone
-	}
-	return key, lockTake
 }
 
 // lockKeyOf canonicalizes the mutex expression so the same logical
@@ -172,7 +149,7 @@ func (h *heldFlow) Transfer(b *Block, in Fact) Fact {
 	}
 	out := st.clone()
 	for _, n := range b.Nodes {
-		replayHeld(h.ctx, n, out, nil, nil, nil)
+		replayHeld(h.ctx, n, out, nil, nil)
 	}
 	return out
 }
@@ -212,15 +189,13 @@ func (h *heldFlow) Equal(a, b Fact) bool {
 }
 
 // replayHeld walks the lock-relevant operations of block node n in
-// source order, updating held in place. Callbacks may be nil:
-// onTake fires at each acquisition with held still holding the *prior*
-// set; onBlock fires at each may-block operation; onCall fires for
-// every statically resolved call that is not itself a lock operation.
+// source order, updating held in place. Callbacks may be nil: onBlock
+// fires at each may-block operation; onCall fires for every statically
+// resolved call that is not itself a lock operation.
 // Defer bodies are skipped (they run at function exit) and go
 // statements are skipped entirely (the spawned call does not block the
 // spawner, and its locks run concurrently, not nested).
 func replayHeld(ctx *lockCtx, n ast.Node, held heldSet,
-	onTake func(key string, pos token.Pos),
 	onBlock func(desc string, pos token.Pos),
 	onCall func(callee *types.Func, pos token.Pos)) {
 
@@ -250,9 +225,6 @@ func replayHeld(ctx *lockCtx, n ast.Node, held heldSet,
 		case *ast.CallExpr:
 			if key, op := lockCall(ctx, v); op != lockNone {
 				if op == lockTake {
-					if onTake != nil {
-						onTake(key, v.Pos())
-					}
 					held[key] = true
 				} else {
 					delete(held, key)
@@ -290,9 +262,6 @@ func blockDesc(info *types.Info, call *ast.CallExpr) string {
 }
 
 func runLockHeld(pass *Pass) error {
-	if pass.Prog != nil {
-		reportLockInversions(pass)
-	}
 	for _, f := range pass.Files {
 		for _, fn := range FuncNodes(f) {
 			checkLockHeldFunc(pass, fn)
@@ -302,7 +271,7 @@ func runLockHeld(pass *Pass) error {
 }
 
 // checkLockHeldFunc reports may-block operations reached with a lock
-// held on every path (part 1 of the discipline).
+// held on every path.
 func checkLockHeldFunc(pass *Pass, fn ast.Node) {
 	ctx := &lockCtx{Info: pass.Info, Pkg: pass.Pkg, Path: pass.Path, Enclosing: enclosingName(pass, fn)}
 	cfg := BuildCFG(fn)
@@ -315,7 +284,7 @@ func checkLockHeldFunc(pass *Pass, fn ast.Node) {
 		}
 		held := in.clone()
 		for _, n := range b.Nodes {
-			replayHeld(ctx, n, held, nil,
+			replayHeld(ctx, n, held,
 				func(desc string, pos token.Pos) {
 					if len(held) == 0 || reported[pos] {
 						return
@@ -349,116 +318,4 @@ func enclosingName(pass *Pass, fn ast.Node) string {
 	}
 	pos := pass.Fset.Position(fn.Pos())
 	return fmt.Sprintf("%s.func@%d:%d", pass.Path, pos.Line, pos.Column)
-}
-
-// collectLockPairs runs the held-lock dataflow over every function in
-// the program and records each acquisition order observed: After taken
-// — directly or through a callee's transitive lock summary — while
-// Before was held. BuildProgram stores the sorted result on
-// Program.LockPairs; reportLockInversions cross-references it.
-func collectLockPairs(p *Program) []LockPair {
-	var pairs []LockPair
-	for _, key := range p.Graph.Keys {
-		fn := p.Graph.Funcs[key]
-		if fn.Decl.Body == nil {
-			continue
-		}
-		ctx := &lockCtx{Info: fn.Pkg.Info, Pkg: fn.Pkg.Pkg, Path: fn.Pkg.Path, Enclosing: key}
-		cfg := BuildCFG(fn.Decl)
-		res := Forward(cfg, &heldFlow{ctx: ctx})
-		for _, b := range cfg.Blocks {
-			in, _ := res.In[b].(heldSet)
-			if in == nil {
-				continue
-			}
-			held := in.clone()
-			for _, n := range b.Nodes {
-				replayHeld(ctx, n, held,
-					func(lk string, pos token.Pos) {
-						for _, h := range sortedKeys(held) {
-							if h != lk {
-								pairs = append(pairs, LockPair{
-									Before: h, After: lk,
-									Pos:     fn.Pkg.Fset.Position(pos),
-									PkgPath: fn.Pkg.Path,
-								})
-							}
-						}
-					},
-					nil,
-					func(callee *types.Func, pos token.Pos) {
-						if len(held) == 0 {
-							return
-						}
-						for _, lk := range p.Locks[callee.FullName()] {
-							for _, h := range sortedKeys(held) {
-								if h != lk {
-									pairs = append(pairs, LockPair{
-										Before: h, After: lk,
-										Pos:     fn.Pkg.Fset.Position(pos),
-										PkgPath: fn.Pkg.Path,
-										Via:     callee.FullName(),
-									})
-								}
-							}
-						}
-					})
-			}
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		a, b := pairs[i], pairs[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Offset != b.Pos.Offset {
-			return a.Pos.Offset < b.Pos.Offset
-		}
-		if a.Before != b.Before {
-			return a.Before < b.Before
-		}
-		if a.After != b.After {
-			return a.After < b.After
-		}
-		return a.Via < b.Via
-	})
-	return pairs
-}
-
-// reportLockInversions reports, in the package owning the second
-// acquisition, every lock pair whose opposite order occurs anywhere in
-// the program (part 2 of the discipline).
-func reportLockInversions(pass *Pass) {
-	first := map[string]token.Position{}
-	for _, pr := range pass.Prog.LockPairs {
-		k := pr.Before + "\x00" + pr.After
-		if _, ok := first[k]; !ok {
-			first[k] = pr.Pos
-		}
-	}
-	seen := map[string]bool{}
-	for _, pr := range pass.Prog.LockPairs {
-		if pr.PkgPath != pass.Path {
-			continue
-		}
-		rev, ok := first[pr.After+"\x00"+pr.Before]
-		if !ok {
-			continue
-		}
-		key := pr.Pos.String() + "\x00" + pr.Before + "\x00" + pr.After
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		via := ""
-		if pr.Via != "" {
-			via = " (through " + pr.Via + ")"
-		}
-		pass.report(Diagnostic{
-			Pos:      pr.Pos,
-			Analyzer: pass.Analyzer.Name,
-			Message: fmt.Sprintf("lock %s acquired%s while %s is held, but the opposite order occurs at %s; "+
-				"inconsistent pairwise lock order can deadlock", pr.After, via, pr.Before, rev),
-		})
-	}
 }

@@ -132,8 +132,7 @@ func (mt *mutantTree) findings(set map[string]*Package, p *Package) ([]string, e
 // catch applies m in memory and returns the findings the edit adds to
 // its package: those of the mutated package minus those of the package
 // as it stands, each analyzed against the program of the same partial
-// set (which can report what the whole tree does not, e.g. a wire type
-// whose decoder lives in a package left out).
+// set (which can report what the whole tree does not).
 func (mt *mutantTree) catch(m mutant) ([]string, error) {
 	path := filepath.Join(mt.root, filepath.FromSlash(m.file))
 	src, err := os.ReadFile(path)
@@ -282,21 +281,6 @@ var mutants = []mutant{
 	t.cCompletes.Inc()`,
 	},
 	{
-		rule: "divguard", file: "internal/ocean/model.go",
-		why: "eddy radius 0 gives 0/0 at the eddy centre (the PR 2 bug)",
-		old: "rad := math.Max(float64(minInt(g.NX, g.NY))*p.EddyRadiusFrac, 1e-9)",
-		new: "rad := float64(minInt(g.NX, g.NY)) * p.EddyRadiusFrac",
-	},
-	{
-		rule: "divguard", file: "internal/linalg/tridiag.go",
-		why: "tridiagonal solve divides by a zero pivot",
-		old: `		if den == 0 {
-			return fmt.Errorf("linalg: zero pivot at row %d", i)
-		}
-`,
-		new: "",
-	},
-	{
 		rule: "floatcmp", file: "internal/core/subspace.go",
 		why: "convergence decided by exact equality of two computed variances",
 		old: `	if vp == 0 && vc == 0 {
@@ -391,66 +375,6 @@ var mutants = []mutant{
 		dyn: "TestClimateProductCount (hangs)",
 	},
 	{
-		rule: "hotalloc", file: "internal/linalg/svd.go",
-		why: "GramSVD allocates the column buffer per mode",
-		old: `	col := make([]float64, n)
-	for i := 0; i < k; i++ {`,
-		new: `	for i := 0; i < k; i++ {
-		col := make([]float64, n)`,
-	},
-	{
-		rule: "hotalloc", file: "internal/ocean/model.go",
-		why: "momentumRows copies the forcing row every iteration",
-		old: `		fx := row(m.fx, j, nx)
-		fy := row(m.fy, j, nx)
-		newU := row(m.newU, j, nx)`,
-		new: `		fx := append([]float64(nil), row(m.fx, j, nx)...)
-		fy := row(m.fy, j, nx)
-		newU := row(m.newU, j, nx)`,
-		dyn: "TestStepDoesNotAllocate",
-	},
-	{
-		rule: "preallocate", file: "internal/linalg/svd.go",
-		why: "GramSVD grows sigma by append",
-		old: "s := make([]float64, 0, k)",
-		new: "var s []float64",
-	},
-	{
-		rule: "preallocate", file: "internal/telemetry/spans.go",
-		why: "timeline events grown by append",
-		old: "out := make([]ChromeEvent, 0, len(spans))",
-		new: "var out []ChromeEvent",
-	},
-	{
-		rule: "boxing", file: "internal/covstore/covstore.go",
-		why: "one boxed binary.Write per header field",
-		old: `	hdr := []int64{version, int64(m.Rows), int64(m.Cols)}
-	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
-		return err
-	}`,
-		new: `	for _, h := range []int64{version, int64(m.Rows), int64(m.Cols)} {
-		if err := binary.Write(w, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}`,
-	},
-	{
-		rule: "boxing", file: "internal/covstore/covstore.go",
-		why: "one boxed binary.Write per member index",
-		old: `	idx64 := make([]int64, len(indices))
-	for i, v := range indices {
-		idx64[i] = int64(v)
-	}
-	if err := binary.Write(w, binary.LittleEndian, idx64); err != nil {
-		return err
-	}`,
-		new: `	for _, v := range indices {
-		if err := binary.Write(w, binary.LittleEndian, int64(v)); err != nil {
-			return err
-		}
-	}`,
-	},
-	{
 		rule: "slogkv", file: "cmd/esse-report/main.go",
 		why: "a value without its key: !BADKEY at run time",
 		old: `lg.Error("creating digest file failed", "path", *out, "err", err.Error())`,
@@ -534,22 +458,6 @@ var mutants = []mutant{
 		old: "c.v.Add(n)",
 		new: "c.v.Store(c.v.Load() + n)",
 		dyn: "TestConcurrentUpdatesAndScrapes (about 1 run in 10)",
-	},
-	{
-		rule: "jsonwire", file: "internal/monitor/monitor.go",
-		why: "/status marshals an unguarded rho (NaN when the ensemble degenerates)",
-		old: `	js.Rho = finiteOr(js.Rho, 0)
-`,
-		new: "",
-	},
-	{
-		rule: "jsonwire", file: "internal/forensics/forensics.go",
-		why: "Digest.Validate forgets max_ms",
-		old: `			if err := checkFinite("max_ms", p.MaxMS); err != nil {
-				return fmt.Errorf("forensics: phase %s/%s: %w", p.Cat, p.Name, err)
-			}
-`,
-		new: "",
 	},
 	{
 		rule: "httpguard", file: "cmd/promscrape/main.go",

@@ -8,32 +8,18 @@ import (
 	"sync"
 )
 
-// This file computes the per-function summaries the interprocedural
-// analyzers consume, bottom-up over the call graph's strongly
-// connected components:
-//
-//   - effect summaries: may the function block on a channel or a
-//     wait, spawn goroutines, range over a map, send on a channel, or
-//     emit serialized output — each a single monotone bit, OR-joined
-//     from the function's own syntax and its callees' summaries
-//     (ascending fixpoint within an SCC);
-//   - lock summaries: the canonical keys of the mutexes a function may
-//     acquire, transitively (set union, ascending fixpoint);
-//   - numeric summaries: per-result sign masks in the divguard lattice
-//     (nonzero / non-negative / non-positive), computed by re-running
-//     the divguard dataflow over the callee body with the trust
-//     boundary *disabled* — a summary must hold for every caller — in
-//     two scenarios: parameters unknown (Base) and all float
-//     parameters assumed positive (AllPos). Recursive components
-//     iterate from the optimistic all-bits element down to a greatest
-//     fixpoint, so facts survive mutual recursion; the claim is
-//     divergence-insensitive (a non-terminating path proves anything
-//     vacuously), which is the standard partial-correctness reading.
+// This file computes the per-function effect summaries the
+// interprocedural analyzers consume, bottom-up over the call graph's
+// strongly connected components: may the function block on a channel
+// or a wait, spawn goroutines, range over a map, send on a channel, emit
+// serialized output, release a caller's resource or touch the network —
+// each a single monotone bit, OR-joined from the function's own syntax
+// and its callees' summaries (ascending fixpoint within an SCC).
 //
 // Known soundness gaps, by design: calls through function values and
-// interface methods contribute no edges (their effects and results are
-// invisible); functions without bodies in the set (assembly, external)
-// summarize as effect-free with unknown results.
+// interface methods contribute no edges (their effects are invisible);
+// functions without bodies in the set (assembly, external) summarize as
+// effect-free.
 
 // Effects is the may-effect bitmask of one function.
 type Effects uint16
@@ -41,8 +27,8 @@ type Effects uint16
 const (
 	// EffMayBlock: may block indefinitely on a channel operation, a
 	// select with no default, a sync.WaitGroup.Wait, or a time.Sleep.
-	// Acquiring a mutex is deliberately excluded: nested acquisition
-	// is the lock-order analyzer's job, with better precision.
+	// Acquiring a mutex is deliberately excluded: contention is not an
+	// indefinite wait.
 	EffMayBlock Effects = 1 << iota
 	// EffSpawns: may start a goroutine.
 	EffSpawns
@@ -53,14 +39,6 @@ const (
 	// EffEmitsOutput: may write to a stream, writer, hash or encoder —
 	// anything where call order becomes observable byte order.
 	EffEmitsOutput
-	// EffAllocates: may perform heap allocation on an ordinary call —
-	// make/new, slice or map composite literals, &T{} pointer literals,
-	// string concatenation, or the creation of a capturing closure.
-	// Allocation under a lazy-init guard (`if buf == nil`, `if cap(buf)
-	// < n`) is amortized and deliberately excluded, as are goroutine
-	// bodies (a per-call spawn is EffSpawns' cost to report). hotalloc
-	// consumes this bit at loop-borne call sites.
-	EffAllocates
 	// EffReleases: may release a resource handed in by the caller — a
 	// Close or Stop call on an expression rooted at a parameter or the
 	// receiver. resleak consumes it at call sites: passing a tracked
@@ -78,42 +56,12 @@ const (
 	EffNetwork
 )
 
-// NumSummary is the numeric summary of one function's results.
-type NumSummary struct {
-	// NumParams is the flattened parameter count; Variadic marks a
-	// trailing ...T. FloatParams indexes the float-typed parameters.
-	NumParams   int
-	Variadic    bool
-	FloatParams []int
-	// Base[i] is the proven sign mask of result i with nothing assumed
-	// about the arguments; AllPos[i] assumes every float argument is
-	// provably positive at the call site.
-	Base, AllPos []uint8
-}
-
-// LockPair records one acquisition order observed somewhere in the
-// package set: After was acquired (directly or through a call) while
-// Before was held.
-type LockPair struct {
-	Before, After string
-	Pos           token.Position
-	PkgPath       string
-	// Via names the called function the acquisition happened through,
-	// or "" for a direct Lock call at Pos.
-	Via string
-}
-
 // Program bundles the package set with its call graph and summaries;
 // RunAnalyzers builds one per run and hands it to every Pass.
 type Program struct {
 	Graph *CallGraph
-	// Effects, Locks and Numeric are keyed like Graph.Funcs.
+	// Effects is keyed like Graph.Funcs.
 	Effects map[string]Effects
-	Locks   map[string][]string
-	Numeric map[string]*NumSummary
-	// LockPairs lists every observed acquisition order, sorted by
-	// position. lockheld cross-references them for inversions.
-	LockPairs []LockPair
 	// CtxParam maps a function key to the index of its first
 	// context.Context parameter; functions without one are absent.
 	// ctxflow reads it to decide whether a callee can carry a context.
@@ -122,14 +70,6 @@ type Program struct {
 	// static path into it (empty/absent = none provable). sharedguard
 	// reads it so xxxLocked helpers inherit their callers' guards.
 	EntryHeld map[string][]string
-	// WireTypes maps the canonical "pkgpath.Name" key of every named
-	// type that reaches an encoding/json sink anywhere in the set —
-	// closed over the call graph and the type structure — to its sink
-	// sites. FiniteFields holds the "pkgpath.Type.Field" keys of float
-	// struct fields with a finite (IsNaN/IsInf) check somewhere in the
-	// tree. jsonwire consumes both; see wirefacts.go.
-	WireTypes    map[string]*WireFact
-	FiniteFields map[string]bool
 	// Obligations counts the facts the obligation solver tracked over
 	// the run (httpguard responses, ctxflow cancels, resleak handles);
 	// surfaced by -stats. The analyzer loop is sequential, so a plain
@@ -157,70 +97,34 @@ func BuildProgram(pkgs []*Package) *Program {
 	p := &Program{
 		Graph:   BuildCallGraph(pkgs),
 		Effects: map[string]Effects{},
-		Locks:   map[string][]string{},
-		Numeric: map[string]*NumSummary{},
 	}
 	p.computeEffects()
-	p.computeNumeric()
-	p.LockPairs = collectLockPairs(p)
 	p.computeCtxParams()
 	p.computeEntryHeld()
-	loaded := map[string]bool{}
-	for _, pkg := range pkgs {
-		loaded[pkg.Path] = true
-	}
-	p.computeWireTypes(loaded)
-	p.computeFiniteFields(loaded)
 	return p
-}
-
-// FuncEffects returns the transitive effect summary of the statically
-// resolved callee of call, or 0 when the callee is unknown.
-func (p *Program) FuncEffects(info *types.Info, call *ast.CallExpr) Effects {
-	if fn := StaticCallee(info, call); fn != nil {
-		return p.Effects[fn.FullName()]
-	}
-	return 0
 }
 
 // --- effect summaries ------------------------------------------------------
 
 func (p *Program) computeEffects() {
 	direct := map[string]Effects{}
-	directLocks := map[string]map[string]bool{}
-	unguarded := map[string]map[string]bool{}
 	for _, key := range p.Graph.Keys {
-		fn := p.Graph.Funcs[key]
-		direct[key], directLocks[key] = directEffects(fn)
-		unguarded[key] = unguardedCallees(fn)
+		direct[key] = directEffects(p.Graph.Funcs[key])
 	}
-	// Bottom-up over SCCs; within a component, iterate the OR/union
-	// system to its (ascending) fixpoint.
+	// Bottom-up over SCCs; within a component, iterate the OR system to
+	// its (ascending) fixpoint.
 	for _, scc := range p.Graph.SCCs {
 		for changed := true; changed; {
 			changed = false
 			for _, key := range scc {
 				eff := direct[key]
-				locks := directLocks[key]
 				for _, callee := range p.Graph.Funcs[key].Callees {
-					ceff := p.Effects[callee]
-					// Allocation amortized behind a lazy-init guard at
-					// every call site is not the caller's per-call cost.
-					if !unguarded[key][callee] {
-						ceff &^= EffAllocates
-					}
-					eff |= ceff
-					for _, lk := range p.Locks[callee] {
-						if !locks[lk] {
-							locks[lk] = true
-						}
-					}
+					eff |= p.Effects[callee]
 				}
-				if eff != p.Effects[key] || len(locks) != len(p.Locks[key]) {
+				if eff != p.Effects[key] {
 					changed = true
 				}
 				p.Effects[key] = eff
-				p.Locks[key] = sortedKeys(locks)
 			}
 		}
 	}
@@ -240,18 +144,13 @@ func sortedKeys(set map[string]bool) []string {
 
 // directEffects scans one function body — nested literals included,
 // since they execute (or are spawned) under the function's dynamic
-// extent — for the syntactic effect sources and direct lock
-// acquisitions.
-func directEffects(fn *FuncInfo) (Effects, map[string]bool) {
-	locks := map[string]bool{}
+// extent — for the syntactic effect sources.
+func directEffects(fn *FuncInfo) Effects {
 	if fn.Decl.Body == nil {
-		return 0, locks
+		return 0
 	}
 	info := fn.Pkg.Info
 	var eff Effects
-	if allocatesDirectly(info, fn.Decl.Body) {
-		eff |= EffAllocates
-	}
 	owned := ownedVars(fn)
 	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
@@ -287,13 +186,10 @@ func directEffects(fn *FuncInfo) (Effects, map[string]bool) {
 			if releasesOwned(info, v, owned) {
 				eff |= EffReleases
 			}
-			if key, kind := lockAcquire(fn, v); kind != lockNone {
-				locks[key] = true
-			}
 		}
 		return true
 	})
-	return eff, locks
+	return eff
 }
 
 // ownedVars collects the parameter and receiver variables of fn — the
@@ -460,99 +356,4 @@ func isOutputCall(info *types.Info, call *ast.CallExpr) bool {
 	}
 	names := outputFuncs[obj.Pkg().Path()]
 	return names != nil && names[obj.Name()]
-}
-
-// --- numeric summaries -----------------------------------------------------
-
-const sfAll = sfNonZero | sfNonNeg | sfNonPos // lattice bottom: optimistic init
-
-func (p *Program) computeNumeric() {
-	for _, scc := range p.Graph.SCCs {
-		// Optimistic initialization for the (possibly recursive)
-		// component: claim everything, then descend to the greatest
-		// fixpoint. Callee components are already final.
-		var members []*FuncInfo
-		for _, key := range scc {
-			fn := p.Graph.Funcs[key]
-			if fn.Decl.Body == nil || fn.Decl.Type.Results == nil || fn.Decl.Type.Results.NumFields() == 0 {
-				continue
-			}
-			members = append(members, fn)
-			p.Numeric[key] = newOptimisticSummary(fn)
-		}
-		if len(members) == 0 {
-			continue
-		}
-		// Each productive iteration clears at least one of the 3 sign
-		// bits of some result of some member, so the descent is bounded
-		// by the component's total bit count (plus one final stable
-		// round).
-		cap := 0
-		for _, fn := range members {
-			cap += 3 * len(p.Numeric[fn.Key].Base) * 2
-		}
-		converged := false
-		for iter := 0; iter <= cap; iter++ {
-			changed := false
-			for _, fn := range members {
-				sum := p.Numeric[fn.Key]
-				base := summaryResultMasks(p, fn, false)
-				allPos := summaryResultMasks(p, fn, true)
-				if !masksEqual(base, sum.Base) || !masksEqual(allPos, sum.AllPos) {
-					changed = true
-				}
-				sum.Base, sum.AllPos = base, allPos
-			}
-			if !changed {
-				converged = true
-				break
-			}
-		}
-		if !converged {
-			// Cannot happen for a monotone descent, but if it ever did,
-			// an optimistic leftover would be an unsound claim: drop
-			// the component's summaries instead.
-			for _, fn := range members {
-				delete(p.Numeric, fn.Key)
-			}
-		}
-	}
-}
-
-func newOptimisticSummary(fn *FuncInfo) *NumSummary {
-	sig := fn.Obj.Type().(*types.Signature)
-	sum := &NumSummary{
-		NumParams: sig.Params().Len(),
-		Variadic:  sig.Variadic(),
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if isFloatType(sig.Params().At(i).Type()) {
-			sum.FloatParams = append(sum.FloatParams, i)
-		}
-	}
-	n := sig.Results().Len()
-	sum.Base = make([]uint8, n)
-	sum.AllPos = make([]uint8, n)
-	for i := range sum.Base {
-		sum.Base[i] = sfAll
-		sum.AllPos[i] = sfAll
-	}
-	return sum
-}
-
-func isFloatType(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
-}
-
-func masksEqual(a, b []uint8) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

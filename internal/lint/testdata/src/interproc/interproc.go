@@ -51,45 +51,3 @@ func RangesMap(m map[string]int) int {
 	}
 	return n
 }
-
-func Allocates(n int) []int { return make([]int, n) }
-
-func CallsAllocates(n int) int { return len(Allocates(n)) }
-
-// Mutually recursive pair where only one side allocates directly: the
-// SCC fixpoint must hand the bit to both.
-func AllocEven(n int) []int {
-	buf := make([]int, 1)
-	if n == 0 {
-		return buf
-	}
-	return AllocOdd(n - 1)
-}
-
-func AllocOdd(n int) []int {
-	if n == 0 {
-		return nil
-	}
-	return AllocEven(n - 1)
-}
-
-var sharedBuf []int
-
-// LazyAlloc's only allocation is amortized behind a nil guard.
-func LazyAlloc(n int) []int {
-	if sharedBuf == nil {
-		sharedBuf = make([]int, n)
-	}
-	return sharedBuf
-}
-
-func CallsLazyAlloc(n int) int { return len(LazyAlloc(n)) }
-
-// GuardedCall invokes an allocating callee only under a lazy-init
-// guard, so the callee's bit must not cross the edge.
-func GuardedCall(n int) int {
-	if sharedBuf == nil {
-		sharedBuf = Allocates(n)
-	}
-	return len(sharedBuf)
-}

@@ -39,23 +39,3 @@ func (c *counter) indirectBlock() {
 	defer c.mu.Unlock()
 	c.n = blockingHelper(c.ch) // want "call to blockingHelper may block"
 }
-
-// Inconsistent pairwise order: a→b here, b→a below. Both second
-// acquisitions are reported.
-type pair struct {
-	a, b sync.Mutex
-}
-
-func (p *pair) lockAB() {
-	p.a.Lock()
-	p.b.Lock() // want "opposite order"
-	p.b.Unlock()
-	p.a.Unlock()
-}
-
-func (p *pair) lockBA() {
-	p.b.Lock()
-	p.a.Lock() // want "opposite order"
-	p.a.Unlock()
-	p.b.Unlock()
-}

@@ -32,25 +32,6 @@ func (s *store) spawn(ch chan int) {
 	go func() { ch <- 1 }()
 }
 
-// Consistent a→b order on every path: no inversion to report.
-type ordered struct {
-	a, b sync.Mutex
-}
-
-func (o *ordered) first() {
-	o.a.Lock()
-	o.b.Lock()
-	o.b.Unlock()
-	o.a.Unlock()
-}
-
-func (o *ordered) second() {
-	o.a.Lock()
-	o.b.Lock()
-	o.b.Unlock()
-	o.a.Unlock()
-}
-
 type rw struct {
 	mu sync.RWMutex
 	v  int

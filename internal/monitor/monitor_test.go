@@ -164,3 +164,19 @@ func TestMonitorEmptyStatus(t *testing.T) {
 		t.Fatalf("empty monitor status = %d", resp.StatusCode)
 	}
 }
+
+// rho goes NaN when the ensemble degenerates (§4's convergence ratio);
+// the JSON endpoints must still answer with a document.
+func TestStatusSurvivesNaNRho(t *testing.T) {
+	m := New(0)
+	m.Callback()(workflow.Progress{Rho: math.NaN()})
+	h := m.Handler()
+	for _, path := range []string{"/status", "/history"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		var v any
+		if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+			t.Errorf("%s with rho = NaN: %v (body %q)", path, err, rec.Body.String())
+		}
+	}
+}

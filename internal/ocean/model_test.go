@@ -180,6 +180,19 @@ func TestEddySignatureInSSH(t *testing.T) {
 	}
 }
 
+// An eddy centred on a grid point with a zero radius fraction is the
+// 0/0 the radius clamp in initClimatology exists for.
+func TestZeroRadiusEddyIsFinite(t *testing.T) {
+	cfg := DefaultConfig(grid.MontereyBay(16, 16, 3))
+	cfg.Climo.EddyCXFrac, cfg.Climo.EddyCYFrac = 0.5, 0.5
+	cfg.Climo.EddyRadiusFrac = 0
+	for i, v := range New(cfg, rng.New(1)).State(nil) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("state[%d] = %v for a zero-radius eddy", i, v)
+		}
+	}
+}
+
 func TestPerturbationGrowth(t *testing.T) {
 	// Nonlinear stochastic dynamics: an initially tiny perturbation plus
 	// differing noise realizations must grow, not collapse to zero.

@@ -226,7 +226,6 @@ func (t *Tracer) ChromeEvents() []ChromeEvent {
 			name = append(name, '-')
 			name = strconv.AppendInt(name, r.id, 10)
 		}
-		//esselint:allow hotalloc every exported event needs its own identity block; export runs once, after the run
 		args := &SpanArgs{TraceID: r.trace.String(), SpanID: r.span.String()}
 		if r.parent != 0 {
 			args.ParentSpan = r.parent.String()

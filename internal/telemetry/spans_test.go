@@ -156,6 +156,19 @@ func TestTimelineChromeEvents(t *testing.T) {
 	if evs := TimelineChromeEvents(nil, time.Second); evs != nil {
 		t.Fatalf("nil timeline = %+v, want nil", evs)
 	}
+
+	// The event slice is sized once, so the count does not grow with the
+	// spans. Below 13 spans sort.Slice allocates less: both sizes are above.
+	allocs := func(n int) float64 {
+		tl := trace.New()
+		for i := 0; i < n; i++ {
+			tl.Add(trace.SimulationTime, "cycle", float64(i), float64(i+1))
+		}
+		return testing.AllocsPerRun(20, func() { TimelineChromeEvents(tl, time.Second) })
+	}
+	if few, many := allocs(16), allocs(256); few != many {
+		t.Errorf("TimelineChromeEvents: %.0f allocs/op over 16 spans, %.0f over 256, want equal", few, many)
+	}
 }
 
 // TestChromeEventsFlowPairs pins the parent-linked export: every

@@ -17,8 +17,8 @@ go run scripts/unlinked.go | grep -v '\.go:'
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> esselint -stats -escapes ./... (the analyzers of esselint -list + compiler escape-fact cross-check)"
-go run ./cmd/esselint -vet=false -stats -escapes ./...
+echo "==> esselint -stats ./... (the analyzers of esselint -list)"
+go run ./cmd/esselint -vet=false -stats ./...
 
 echo "==> esselint self-hosting gate (internal/lint + cmd/esselint)"
 go run ./cmd/esselint -vet=false ./internal/lint/... ./cmd/esselint/...
