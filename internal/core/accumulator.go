@@ -98,6 +98,16 @@ func (a *Accumulator) Anomalies() *linalg.Dense {
 	return out
 }
 
+// Columns returns the anomaly columns, one per member in increasing
+// member-index order, without copying them. A column is never written
+// after its Add returns, so the result is a snapshot that later Adds do
+// not change; the caller must not write to it.
+func (a *Accumulator) Columns() [][]float64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.cols[:len(a.cols):len(a.cols)]
+}
+
 // EnsembleMean returns central + mean(anomalies): the ensemble estimate
 // of the conditional mean.
 func (a *Accumulator) EnsembleMean() []float64 {

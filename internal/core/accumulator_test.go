@@ -165,3 +165,29 @@ func TestAnomaliesSnapshotIsolation(t *testing.T) {
 		t.Fatal("snapshot grew after later Add")
 	}
 }
+
+// TestColumnsIsAZeroCopySnapshot: Columns hands out the stored columns
+// themselves, a later Add does not show in an earlier result, and
+// appending to a result cannot reach the accumulator's own slice.
+func TestColumnsIsAZeroCopySnapshot(t *testing.T) {
+	acc := NewAccumulator([]float64{1, 1})
+	_ = acc.Add(0, []float64{2, 3})
+	_ = acc.Add(4, []float64{0, 1})
+	cols := acc.Columns()
+	if &cols[0][0] != &acc.Columns()[0][0] {
+		t.Fatal("Columns copied the columns")
+	}
+	_ = append(cols, []float64{9, 9})
+	_ = acc.Add(7, []float64{5, 5})
+	if len(cols) != 2 {
+		t.Fatalf("an earlier Columns result has %d columns after a later Add", len(cols))
+	}
+	a := acc.Anomalies()
+	for j, col := range acc.Columns() {
+		for i, v := range col {
+			if v != a.At(i, j) {
+				t.Fatalf("column %d = %v, Anomalies has %v", j, col, a.Col(nil, j))
+			}
+		}
+	}
+}

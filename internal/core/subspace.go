@@ -125,7 +125,7 @@ func SubspaceFromAnomalies(a *linalg.Dense, maxRank int, relTol float64) *Subspa
 	// One round of the tracker, materialised at once: the truncation
 	// rules live there.
 	t := NewSubspaceTracker(maxRank, relTol)
-	t.fold(a)
+	t.fold(a.Columns())
 	return t.cur.modes(a)
 }
 

@@ -61,57 +61,44 @@ func (t *SubspaceTracker) Len() int {
 	return t.gram.Rows
 }
 
-// Update runs one SVD round on the anomaly snapshot a, whose columns
-// belong to the members named by indices. The snapshot must be the one
-// the previous round saw with at least one more column appended: the
-// old Gram entries are reused, not recomputed, so a snapshot that is
-// stale, reordered or shorter would corrupt this round and every later
+// Update runs one SVD round on the anomaly columns cols, which belong
+// to the members named by indices. The columns must be the ones the
+// previous round saw with at least one more appended: only the new ones
+// are read, and the old Gram entries are reused, so columns that are
+// stale, reordered or fewer would corrupt this round and every later
 // one. Update returns an error instead and leaves the tracker as it was.
-func (t *SubspaceTracker) Update(a *linalg.Dense, indices []int) error {
-	if len(indices) != a.Cols {
-		return fmt.Errorf("core: %d member indices for %d anomaly columns", len(indices), a.Cols)
+// The columns are only read, during the call.
+func (t *SubspaceTracker) Update(cols [][]float64, indices []int) error {
+	if len(indices) != len(cols) {
+		return fmt.Errorf("core: %d member indices for %d anomaly columns", len(indices), len(cols))
 	}
-	if a.Cols < 2 {
+	if len(cols) < 2 {
 		return errors.New("core: need at least 2 anomaly columns")
 	}
 	old := t.Len()
-	if a.Cols <= old {
-		return fmt.Errorf("core: snapshot has %d members, the last round had %d; it must grow", a.Cols, old)
+	if len(cols) <= old {
+		return fmt.Errorf("core: snapshot has %d members, the last round had %d; it must grow", len(cols), old)
 	}
 	for j, idx := range t.indices {
 		if indices[j] != idx {
 			return fmt.Errorf("core: snapshot column %d is member %d, the last round had member %d there", j, indices[j], idx)
 		}
 	}
-	t.fold(a)
+	for j, c := range cols[old:] {
+		if len(c) != len(cols[0]) {
+			return fmt.Errorf("core: anomaly column %d has %d rows, column 0 has %d", old+j, len(c), len(cols[0]))
+		}
+	}
+	t.fold(cols)
 	t.indices = append(t.indices, indices[old:]...)
 	return nil
 }
 
-// fold extends the Gram matrix by the columns of a beyond the ones it
-// already covers and decomposes it into the current round's subspace.
-func (t *SubspaceTracker) fold(a *linalg.Dense) {
-	old, n := t.Len(), a.Cols
-	if old == 0 {
-		t.gram = linalg.MulTA(a, a)
-	} else {
-		// The new members' rows of AᵀA; the transposed block is the same
-		// numbers because a product of two floats does not depend on
-		// their order.
-		block := linalg.MulTA(a.Slice(0, a.Rows, old, n), a)
-		gram := linalg.NewDense(n, n)
-		for i := 0; i < old; i++ {
-			copy(gram.Row(i), t.gram.Row(i))
-		}
-		for i := old; i < n; i++ {
-			row := block.Row(i - old)
-			copy(gram.Row(i), row)
-			for j := 0; j < old; j++ {
-				gram.Data[j*n+i] = row[j]
-			}
-		}
-		t.gram = gram
-	}
+// fold extends the Gram matrix by the columns beyond the ones it already
+// covers and decomposes it into the current round's subspace.
+func (t *SubspaceTracker) fold(cols [][]float64) {
+	n := len(cols)
+	t.gram = linalg.ExtendGram(t.gram, cols)
 
 	s, v := linalg.GramSVD(t.gram, t.maxRank)
 	scale := 1 / math.Sqrt(float64(n-1))

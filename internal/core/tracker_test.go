@@ -91,11 +91,17 @@ func TestTrackerMatchesOracleOnEveryPrefix(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := NewSubspaceTracker(tc.maxRank, tc.relTol)
+			cols := tc.a.Columns()
 			var prev *Subspace
 			for k := batch; k <= n; k += batch {
 				prefix := tc.a.Slice(0, tc.a.Rows, 0, k)
-				if err := tr.Update(prefix, indices[:k]); err != nil {
+				if err := tr.Update(cols[:k], indices[:k]); err != nil {
 					t.Fatal(err)
+				}
+				// The Gram matrix the columns were folded into is the one
+				// MulTA forms from the whole prefix, bit for bit.
+				if !slices.Equal(tr.gram.Data, linalg.MulTA(prefix, prefix).Data) {
+					t.Fatalf("n=%d: column-fed Gram matrix differs from MulTA(A, A)", k)
 				}
 				want := oracleSubspace(prefix, tc.maxRank, tc.relTol)
 				got, err := tr.Subspace(prefix)
@@ -137,14 +143,14 @@ func TestTrackerZeroModesContributeNothing(t *testing.T) {
 	a.Set(1, 3, -1)
 	tr := NewSubspaceTracker(0, 0)
 	first := a.Slice(0, 6, 0, 2)
-	if err := tr.Update(first, []int{0, 1}); err != nil {
+	if err := tr.Update(first.Columns(), []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	prev := oracleSubspace(first, 0, 0)
 	if prev.Sigma[1] != 0 || prev.Modes.At(0, 1) != 0 {
 		t.Fatalf("the oracle's second mode is not the zero column the test needs: σ = %v", prev.Sigma)
 	}
-	if err := tr.Update(a, []int{0, 1, 2, 3}); err != nil {
+	if err := tr.Update(a.Columns(), []int{0, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	_, rho := tr.Converged(DefaultConvergence())
@@ -163,11 +169,12 @@ func TestTrackerGramIsGroupingIndependent(t *testing.T) {
 	a.SetCol(5, make([]float64, m)) // MulTA skips zero entries; the mirror must not care
 	indices := memberIndices(n)
 	want := linalg.MulTA(a, a)
+	cols := a.Columns()
 	for _, step := range []int{1, 8, n} {
 		tr := NewSubspaceTracker(0, 1e-8)
 		// The first round needs two columns, whatever the step.
 		for k := max(step, 2); k <= n; k += step {
-			if err := tr.Update(a.Slice(0, m, 0, k), indices[:k]); err != nil {
+			if err := tr.Update(cols[:k], indices[:k]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -187,9 +194,10 @@ func TestTrackerGramIsGroupingIndependent(t *testing.T) {
 func TestTrackerRejectsSnapshotsThatDoNotExtendTheLast(t *testing.T) {
 	const m = 30
 	a := randomDense(rng.New(44), m, 12)
+	cols := a.Columns()
 	indices := memberIndices(12)
 	tr := NewSubspaceTracker(0, 0)
-	if err := tr.Update(a.Slice(0, m, 0, 6), indices[:6]); err != nil {
+	if err := tr.Update(cols[:6], indices[:6]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tr.Subspace(a); err == nil {
@@ -198,20 +206,23 @@ func TestTrackerRejectsSnapshotsThatDoNotExtendTheLast(t *testing.T) {
 
 	swapped := slices.Clone(indices[:9])
 	swapped[1], swapped[2] = swapped[2], swapped[1]
+	short := slices.Clone(cols[:9])
+	short[7] = short[7][:m-1]
 	bad := []struct {
 		name    string
-		cols    int
+		cols    [][]float64
 		indices []int
 		want    string
 	}{
-		{"stale", 6, indices[:6], "must grow"},
-		{"shorter", 4, indices[:4], "must grow"},
-		{"reordered", 9, swapped, "column 1 is member"},
-		{"index count", 9, indices[:8], "8 member indices for 9"},
-		{"single column", 1, indices[:1], "at least 2"},
+		{"stale", cols[:6], indices[:6], "must grow"},
+		{"shorter", cols[:4], indices[:4], "must grow"},
+		{"reordered", cols[:9], swapped, "column 1 is member"},
+		{"index count", cols[:9], indices[:8], "8 member indices for 9"},
+		{"single column", cols[:1], indices[:1], "at least 2"},
+		{"short column", short, indices[:9], "column 7 has 29 rows"},
 	}
 	for _, tc := range bad {
-		err := tr.Update(a.Slice(0, m, 0, tc.cols), tc.indices)
+		err := tr.Update(tc.cols, tc.indices)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s snapshot: error %v, want one containing %q", tc.name, err, tc.want)
 		}
@@ -219,7 +230,7 @@ func TestTrackerRejectsSnapshotsThatDoNotExtendTheLast(t *testing.T) {
 
 	// The failed rounds changed nothing: the next good one matches the
 	// oracle.
-	if err := tr.Update(a, indices); err != nil {
+	if err := tr.Update(cols, indices); err != nil {
 		t.Fatal(err)
 	}
 	got, err := tr.Subspace(a)
@@ -231,5 +242,51 @@ func TestTrackerRejectsSnapshotsThatDoNotExtendTheLast(t *testing.T) {
 	}
 	if _, rho := tr.Converged(DefaultConvergence()); rho <= 0 {
 		t.Fatalf("rho = %v after two good rounds", rho)
+	}
+}
+
+// TestMeanCentredAnomaliesGiveRankMinusOneModes: n columns centred on
+// their own mean span n−1 directions. The eigensolver leaves the missing
+// direction a few ulps of λmax away from zero, which is far above zero in
+// σ; GramSVD's rounding floor has to make it σ = 0, or relTol keeps it
+// as a mode made of rounding. Both paths must give exactly n−1
+// orthonormal modes.
+func TestMeanCentredAnomaliesGiveRankMinusOneModes(t *testing.T) {
+	for _, shape := range [][2]int{{200, 8}, {300, 24}, {2000, 64}} {
+		m, n := shape[0], shape[1]
+		a := randomDense(rng.New(uint64(45+n)), m, n)
+		for i := 0; i < m; i++ {
+			row := a.Row(i)
+			mean := 0.0
+			for _, v := range row {
+				mean += v
+			}
+			mean /= float64(n)
+			for j := range row {
+				row[j] -= mean
+			}
+		}
+		tr := NewSubspaceTracker(0, 1e-10)
+		cols := a.Columns()
+		for k := n / 2; k <= n; k += n / 2 {
+			if err := tr.Update(cols[:k], memberIndices(n)[:k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tracked, err := tr.Subspace(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, sub := range map[string]*Subspace{
+			"SubspaceFromAnomalies": SubspaceFromAnomalies(a, 0, 1e-10),
+			"tracker":               tracked,
+		} {
+			if sub.Rank() != n-1 {
+				t.Fatalf("%d×%d, %s: %d modes, want %d (σ tail %v)", m, n, name, sub.Rank(), n-1, sub.Sigma[sub.Rank()-2:])
+			}
+			if err := sub.Check(1e-10); err != nil {
+				t.Fatalf("%d×%d, %s: %v", m, n, name, err)
+			}
+		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package linalg implements the dense linear algebra needed by ESSE:
 // matrix arithmetic with goroutine-parallel multiplication, Householder
-// QR, Cholesky factorization, a symmetric Jacobi eigensolver, and
-// singular value decompositions (one-sided Jacobi for general matrices
-// and a Gram-matrix thin SVD for the tall ensemble anomaly matrices that
-// dominate ESSE workloads).
+// QR, Cholesky factorization, a symmetric eigensolver (Householder
+// tridiagonalisation + implicit QL), and singular value decompositions
+// (one-sided Jacobi for general matrices and a Gram-matrix thin SVD for
+// the tall ensemble anomaly matrices that dominate ESSE workloads).
 //
 // The paper offloads these operations to shared-memory LAPACK; this
 // package is the stdlib-only replacement. All algorithms are validated
@@ -99,6 +99,29 @@ func (m *Dense) SetCol(j int, v []float64) {
 	for i := 0; i < m.Rows; i++ {
 		m.Data[i*m.Cols+j] = v[i]
 	}
+}
+
+// Columns copies the matrix into one slice per column, all in one
+// backing array. It goes 32 rows at a time, so every column is written
+// in runs and the rows it reads stay in cache; a row at a time writes
+// one element to every column per row, which is several times slower
+// on an ensemble-sized matrix.
+func (m *Dense) Columns() [][]float64 {
+	data := make([]float64, len(m.Data))
+	cols := make([][]float64, m.Cols)
+	for j := range cols {
+		cols[j] = data[j*m.Rows : (j+1)*m.Rows]
+	}
+	const rows = 32
+	for lo := 0; lo < m.Rows; lo += rows {
+		hi := min(lo+rows, m.Rows)
+		for j, col := range cols {
+			for i := lo; i < hi; i++ {
+				col[i] = m.Data[i*m.Cols+j]
+			}
+		}
+	}
+	return cols
 }
 
 // Clone returns a deep copy.

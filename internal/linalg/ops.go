@@ -134,6 +134,64 @@ func MulTA(a, b *Dense) *Dense {
 	return out
 }
 
+// ExtendGram returns the Gram matrix AᵀA of the columns cols, given g,
+// the Gram matrix of the leading g.Rows of them (nil for none). Only
+// the new columns are read, each against every column, so a call costs
+// (len(cols) − g.Rows) × len(cols) dot products over the rows, however
+// many columns g already covers.
+//
+// Each entry is the sum MulTA forms — products in row order, skipping a
+// zero in the new column — and the block above the new rows mirrors the
+// one beside them, so the result is bit-identical to MulTA(A, A) of the
+// whole matrix whatever columns g covers.
+func ExtendGram(g *Dense, cols [][]float64) *Dense {
+	old, n := 0, len(cols)
+	if g != nil {
+		old = g.Rows
+	}
+	out := NewDense(n, n)
+	for i := 0; i < old; i++ {
+		copy(out.Row(i), g.Row(i))
+	}
+	for i := old; i < n; i++ {
+		ci, row := cols[i], out.Row(i)
+		// Four entries at a time: four independent sums keep the adds
+		// in flight, and each keeps its own row order.
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			c0, c1 := cols[j][:len(ci)], cols[j+1][:len(ci)]
+			c2, c3 := cols[j+2][:len(ci)], cols[j+3][:len(ci)]
+			var s0, s1, s2, s3 float64
+			for k, x := range ci {
+				if x == 0 {
+					continue
+				}
+				s0 += x * c0[k]
+				s1 += x * c1[k]
+				s2 += x * c2[k]
+				s3 += x * c3[k]
+			}
+			row[j], row[j+1], row[j+2], row[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			cj := cols[j][:len(ci)]
+			s := 0.0
+			for k, x := range ci {
+				if x != 0 {
+					s += x * cj[k]
+				}
+			}
+			row[j] = s
+		}
+	}
+	for i := old; i < n; i++ {
+		for j := 0; j < old; j++ {
+			out.Data[j*n+i] = out.Data[i*n+j]
+		}
+	}
+	return out
+}
+
 // MulBT returns a*bᵀ without forming the transpose.
 func MulBT(a, b *Dense) *Dense {
 	if a.Cols != b.Cols {

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -193,5 +194,34 @@ func BenchmarkMulLargeParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Mul(a, c)
+	}
+}
+
+// TestExtendGramMatchesMulTA: extending the Gram matrix of any leading
+// block of columns gives MulTA(A, A) bit for bit — with a column count
+// that is not a multiple of four, and with zero entries, which MulTA
+// skips. Columns is checked on the way, on a row count that is not a
+// multiple of its 32-row blocks.
+func TestExtendGramMatchesMulTA(t *testing.T) {
+	a := randomDense(rng.New(65), 549, 13)
+	for i := 0; i < a.Rows; i += 7 {
+		a.Set(i, i%13, 0)
+	}
+	cols := a.Columns()
+	for j, col := range cols {
+		if want := a.Col(nil, j); !slices.Equal(col, want) {
+			t.Fatalf("Columns: column %d differs from Col", j)
+		}
+	}
+	want := MulTA(a, a)
+	for _, old := range []int{0, 1, 5, 12, 13} {
+		var g *Dense
+		if old > 0 {
+			head := a.Slice(0, a.Rows, 0, old)
+			g = MulTA(head, head)
+		}
+		if got := ExtendGram(g, cols); !slices.Equal(got.Data, want.Data) {
+			t.Fatalf("from %d columns: ExtendGram differs from MulTA(A, A)", old)
+		}
 	}
 }

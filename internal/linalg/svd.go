@@ -141,18 +141,27 @@ func ThinSVDGram(a *Dense, k int) *SVDFactors {
 // vectors (n×k) of a matrix A given only its Gram matrix AᵀA (n×n):
 // the part of ThinSVDGram that never touches the tall data. k <= 0 or
 // k > n means n.
+//
+// An eigenvalue at or below n·ε·λmax (ε = 2⁻⁵²) is rounding, not
+// spectrum, and gives σ = 0: a null direction of A — every direction a
+// mean-centred ensemble lacks — comes out of the eigensolver a few ulps
+// of λmax away from zero, which is far above zero in σ.
 func GramSVD(gram *Dense, k int) ([]float64, *Dense) {
 	n := gram.Rows
 	if k <= 0 || k > n {
 		k = n
 	}
 	eig := SymEig(gram)
+	floor := 0.0
+	if n > 0 {
+		floor = float64(n) * 0x1p-52 * eig.Values[0]
+	}
 	s := make([]float64, 0, k)
 	v := NewDense(n, k)
 	col := make([]float64, n)
 	for i := 0; i < k; i++ {
 		lambda := eig.Values[i]
-		if lambda < 0 {
+		if lambda <= floor {
 			lambda = 0
 		}
 		s = append(s, math.Sqrt(lambda))

@@ -427,11 +427,11 @@ func (s *System) RunCycle(ctx context.Context) (*CycleResult, error) {
 	}
 
 	if s.Cfg.Smooth {
-		// Reanalyze the cycle-start state with this cycle's innovation
-		// (base network only: the smoother shares the filter's H).
+		// Reanalyze the cycle-start state with this cycle's innovation:
+		// the observations the filter assimilated, restricted to the base
+		// network (the smoother's H), which AugmentedNetwork puts first.
 		_, spSmooth := tel.SpanCtx(ctx, "realtime", "smooth", int64(k), -1)
-		innovZ := linalg.VecSub(s.scaled.ScaleObs(s.Network.Sample(s.truth.State(nil), cycleSeed.Split(998))),
-			s.scaled.ApplyH(ens.Mean))
+		innovZ := linalg.VecSub(yz[:s.Network.Len()], s.scaled.ApplyH(ens.Mean))
 		smoothed, err := s.smoothStart(startAnalysis, cache, ens.Anomalies, ens.MemberIndices, innovZ)
 		spSmooth.End()
 		if err != nil {

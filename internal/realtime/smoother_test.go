@@ -2,7 +2,10 @@ package realtime
 
 import (
 	"context"
+	"slices"
 	"testing"
+
+	"esse/internal/linalg"
 )
 
 func TestSmoothingReanalyzesCycleStart(t *testing.T) {
@@ -77,5 +80,47 @@ func TestSmoothingDoesNotChangeFilter(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("smoothing changed the forward filter: %v vs %v", a, b)
 		}
+	}
+}
+
+// TestSmootherUsesTheFilterObservations: the smoother's innovation is
+// the observation vector the filter assimilated, restricted to the base
+// network, minus H of the forecast mean — not a second draw of the
+// measurement noise. The test rebuilds the filter's observations and
+// the members' initial perturbations from their noise streams, and the
+// smoothed state must be what smoothStart gives for them, bit for bit.
+// Adaptive casts are on, so the filter's network is the base one plus
+// casts after it.
+func TestSmootherUsesTheFilterObservations(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Smooth = true
+	cfg.AdaptiveCasts = 2
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior, start := sys.Subspace(), slices.Clone(sys.Analysis())
+	r, err := sys.RunCycle(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycleSeed := sys.seeds.Split(1000)
+	ens := r.Ensemble
+	cache := newPertCache()
+	for _, idx := range ens.MemberIndices {
+		cache.put(idx, prior.Perturb(nil, cycleSeed.Split(uint64(idx+1)), cfg.WhiteNoise))
+	}
+	network, scaled, err := sys.AugmentedNetwork(r.AdaptiveCasts, cfg.AdaptiveCastStd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	yz := scaled.ScaleObs(network.Sample(sys.TruthState(), cycleSeed.Split(999)))
+	innovZ := linalg.VecSub(yz[:sys.Network.Len()], sys.scaled.ApplyH(ens.Mean))
+	want, err := sys.smoothStart(start, cache, ens.Anomalies, ens.MemberIndices, innovZ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(r.SmoothedStart, want) {
+		t.Fatal("the smoothed start is not the reanalysis with the filter's observations")
 	}
 }

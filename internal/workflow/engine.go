@@ -359,23 +359,26 @@ func run(ctx context.Context, cfg Config, central []float64, runner MemberRunner
 		defer sp.End()
 		svdStart := time.Now()
 		defer func() { hSVDSec.Observe(time.Since(svdStart).Seconds()) }()
-		anoms := acc.Anomalies()
-		indices := acc.Indices()
+		// The round reads the accumulator's columns in place: the tracker
+		// reads only the new ones against the rest.
+		cols, indices := acc.Columns(), acc.Indices()
 		if cfg.Store != nil {
 			// Publish through the triple-file protocol and read back the
-			// safe file, like the shell implementation's differ/SVD pair.
-			if _, err := cfg.Store.WriteSnapshotCtx(svdCtx, anoms, indices); err != nil {
+			// safe file, like the shell implementation's differ/SVD pair;
+			// the round then runs on the file's columns.
+			if _, err := cfg.Store.WriteSnapshotCtx(svdCtx, acc.Anomalies(), indices); err != nil {
 				return fmt.Errorf("workflow: diff publish: %w", err)
 			}
-			var err error
-			if anoms, indices, _, err = cfg.Store.ReadSafeCtx(svdCtx); err != nil {
+			safe, safeIndices, _, err := cfg.Store.ReadSafeCtx(svdCtx)
+			if err != nil {
 				return fmt.Errorf("workflow: SVD read: %w", err)
 			}
+			cols, indices = safe.Columns(), safeIndices
 		}
-		if anoms.Cols < 2 {
+		if len(cols) < 2 {
 			return nil
 		}
-		if err := tracker.Update(anoms, indices); err != nil {
+		if err := tracker.Update(cols, indices); err != nil {
 			return fmt.Errorf("workflow: SVD round %d: %w", res.SVDRounds, err)
 		}
 		res.SVDRounds++
