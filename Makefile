@@ -16,11 +16,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# race-workflow repeats the engine's tests under the race detector: its
-# results must not depend on goroutine scheduling, and one lucky run
-# proves nothing about that.
+# race-workflow repeats the task pool's and the engine's tests under the
+# race detector: their results must not depend on goroutine scheduling,
+# and one lucky run proves nothing about that.
 race-workflow:
-	$(GO) test -race -count=20 ./internal/workflow
+	$(GO) test -race -count=20 ./internal/taskpool ./internal/workflow
 
 # bench-module gates the end-to-end benchmark's own module (bench/ has
 # its own go.mod, so ./... does not reach it).

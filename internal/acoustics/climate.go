@@ -3,10 +3,9 @@ package acoustics
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
+	"esse/internal/taskpool"
 	"esse/internal/telemetry"
 )
 
@@ -24,12 +23,6 @@ type ClimateSpec struct {
 	// Telemetry, when non-nil, receives per-task lifecycle events and
 	// TL task metrics. The nil default is a no-op on every hot path.
 	Telemetry *telemetry.Telemetry
-}
-
-// taskID flattens a ClimateTask into the linear index used for
-// lifecycle events and trace span names.
-func (s *ClimateSpec) taskID(t ClimateTask) int {
-	return (t.Slice*len(s.SourceDepths)+t.Source)*len(s.FreqsKHz) + t.Freq
 }
 
 // TaskCount returns the total number of independent TL tasks.
@@ -61,26 +54,26 @@ type ClimateResult struct {
 	Elapsed   time.Duration
 }
 
-// fan is the dispatch unit of a climate: the tasks of one (slice, source)
-// pair, one per frequency. They trace the same rays — frequency enters a
-// TL solve only in the dB conversion — so one worker traces once and
-// levels the deposit for each frequency.
-type fan struct {
-	slice, source int
+// fanTask is one task's outcome inside a fan.
+type fanTask struct {
+	res   ClimateTaskResult
+	phase telemetry.Phase // PhaseDone, PhaseFailed or PhaseCancelled
 }
 
-// ComputeClimate runs the full task product on a worker pool. If sink is
-// non-nil it receives every completed field (from multiple goroutines).
+// ComputeClimate runs the full task product on the task pool. Its unit
+// is the fan: the tasks of one (slice, source) pair, one per frequency,
+// which trace the same rays — frequency enters a TL solve only in the dB
+// conversion — so one worker traces once and levels the deposit for each
+// frequency. If sink is non-nil it receives every completed field (from
+// multiple goroutines). Tasks are in task order (slice, source,
+// frequency) by construction: the pool commits fans in index order.
 // Every task ends in exactly one of Tasks, Failed and Cancelled, also
 // when ctx is cancelled mid-run.
 func ComputeClimate(ctx context.Context, spec ClimateSpec, sink func(ClimateTask, *TLField)) (*ClimateResult, error) {
 	if spec.TaskCount() == 0 {
 		return nil, fmt.Errorf("acoustics: empty climate specification")
 	}
-	workers := spec.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	nf := len(spec.FreqsKHz)
 	start := time.Now()
 
 	// Metric registration allocates, so it happens before any task loop
@@ -96,116 +89,96 @@ func ComputeClimate(ctx context.Context, spec ClimateSpec, sink func(ClimateTask
 	ctx, poolSpan := tel.SpanCtx(ctx, "acoustics", "climate", -1, 0)
 	defer poolSpan.End()
 
+	// Task ids flatten the product in (slice, source, frequency) order, as
+	// events and spans name the tasks: fan f holds ids f·nf … f·nf+nf-1.
+	// end gives a task its terminal phase, on the committing goroutine.
 	res := &ClimateResult{Tasks: make([]ClimateTaskResult, 0, spec.TaskCount())}
-	var mu sync.Mutex
-	cancelTask := func(id int) {
-		tel.Emit("climate", id, 0, telemetry.PhaseCancelled)
-		cTasksCancelled.Inc()
-		mu.Lock()
-		res.Cancelled++
-		mu.Unlock()
+	end := func(id int, t fanTask) {
+		tel.Emit("climate", id, 0, t.phase)
+		switch t.phase {
+		case telemetry.PhaseDone:
+			cTasksDone.Inc()
+			res.Tasks = append(res.Tasks, t.res)
+		case telemetry.PhaseFailed:
+			cTasksFailed.Inc()
+			res.Failed++
+		default:
+			cTasksCancelled.Inc()
+			res.Cancelled++
+		}
 	}
-
-	fans := make(chan fan)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		lane := int64(w + 1)
-		go func() {
-			defer wg.Done()
-			// One solver per worker amortizes the TL grids across fans.
-			var solver TLSolver
-			for f := range fans {
-				cfg := spec.Base
-				cfg.SourceDepth = spec.SourceDepths[f.source]
-				traced := false
-				var err error
-				for fi, freq := range spec.FreqsKHz {
-					task := ClimateTask{Slice: f.slice, Source: f.source, Freq: fi}
-					id := spec.taskID(task)
-					// Emitted by the receiving worker so queued < dispatched <
-					// running is ordered per task, not racing the dispatcher.
-					tel.Emit("climate", id, 0, telemetry.PhaseDispatched)
-					if ctx.Err() != nil {
-						cancelTask(id)
-						continue
-					}
-					tel.Emit("climate", id, 0, telemetry.PhaseRunning)
-					_, sp := tel.SpanCtx(ctx, "acoustics", "tl-task", int64(id), lane)
-					t0 := time.Now()
-					// The first task of a fan carries the trace in its span
-					// and Elapsed, so the sum of Elapsed stays the pool's
-					// busy time; a failed trace fails every task of the fan.
-					if !traced {
-						err = solver.Trace(spec.Sections[f.slice], cfg)
-						traced = true
-					}
-					var field *TLField
-					if err == nil {
-						field = solver.Field(freq)
-						if sink != nil {
-							field = field.clone() // the sink retains it
-						}
-					}
-					sp.End()
-					elapsed := time.Since(t0)
-					hTaskSec.Observe(elapsed.Seconds())
-					if err != nil {
-						tel.Emit("climate", id, 0, telemetry.PhaseFailed)
-						cTasksFailed.Inc()
-						mu.Lock()
-						res.Failed++
-						mu.Unlock()
-						continue
-					}
-					tel.Emit("climate", id, 0, telemetry.PhaseDone)
-					cTasksDone.Inc()
+	// One solver per worker amortizes the TL grids across fans; slot
+	// lane-1 is the worker's alone.
+	solvers := make([]TLSolver, max(spec.Workers, 1))
+	pool := &taskpool.Pool[[]fanTask]{
+		Workers: spec.Workers,
+		Phase: func(f int, ph telemetry.Phase) {
+			for id := f * nf; id < (f+1)*nf; id++ {
+				tel.Emit("climate", id, 0, ph)
+			}
+		},
+		Task: func(ctx context.Context, lane int64, f int) []fanTask {
+			si, di := f/len(spec.SourceDepths), f%len(spec.SourceDepths)
+			cfg := spec.Base
+			cfg.SourceDepth = spec.SourceDepths[di]
+			out := make([]fanTask, nf)
+			var err error
+			for fi, freq := range spec.FreqsKHz {
+				if ctx.Err() != nil {
+					out[fi].phase = telemetry.PhaseCancelled
+					continue
+				}
+				_, sp := tel.SpanCtx(ctx, "acoustics", "tl-task", int64(f*nf+fi), lane)
+				t0 := time.Now()
+				// The first task of a fan carries the trace in its span
+				// and Elapsed, so the sum of Elapsed stays the pool's
+				// busy time; a failed trace fails every task of the fan,
+				// and a cancelled first task leaves none to run untraced.
+				if fi == 0 {
+					err = solvers[lane-1].Trace(spec.Sections[si], cfg)
+				}
+				var field *TLField
+				if err == nil {
+					field = solvers[lane-1].Field(freq)
 					if sink != nil {
-						sink(task, field)
+						field = field.clone() // the sink retains it
 					}
-					mean := 0.0
-					for _, v := range field.TL.Data {
-						mean += v
-					}
-					mean /= float64(len(field.TL.Data))
-					mu.Lock()
-					res.Tasks = append(res.Tasks, ClimateTaskResult{Task: task, MeanTL: mean, Elapsed: elapsed})
-					mu.Unlock()
 				}
-			}
-		}()
-	}
-	// Dispatch from this goroutine. Once ctx is cancelled no fan needs a
-	// worker any more: whichever side of the select takes it, its tasks
-	// are counted as cancelled.
-	for si := range spec.Sections {
-		for di := range spec.SourceDepths {
-			for fi := range spec.FreqsKHz {
-				tel.Emit("climate", spec.taskID(ClimateTask{Slice: si, Source: di, Freq: fi}), 0, telemetry.PhaseQueued)
-			}
-			select {
-			case fans <- fan{slice: si, source: di}:
-			case <-ctx.Done():
-				for fi := range spec.FreqsKHz {
-					cancelTask(spec.taskID(ClimateTask{Slice: si, Source: di, Freq: fi}))
+				sp.End()
+				elapsed := time.Since(t0)
+				hTaskSec.Observe(elapsed.Seconds())
+				if err != nil {
+					out[fi].phase = telemetry.PhaseFailed
+					continue
 				}
+				task := ClimateTask{Slice: si, Source: di, Freq: fi}
+				if sink != nil {
+					sink(task, field)
+				}
+				mean := 0.0
+				for _, v := range field.TL.Data {
+					mean += v
+				}
+				mean /= float64(len(field.TL.Data))
+				out[fi] = fanTask{ClimateTaskResult{Task: task, MeanTL: mean, Elapsed: elapsed}, telemetry.PhaseDone}
 			}
-		}
+			return out
+		},
+		Commit: func(f int, tasks []fanTask) error {
+			for fi, t := range tasks {
+				end(f*nf+fi, t)
+			}
+			return nil
+		},
 	}
-	close(fans)
-	wg.Wait()
-	// Canonicalize: workers append in completion order, which depends on
-	// scheduling; the published result must be independent of Workers.
-	sort.Slice(res.Tasks, func(a, b int) bool {
-		ta, tb := res.Tasks[a].Task, res.Tasks[b].Task
-		if ta.Slice != tb.Slice {
-			return ta.Slice < tb.Slice
-		}
-		if ta.Source != tb.Source {
-			return ta.Source < tb.Source
-		}
-		return ta.Freq < tb.Freq
-	})
+	n, err := pool.Run(ctx, len(spec.Sections)*len(spec.SourceDepths))
+	if err != nil {
+		return nil, err
+	}
+	// Fans the pool never dispatched: ctx was cancelled first.
+	for id := n * nf; id < spec.TaskCount(); id++ {
+		end(id, fanTask{phase: telemetry.PhaseCancelled})
+	}
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

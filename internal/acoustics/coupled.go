@@ -55,7 +55,7 @@ func NewCoupledEnsemble(oceanZ [][]float64, tl []*TLField, tlScale float64, maxR
 	tlDim := tlRows * tlCols
 	dim := oceanDim + tlDim
 
-	// Stack members and compute the coupled mean.
+	// Stack the members: the coupled statistics are the snapshots'.
 	stacked := linalg.NewDense(dim, n)
 	for j := 0; j < n; j++ {
 		if len(oceanZ[j]) != oceanDim {
@@ -71,22 +71,7 @@ func NewCoupledEnsemble(oceanZ [][]float64, tl []*TLField, tlScale float64, maxR
 			stacked.Set(oceanDim+i, j, v/tlScale)
 		}
 	}
-	mean := make([]float64, dim)
-	for j := 0; j < n; j++ {
-		for i := 0; i < dim; i++ {
-			mean[i] += stacked.At(i, j)
-		}
-	}
-	for i := range mean {
-		mean[i] /= float64(n)
-	}
-	anoms := linalg.NewDense(dim, n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < dim; i++ {
-			anoms.Set(i, j, stacked.At(i, j)-mean[i])
-		}
-	}
-	sub := core.SubspaceFromAnomalies(anoms, maxRank, 1e-10)
+	sub, mean := core.SubspaceFromSnapshots(stacked, maxRank)
 	return &CoupledEnsemble{
 		OceanDim: oceanDim,
 		TLRows:   tlRows,

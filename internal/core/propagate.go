@@ -1,17 +1,25 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sync"
 
 	"esse/internal/linalg"
+	"esse/internal/taskpool"
 )
 
 // Propagator integrates the (nonlinear) model from an initial state over
 // one forecast interval and returns the final state. Implementations
 // must be safe for concurrent use.
 type Propagator func(ctx context.Context, initial []float64) ([]float64, error)
+
+// modeRun is the propagated final state of one mode, or why there is
+// none; a degenerate mode has neither.
+type modeRun struct {
+	final []float64
+	err   error
+}
 
 // PropagateSubspace evolves the mean and the error subspace
 // deterministically through the model using finite-difference
@@ -30,6 +38,13 @@ type Propagator func(ctx context.Context, initial []float64) ([]float64, error)
 // eps controls the linearization step as a fraction of each mode's σ;
 // values around 1 probe the finite-amplitude dynamics (like ESSE
 // perturbations), small values approach the tangent-linear limit.
+//
+// A failed mode fails the call, unlike a failed ensemble member: the p
+// modes are the directions of the subspace, not interchangeable samples,
+// so dropping one would silently change which subspace is propagated.
+// Modes are committed in index order and the first error ends the run,
+// so the error returned names the lowest failed mode whatever the
+// worker count.
 func PropagateSubspace(ctx context.Context, prop Propagator, mean []float64, sub *Subspace, eps float64, workers int) ([]float64, *Subspace, error) {
 	if eps <= 0 {
 		return nil, nil, fmt.Errorf("core: non-positive linearization step %v", eps)
@@ -39,10 +54,6 @@ func PropagateSubspace(ctx context.Context, prop Propagator, mean []float64, sub
 	if len(mean) != dim {
 		return nil, nil, fmt.Errorf("core: mean dim %d != subspace dim %d", len(mean), dim)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	central, err := prop(ctx, mean)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: central propagation: %w", err)
@@ -51,41 +62,18 @@ func PropagateSubspace(ctx context.Context, prop Propagator, mean []float64, sub
 		return nil, nil, fmt.Errorf("core: propagator changed state dim %d -> %d", dim, len(central))
 	}
 
+	// The p modes run on the shared task pool, and Commit writes column j
+	// of the factor on this goroutine.
 	factor := linalg.NewDense(dim, p)
-	var mu sync.Mutex
-	var firstErr error
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-launch:
-	for j := 0; j < p; j++ {
-		// Acquire a worker slot or stop launching on cancellation: a
-		// bare send would block past ctx if every worker were stuck in a
-		// slow propagator.
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = ctx.Err()
-			}
-			mu.Unlock()
-			break launch
-		}
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = ctx.Err()
-				}
-				mu.Unlock()
-				return
+	pool := &taskpool.Pool[modeRun]{
+		Workers: workers,
+		Task: func(ctx context.Context, _ int64, j int) modeRun {
+			if err := ctx.Err(); err != nil {
+				return modeRun{err: err}
 			}
 			amp := eps * sub.Sigma[j]
 			if amp == 0 {
-				return // degenerate mode: propagated column stays zero
+				return modeRun{} // degenerate mode: propagated column stays zero
 			}
 			perturbed := make([]float64, dim)
 			for i := 0; i < dim; i++ {
@@ -93,43 +81,37 @@ launch:
 			}
 			final, err := prop(ctx, perturbed)
 			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("core: mode %d propagation: %w", j, err)
-				}
-				mu.Unlock()
-				return
+				return modeRun{err: fmt.Errorf("core: mode %d propagation: %w", j, err)}
+			}
+			return modeRun{final: final}
+		},
+		Commit: func(j int, m modeRun) error {
+			if m.err != nil || m.final == nil {
+				return m.err
 			}
 			inv := 1 / eps
-			mu.Lock()
 			for i := 0; i < dim; i++ {
-				factor.Set(i, j, (final[i]-central[i])*inv)
+				factor.Set(i, j, (m.final[i]-central[i])*inv)
 			}
-			mu.Unlock()
-		}(j)
+			return nil
+		},
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
+	// n < p: ctx was cancelled before every mode started.
+	if n, err := pool.Run(ctx, p); err != nil || n < p {
+		return nil, nil, cmp.Or(err, ctx.Err())
 	}
 
 	// Re-orthonormalize: the propagated factor columns already carry the
 	// σ amplitudes, so the SVD's singular values are the forecast σ.
 	f := linalg.ThinSVDGram(factor, p)
 	sigma := make([]float64, 0, p)
-	keep := 0
 	for _, sv := range f.S {
 		if sv > 1e-12*(1+f.S[0]) {
 			sigma = append(sigma, sv)
-			keep++
 		}
 	}
-	if keep == 0 {
+	if len(sigma) == 0 {
 		return nil, nil, fmt.Errorf("core: propagated subspace collapsed to rank 0")
 	}
-	newSub := &Subspace{
-		Modes: f.U.Slice(0, dim, 0, keep),
-		Sigma: sigma,
-	}
-	return central, newSub, nil
+	return central, &Subspace{Modes: f.U.Slice(0, dim, 0, len(sigma)), Sigma: sigma}, nil
 }

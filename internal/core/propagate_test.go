@@ -4,7 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"esse/internal/linalg"
 	"esse/internal/rng"
@@ -151,6 +155,102 @@ func TestPropagateSubspaceRankCollapse(t *testing.T) {
 	sub := randomSubspace(s, 4, 2, []float64{1, 1})
 	if _, _, err := PropagateSubspace(context.Background(), constant, make([]float64, 4), sub, 1, 1); err == nil {
 		t.Fatal("rank collapse not reported")
+	}
+}
+
+// TestPropagateSubspaceDegenerateMode keeps a σ = 0 mode's column zero
+// and propagates the others.
+func TestPropagateSubspaceDegenerateMode(t *testing.T) {
+	s := rng.New(8)
+	sub := randomSubspace(s, 5, 3, []float64{3, 0, 1})
+	_, newSub, err := PropagateSubspace(context.Background(),
+		linearPropagator(linalg.Identity(5), make([]float64, 5)), make([]float64, 5), sub, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if newSub.Rank() != 2 || math.Abs(newSub.Sigma[0]-3) > 1e-10 || math.Abs(newSub.Sigma[1]-1) > 1e-10 {
+		t.Fatalf("sigma = %v, want [3 1]", newSub.Sigma)
+	}
+}
+
+// TestPropagateSubspaceCancelledMidRun cancels a propagation whose
+// mode runs block until their context is done: the call returns
+// context.Canceled promptly and leaves no goroutine behind.
+func TestPropagateSubspaceCancelledMidRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := rng.New(6)
+	dim, p := 6, 5
+	sub := randomSubspace(s, dim, p, []float64{5, 4, 3, 2, 1})
+	mean := make([]float64, dim)
+	started := make(chan struct{}, p)
+	blocking := func(ctx context.Context, x []float64) ([]float64, error) {
+		if slices.Equal(x, mean) {
+			return x, nil // the central run
+		}
+		started <- struct{}{}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-started
+		cancel()
+	}()
+	t0 := time.Now()
+	_, _, err := PropagateSubspace(ctx, blocking, mean, sub, 1, 2)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if d := time.Since(t0); d > 2*time.Second {
+		t.Fatalf("cancelled propagation took %v to return", d)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before+2 {
+		t.Fatalf("goroutines leaked: %d before, %d after", before, n)
+	}
+}
+
+// TestPropagateSubspaceNamesTheLowestFailedMode fails modes 1 and 3,
+// the higher one first: the error names mode 1 at every worker count.
+func TestPropagateSubspaceNamesTheLowestFailedMode(t *testing.T) {
+	s := rng.New(7)
+	dim := 5
+	sub := randomSubspace(s, dim, 4, []float64{4, 3, 2, 1})
+	mean := make([]float64, dim)
+	// With eps = 1 and a zero mean, mode j's run starts from σ_j e_j.
+	mode := func(x []float64) int {
+		for j := 0; j < sub.Rank(); j++ {
+			match := true
+			for i := range x {
+				if math.Abs(x[i]-sub.Sigma[j]*sub.Modes.At(i, j)) > 1e-12 {
+					match = false
+					break
+				}
+			}
+			if match {
+				return j
+			}
+		}
+		return -1
+	}
+	failing := func(ctx context.Context, x []float64) ([]float64, error) {
+		switch mode(x) {
+		case 1:
+			time.Sleep(5 * time.Millisecond) // the lower failure lands last
+			return nil, errors.New("mode one exploded")
+		case 3:
+			return nil, errors.New("mode three exploded")
+		}
+		return x, nil
+	}
+	for _, workers := range []int{1, 2, 8} {
+		_, _, err := PropagateSubspace(context.Background(), failing, mean, sub, 1, workers)
+		if err == nil || !strings.Contains(err.Error(), "mode 1 propagation") {
+			t.Fatalf("workers %d: err = %v, want mode 1's", workers, err)
+		}
 	}
 }
 

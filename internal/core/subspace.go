@@ -129,11 +129,11 @@ func SubspaceFromAnomalies(a *linalg.Dense, maxRank int, relTol float64) *Subspa
 	return t.cur.modes(a)
 }
 
-// SubspaceFromSnapshots builds an initial error subspace from model
-// snapshots (columns), using deviations from the snapshot mean. This is
-// how the "error nowcast" that seeds a real-time experiment is produced
-// when no previous assimilation cycle exists.
-func SubspaceFromSnapshots(snaps *linalg.Dense, maxRank int) *Subspace {
+// SubspaceFromSnapshots builds an error subspace from model snapshots
+// (columns) and returns it with the snapshot mean it is centred on: the
+// "error nowcast" that seeds a real-time experiment with no previous
+// cycle, and the coupled ocean–acoustic ensemble's statistics.
+func SubspaceFromSnapshots(snaps *linalg.Dense, maxRank int) (*Subspace, []float64) {
 	m, n := snaps.Rows, snaps.Cols
 	if n < 2 {
 		panic("core: need at least 2 snapshots")
@@ -153,7 +153,7 @@ func SubspaceFromSnapshots(snaps *linalg.Dense, maxRank int) *Subspace {
 			anom.Set(i, j, snaps.At(i, j)-mean[i])
 		}
 	}
-	return SubspaceFromAnomalies(anom, maxRank, 1e-10)
+	return SubspaceFromAnomalies(anom, maxRank, 1e-10), mean
 }
 
 // Perturb draws one random perturbation of the mean state:

@@ -302,7 +302,7 @@ func TestSubspaceFromSnapshots(t *testing.T) {
 			snaps.Set(i, j, base[i]+c1*d1[i]+c2*d2[i])
 		}
 	}
-	sub := SubspaceFromSnapshots(snaps, 2)
+	sub, _ := SubspaceFromSnapshots(snaps, 2)
 	if sub.Rank() != 2 {
 		t.Fatalf("rank = %d", sub.Rank())
 	}

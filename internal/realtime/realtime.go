@@ -220,7 +220,7 @@ func NewSystem(cfg Config) (*System, error) {
 		scaler.ToScaled(zbuf, buf)
 		snaps.SetCol(j, zbuf)
 	}
-	sub := core.SubspaceFromSnapshots(snaps, cfg.InitialRank)
+	sub, _ := core.SubspaceFromSnapshots(snaps, cfg.InitialRank)
 	if cfg.SubspaceInflation > 0 {
 		for i := range sub.Sigma {
 			sub.Sigma[i] *= cfg.SubspaceInflation

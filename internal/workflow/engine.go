@@ -23,13 +23,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"esse/internal/core"
 	"esse/internal/covstore"
 	"esse/internal/linalg"
+	"esse/internal/taskpool"
 	"esse/internal/telemetry"
 	"esse/internal/trace"
 )
@@ -187,20 +186,13 @@ type Result struct {
 	MemberIndices []int
 }
 
-// growTarget computes the next pool size.
+// growTarget computes the next pool size: ⌈cur·g⌉, at least one more
+// and at most MaxSize.
 func growTarget(cur int, cfg *Config) int {
-	next := int(float64(cur)*cfg.GrowthFactor + 0.999999)
-	if next <= cur {
-		next = cur + 1
-	}
-	if next > cfg.MaxSize {
-		next = cfg.MaxSize
-	}
-	return next
+	return min(max(int(float64(cur)*cfg.GrowthFactor+0.999999), cur+1), cfg.MaxSize)
 }
 
 type memberDone struct {
-	index      int
 	state      []float64
 	err        error
 	start, end time.Duration
@@ -257,7 +249,6 @@ func run(ctx context.Context, cfg Config, central []float64, runner MemberRunner
 	}
 
 	acc := core.NewAccumulator(central)
-	tl := trace.New()
 
 	// Metric registration may allocate, so it happens once up front; the
 	// handles below are lock-free (and nil no-ops when telemetry is off).
@@ -272,80 +263,25 @@ func run(ctx context.Context, cfg Config, central []float64, runner MemberRunner
 	gTarget := tel.Gauge("esse_workflow_target_members", "Current ensemble size target.")
 	gTarget.Set(float64(cfg.InitialSize))
 
-	var target atomic.Int64
-	target.Store(int64(cfg.InitialSize))
-	targetChanged := make(chan struct{}, 1)
-	// finish stops the dispatcher but lets running members complete and
-	// commit; cancel additionally interrupts them.
-	finished := make(chan struct{})
-	finish := sync.OnceFunc(func() { close(finished) })
-
-	jobs := make(chan int)
-	results := make(chan memberDone, cfg.Workers*2)
-
-	// Dispatcher: hands out member indices 0, 1, 2, … up to the (growing)
-	// target. Every index sent is received by a worker and comes back as
-	// exactly one memberDone, which is what lets the coordinator commit
-	// in index order without ever waiting on a gap.
-	go func() {
-		defer close(jobs)
-		next := 0
-		for {
-			if next < int(target.Load()) {
-				tel.Emit("member", next, 0, telemetry.PhaseQueued)
-				select {
-				case jobs <- next:
-					next++
-				case <-runCtx.Done():
-					return
-				case <-finished:
-					return
-				}
-				continue
-			}
-			select {
-			case <-targetChanged:
-			case <-runCtx.Done():
-				return
-			case <-finished:
-				return
-			}
-		}
-	}()
-
-	// Worker pool: the MTC element. Each worker perturbs + forecasts.
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		lane := int64(w + 1) // trace tid; lane 0 is the coordinator
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				t0 := time.Since(start)
-				// Dispatched is emitted by the receiving worker, not the
-				// dispatcher after its send: both orderings are the same
-				// instant on an unbuffered channel, but this one makes
-				// queued < dispatched < running a per-member guarantee in
-				// the event stream rather than a goroutine race.
-				tel.Emit("member", idx, 0, telemetry.PhaseDispatched)
-				tel.Emit("member", idx, 0, telemetry.PhaseRunning)
-				// The member span carries the worker's lane and rides the
-				// context into the runner, so phase spans the runner opens
-				// (perturb, forecast) land on the same lane as children.
-				mctx, sp := tel.SpanCtx(runCtx, "workflow", "member", int64(idx), lane)
-				state, err := runWithRetries(mctx, cfg.Retries, idx, runner, tel, cRetries)
-				sp.End()
-				results <- memberDone{index: idx, state: state, err: err, start: t0, end: time.Since(start)}
-			}
-		}()
+	// The members run on the shared task pool; the rest is the ESSE
+	// coordinator: commit → accumulate → SVD → grow or finish.
+	pool := &taskpool.Pool[memberDone]{
+		Workers: cfg.Workers,
+		Phase:   func(idx int, ph telemetry.Phase) { tel.Emit("member", idx, 0, ph) },
+		Task: func(ctx context.Context, lane int64, idx int) memberDone {
+			t0 := time.Since(start)
+			// The member span carries the worker's lane and rides the
+			// context into the runner, so phase spans the runner opens
+			// (perturb, forecast) land on the same lane as children.
+			mctx, sp := tel.SpanCtx(ctx, "workflow", "member", int64(idx), lane)
+			state, err := runWithRetries(mctx, cfg.Retries, idx, runner, tel, cRetries)
+			sp.End()
+			return memberDone{state: state, err: err, start: t0, end: time.Since(start)}
+		},
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
+	target := cfg.InitialSize
 
-	// Coordinator: the continuous diff + SVD/convergence stages.
-	res := &Result{Timeline: tl, PoolSizes: []int{cfg.InitialSize}, Central: acc.Central()}
+	res := &Result{Timeline: trace.New(), PoolSizes: []int{cfg.InitialSize}, Central: acc.Central()}
 	// The SVD stage works in Gram space: a round folds the new members
 	// into the tracker and tests convergence on coefficients; the modes
 	// are formed once, after the loop.
@@ -389,7 +325,7 @@ func run(ctx context.Context, cfg Config, central []float64, runner MemberRunner
 		if ok {
 			res.Converged = true // stays set through DrainAndUse's final round
 			if cfg.Policy == DrainAndUse {
-				finish()
+				pool.Stop()
 			} else {
 				cancel()
 			}
@@ -397,25 +333,9 @@ func run(ctx context.Context, cfg Config, central []float64, runner MemberRunner
 		return nil
 	}
 
-	notify := func() {
-		if cfg.OnProgress == nil {
-			return
-		}
-		cfg.OnProgress(Progress{
-			Completed: res.MembersUsed,
-			Failed:    res.MembersFailed,
-			Cancelled: res.MembersCancelled,
-			Target:    int(target.Load()),
-			SVDRounds: res.SVDRounds,
-			Converged: res.Converged,
-			Rho:       res.Rho,
-			Elapsed:   time.Since(start),
-		})
-	}
-
-	// commit is the per-member body of the loop: accumulate or count the
+	// Commit is the per-member body of the run: accumulate or count the
 	// member, run the SVD stage if it is due, then grow or end the run.
-	commit := func(done memberDone) error {
+	pool.Commit = func(idx int, done memberDone) error {
 		// The ocean run cannot be interrupted, so members in flight at
 		// convergence still finish; under CancelImmediately they are the
 		// waste the policy accepts, not input to one more SVD.
@@ -424,30 +344,29 @@ func run(ctx context.Context, cfg Config, central []float64, runner MemberRunner
 		case late || isCtxErr(done.err):
 			res.MembersCancelled++
 			cMembersCancelled.Inc()
-			tel.Emit("member", done.index, 0, telemetry.PhaseCancelled)
+			tel.Emit("member", idx, 0, telemetry.PhaseCancelled)
 			return nil
 		case done.err != nil:
 			res.MembersFailed++
 			cMembersFailed.Inc()
-			tel.Emit("member", done.index, 0, telemetry.PhaseFailed)
+			tel.Emit("member", idx, 0, telemetry.PhaseFailed)
 		default:
-			if err := acc.Add(done.index, done.state); err != nil {
+			if err := acc.Add(idx, done.state); err != nil {
 				return err
 			}
 			res.MembersUsed++
 			cMembersDone.Inc()
 			hMemberSec.Observe((done.end - done.start).Seconds())
-			tel.Emit("member", done.index, 0, telemetry.PhaseDone)
-			tl.Add(trace.SimulationTime, fmt.Sprintf("member-%d", done.index),
+			tel.Emit("member", idx, 0, telemetry.PhaseDone)
+			res.Timeline.Add(trace.SimulationTime, fmt.Sprintf("member-%d", idx),
 				done.start.Seconds(), done.end.Seconds())
 		}
 
 		accounted := res.MembersUsed + res.MembersFailed
-		t := int(target.Load())
 		due := res.MembersUsed >= tracker.Len()+cfg.SVDBatch
 		if wholePool {
 			// Fig. 3: the SVD waits for the whole pool.
-			due = accounted >= t && res.MembersUsed > tracker.Len()
+			due = accounted >= target && res.MembersUsed > tracker.Len()
 		}
 		if due && !res.Converged {
 			if err := runSVD(); err != nil {
@@ -455,49 +374,35 @@ func run(ctx context.Context, cfg Config, central []float64, runner MemberRunner
 			}
 		}
 
-		notify()
+		if cfg.OnProgress != nil {
+			cfg.OnProgress(Progress{
+				Completed: res.MembersUsed,
+				Failed:    res.MembersFailed,
+				Cancelled: res.MembersCancelled,
+				Target:    target,
+				SVDRounds: res.SVDRounds,
+				Converged: res.Converged,
+				Rho:       res.Rho,
+				Elapsed:   time.Since(start),
+			})
+		}
 
-		if accounted < t || res.Converged {
+		// Out of budget, the pool stops by itself once the last member is
+		// committed: the run uses what it has.
+		if accounted < target || res.Converged || target >= cfg.MaxSize {
 			return nil
 		}
-		if t >= cfg.MaxSize {
-			finish() // out of budget: use what we have
-			return nil
-		}
-		next := growTarget(t, &cfg)
-		target.Store(int64(next))
-		gTarget.Set(float64(next))
-		res.PoolSizes = append(res.PoolSizes, next)
-		select {
-		case targetChanged <- struct{}{}:
-		default:
-		}
+		target = growTarget(target, &cfg)
+		gTarget.Set(float64(target))
+		res.PoolSizes = append(res.PoolSizes, target)
+		pool.Grow(target)
 		return nil
 	}
 
-	// Reorder buffer: members finish in any order but are committed in
-	// index order, so SVD round k sees the same members on every run.
-	// Indices are dispatched without gaps, so the buffer is empty again
-	// by the time results closes.
-	pending := make(map[int]memberDone)
-	next := 0
-	var loopErr error
-	for done := range results {
-		pending[done.index] = done
-		for loopErr == nil {
-			d, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if loopErr = commit(d); loopErr != nil {
-				cancel() // keep draining results so the workers can exit
-			}
-		}
-	}
-	if loopErr != nil {
-		return nil, loopErr
+	// The pool commits members in index order whatever order they finish
+	// in, so SVD round k sees the same members on every run.
+	if _, err := pool.Run(runCtx, cfg.InitialSize); err != nil {
+		return nil, err
 	}
 
 	// Final SVD if members were committed since the last one (drain

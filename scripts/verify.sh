@@ -29,8 +29,8 @@ go run ./cmd/esselint -audit -vet=false ./... >/dev/null
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> go test -race -count=20 ./internal/workflow (a scheduling dependence must not hide behind a lucky run)"
-go test -race -count=20 ./internal/workflow
+echo "==> go test -race -count=20 ./internal/taskpool ./internal/workflow (a scheduling dependence must not hide behind a lucky run)"
+go test -race -count=20 ./internal/taskpool ./internal/workflow
 
 echo "==> bench module: gofmt, vet, race tests (its own go.mod, so ./... above does not reach it)"
 (cd bench && test -z "$(gofmt -l .)" && go vet ./... && go test -race ./...)
