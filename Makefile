@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-workflow bench-module bench-smoke test-fuzz lint lint-self lint-fixtures audit vet verify bench bench-update smoke
+.PHONY: build test race race-workflow bench-module bench-smoke test-fuzz lint lint-self lint-fixtures audit vet verify smoke
 
 build:
 	$(GO) build ./...
@@ -69,15 +69,6 @@ lint-fixtures:
 # is missing a reason or names an unknown analyzer.
 audit:
 	$(GO) run ./cmd/esselint -audit -vet=false ./...
-
-# bench runs every benchmark once with -benchmem and fails on any
-# allocs/op regression against the committed BENCH_10.json baseline.
-# bench-update rewrites the baseline after a deliberate change.
-bench:
-	./scripts/bench.sh
-
-bench-update:
-	./scripts/bench.sh -update
 
 # smoke boots mtc-sim with -telemetry-addr and strictly scrapes its
 # /metrics, /events and /trace endpoints (scripts/smoke_metrics.sh).

@@ -529,6 +529,22 @@ func TestSolverSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestComputeTLAllocs: a one-shot ComputeTL pays for a cold solver —
+// its deposit grid, the field it returns and its step table — and
+// nothing per ray or per step.
+func TestComputeTLAllocs(t *testing.T) {
+	sec := syntheticSection(20, 20, 10e3, 200)
+	cfg := DefaultTLConfig()
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := ComputeTL(sec, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 8 {
+		t.Fatalf("ComputeTL on a 20x20 section: %v allocs/op, want 8", allocs)
+	}
+}
+
 func TestFlatten(t *testing.T) {
 	sec := syntheticSection(10, 10, 1000, 100)
 	f, err := ComputeTL(sec, DefaultTLConfig())

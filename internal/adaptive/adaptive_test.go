@@ -206,4 +206,12 @@ func TestGreedyBeatsNaiveOnCorrelatedField(t *testing.T) {
 	if g, n := reduction(plan.Chosen), reduction(naiveOrder); g < n-1e-9 {
 		t.Fatalf("greedy reduction %v below naive %v", g, n)
 	}
+
+	// Both planners cost a fixed count at this shape, whatever the picks.
+	if n := testing.AllocsPerRun(20, func() { Greedy(sub, cands, k) }); n != 10 {
+		t.Errorf("Greedy: %v allocs/op, want 10", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { RankCandidatesByVariance(sub, cands) }); n != 5 {
+		t.Errorf("RankCandidatesByVariance: %v allocs/op, want 5", n)
+	}
 }

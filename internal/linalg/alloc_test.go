@@ -2,6 +2,8 @@ package linalg
 
 import (
 	"testing"
+
+	"esse/internal/rng"
 )
 
 // assertAllocs pins the steady-state heap cost of a hot kernel. The
@@ -115,4 +117,21 @@ func TestMatTVecDotAxpyAllocFree(t *testing.T) {
 	// allocation, never more.
 	assertAllocs(t, "MatVec", 1, func() { _ = MatVec(a, x) })
 	assertAllocs(t, "MatTVec", 1, func() { _ = MatTVec(a, x) })
+}
+
+// The factorizations return fresh results; each count is what the
+// result and its fixed scratch cost at the shape of the benchmark of
+// the same kernel. ThinSVDGram's tall product takes the parallel path,
+// which at AllocsPerRun's GOMAXPROCS 1 is one worker whose goroutine
+// the runtime reuses, so its count holds; a many-worker Mul's does not.
+func TestFactorizationAllocs(t *testing.T) {
+	s := rng.New(1)
+	a, b := randomDense(s, 32, 32), randomDense(s, 32, 32)
+	assertAllocs(t, "Mul 32x32", 2, func() { Mul(a, b) })
+	sq := randomDense(s, 64, 64)
+	assertAllocs(t, "QR 64x64", 8, func() { QR(sq) })
+	sym := Add(a, a.T())
+	assertAllocs(t, "SymEig 32", 7, func() { SymEig(sym) })
+	tall := randomDense(s, 2000, 50)
+	assertAllocs(t, "ThinSVDGram 2000x50", 20, func() { ThinSVDGram(tall, 50) })
 }

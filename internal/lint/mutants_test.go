@@ -335,11 +335,25 @@ var mutants = []mutant{
 		new: "\tfor name, count := range instances {",
 	},
 	{
-		rule: "maporder", file: "cmd/benchgate/main.go",
-		why: "the unbaselined notes print in map order",
-		old: `	sort.Strings(unbaselined)
+		rule: "maporder", file: "internal/opendap/opendap.go",
+		why: "handleList sorts the names before it collects them, so the list is served in map order",
+		old: `	names := make([]string, 0, len(s.datasets))
+	for n := range s.datasets {
+		names = append(names, n)
+	}
+	s.mu.RUnlock()
+	cList.Inc()
+	sort.Strings(names)
 `,
-		new: "",
+		new: `	names := make([]string, 0, len(s.datasets))
+	sort.Strings(names)
+	for n := range s.datasets {
+		names = append(names, n)
+	}
+	s.mu.RUnlock()
+	cList.Inc()
+`,
+		dyn: "TestDatasetListing (about 4 runs in 5)",
 	},
 	{
 		rule: "lockheld", file: "internal/covstore/covstore.go",

@@ -347,10 +347,10 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
-// TestStepDoesNotAllocate holds the serial kernels to the zero
-// allocations per step the time-gated Step32x32 benchmark assumes.
+// TestStepDoesNotAllocate holds the serial kernels to zero allocations
+// per step at the sizes the Step benchmarks run.
 func TestStepDoesNotAllocate(t *testing.T) {
-	for _, n := range []int{32, 48} {
+	for _, n := range []int{16, 32, 48} {
 		m := New(DefaultConfig(grid.MontereyBay(n, n, 6)), rng.New(1))
 		if allocs := testing.AllocsPerRun(20, m.Step); allocs != 0 {
 			t.Errorf("Step on %dx%dx6 allocates %v times, want 0", n, n, allocs)

@@ -176,6 +176,11 @@ func TestTransferStrategyOrdering(t *testing.T) {
 	if push.PeakConcurrency != cfg.Files {
 		t.Fatalf("push peak concurrency = %d", push.PeakConcurrency)
 	}
+	for _, st := range []TransferStrategy{Push, Pull, TwoStage} {
+		if n := testing.AllocsPerRun(20, func() { SimulateTransfer(st, cfg) }); n != 0 {
+			t.Errorf("SimulateTransfer(%v): %v allocs/op, want 0", st, n)
+		}
+	}
 }
 
 func TestTransferSmallBatchNoOverload(t *testing.T) {

@@ -163,9 +163,22 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
+// TestDrawsDoNotAllocate: ocean.Step draws thousands of normals a step,
+// so a draw must stay off the heap.
+func TestDrawsDoNotAllocate(t *testing.T) {
+	s := New(1)
+	if n := testing.AllocsPerRun(200, func() { s.Uint64() }); n != 0 {
+		t.Errorf("Uint64: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { s.Norm() }); n != 0 {
+		t.Errorf("Norm: %v allocs/op, want 0", n)
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	s := New(1)
 	var sink uint64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sink ^= s.Uint64()
 	}
@@ -175,6 +188,7 @@ func BenchmarkUint64(b *testing.B) {
 func BenchmarkNorm(b *testing.B) {
 	s := New(1)
 	var sink float64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sink += s.Norm()
 	}

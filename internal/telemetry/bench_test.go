@@ -8,9 +8,8 @@ import (
 	"time"
 )
 
-// The benchmark suite feeds scripts/bench.sh's allocation gate: the
-// enabled hot-path updates (Add/Observe/Emit) and the whole disabled
-// path must report 0 allocs/op.
+// The benchmarks time the paths whose allocation counts
+// TestDisabledPathAllocations and TestDisabledLoggingAllocations pin.
 
 func BenchmarkCounterAdd(b *testing.B) {
 	c := New().Counter("esse_bench_total", "")

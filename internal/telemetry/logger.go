@@ -16,7 +16,7 @@ import (
 // kv, and the non-inlined emit extracts values through a concrete type
 // switch, never leaking the []any, so escape analysis keeps the
 // variadic backing array and the interface boxes on the caller's
-// stack. bench_test.go pins this with AllocsPerRun.
+// stack. logger_test.go's TestDisabledLoggingAllocations pins this.
 //
 // kv alternates constant string keys and values (the esselint slogkv
 // rule checks call sites). Supported value types: string, int, int64,

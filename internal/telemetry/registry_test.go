@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -174,7 +175,8 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 }
 
 // TestDisabledPathAllocations pins the zero-allocation guarantee of the
-// disabled (nil) path and of the enabled hot-path updates.
+// disabled (nil) path and of the enabled hot-path updates, and the exact
+// count of the enabled span, traceparent and scrape paths.
 func TestDisabledPathAllocations(t *testing.T) {
 	var tel *Telemetry
 	var c *Counter
@@ -182,27 +184,27 @@ func TestDisabledPathAllocations(t *testing.T) {
 	var h *Histogram
 	var l *EventLog
 
-	pin := func(name string, f func()) {
+	pin := func(name string, want float64, f func()) {
 		t.Helper()
-		if n := testing.AllocsPerRun(200, f); n != 0 {
-			t.Errorf("%s: %v allocs/op, want 0", name, n)
+		if n := testing.AllocsPerRun(200, f); n != want {
+			t.Errorf("%s: %v allocs/op, want %v", name, n, want)
 		}
 	}
-	pin("nil Counter.Add", func() { c.Add(1) })
-	pin("nil Gauge.Set", func() { g.Set(1) })
-	pin("nil Histogram.Observe", func() { h.Observe(1) })
-	pin("nil EventLog.Emit", func() { l.Emit("member", 3, 0, PhaseRunning) })
-	pin("nil Telemetry.Emit", func() { tel.Emit("member", 3, 0, PhaseRunning) })
-	pin("nil Telemetry.Span", func() {
+	pin("nil Counter.Add", 0, func() { c.Add(1) })
+	pin("nil Gauge.Set", 0, func() { g.Set(1) })
+	pin("nil Histogram.Observe", 0, func() { h.Observe(1) })
+	pin("nil EventLog.Emit", 0, func() { l.Emit("member", 3, 0, PhaseRunning) })
+	pin("nil Telemetry.Emit", 0, func() { tel.Emit("member", 3, 0, PhaseRunning) })
+	pin("nil Telemetry.Span", 0, func() {
 		sp := tel.Span("workflow", "member", 3, 1)
 		sp.End()
 	})
 	ctx := context.Background()
-	pin("nil Telemetry.SpanCtx", func() {
+	pin("nil Telemetry.SpanCtx", 0, func() {
 		_, sp := tel.SpanCtx(ctx, "workflow", "member", 3, 1)
 		sp.End()
 	})
-	pin("nil Telemetry.SpanRemote", func() {
+	pin("nil Telemetry.SpanRemote", 0, func() {
 		_, sp := tel.SpanRemote(ctx, SpanContext{}, "http", "route", -1, 1)
 		sp.End()
 	})
@@ -213,8 +215,29 @@ func TestDisabledPathAllocations(t *testing.T) {
 	ec := on.Counter("esse_alloc_total", "")
 	eg := on.Gauge("esse_alloc_gauge", "")
 	eh := on.Histogram("esse_alloc_seconds", "", nil)
-	pin("enabled Counter.Add", func() { ec.Add(1) })
-	pin("enabled Gauge.Set", func() { eg.Set(2) })
-	pin("enabled Histogram.Observe", func() { eh.Observe(0.3) })
-	pin("enabled EventLog.Emit", func() { on.Emit("member", 3, 0, PhaseRunning) })
+	pin("enabled Counter.Add", 0, func() { ec.Add(1) })
+	pin("enabled Gauge.Set", 0, func() { eg.Set(2) })
+	pin("enabled Histogram.Observe", 0, func() { eh.Observe(0.3) })
+	pin("enabled EventLog.Emit", 0, func() { on.Emit("member", 3, 0, PhaseRunning) })
+
+	// The rest of the enabled path costs a fixed count: the context that
+	// carries a span (its node and the boxed Span), the header string,
+	// and the exposition of three series.
+	pin("enabled Telemetry.SpanCtx", 2, func() {
+		_, sp := on.SpanCtx(ctx, "workflow", "member", 3, 1)
+		sp.End()
+	})
+	sc := SpanContext{Trace: DeriveTraceID(1), Span: 42}
+	header := FormatTraceParent(sc)
+	pin("FormatTraceParent", 1, func() { FormatTraceParent(sc) })
+	pin("ParseTraceParent", 0, func() { ParseTraceParent(header) })
+	scrape := New()
+	scrape.Counter("esse_bench_scrape_total", "C.", "outcome", "done").Add(3)
+	scrape.Gauge("esse_bench_scrape_gauge", "G.").Set(1.5)
+	scrape.Histogram("esse_bench_scrape_seconds", "H.", nil).Observe(0.2)
+	pin("WritePrometheus", 12, func() {
+		if err := scrape.Registry().WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
