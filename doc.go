@@ -12,7 +12,7 @@
 // cluster, TeraGrid sites and Amazon EC2 used in the paper.
 //
 // See DESIGN.md for the system inventory and the per-experiment index,
-// and EXPERIMENTS.md for paper-versus-measured results. The root package
-// hosts the benchmark harness (bench_test.go) that regenerates every
-// table and figure of the paper.
+// and EXPERIMENTS.md for paper-versus-measured results. cmd/repro
+// regenerates every table and figure of the paper; TestGolden in
+// internal/experiments pins their fixed-seed numbers bit for bit.
 package esse

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation. Each experiment returns both machine-readable results and
-// a formatted text block whose rows mirror what the paper reports; the
-// benchmark harness (bench_test.go at the repository root) and the
-// cmd/repro binary both drive these entry points.
+// a formatted text block whose rows mirror what the paper reports.
+// cmd/repro prints the text; TestGolden pins every deterministic number
+// at cmd/repro's configuration in testdata/golden.json.
 //
 // Index (see DESIGN.md for the full mapping):
 //
@@ -226,7 +226,7 @@ type Fig34Result struct {
 // and results. The member runner sleeps `memberDelay` to emulate the
 // forecast cost so the exposed parallelism is measurable.
 func Fig3Fig4Comparison(members, workers int, memberDelay time.Duration, stateDim int, seed uint64) (*Fig34Result, string, error) {
-	truth := toySubspaceForBench(seed, stateDim, 3)
+	truth := toySubspace(seed, stateDim, 3)
 	cfg := workflow.DefaultConfig()
 	cfg.InitialSize = members
 	cfg.MaxSize = members

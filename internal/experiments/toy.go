@@ -10,10 +10,10 @@ import (
 	"esse/internal/workflow"
 )
 
-// toySubspaceForBench builds a fixed orthonormal "true" error subspace
-// used by the serial-vs-parallel comparison, where the point is the
-// workflow mechanics rather than ocean physics.
-func toySubspaceForBench(seed uint64, dim, p int) *core.Subspace {
+// toySubspace builds a fixed orthonormal "true" error subspace used by
+// the serial-vs-parallel comparison, where the point is the workflow
+// mechanics rather than ocean physics.
+func toySubspace(seed uint64, dim, p int) *core.Subspace {
 	s := rng.New(seed)
 	a := linalg.NewDense(dim, p)
 	for i := range a.Data {

@@ -11,7 +11,7 @@ import "esse/internal/cluster"
 // are read once per batch (the I/O win), the scheduler sees 1/batch as
 // many submissions and dispatch events (the policy win), but the last
 // wave has batch-sized granularity, so stragglers cost more (the
-// load-balance loss the ablation benchmark quantifies).
+// load-balance loss TestBatchedGranularityTail asserts).
 func SimulateBatched(c *cluster.Cluster, jobs int, spec JobSpec, cfg Config, batch int) *Result {
 	if batch <= 1 {
 		return Simulate(c, jobs, spec, cfg)

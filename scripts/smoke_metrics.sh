@@ -15,9 +15,9 @@ cd "$(dirname "$0")/.."
 addr="${SMOKE_ADDR:-127.0.0.1:19309}"
 
 echo "==> mtc-sim smoke run with -telemetry-addr $addr (race detector on)"
-# -race complements the static sharedguard/ctxflow gate with
-# dynamic coverage of the interleavings this boot actually executes —
-# in particular the scrape path serving /metrics while the sim runs.
+# -race covers the interleavings this boot executes: the telemetry
+# server of a live mtc-sim answering the scrapes below while the
+# simulation updates the metrics, events and spans they read.
 go run -race ./cmd/mtc-sim -jobs 50 -cores 20 -telemetry-addr "$addr" -telemetry-hold 30s &
 sim=$!
 trap 'kill "$sim" 2>/dev/null || true; wait "$sim" 2>/dev/null || true' EXIT
