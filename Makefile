@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-workflow bench-module bench-smoke test-fuzz lint lint-self lint-fixtures audit vet verify smoke
+.PHONY: build test race race-workflow bench-module bench-smoke test-fuzz lint lint-self lint-fixtures audit vet verify
 
 build:
 	$(GO) build ./...
@@ -69,11 +69,6 @@ lint-fixtures:
 # is missing a reason or names an unknown analyzer.
 audit:
 	$(GO) run ./cmd/esselint -audit -vet=false ./...
-
-# smoke boots mtc-sim with -telemetry-addr and strictly scrapes its
-# /metrics, /events and /trace endpoints (scripts/smoke_metrics.sh).
-smoke:
-	./scripts/smoke_metrics.sh
 
 verify:
 	./scripts/verify.sh

@@ -51,7 +51,7 @@ func main() {
 	flag.Parse()
 
 	// Diagnostics go to stderr as structured log lines; results stay on
-	// stdout. The logger is trace-correlated once telemetry is up.
+	// stdout.
 	level := slog.LevelInfo
 	if *verbose {
 		level = slog.LevelDebug

@@ -11,7 +11,7 @@
 //
 // With -strict the exit status is non-zero when the span tree is empty
 // or any span's parent chain is broken (orphans) — the causal-
-// soundness gate the smoke script runs in CI.
+// soundness rule cmd/mtc-sim's telemetry smoke test applies too.
 package main
 
 import (

@@ -45,8 +45,8 @@ func main() {
 	)
 	flag.Parse()
 
-	// Diagnostics are structured stderr log lines (trace-correlated once
-	// telemetry is up); dataset listings and stats stay on stdout.
+	// Diagnostics are structured stderr log lines; dataset listings and
+	// stats stay on stdout.
 	lg := telemetry.NewLogger(os.Stderr, slog.LevelInfo)
 
 	if *fetch != "" {

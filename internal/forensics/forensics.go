@@ -90,7 +90,7 @@ type Tree struct {
 // identity participate; flow events, paper-time Timeline rows and
 // foreign events are skipped. A span whose parent_span_id does not
 // resolve is kept — as a root for timing purposes — and also reported
-// in Orphans, the causal-soundness failure the smoke gate checks for.
+// in Orphans, the causal-soundness failure the smoke test checks for.
 func ParseTrace(r io.Reader) (*Tree, error) {
 	var raw []chromeEvent
 	if err := json.NewDecoder(r).Decode(&raw); err != nil {

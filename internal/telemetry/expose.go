@@ -13,8 +13,8 @@ import (
 // This file implements the Prometheus text exposition format, both
 // directions: WritePrometheus renders the registry (the /metrics
 // endpoint body) and ParsePrometheus reads it back into an Exposition
-// — the structure the round-trip tests and the CI smoke scraper
-// (cmd/promscrape) validate against. The writer produces canonical
+// — the structure the round-trip tests and cmd/mtc-sim's telemetry
+// smoke test validate against. The writer produces canonical
 // output: families sorted by name, series sorted by rendered label
 // string, one HELP and one TYPE line per family, values formatted with
 // strconv ('g', shortest round-trip), so Parse→Render reproduces the
@@ -176,7 +176,7 @@ func (e *Exposition) Family(name string) *Family {
 }
 
 // ParsePrometheus parses a text exposition body. It is strict about
-// line syntax (the CI smoke gate relies on that) but tolerant about
+// line syntax (the telemetry smoke test relies on that) but tolerant about
 // ordering: HELP/TYPE may arrive in either order and samples without a
 // preceding header open an implicit untyped family.
 func ParsePrometheus(r io.Reader) (*Exposition, error) {
@@ -419,8 +419,7 @@ func (e *Exposition) Render(w io.Writer) error {
 }
 
 // Value returns the value of the sample with the given name and exact
-// label set, and whether it was found — a convenience for tests and
-// the smoke scraper.
+// label set, and whether it was found — a convenience for tests.
 func (e *Exposition) Value(sample string, labelKV ...string) (float64, bool) {
 	if len(labelKV)%2 != 0 {
 		return math.NaN(), false

@@ -8,7 +8,7 @@ import (
 
 // FuzzParsePrometheus drives the strict exposition parser with
 // adversarial input. Beyond not panicking, it pins the round-trip
-// property the CI smoke gate relies on: any exposition the parser
+// property the telemetry smoke test relies on: any exposition the parser
 // accepts must Render back out to bytes the parser accepts again,
 // preserving every sample.
 func FuzzParsePrometheus(f *testing.F) {

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Logger is trace-correlated structured logging over log/slog, with
+// Logger is structured logging over log/slog, with
 // the package's nil discipline: a nil *Logger is the disabled default
 // and its call sites perform zero allocations — including the boxing
 // of the kv variadic. That property needs care: the exported level
@@ -28,9 +28,7 @@ import (
 type Logger struct {
 	h       slog.Handler
 	min     slog.Level
-	trace   TraceID
-	span    SpanID
-	dropped *atomic.Uint64 // handler write failures, shared across With copies
+	dropped *atomic.Uint64 // handler write failures
 }
 
 // NewLogger returns a Logger writing logfmt-style lines (slog's text
@@ -41,23 +39,6 @@ func NewLogger(w io.Writer, min slog.Level) *Logger {
 		min:     min,
 		dropped: new(atomic.Uint64),
 	}
-}
-
-// WithSpan returns a Logger stamping sc's trace_id/span_id on every
-// line, correlating log output with the span tree. Nil-safe.
-func (l *Logger) WithSpan(sc SpanContext) *Logger {
-	if l == nil || sc.IsZero() {
-		return l
-	}
-	cp := *l
-	cp.trace = sc.Trace
-	cp.span = sc.Span
-	return &cp
-}
-
-// WithContext is WithSpan over the active span in ctx. Nil-safe.
-func (l *Logger) WithContext(ctx context.Context) *Logger {
-	return l.WithSpan(SpanFromContext(ctx).Context())
 }
 
 // Dropped reports how many records failed to write (0 when nil).
@@ -84,14 +65,6 @@ func (l *Logger) Info(msg string, kv ...any) {
 	l.emit(slog.LevelInfo, msg, kv)
 }
 
-// Warn logs at LevelWarn. kv alternates constant keys and values.
-func (l *Logger) Warn(msg string, kv ...any) {
-	if l == nil {
-		return
-	}
-	l.emit(slog.LevelWarn, msg, kv)
-}
-
 // Error logs at LevelError. kv alternates constant keys and values.
 // Pass errors pre-rendered: "err", err.Error().
 func (l *Logger) Error(msg string, kv ...any) {
@@ -112,12 +85,6 @@ func (l *Logger) emit(level slog.Level, msg string, kv []any) {
 		return
 	}
 	rec := slog.NewRecord(time.Now(), level, msg, 0)
-	if !l.trace.IsZero() {
-		rec.AddAttrs(
-			slog.String("trace_id", l.trace.String()),
-			slog.String("span_id", l.span.String()),
-		)
-	}
 	for i := 0; i < len(kv); i += 2 {
 		key, _ := kv[i].(string)
 		if key == "" {

@@ -51,20 +51,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add increments the gauge by d (CAS loop; safe for concurrent use).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		want := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, want) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge reading (0 on the nil gauge).
 func (g *Gauge) Value() float64 {
 	if g == nil {

@@ -23,9 +23,8 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 
 	g := r.Gauge("esse_test_gauge", "A gauge.")
 	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", got)
+	if got := g.Value(); got != 2.5 {
+		t.Fatalf("gauge = %v, want 2.5", got)
 	}
 
 	h := r.Histogram("esse_test_seconds", "A histogram.", []float64{1, 2, 4})
@@ -63,7 +62,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	c.Inc()
 	c.Add(7)
 	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil handles must read zero")
@@ -137,7 +135,7 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(float64(i))
 				h.Observe(float64(i%7) * 0.1)
 				tel.Emit("race", i, 0, PhaseDone)
 				// Registration of an existing series must also be safe
@@ -169,8 +167,9 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	if got := h.Count(); got != writers*iters {
 		t.Fatalf("histogram count = %d, want %d", got, writers*iters)
 	}
-	if got := g.Value(); got != writers*iters {
-		t.Fatalf("gauge = %v, want %d", got, writers*iters)
+	// Every writer's last Set is iters-1, and so is the last Set of all.
+	if got := g.Value(); got != iters-1 {
+		t.Fatalf("gauge = %v, want %d", got, iters-1)
 	}
 }
 

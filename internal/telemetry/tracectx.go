@@ -51,14 +51,6 @@ type SpanContext struct {
 // IsZero reports whether the context carries no span identity.
 func (sc SpanContext) IsZero() bool { return sc.Trace.IsZero() && sc.Span == 0 }
 
-// TraceHex renders the trace ID as 32 hex digits, or "" when zero.
-func (sc SpanContext) TraceHex() string {
-	if sc.Trace.IsZero() {
-		return ""
-	}
-	return sc.Trace.String()
-}
-
 // SpanHex renders the span ID as 16 hex digits, or "" when zero.
 func (sc SpanContext) SpanHex() string {
 	if sc.Span == 0 {

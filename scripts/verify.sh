@@ -39,7 +39,4 @@ echo "==> bench module: gofmt, vet, race tests (its own go.mod, so ./... above d
 echo "==> bench smoke: one traced svd-bound run at paper scale (Serial-oracle Sigma equality, Subspace.Check)"
 bench/run.sh --workload svd-bound --seed 1 --seconds 1 --trace 1 >/dev/null
 
-echo "==> telemetry smoke (mtc-sim /metrics scrape via promscrape)"
-./scripts/smoke_metrics.sh
-
 echo "verify: all gates passed"
