@@ -42,25 +42,34 @@ func (s *Section) NZ() int { return len(s.Depths) }
 // SpeedAt bilinearly interpolates the sound speed at (r, z), clamped to
 // the section bounds.
 func (s *Section) SpeedAt(r, z float64) float64 {
-	ri, rf := seek(s.Ranges, 0, r)
-	zi, zf := seek(s.Depths, 0, z)
+	ri, rf := seek(s.Ranges, reciprocals(make([]float64, s.NR()-1), s.Ranges), 0, r)
+	zi, zf := seek(s.Depths, reciprocals(make([]float64, s.NZ()-1), s.Depths), 0, z)
 	return speed(s.C.Row(ri), s.C.Row(ri+1), rf, 1-rf, zi, zf)
 }
 
 // speed is the package's one bilinear expression: lo and hi are the
-// section rows at range cell ri and ri+1, rf the range fraction, orf =
-// 1−rf, (zi, zf) the depth cell and fraction. The grouping of the four
-// terms is frozen (see TLSolver.Trace).
+// rows of a section table at range cell ri and ri+1, rf the range
+// fraction, orf = 1−rf, (zi, zf) the depth cell and fraction.
 func speed(lo, hi []float64, rf, orf float64, zi int, zf float64) float64 {
 	return orf*(1-zf)*lo[zi] + rf*(1-zf)*hi[zi] + orf*zf*lo[zi+1] + rf*zf*hi[zi+1]
 }
 
+// reciprocals fills dst[i] with 1/(xs[i+1]−xs[i]), the table seek
+// multiplies by, and returns it.
+func reciprocals(dst, xs []float64) []float64 {
+	for i := range dst {
+		dst[i] = 1 / (xs[i+1] - xs[i])
+	}
+	return dst
+}
+
 // seek finds the cell index and fraction for x in the strictly ascending
 // grid xs by walking up or down from cell i (0 ≤ i ≤ len(xs)−2), clamped
-// to the ends. Successive lookups of a march land in or next to the cell
-// of the one before, so a walk from there ends after a compare or two
-// where a binary search pays its full depth every time.
-func seek(xs []float64, i int, x float64) (int, float64) {
+// to the ends; rcp is reciprocals(xs). Successive lookups of a march land
+// in or next to the cell of the one before, so a walk from there ends
+// after a compare or two where a binary search pays its full depth every
+// time.
+func seek(xs, rcp []float64, i int, x float64) (int, float64) {
 	n := len(xs)
 	if x <= xs[0] {
 		return 0, 0
@@ -74,7 +83,7 @@ func seek(xs []float64, i int, x float64) (int, float64) {
 	for xs[i+1] <= x {
 		i++
 	}
-	return i, (x - xs[i]) / (xs[i+1] - xs[i])
+	return i, (x - xs[i]) * rcp[i]
 }
 
 // ExtractSection samples temperature and salinity from a packed ocean
@@ -208,16 +217,20 @@ func ComputeTL(sec *Section, cfg TLConfig) (*TLField, error) {
 // marches the ray fan of one (section, source) pair into the deposit
 // grid; Field turns the deposit into dB at one frequency. Frequency
 // enters only the second stage, so the fields of several frequencies
-// cost one Trace. The deposit grid, the step table and the output field
-// are allocated on the first Trace (or whenever the requested shape
-// changes) and overwritten in place afterwards. The returned field is
-// owned by the solver — callers that retain it across calls must use
-// ComputeTL or copy it. The zero value is ready to use; a solver must
-// not be shared between goroutines.
+// cost one Trace. The deposit grid, the step table, the section tables
+// and the output field are allocated on the first Trace (or whenever the
+// requested shape changes or grows) and overwritten in place afterwards.
+// The returned field is owned by the solver — callers that retain it
+// across calls must use ComputeTL or copy it. The zero value is ready to
+// use; a solver must not be shared between goroutines.
 type TLSolver struct {
-	deposit    *linalg.Dense
-	field      *TLField
-	steps      []traceStep
+	deposit *linalg.Dense
+	field   *TLField
+	steps   []traceStep
+	// tables holds what Trace derives from the section, in one buffer:
+	// ln c on the section mesh, then reciprocals of the depth and range
+	// spacings.
+	tables     []float64
 	rMax, zMax float64 // extent of the traced section
 }
 
@@ -226,7 +239,7 @@ type TLSolver struct {
 // section rows bracketing r, the range fraction, and the deposit row
 // that r+dr falls in.
 type traceStep struct {
-	cOff    int // offset in C.Data of section row ri; row ri+1 follows it
+	cOff    int // offset of section row ri in C.Data and in ln c; row ri+1 follows it
 	rf, orf float64
 	depOff  int // offset in deposit.Data of the output row
 }
@@ -296,25 +309,28 @@ func checkTrace(sec *Section, cfg TLConfig) error {
 // Trace marches the ray fan of (sec, cfg.SourceDepth) into the solver's
 // deposit grid. cfg.FreqKHz is not read.
 //
-// The per-step operation order is frozen: TL fields feed the coupled
-// assimilation and the climate digests to the bit, so a change here may
-// alter how operands are found, never which floating-point operations
-// run or in what order — every division stays a division, speed keeps
-// its grouping. traceReference in acoustics_test.go, the per-step
-// binary-search form this was derived from, is the oracle.
+// A ray carries its slope p = tan θ, set once at launch, and follows the
+// range form of the ray equation, dθ/dr = −∂z(ln c), as dp/dr =
+// −(1+p²)·∂z(ln c): per step p −= (1+p²)·∂z(ln c)·dr, then z += p·dr, and
+// a reflection negates p. The gradient comes from a table of ln c filled
+// once a call, so a step takes no tangent and divides only at the ends
+// of the column. This kernel was re-pinned against the angle form
+// (DESIGN "Re-pinning", re-pin 2): traceReference in acoustics_test.go
+// is the oracle, held to stated tolerances, not to the bit;
+// traceSlopeReference is this kernel without its tables, held to the bit.
 func (s *TLSolver) Trace(sec *Section, cfg TLConfig) error {
 	if err := checkTrace(sec, cfg); err != nil {
 		return err
 	}
-	snz := sec.NZ()
+	snr, snz := sec.NR(), sec.NZ()
 	depths := sec.Depths
-	rMax, zTop, zMax := sec.Ranges[sec.NR()-1], depths[0], depths[snz-1]
+	rMax, zTop, zMax := sec.Ranges[snr-1], depths[0], depths[snz-1]
 	nr, nz := cfg.RangeCells, cfg.DepthCells
 	dr := rMax / float64(nr) / 4 // 4 integration steps per output cell
 	if !(dr > 0 && zMax > 0) {
 		return fmt.Errorf("acoustics: Ranges and Depths end at %v and %v, need both beyond 0", rMax, zMax)
 	}
-	dep, field, steps := s.deposit, s.field, s.steps[:0]
+	dep, field, steps, tables := s.deposit, s.field, s.steps[:0], s.tables
 	if dep == nil || dep.Rows != nr || dep.Cols != nz {
 		dep = linalg.NewDense(nr, nz)
 		field = &TLField{
@@ -328,9 +344,20 @@ func (s *TLSolver) Trace(sec *Section, cfg TLConfig) error {
 	} else {
 		dep.Zero()
 	}
+	if n := snr*snz + snz - 1 + snr - 1; cap(tables) < n {
+		tables = make([]float64, n)
+	} else {
+		tables = tables[:n]
+	}
+	lnC := tables[:snr*snz]
+	rdz := reciprocals(tables[snr*snz:][:snz-1], depths)
+	rdr := reciprocals(tables[snr*snz+snz-1:][:snr-1], sec.Ranges)
+	for i, c := range sec.C.Data {
+		lnC[i] = math.Log(c)
+	}
 	for r, ri := 0.0, 0; r < rMax; {
 		var rf float64
-		ri, rf = seek(sec.Ranges, ri, r)
+		ri, rf = seek(sec.Ranges, rdr, ri, r)
 		r += dr
 		di := int(r / rMax * float64(nr))
 		if di >= nr {
@@ -339,53 +366,54 @@ func (s *TLSolver) Trace(sec *Section, cfg TLConfig) error {
 		steps = append(steps, traceStep{cOff: ri * snz, rf: rf, orf: 1 - rf, depOff: di * nz})
 	}
 	// From here on the solver describes this trace and nothing of the last.
-	*s = TLSolver{deposit: dep, field: field, steps: steps, rMax: rMax, zMax: zMax}
+	*s = TLSolver{deposit: dep, field: field, steps: steps, tables: tables, rMax: rMax, zMax: zMax}
 
-	speeds, deposit := sec.C.Data, dep.Data
+	deposit := dep.Data
 	dz := (zMax - zTop) / float64(snz-1)
-	half := dz / 2
+	half, rdzMean := dz/2, 1/dz
+	zScale := float64(nz) / zMax
 	bounce := math.Pow(10, -cfg.BottomLossDB/10)
 	w := 1.0 / float64(cfg.NumRays)
 	maxAngle := cfg.MaxAngleDeg * math.Pi / 180
 	for rayI := 0; rayI < cfg.NumRays; rayI++ {
-		theta := -maxAngle + 2*maxAngle*float64(rayI)/float64(cfg.NumRays-1)
+		p := math.Tan(-maxAngle + 2*maxAngle*float64(rayI)/float64(cfg.NumRays-1))
 		z := cfg.SourceDepth
 		amp := w
-		zi := 0
+		ip, im := 0, 0
 		for k := 0; k < len(steps) && amp > 1e-12; k++ {
 			st := &steps[k]
-			lo := speeds[st.cOff : st.cOff+snz]
-			hi := speeds[st.cOff+snz : st.cOff+2*snz]
-			var zf float64
-			zi, zf = seek(depths, zi, z)
-			c := speed(lo, hi, st.rf, st.orf, zi, zf)
-			// Centred vertical gradient over one mean level spacing,
-			// one-sided where that leaves the column.
-			gradC := 0.0
-			zp := min(z+half, zMax)
-			zm := max(z-half, zTop)
-			//esselint:allow floatcmp exact equality is the zero-denominator guard for the gradient below
-			if zp != zm {
-				pi, pf := seek(depths, zi, zp)
-				mi, mf := seek(depths, zi, zm)
-				gradC = (speed(lo, hi, st.rf, st.orf, pi, pf) - speed(lo, hi, st.rf, st.orf, mi, mf)) / (zp - zm)
+			lo := lnC[st.cOff : st.cOff+snz]
+			hi := lnC[st.cOff+snz : st.cOff+2*snz]
+			// ∂z(ln c), centred over one mean level spacing, one-sided
+			// where that leaves the column.
+			zp, zm, rspan := z+half, z-half, rdzMean
+			if zp > zMax || zm < zTop {
+				zp, zm, rspan = min(zp, zMax), max(zm, zTop), 0
+				//esselint:allow floatcmp exact equality is the zero-denominator guard; an empty interval has no gradient
+				if zp != zm {
+					rspan = 1 / (zp - zm)
+				}
 			}
-			theta += -gradC / c * dr
-			z += math.Tan(theta) * dr
+			var pf, mf float64
+			ip, pf = seek(depths, rdz, ip, zp)
+			im, mf = seek(depths, rdz, im, zm)
+			grad := (speed(lo, hi, st.rf, st.orf, ip, pf) - speed(lo, hi, st.rf, st.orf, im, mf)) * rspan
+			p -= (1 + p*p) * grad * dr
+			z += p * dr
 			// Surface and bottom reflections.
 			if z < 0 {
 				z = -z
-				theta = -theta
+				p = -p
 			}
 			if z > zMax {
 				z = 2*zMax - z
-				theta = -theta
+				p = -p
 				amp *= bounce
 			}
 			if z < 0 { // pathological double reflection: clamp
 				z = 0
 			}
-			di := int(z / zMax * float64(nz))
+			di := int(z * zScale)
 			if di >= nz {
 				di = nz - 1
 			}

@@ -6,9 +6,11 @@
 // the members used, the final ρ, the forecast and analysis temperature
 // RMSE and their ratio (the skill ratio); after the last cycle, the
 // largest and the mean SST standard deviation of the posterior subspace
-// (the spread field of Fig. 5). Run it at the root of a checkout of
-// each side (copy the file into the older one), then compare the two
-// outputs:
+// (the spread field of Fig. 5); and, on sections cut through the
+// truth at the end of the run, the acoustic climate's mean TL over its
+// tasks and the mean TL standard deviation of EnsembleTL across those
+// sections. Run it at the root of a checkout of each side (copy the file
+// into the older one), then compare the two outputs:
 //
 //	go run scripts/repin.go -seeds 30 > parent.json   # parent checkout
 //	go run scripts/repin.go -seeds 30 > change.json   # this checkout
@@ -29,10 +31,11 @@ import (
 	"math"
 	"os"
 
+	"esse/internal/acoustics"
 	"esse/internal/realtime"
 )
 
-var stats = []string{"rounds", "members", "rho", "rmse_forecast", "rmse_analysis", "skill_ratio", "sst_std_max", "sst_std_mean"}
+var stats = []string{"rounds", "members", "rho", "rmse_forecast", "rmse_analysis", "skill_ratio", "sst_std_max", "sst_std_mean", "tl_mean", "tl_std_mean"}
 
 func main() {
 	log.SetFlags(0)
@@ -75,11 +78,56 @@ func main() {
 			row["sst_std_max"] = math.Max(row["sst_std_max"], v)
 			row["sst_std_mean"] += v / float64(len(sst))
 		}
+		if err := acousticStats(row, sys); err != nil {
+			log.Fatalf("seed %d: %v", seed, err)
+		}
 		out = append(out, row)
 	}
 	if err := enc.Encode(out); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// acousticStats runs cmd/acoustic-climate's default task product on
+// three zonal sections of the truth and adds its mean TL over tasks, and
+// the mean over cells of EnsembleTL's standard deviation across the
+// sections, to row.
+func acousticStats(row map[string]float64, sys *realtime.System) error {
+	g, truth := sys.Layout.G, sys.TruthState()
+	var sections []*acoustics.Section
+	for sl := 1; sl <= 3; sl++ {
+		j := sl * g.NY / 4
+		sec, err := acoustics.ExtractSection(sys.Layout, truth, 1, j, g.NX-2, j, 2*g.NX)
+		if err != nil {
+			return err
+		}
+		sections = append(sections, sec)
+	}
+	spec := acoustics.ClimateSpec{
+		Sections:     sections,
+		SourceDepths: []float64{10, 30, 80},
+		FreqsKHz:     []float64{0.5, 1, 2},
+		Base:         acoustics.DefaultTLConfig(),
+		Workers:      1,
+	}
+	res, err := acoustics.ComputeClimate(context.Background(), spec, nil)
+	if err != nil {
+		return err
+	}
+	if len(res.Tasks) != spec.TaskCount() {
+		return fmt.Errorf("climate: %d of %d tasks done", len(res.Tasks), spec.TaskCount())
+	}
+	for _, task := range res.Tasks {
+		row["tl_mean"] += task.MeanTL / float64(len(res.Tasks))
+	}
+	ens, err := acoustics.EnsembleTL(sections, acoustics.DefaultTLConfig())
+	if err != nil {
+		return err
+	}
+	for _, v := range ens.Std.TL.Data {
+		row["tl_std_mean"] += v / float64(len(ens.Std.TL.Data))
+	}
+	return nil
 }
 
 func load(path string) []map[string]float64 {
