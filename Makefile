@@ -35,13 +35,12 @@ bench-module:
 bench-smoke:
 	bench/run.sh --workload svd-bound --seed 1 --seconds 1 --trace 1 >/dev/null
 
-# test-fuzz runs each native fuzz target briefly — a smoke pass over
-# the exposition and traceparent parsers, not a soak (leave
-# FUZZTIME at the default in CI; raise it locally to hunt).
+# test-fuzz runs the native fuzz target briefly — a smoke pass over
+# the exposition parser, not a soak (leave FUZZTIME at the default in
+# CI; raise it locally to hunt).
 FUZZTIME ?= 10s
 test-fuzz:
 	$(GO) test -fuzz=FuzzParsePrometheus -fuzztime=$(FUZZTIME) ./internal/telemetry
-	$(GO) test -fuzz=FuzzParseTraceContext -fuzztime=$(FUZZTIME) ./internal/telemetry
 
 vet:
 	$(GO) vet ./...

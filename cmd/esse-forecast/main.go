@@ -129,12 +129,14 @@ func main() {
 		*nx, *ny, *nz, sys.Layout.Dim(), sys.Network.Len())
 	fmt.Printf("%-6s %9s %9s %8s %7s %6s %5s %8s\n",
 		"cycle", "rmseF(T)", "rmseA(T)", "members", "SVDs", "rho", "conv", "elapsed")
+	var results []*realtime.CycleResult
 	for k := 0; k < cfg.Cycles; k++ {
 		r, err := sys.RunCycle(ctx)
 		if err != nil {
 			lg.Error("cycle failed", "cycle", k, "err", err.Error())
 			os.Exit(1)
 		}
+		results = append(results, r)
 		lg.Debug("cycle complete", "cycle", r.Cycle, "members", r.Ensemble.MembersUsed,
 			"svd_rounds", r.Ensemble.SVDRounds, "converged", r.Ensemble.Converged,
 			"elapsed", r.Ensemble.Elapsed)
@@ -164,13 +166,13 @@ func main() {
 		}
 	}
 	fmt.Println("\nTimelines (Fig 1):")
-	fmt.Print(sys.Tl.Render(64))
+	fmt.Print(realtime.RenderTimelines(results, 64))
 
 	if *traceOut != "" {
-		// Wall-clock spans plus the paper-time Timeline (one trace second
-		// per paper time unit) in one Chrome trace file.
+		// Wall-clock spans plus the paper-time rows of the cycles (one
+		// trace second per ocean second) in one Chrome trace file.
 		events := tel.Tracer().ChromeEvents()
-		events = append(events, telemetry.TimelineChromeEvents(sys.Tl, time.Second)...)
+		events = append(events, realtime.TimelineEvents(results, time.Second)...)
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			lg.Error("creating trace file failed", "path", *traceOut, "err", err.Error())

@@ -57,11 +57,13 @@ func main() {
 	fmt.Printf("(total %d)\n\n", sys.Network.Len())
 
 	fmt.Printf("%-6s %9s %9s %8s %9s %6s\n", "cycle", "rmseF(T)", "rmseA(T)", "members", "poolSizes", "rho")
+	var results []*realtime.CycleResult
 	for k := 0; k < cfg.Cycles; k++ {
 		r, err := sys.RunCycle(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}
+		results = append(results, r)
 		fmt.Printf("%-6d %9.4f %9.4f %8d %9v %6.3f",
 			r.Cycle, r.RMSEForecastT, r.RMSEAnalysisT,
 			r.Ensemble.MembersUsed, r.Ensemble.PoolSizes, r.Ensemble.Rho)
@@ -102,5 +104,5 @@ func main() {
 	}
 
 	fmt.Println("\nforecasting timelines (Fig 1 analog):")
-	fmt.Print(sys.Tl.Render(60))
+	fmt.Print(realtime.RenderTimelines(results, 60))
 }

@@ -21,7 +21,6 @@
 package covstore
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
@@ -30,10 +29,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"esse/internal/linalg"
-	"esse/internal/telemetry"
 )
 
 const magic = "ESSECOV2"
@@ -50,32 +47,6 @@ type Store struct {
 
 	// stats
 	writes int64
-
-	// telemetry handles (nil no-ops unless Instrument is called)
-	tel       *telemetry.Telemetry
-	cWrites   *telemetry.Counter
-	cReads    *telemetry.Counter
-	hWriteSec *telemetry.Histogram
-}
-
-// Instrument registers the store's metrics in tel and enables spans on
-// the Ctx read/write variants. Call it before the store is shared
-// between goroutines; with a nil tel it is a no-op.
-func (s *Store) Instrument(tel *telemetry.Telemetry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tel = tel
-	s.cWrites = tel.Counter("esse_covstore_writes_total", "Covariance snapshots published through the triple-file protocol.")
-	s.cReads = tel.Counter("esse_covstore_reads_total", "Safe-file snapshot reads by the SVD stage.")
-	s.hWriteSec = tel.Histogram("esse_covstore_write_seconds", "Wall-clock duration of one snapshot write + atomic publish.", nil)
-}
-
-// telemetry returns the instrumented handle under the lock (nil until
-// Instrument), mirroring the counter-snapshot idiom below.
-func (s *Store) telemetry() *telemetry.Telemetry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tel
 }
 
 // Open creates (or reuses) a store rooted at dir.
@@ -95,16 +66,6 @@ func (s *Store) livePath(i int) string {
 
 func (s *Store) safePath() string { return filepath.Join(s.dir, "safe.cov") }
 
-// WriteSnapshotCtx is WriteSnapshot wrapped in a span parented under
-// the active span in ctx (the SVD round that triggered the publish),
-// so on-disk protocol time shows up as a child in the trace tree. The
-// context carries lineage only; the write itself is not cancellable.
-func (s *Store) WriteSnapshotCtx(ctx context.Context, m *linalg.Dense, indices []int) (int64, error) {
-	_, sp := s.telemetry().SpanCtx(ctx, "covstore", "write", -1, -1)
-	defer sp.End()
-	return s.WriteSnapshot(m, indices)
-}
-
 // WriteSnapshot serializes the anomaly matrix and its member indices to
 // the next live file and atomically publishes it as the safe file.
 // It returns the monotonically increasing snapshot version.
@@ -114,7 +75,6 @@ func (s *Store) WriteSnapshot(m *linalg.Dense, indices []int) (int64, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t0 := time.Now()
 	s.version++
 	v := s.version
 	live := s.livePath(s.toggle)
@@ -137,28 +97,12 @@ func (s *Store) WriteSnapshot(m *linalg.Dense, indices []int) (int64, error) {
 		return 0, fmt.Errorf("covstore: publish: %w", err)
 	}
 	s.writes++
-	s.cWrites.Inc()
-	s.hWriteSec.Observe(time.Since(t0).Seconds())
 	return v, nil
-}
-
-// ReadSafeCtx is ReadSafe wrapped in a span parented under the active
-// span in ctx, the read-side twin of WriteSnapshotCtx.
-func (s *Store) ReadSafeCtx(ctx context.Context) (*linalg.Dense, []int, int64, error) {
-	_, sp := s.telemetry().SpanCtx(ctx, "covstore", "read", -1, -1)
-	defer sp.End()
-	return s.ReadSafe()
 }
 
 // ReadSafe reads the most recently published snapshot. It returns
 // os.ErrNotExist if nothing has been published yet.
 func (s *Store) ReadSafe() (*linalg.Dense, []int, int64, error) {
-	// Snapshot the counter under the lock: Instrument writes it under mu
-	// and may race a concurrent reader. The nil counter is a no-op.
-	s.mu.Lock()
-	cReads := s.cReads
-	s.mu.Unlock()
-	cReads.Inc()
 	f, err := os.Open(s.safePath())
 	if err != nil {
 		return nil, nil, 0, err

@@ -9,7 +9,6 @@ import (
 
 	"esse/internal/linalg"
 	"esse/internal/rng"
-	"esse/internal/telemetry"
 )
 
 func testMatrix(seed uint64, r, c int) (*linalg.Dense, []int) {
@@ -173,36 +172,6 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	if reads == 0 {
 		t.Fatal("no successful concurrent reads")
 	}
-}
-
-// TestInstrumentWhileReading instruments a store while another
-// goroutine reads it. ReadSafe takes the counter handle Instrument sets
-// under the store lock; under -race a bare read of it is a report.
-func TestInstrumentWhileReading(t *testing.T) {
-	st, _ := Open(t.TempDir())
-	m, idx := testMatrix(1, 4, 2)
-	if _, err := st.WriteSnapshot(m, idx); err != nil {
-		t.Fatal(err)
-	}
-	tel := telemetry.New()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			if _, _, _, err := st.ReadSafe(); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			st.Instrument(tel)
-		}
-	}()
-	wg.Wait()
 }
 
 // TestSnapshotsCloseTheirFiles counts the process's open descriptors

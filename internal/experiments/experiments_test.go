@@ -89,12 +89,12 @@ func TestCostExampleMatchesPaper(t *testing.T) {
 }
 
 func TestFig1TimelinesRender(t *testing.T) {
-	tl, text, err := Fig1Timelines(smallRealtimeConfig())
+	cycles, text, err := Fig1Timelines(smallRealtimeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tl.Len() != 3*2 { // 3 rows × 2 cycles
-		t.Fatalf("timeline spans = %d", tl.Len())
+	if len(cycles) != 2 {
+		t.Fatalf("cycles = %d", len(cycles))
 	}
 	for _, want := range []string{"observation time", "forecaster time", "simulation time"} {
 		if !strings.Contains(text, want) {

@@ -87,7 +87,7 @@ type Tree struct {
 
 // ParseTrace decodes a Chrome trace-event JSON body and rebuilds the
 // span forest. Only wall-clock complete events that carry a span
-// identity participate; flow events, paper-time Timeline rows and
+// identity participate; flow events, paper-time rows and
 // foreign events are skipped. A span whose parent_span_id does not
 // resolve is kept — as a root for timing purposes — and also reported
 // in Orphans, the causal-soundness failure the smoke test checks for.

@@ -255,6 +255,7 @@ var mutants = []mutant{
 	{
 		rule: "lockheld", file: "internal/covstore/covstore.go",
 		why: "publish retries the rename after a pause, still holding the store lock",
+		imp: "time",
 		old: `	if err := os.Rename(live, s.safePath()); err != nil {
 		return 0, fmt.Errorf("covstore: publish: %w", err)
 	}`,
@@ -268,15 +269,11 @@ var mutants = []mutant{
 	{
 		rule: "lockheld", file: "internal/covstore/covstore.go",
 		why: "ReadSafe waits for a first publish under the lock WriteSnapshot needs to make it",
-		old: `	s.mu.Lock()
-	cReads := s.cReads
-	s.mu.Unlock()
-	cReads.Inc()
-	f, err := os.Open(s.safePath())
+		imp: "time",
+		old: `	f, err := os.Open(s.safePath())
 	if err != nil {`,
 		new: `	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cReads.Inc()
 	if s.version == 0 {
 		time.Sleep(50 * time.Millisecond) // nothing published yet: give a writer a moment
 	}

@@ -47,22 +47,17 @@ type Server struct {
 
 	// telemetry handles (nil no-ops unless Instrument is called)
 	tel    *telemetry.Telemetry
-	cList  *telemetry.Counter
-	cDDS   *telemetry.Counter
-	cDODS  *telemetry.Counter
 	cBytes *telemetry.Counter
 }
 
-// Instrument registers the server's metrics in tel and arms the trace
-// middleware Handler wraps around each route. Call it before Handler;
-// a nil tel is a no-op.
+// Instrument registers the server's byte counter in tel and arms the
+// telemetry middleware Handler wraps around each route, which counts
+// and times requests per route. Call it before Handler; a nil tel is a
+// no-op.
 func (s *Server) Instrument(tel *telemetry.Telemetry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tel = tel
-	s.cList = tel.Counter("esse_opendap_requests_total", "OpenDAP requests by endpoint.", "endpoint", "datasets")
-	s.cDDS = tel.Counter("esse_opendap_requests_total", "OpenDAP requests by endpoint.", "endpoint", "dds")
-	s.cDODS = tel.Counter("esse_opendap_requests_total", "OpenDAP requests by endpoint.", "endpoint", "dods")
 	s.cBytes = tel.Counter("esse_opendap_bytes_total", "Payload bytes served.")
 }
 
@@ -86,10 +81,9 @@ func (s *Server) Stats() (requests, bytes int64) {
 }
 
 // Handler returns the HTTP handler implementing the protocol. When the
-// server is instrumented, every route runs behind the telemetry trace
-// middleware: an inbound traceparent header (the Client injects one)
-// parents the server span under the remote caller, so one causal tree
-// spans both processes. Uninstrumented, the routes are served bare.
+// server is instrumented, every route runs behind the telemetry
+// middleware (a span, a request count and a latency histogram per
+// route). Uninstrumented, the routes are served bare.
 func (s *Server) Handler() http.Handler {
 	s.mu.RLock()
 	tel := s.tel
@@ -122,13 +116,11 @@ func (s *Server) get(name string) (*ncdf.File, bool) {
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
-	cList := s.cList
 	names := make([]string, 0, len(s.datasets))
 	for n := range s.datasets {
 		names = append(names, n)
 	}
 	s.mu.RUnlock()
-	cList.Inc()
 	sort.Strings(names)
 	body := strings.Join(names, "\n") + "\n"
 	w.Header().Set("Content-Type", "text/plain")
@@ -137,10 +129,6 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDDS(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	cDDS := s.cDDS
-	s.mu.RUnlock()
-	cDDS.Inc()
 	name := strings.TrimPrefix(r.URL.Path, "/dds/")
 	f, ok := s.get(name)
 	if !ok {
@@ -154,10 +142,6 @@ func (s *Server) handleDDS(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDODS(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	cDODS := s.cDODS
-	s.mu.RUnlock()
-	cDODS.Inc()
 	name := strings.TrimPrefix(r.URL.Path, "/dods/")
 	f, ok := s.get(name)
 	if !ok {
@@ -229,22 +213,11 @@ func parseIntList(s string, rank, def int) ([]int, error) {
 
 // --- client -----------------------------------------------------------------
 
-// Client talks to a Server over HTTP. Its Ctx request variants open
-// client spans and inject the traceparent header, so a fetch issued
-// from inside a forecast cycle shows up in the server's trace parented
-// under that cycle.
+// Client talks to a Server over HTTP. Its Ctx request variants are
+// cancellable through their context.
 type Client struct {
 	Base string // e.g. "http://host:port"
 	HTTP *http.Client
-
-	tel *telemetry.Telemetry
-}
-
-// Instrument enables client-side spans on the Ctx request variants.
-// Call it before the client is shared; a nil tel is a no-op (the
-// traceparent header is still injected when ctx carries a span).
-func (c *Client) Instrument(tel *telemetry.Telemetry) {
-	c.tel = tel
 }
 
 // NewClient returns a client for the given base URL. The client is
@@ -264,14 +237,12 @@ func NewClient(base string) *Client {
 // minute is generous on any link the paper's setting cares about.
 const clientTimeout = 60 * time.Second
 
-// get issues one GET with the active span (if any) injected as a
-// traceparent header, so the server can parent its span under ours.
+// get issues one GET under ctx.
 func (c *Client) get(ctx context.Context, url string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, fmt.Errorf("opendap: %w", err)
 	}
-	telemetry.Inject(req.Header, telemetry.SpanFromContext(ctx).Context())
 	return c.HTTP.Do(req)
 }
 
@@ -280,11 +251,8 @@ func (c *Client) Datasets() ([]string, error) {
 	return c.DatasetsCtx(context.Background())
 }
 
-// DatasetsCtx is Datasets under a context: the request is cancellable,
-// runs inside a client span, and propagates trace context.
+// DatasetsCtx is Datasets under a context: the request is cancellable.
 func (c *Client) DatasetsCtx(ctx context.Context) ([]string, error) {
-	ctx, sp := c.tel.SpanCtx(ctx, "opendap", "datasets", -1, -1)
-	defer sp.End()
 	resp, err := c.get(ctx, c.Base+"/datasets")
 	if err != nil {
 		return nil, fmt.Errorf("opendap: %w", err)
@@ -311,10 +279,8 @@ func (c *Client) DDS(dataset string) (string, error) {
 	return c.DDSCtx(context.Background(), dataset)
 }
 
-// DDSCtx is DDS under a context with span + trace propagation.
+// DDSCtx is DDS under a context.
 func (c *Client) DDSCtx(ctx context.Context, dataset string) (string, error) {
-	ctx, sp := c.tel.SpanCtx(ctx, "opendap", "dds", -1, -1)
-	defer sp.End()
 	resp, err := c.get(ctx, c.Base+"/dds/"+dataset)
 	if err != nil {
 		return "", fmt.Errorf("opendap: %w", err)
@@ -336,10 +302,8 @@ func (c *Client) Fetch(dataset, variable string, start, count []int) ([]float64,
 	return c.FetchCtx(context.Background(), dataset, variable, start, count)
 }
 
-// FetchCtx is Fetch under a context with span + trace propagation.
+// FetchCtx is Fetch under a context.
 func (c *Client) FetchCtx(ctx context.Context, dataset, variable string, start, count []int) ([]float64, error) {
-	ctx, sp := c.tel.SpanCtx(ctx, "opendap", "fetch", -1, -1)
-	defer sp.End()
 	url := fmt.Sprintf("%s/dods/%s?var=%s", c.Base, dataset, variable)
 	if len(start) > 0 {
 		url += "&start=" + joinInts(start)

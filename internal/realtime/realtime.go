@@ -26,7 +26,6 @@ import (
 	"esse/internal/ocean"
 	"esse/internal/rng"
 	"esse/internal/telemetry"
-	"esse/internal/trace"
 	"esse/internal/workflow"
 )
 
@@ -138,6 +137,12 @@ type CycleResult struct {
 	// and its smoothed reanalysis against the truth at cycle start
 	// (temperature RMSE; only with Config.Smooth).
 	RMSEStartT, RMSESmoothedStartT float64
+	// OceanStart and OceanEnd bound the stretch of ocean time, in
+	// seconds, that the cycle observes and its members simulate (the T
+	// and sim rows of Fig. 1); Forecaster is the wall time the
+	// forecasting procedure took (the τ row).
+	OceanStart, OceanEnd float64
+	Forecaster           time.Duration
 }
 
 // System is a running twin experiment.
@@ -145,7 +150,6 @@ type System struct {
 	Cfg     Config
 	Layout  *grid.StateLayout
 	Network *obs.Network
-	Tl      *trace.Timeline
 
 	truth    *ocean.Model
 	analysis []float64      // physical units
@@ -252,7 +256,6 @@ func NewSystem(cfg Config) (*System, error) {
 		Cfg:      cfg,
 		Layout:   layout,
 		Network:  network,
-		Tl:       trace.New(),
 		truth:    truth,
 		analysis: analysis,
 		subspace: sub,
@@ -308,7 +311,6 @@ func (s *System) RunCycle(ctx context.Context) (*CycleResult, error) {
 	obsStart := s.clock
 	s.truth.Run(s.Cfg.StepsPerCycle)
 	s.clock += float64(s.Cfg.StepsPerCycle) * s.oceanCfg.Dt
-	s.Tl.Add(trace.ObservationTime, fmt.Sprintf("T%d", k), obsStart, s.clock)
 
 	// --- forecaster time: the whole procedure below (middle row) ---
 	forecasterStart := time.Now()
@@ -424,6 +426,8 @@ func (s *System) RunCycle(ctx context.Context) (*CycleResult, error) {
 		ResidualNorm:   an.ResidualNorm,
 		Observations:   network.Len(),
 		AdaptiveCasts:  castLocs,
+		OceanStart:     obsStart,
+		OceanEnd:       s.clock,
 	}
 
 	if s.Cfg.Smooth {
@@ -446,10 +450,7 @@ func (s *System) RunCycle(ctx context.Context) (*CycleResult, error) {
 	s.analysis = analysisMean
 	s.subspace = an.Posterior
 
-	s.Tl.Add(trace.ForecasterTime, fmt.Sprintf("tau%d", k),
-		obsStart, obsStart+time.Since(forecasterStart).Seconds())
-	// Each member simulation covers the same stretch of ocean time.
-	s.Tl.Add(trace.SimulationTime, fmt.Sprintf("sim%d", k), obsStart, s.clock)
+	res.Forecaster = time.Since(forecasterStart)
 
 	tel.Counter("esse_realtime_cycles_total", "Completed forecast/assimilation cycles.").Inc()
 	tel.Histogram("esse_realtime_cycle_seconds", "Wall-clock duration of one full cycle.", nil).

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"esse/internal/core"
-	"esse/internal/trace"
 )
 
 // tinyConfig returns a configuration small enough for unit tests.
@@ -122,26 +121,6 @@ func TestSubspaceEvolvesAcrossCycles(t *testing.T) {
 	rho := core.SimilarityCoefficient(before, after)
 	if rho > 1-1e-12 && before.TotalVariance() == after.TotalVariance() {
 		t.Fatal("subspace did not evolve over a cycle")
-	}
-}
-
-func TestTimelineHasAllThreeRows(t *testing.T) {
-	sys, err := NewSystem(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	spans := sys.Tl.Spans()
-	kinds := map[trace.Kind]int{}
-	for _, s := range spans {
-		kinds[s.Kind]++
-	}
-	for _, k := range []trace.Kind{trace.ObservationTime, trace.ForecasterTime, trace.SimulationTime} {
-		if kinds[k] != sys.Cfg.Cycles {
-			t.Fatalf("kind %v has %d spans, want %d", k, kinds[k], sys.Cfg.Cycles)
-		}
 	}
 }
 

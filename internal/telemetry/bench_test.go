@@ -124,28 +124,6 @@ func BenchmarkLoggerEnabled(b *testing.B) {
 	}
 }
 
-func BenchmarkTraceParentFormat(b *testing.B) {
-	sc := SpanContext{Trace: DeriveTraceID(1), Span: 42}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if FormatTraceParent(sc) == "" {
-			b.Fatal("empty header")
-		}
-	}
-}
-
-func BenchmarkTraceParentParse(b *testing.B) {
-	h := FormatTraceParent(SpanContext{Trace: DeriveTraceID(1), Span: 42})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := ParseTraceParent(h); !ok {
-			b.Fatal("rejected canonical header")
-		}
-	}
-}
-
 func BenchmarkWritePrometheus(b *testing.B) {
 	tel := New()
 	tel.Counter("esse_bench_scrape_total", "C.", "outcome", "done").Add(3)

@@ -61,46 +61,3 @@ func countSamples(e *Exposition) int {
 	}
 	return n
 }
-
-// FuzzParseTraceContext drives the strict traceparent parser with
-// adversarial headers. Beyond not panicking, it pins the canonical
-// round-trip property the HTTP propagation pair relies on: any header
-// the parser accepts must re-render through FormatTraceParent to a
-// header the parser accepts again, yielding the same span context —
-// and the re-rendered form is canonical (version 00, flags 01).
-func FuzzParseTraceContext(f *testing.F) {
-	canonical := FormatTraceParent(SpanContext{Trace: DeriveTraceID(1), Span: 42})
-	seeds := []string{
-		canonical,
-		canonical[:len(canonical)-2] + "ff", // exotic flags, still valid
-		canonical[:len(canonical)-2] + "00", // not-sampled flags, still parsed
-		"",
-		"00-" + strings.Repeat("0", 32) + "-" + strings.Repeat("0", 16) + "-01", // all-zero ids
-		"01" + canonical[2:],           // future version
-		strings.ToUpper(canonical),     // uppercase hex
-		canonical[:54],                 // truncated
-		canonical + "-extra",           // trailing junk
-		strings.Repeat("0-", 27) + "0", // dashes everywhere
-		"00-zz" + canonical[5:],        // non-hex trace
-	}
-	for _, s := range seeds {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		sc, ok := ParseTraceParent(s)
-		if !ok {
-			return // rejection is fine; panics are what we hunt
-		}
-		if sc.Trace.IsZero() || sc.Span == 0 {
-			t.Fatalf("accepted a header with a zero id: %q -> %+v", s, sc)
-		}
-		re := FormatTraceParent(sc)
-		if len(re) != 55 || re[:3] != "00-" || re[len(re)-3:] != "-01" {
-			t.Fatalf("re-render not canonical: %q from %q", re, s)
-		}
-		again, ok := ParseTraceParent(re)
-		if !ok || again != sc {
-			t.Fatalf("canonical form does not round trip: %q -> %q -> %+v, %v", s, re, again, ok)
-		}
-	})
-}

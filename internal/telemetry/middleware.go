@@ -10,11 +10,10 @@ import (
 // as its own swimlane next to the compute spans.
 const httpLane = 90
 
-// Instrument wraps an HTTP handler with trace propagation and
-// per-route metrics: it extracts an inbound traceparent header (if
-// any), opens a server span parented under the remote caller, threads
-// the span through the request context for handlers that trace deeper,
-// and records request count and latency labeled by route.
+// Instrument wraps an HTTP handler with a span and per-route metrics:
+// it opens a server span for each request, threads the span through
+// the request context for handlers that trace deeper, and records
+// request count and latency labeled by route.
 //
 // Nil-safe: a nil *Telemetry returns h unchanged, so uninstrumented
 // servers pay nothing.
@@ -28,8 +27,7 @@ func (t *Telemetry) Instrument(route string, h http.Handler) http.Handler {
 		"HTTP request wall-clock latency, by instrumented route.", nil, "route", route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		reqs.Inc()
-		parent, _ := Extract(r.Header)
-		ctx, sp := t.SpanRemote(r.Context(), parent, "http", route, -1, httpLane)
+		ctx, sp := t.SpanCtx(r.Context(), "http", route, -1, httpLane)
 		start := time.Now()
 		h.ServeHTTP(w, r.WithContext(ctx))
 		sp.End()

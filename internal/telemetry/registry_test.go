@@ -175,7 +175,7 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 
 // TestDisabledPathAllocations pins the zero-allocation guarantee of the
 // disabled (nil) path and of the enabled hot-path updates, and the exact
-// count of the enabled span, traceparent and scrape paths.
+// count of the enabled span and scrape paths.
 func TestDisabledPathAllocations(t *testing.T) {
 	var tel *Telemetry
 	var c *Counter
@@ -203,10 +203,6 @@ func TestDisabledPathAllocations(t *testing.T) {
 		_, sp := tel.SpanCtx(ctx, "workflow", "member", 3, 1)
 		sp.End()
 	})
-	pin("nil Telemetry.SpanRemote", 0, func() {
-		_, sp := tel.SpanRemote(ctx, SpanContext{}, "http", "route", -1, 1)
-		sp.End()
-	})
 
 	// Enabled hot-path updates are also allocation-free (registration is
 	// not: it happens once, outside the loops).
@@ -220,16 +216,12 @@ func TestDisabledPathAllocations(t *testing.T) {
 	pin("enabled EventLog.Emit", 0, func() { on.Emit("member", 3, 0, PhaseRunning) })
 
 	// The rest of the enabled path costs a fixed count: the context that
-	// carries a span (its node and the boxed Span), the header string,
-	// and the exposition of three series.
+	// carries a span (its node and the boxed Span) and the exposition of
+	// three series.
 	pin("enabled Telemetry.SpanCtx", 2, func() {
 		_, sp := on.SpanCtx(ctx, "workflow", "member", 3, 1)
 		sp.End()
 	})
-	sc := SpanContext{Trace: DeriveTraceID(1), Span: 42}
-	header := FormatTraceParent(sc)
-	pin("FormatTraceParent", 1, func() { FormatTraceParent(sc) })
-	pin("ParseTraceParent", 0, func() { ParseTraceParent(header) })
 	scrape := New()
 	scrape.Counter("esse_bench_scrape_total", "C.", "outcome", "done").Add(3)
 	scrape.Gauge("esse_bench_scrape_gauge", "G.").Set(1.5)

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"esse/internal/trace"
 )
 
 // Tracer records wall-clock spans and exports them as Chrome
@@ -40,7 +38,7 @@ type spanRecord struct {
 	lane      int64 // Chrome tid
 	start     time.Duration
 	dur       time.Duration
-	trace     TraceID // trace this span belongs to (remote parents may differ)
+	trace     TraceID // trace this span belongs to
 	span      SpanID  // this span's identity
 	parent    SpanID  // zero for roots
 }
@@ -60,9 +58,8 @@ type Span struct {
 	parent SpanID
 }
 
-// Context returns the span's propagable identity: put it in a wire
-// payload or a traceparent header to parent remote work under this
-// span. Zero on a Span from a nil Tracer.
+// Context returns the span's identity, the parent to hand StartChild.
+// Zero on a Span from a nil Tracer.
 func (s Span) Context() SpanContext {
 	return SpanContext{Trace: s.trace, Span: s.span}
 }
@@ -78,7 +75,7 @@ func NewTracer() *Tracer {
 
 // SetTraceID fixes the run identity stamped on every subsequent
 // locally-rooted span. Call it once at startup, before span traffic. A
-// zero id is ignored — an all-zero TraceID is invalid on the wire.
+// zero id is ignored — an all-zero TraceID is invalid.
 func (t *Tracer) SetTraceID(id TraceID) {
 	if t == nil || id.IsZero() {
 		return
@@ -104,11 +101,10 @@ func (t *Tracer) Start(cat, name string, id, lane int64) Span {
 }
 
 // StartChild opens a span parented under parent. A zero parent yields
-// a root span on the tracer's own trace; a parent with a foreign
-// TraceID (extracted from a header or a wire payload) adopts that
-// trace, so cross-process trees keep one identity. lane < 0 picks
-// lane 0 (callers threading contexts use Telemetry.SpanCtx, which
-// resolves lane < 0 to the parent's lane instead).
+// a root span on the tracer's own trace; a child keeps its parent's
+// trace. lane < 0 picks lane 0 (callers threading contexts use
+// Telemetry.SpanCtx, which resolves lane < 0 to the parent's lane
+// instead).
 func (t *Tracer) StartChild(parent SpanContext, cat, name string, id, lane int64) Span {
 	if t == nil {
 		return Span{}
@@ -184,20 +180,17 @@ type ChromeEvent struct {
 }
 
 // SpanArgs is the identity block attached to exported span events.
-// Hex-string encoded like the wire form; ParentSpan is empty on roots.
+// Lowercase hex strings; ParentSpan is empty on roots.
 type SpanArgs struct {
 	TraceID    string `json:"trace_id"`
 	SpanID     string `json:"span_id"`
 	ParentSpan string `json:"parent_span_id,omitempty"`
 }
 
-// chromePidWall is the pid lane for wall-clock spans; chromePidPaper
-// holds converted paper-time Timeline rows so the two clocks never
-// share an axis.
-const (
-	chromePidWall  = 1
-	chromePidPaper = 2
-)
+// chromePidWall is the pid lane for wall-clock spans; realtime's
+// paper-time rows from cycles use pid 2, so the two clocks never share
+// an axis.
+const chromePidWall = 1
 
 // ChromeEvents renders the finished spans as complete ("X") events
 // with microsecond timestamps relative to the tracer's start, each
@@ -278,32 +271,6 @@ func (t *Tracer) ChromeEvents() []ChromeEvent {
 				BP:   "e",
 			},
 		)
-	}
-	return out
-}
-
-// TimelineChromeEvents converts a paper-time Timeline into trace rows
-// on a separate pid, one tid per Kind, treating one paper time unit as
-// timeUnit of trace time. Merging these with Tracer.ChromeEvents in a
-// single export shows simulated ocean/forecaster time next to where
-// the wall-clock actually went.
-func TimelineChromeEvents(tl *trace.Timeline, timeUnit time.Duration) []ChromeEvent {
-	if tl == nil {
-		return nil
-	}
-	spans := tl.Spans()
-	out := make([]ChromeEvent, 0, len(spans))
-	usPerUnit := float64(timeUnit.Nanoseconds()) / 1e3
-	for _, s := range spans {
-		out = append(out, ChromeEvent{
-			Name: s.Label,
-			Cat:  s.Kind.String(),
-			Ph:   "X",
-			Ts:   s.Start * usPerUnit,
-			Dur:  s.Duration() * usPerUnit,
-			Pid:  chromePidPaper,
-			Tid:  int64(s.Kind),
-		})
 	}
 	return out
 }

@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"esse/internal/trace"
 )
 
 func TestTracerSpans(t *testing.T) {
@@ -116,61 +114,6 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTimelineChromeEvents(t *testing.T) {
-	tl := trace.New()
-	tl.Add(trace.ObservationTime, "obs batch", 0, 2)
-	tl.Add(trace.SimulationTime, "cycle 1", 1, 4)
-
-	evs := TimelineChromeEvents(tl, time.Second)
-	if len(evs) != 2 {
-		t.Fatalf("events = %d, want 2", len(evs))
-	}
-	for _, e := range evs {
-		if e.Pid != chromePidPaper {
-			t.Fatalf("pid = %d, want %d", e.Pid, chromePidPaper)
-		}
-		if e.Ph != "X" {
-			t.Fatalf("ph = %q, want X", e.Ph)
-		}
-	}
-	// One paper time unit = 1 s = 1e6 trace µs; one tid per Kind.
-	var obs, sim *ChromeEvent
-	for i := range evs {
-		switch evs[i].Tid {
-		case int64(trace.ObservationTime):
-			obs = &evs[i]
-		case int64(trace.SimulationTime):
-			sim = &evs[i]
-		}
-	}
-	if obs == nil || sim == nil {
-		t.Fatalf("missing kind lanes: %+v", evs)
-	}
-	if obs.Ts != 0 || obs.Dur != 2e6 {
-		t.Fatalf("obs = ts %v dur %v, want 0, 2e6", obs.Ts, obs.Dur)
-	}
-	if sim.Ts != 1e6 || sim.Dur != 3e6 {
-		t.Fatalf("sim = ts %v dur %v, want 1e6, 3e6", sim.Ts, sim.Dur)
-	}
-
-	if evs := TimelineChromeEvents(nil, time.Second); evs != nil {
-		t.Fatalf("nil timeline = %+v, want nil", evs)
-	}
-
-	// The event slice is sized once, so the count does not grow with the
-	// spans. Below 13 spans sort.Slice allocates less: both sizes are above.
-	allocs := func(n int) float64 {
-		tl := trace.New()
-		for i := 0; i < n; i++ {
-			tl.Add(trace.SimulationTime, "cycle", float64(i), float64(i+1))
-		}
-		return testing.AllocsPerRun(20, func() { TimelineChromeEvents(tl, time.Second) })
-	}
-	if few, many := allocs(16), allocs(256); few != many {
-		t.Errorf("TimelineChromeEvents: %.0f allocs/op over 16 spans, %.0f over 256, want equal", few, many)
-	}
-}
-
 // TestChromeEventsFlowPairs pins the parent-linked export: every
 // locally-finished child yields an "s"/"f" flow pair binding its lane
 // to its parent's, and every X event carries its span identity.
@@ -208,7 +151,7 @@ func TestChromeEventsFlowPairs(t *testing.T) {
 		}
 	}
 	// The child X event names its parent; the root does not.
-	if x[0].Name != "member-4" || x[0].Args.ParentSpan != root.Context().SpanHex() {
+	if x[0].Name != "member-4" || x[0].Args.ParentSpan != root.Context().Span.String() {
 		t.Fatalf("child identity = %+v", x[0].Args)
 	}
 	if x[1].Args.ParentSpan != "" {
@@ -219,8 +162,8 @@ func TestChromeEventsFlowPairs(t *testing.T) {
 	if s.Tid != 0 || f.Tid != 2 || f.BP != "e" {
 		t.Fatalf("flow lanes/bp = %+v, %+v", s, f)
 	}
-	if s.ID != child.Context().SpanHex() || f.ID != s.ID {
-		t.Fatalf("flow ids = %q, %q, want %q", s.ID, f.ID, child.Context().SpanHex())
+	if s.ID != child.Context().Span.String() || f.ID != s.ID {
+		t.Fatalf("flow ids = %q, %q, want %q", s.ID, f.ID, child.Context().Span.String())
 	}
 	rootEv := x[1]
 	if s.Ts < rootEv.Ts || s.Ts > rootEv.Ts+rootEv.Dur {

@@ -17,10 +17,9 @@
 //   - a wall-clock span Tracer (spans.go) exporting Chrome trace-event
 //     JSON (load it in chrome://tracing or https://ui.perfetto.dev) so
 //     an actual run renders as the MTC task Gantt of the paper's
-//     Fig. 1. It complements — does not replace — internal/trace's
-//     paper-time Timeline: Timeline records simulated ocean/forecaster
-//     time, the Tracer records where the wall-clock went; a Timeline
-//     converts into trace rows via TimelineChromeEvents;
+//     Fig. 1. It is the one clock of this package: paper (ocean) time
+//     is data on realtime's cycle results, which realtime converts
+//     into trace rows of their own;
 //   - a runtime/metrics sampler (runtime.go) publishing heap bytes, GC
 //     activity and goroutine counts as gauges, plus net/http/pprof
 //     mounted next to the other endpoints (http.go).
@@ -127,17 +126,5 @@ func (t *Telemetry) SpanCtx(ctx context.Context, cat, name string, id, lane int6
 		lane = parent.lane
 	}
 	sp := t.tracer.StartChild(parent.Context(), cat, name, id, lane)
-	return ContextWithSpan(ctx, sp), sp
-}
-
-// SpanRemote opens a span parented under an identity that crossed a
-// process boundary (a traceparent header or a wire payload) and
-// returns a context carrying it. With a zero parent it degrades to a
-// root span. Nil-safe like SpanCtx.
-func (t *Telemetry) SpanRemote(ctx context.Context, parent SpanContext, cat, name string, id, lane int64) (context.Context, Span) {
-	if t == nil {
-		return ctx, Span{}
-	}
-	sp := t.tracer.StartChild(parent, cat, name, id, lane)
 	return ContextWithSpan(ctx, sp), sp
 }

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"context"
-	"net/http"
-)
+import "context"
 
 // Causal identity for spans. A TraceID names one run-scoped causal
 // graph (one forecast run, one simulation); a SpanID names one node in
@@ -13,8 +10,8 @@ import (
 // (span-ID *assignment order* under a concurrent pool follows the
 // scheduler, but parent/child edges do not).
 //
-// The wire form is W3C-traceparent-shaped: lowercase hex, 32 digits of
-// trace ID, 16 of span ID, all-zero invalid.
+// Exported spans carry both in lowercase hex (32 digits of trace ID, 16
+// of span ID); all-zero is invalid.
 
 // TraceID is a 128-bit run identity. The zero value means "no trace".
 type TraceID struct{ Hi, Lo uint64 }
@@ -40,23 +37,11 @@ func (s SpanID) String() string {
 	return string(b[:])
 }
 
-// SpanContext is the propagated half of a span: enough identity to
-// parent remote children under it. The zero value means "no span" and
-// injects/extracts as absent.
+// SpanContext is the identity half of a span: enough to parent
+// children under it. The zero value means "no span".
 type SpanContext struct {
 	Trace TraceID
 	Span  SpanID
-}
-
-// IsZero reports whether the context carries no span identity.
-func (sc SpanContext) IsZero() bool { return sc.Trace.IsZero() && sc.Span == 0 }
-
-// SpanHex renders the span ID as 16 hex digits, or "" when zero.
-func (sc SpanContext) SpanHex() string {
-	if sc.Span == 0 {
-		return ""
-	}
-	return sc.Span.String()
 }
 
 // DeriveTraceID maps a run seed to a non-zero TraceID with a
@@ -88,95 +73,6 @@ func appendHex(dst []byte, v uint64) []byte {
 		dst = append(dst, hexDigits[(v>>uint(shift))&0xf])
 	}
 	return dst
-}
-
-// parseHex parses up to 16 lowercase hex digits. Uppercase is
-// rejected: the traceparent grammar and our canonical form are
-// lowercase-only, and accepting both would break re-render canonicity.
-func parseHex(s string) (uint64, bool) {
-	if len(s) == 0 || len(s) > 16 {
-		return 0, false
-	}
-	var v uint64
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		var d uint64
-		switch {
-		case c >= '0' && c <= '9':
-			d = uint64(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint64(c-'a') + 10
-		default:
-			return 0, false
-		}
-		v = v<<4 | d
-	}
-	return v, true
-}
-
-// TraceParentHeader is the HTTP header carrying a SpanContext between
-// processes, in the W3C trace-context "traceparent" shape:
-//
-//	00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01
-//
-// version (00 only) - trace-id (32 hex) - parent-id (16 hex) - flags
-// (any two hex digits accepted; re-rendered canonically as 01).
-const TraceParentHeader = "Traceparent"
-
-// traceParentLen is the exact length of a traceparent value:
-// 2 + 1 + 32 + 1 + 16 + 1 + 2.
-const traceParentLen = 55
-
-// FormatTraceParent renders sc in canonical traceparent form. The
-// result of parsing any accepted header re-renders to this canonical
-// string (FuzzParseTraceContext pins the property).
-func FormatTraceParent(sc SpanContext) string {
-	b := make([]byte, 0, traceParentLen)
-	b = append(b, "00-"...)
-	b = appendHex(b, sc.Trace.Hi)
-	b = appendHex(b, sc.Trace.Lo)
-	b = append(b, '-')
-	b = appendHex(b, uint64(sc.Span))
-	b = append(b, "-01"...)
-	return string(b)
-}
-
-// ParseTraceParent parses a traceparent-shaped value. It accepts
-// version 00 only, requires lowercase hex throughout, accepts any
-// flags byte, and rejects all-zero trace or span IDs (the W3C grammar
-// marks both invalid).
-func ParseTraceParent(s string) (SpanContext, bool) {
-	if len(s) != traceParentLen || s[0] != '0' || s[1] != '0' ||
-		s[2] != '-' || s[35] != '-' || s[52] != '-' {
-		return SpanContext{}, false
-	}
-	hi, ok1 := parseHex(s[3:19])
-	lo, ok2 := parseHex(s[19:35])
-	sp, ok3 := parseHex(s[36:52])
-	_, ok4 := parseHex(s[53:55])
-	if !ok1 || !ok2 || !ok3 || !ok4 {
-		return SpanContext{}, false
-	}
-	sc := SpanContext{Trace: TraceID{Hi: hi, Lo: lo}, Span: SpanID(sp)}
-	if sc.Trace.IsZero() || sc.Span == 0 {
-		return SpanContext{}, false
-	}
-	return sc, true
-}
-
-// Inject writes sc into h as a traceparent header. A zero context
-// writes nothing, so uninstrumented callers stay header-identical.
-func Inject(h http.Header, sc SpanContext) {
-	if sc.Trace.IsZero() || sc.Span == 0 {
-		return
-	}
-	h.Set(TraceParentHeader, FormatTraceParent(sc))
-}
-
-// Extract reads a SpanContext out of h. ok is false when the header is
-// absent or malformed; callers then start a fresh root span.
-func Extract(h http.Header) (SpanContext, bool) {
-	return ParseTraceParent(h.Get(TraceParentHeader))
 }
 
 // spanCtxKey keys the active Span in a context.Context.

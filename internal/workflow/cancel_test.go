@@ -30,7 +30,6 @@ func TestCancelMidBatchCleanShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.Instrument(tel)
 
 	cfg := quickConfig()
 	cfg.InitialSize = 12
