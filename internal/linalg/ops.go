@@ -101,11 +101,31 @@ func mulRange(out, a, b *Dense, lo, hi int) {
 			if aik == 0 {
 				continue
 			}
-			bRow := b.Data[k*n : (k+1)*n]
-			for j, bkj := range bRow {
-				outRow[j] += aik * bkj
-			}
+			axpy(outRow[:n], aik, b.Data[k*n:(k+1)*n])
 		}
+	}
+}
+
+// axpy adds a·x to y, four elements an iteration and then one. Each
+// element sees the one multiply-add a plain loop gives it, so the sums
+// are bit-identical to that loop's. The plain loop's speed depended on
+// where the linker put it: on an Intel Xeon at one thread, a 15 360×128
+// by 128×128 product took 1.4 times as long when mulRange started 32
+// bytes past a 64-byte boundary as when it started on one, and code
+// added anywhere before it moves it. The four-wide loop reads the same
+// either way.
+func axpy(y []float64, a float64, x []float64) {
+	y = y[:len(x)]
+	j := 0
+	for ; j+4 <= len(x); j += 4 {
+		yy, xx := y[j:j+4:j+4], x[j:j+4:j+4]
+		yy[0] += a * xx[0]
+		yy[1] += a * xx[1]
+		yy[2] += a * xx[2]
+		yy[3] += a * xx[3]
+	}
+	for ; j < len(x); j++ {
+		y[j] += a * x[j]
 	}
 }
 

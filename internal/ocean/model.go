@@ -40,16 +40,13 @@ type Config struct {
 	Diffusivity float64
 	// WindAmp is the steady wind-stress acceleration amplitude (m/s²).
 	WindAmp float64
-	// NoiseWind is the std-dev of the stochastic wind acceleration
-	// integrated over one step, per sqrt(s) (Wiener forcing): an
-	// acceleration times sqrt(s), i.e. m/s^1.5.
+	// NoiseWind scales the stochastic wind, a Wiener increment (m/s^1.5):
+	// a step adds to each component a smooth random field (sampleForcing)
+	// of amplitude NoiseWind·√Dt/Dt in m/s², not a per-cell variance.
 	NoiseWind float64
-	// NoiseTracer is the std-dev of stochastic surface temperature
-	// forcing per sqrt(s).
+	// NoiseTracer scales the stochastic surface temperature forcing the
+	// same way (°C/√s): a field of amplitude NoiseTracer·√Dt a step.
 	NoiseTracer float64
-	// NoiseSmoothPasses controls the spatial correlation of the
-	// stochastic forcing (diffusive smoothing passes over white noise).
-	NoiseSmoothPasses int
 	// EkmanDepth sets the e-folding depth (m) of velocity used to advect
 	// the 3-D tracers.
 	EkmanDepth float64
@@ -126,19 +123,18 @@ func DefaultConfig(g *grid.Grid) Config {
 	minDx := math.Min(g.Dx, g.Dy)
 	dt := 0.2 * minDx / c // well inside the CFL bound
 	return Config{
-		Grid:              g,
-		Dt:                dt,
-		MeanDepth:         h,
-		Coriolis:          physics.Coriolis(36.6),
-		BottomFriction:    2e-6,
-		Viscosity:         0.01 * minDx * minDx / dt / 8, // mild, stability-safe
-		Diffusivity:       0.005 * minDx * minDx / dt / 8,
-		WindAmp:           1e-6,
-		NoiseWind:         2e-7,
-		NoiseTracer:       2e-5,
-		NoiseSmoothPasses: 3,
-		EkmanDepth:        80,
-		Climo:             DefaultClimatology(),
+		Grid:           g,
+		Dt:             dt,
+		MeanDepth:      h,
+		Coriolis:       physics.Coriolis(36.6),
+		BottomFriction: 2e-6,
+		Viscosity:      0.01 * minDx * minDx / dt / 8, // mild, stability-safe
+		Diffusivity:    0.005 * minDx * minDx / dt / 8,
+		WindAmp:        1e-6,
+		NoiseWind:      2e-7,
+		NoiseTracer:    2e-5,
+		EkmanDepth:     80,
+		Climo:          DefaultClimatology(),
 	}
 }
 
@@ -176,10 +172,18 @@ type Model struct {
 	newTr      []float64
 	fx, fy     []float64
 	ftr        []float64
+	// pw, pe, ps, pn are the upwind weights of the current flow
+	// (upwindWeights), shared by every tracer sweep of a step.
+	pw, pe, ps, pn []float64
 
 	// decay[k] is the e-folding attenuation of the flow at level k that
 	// advects the tracers, fixed by the grid and EkmanDepth.
 	decay []float64
+	// klX and klY tabulate the forcing's cosine modes on each axis; z
+	// holds a step's coefficients for fx, fy and ftr in turn, and zScale
+	// the amplitude and spectral weight of each.
+	klX, klY  [][klModes]float64
+	z, zScale [3 * klModes * klModes]float64
 	// level is the tracer sweep StepParallel's bands are on (parallel.go).
 	level tracerLevel
 }
@@ -228,12 +232,42 @@ func newModel(cfg Config, noise *rng.Stream) *Model {
 		fx:     make([]float64, g.N2()),
 		fy:     make([]float64, g.N2()),
 		ftr:    make([]float64, g.N2()),
+		pw:     make([]float64, g.N2()),
+		pe:     make([]float64, g.N2()),
+		ps:     make([]float64, g.N2()),
+		pn:     make([]float64, g.N2()),
 		decay:  make([]float64, g.NZ),
+		klX:    cosineModes(g.NX),
+		klY:    cosineModes(g.NY),
 	}
 	for k := range m.decay {
 		m.decay[k] = math.Exp(-g.Depths[k] / math.Max(cfg.EkmanDepth, 1))
 	}
+	// Validate rejects non-positive Dt; the clamp keeps the Sqrt
+	// NaN-free even on unvalidated configs.
+	sqrtDt := math.Sqrt(math.Max(cfg.Dt, 0))
+	wind := klWindScale * cfg.NoiseWind * sqrtDt / cfg.Dt // acceleration equivalent
+	amp := [3]float64{wind, wind, klTracerScale * cfg.NoiseTracer * sqrtDt}
+	for n := range m.zScale {
+		a, b := n/klModes%klModes, n%klModes
+		m.zScale[n] = amp[n/(klModes*klModes)] * math.Pow(float64(a+b+1), -klDecay)
+	}
 	return m
+}
+
+// cosineModes tabulates cos(π a (i−½)/(n−2)), a < klModes, on the n
+// points of an axis. Each mode is symmetric about the first and the last
+// edge, so a field built from them repeats the interior's outermost
+// values on the edge: the zero-gradient closure of the tracers.
+func cosineModes(n int) [][klModes]float64 {
+	tab := make([][klModes]float64, n)
+	span := float64(max(n-2, 1)) // the 2- and 1-point axes have no interior to span
+	for i := range tab {
+		for a := range tab[i] {
+			tab[i][a] = math.Cos(math.Pi * float64(a) * (float64(i) - 0.5) / span)
+		}
+	}
+	return tab
 }
 
 func (m *Model) initClimatology() {
@@ -250,7 +284,7 @@ func (m *Model) initClimatology() {
 	// The clamp keeps the eddy shape well-defined even for degenerate
 	// grids or a zero radius fraction: without it, dx/rad at the eddy
 	// center is 0/0 = NaN and seeds the whole temperature field with it.
-	rad := math.Max(float64(minInt(g.NX, g.NY))*p.EddyRadiusFrac, 1e-9)
+	rad := math.Max(float64(min(g.NX, g.NY))*p.EddyRadiusFrac, 1e-9)
 	for k := 0; k < g.NZ; k++ {
 		frac := g.Depths[k] / maxD
 		baseT := 16 - 9*frac // 16°C at surface to 7°C at depth
@@ -278,13 +312,6 @@ func (m *Model) initClimatology() {
 			m.eta[g.Idx2(i, j)] = p.EddyAmpSSH * math.Exp(-(dx*dx + dy*dy))
 		}
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Time returns the model time in seconds since initialization.
@@ -329,11 +356,11 @@ func (m *Model) CFLNumber() float64 {
 // level of each tracer — with the boundary closure after each.
 //
 // The sweeps are row kernels over a row range so that StepParallel can
-// run the same code on bands. Their per-cell operation order is frozen:
-// every division stays a division and no sum is regrouped, so a forecast
-// stays a pure function of (seed, config) to the bit across versions.
-// stepReference in model_test.go, the cell-indexed form they were
-// derived from, is the oracle; change a kernel only with that test green.
+// run the same code on bands. Within a commit a forecast is a pure
+// function of (seed, config) to the bit. The kernels are re-pin 3 (see
+// DESIGN "Re-pinning"): stepReference in model_test.go, the cell-indexed
+// stepper from before it, run on the same forcing, is the oracle, and
+// TestStepBitIdenticalToReference holds Step to it.
 func (m *Model) Step() {
 	ny := m.Cfg.Grid.NY
 	m.sampleForcing()
@@ -419,50 +446,57 @@ func (m *Model) continuityRows(jLo, jHi int) {
 	}
 }
 
-// commitDynamics closes the new eta and makes the new eta, u, v current.
+// commitDynamics closes the new eta, makes the new eta, u, v current and
+// forms the tracer sweeps' upwind weights from them.
 func (m *Model) commitDynamics() {
 	zeroGradientBoundary(m.newEta, m.Cfg.Grid)
 	m.eta, m.newEta = m.newEta, m.eta
 	m.u, m.newU = m.newU, m.u
 	m.v, m.newV = m.newV, m.v
+	m.upwindWeights()
+}
+
+// upwindWeights forms the share of each neighbour a cell takes in a step
+// of first-order upwind advection by the surface flow: pw, pe =
+// dt·max(±u, 0)/dx from the west and the east, ps, pn the same with v and
+// dy. A level scales them by its flow attenuation, which is positive.
+func (m *Model) upwindWeights() {
+	g := m.Cfg.Grid
+	ax, ay := m.Cfg.Dt/g.Dx, m.Cfg.Dt/g.Dy
+	pw, pe, ps, pn := m.pw[:len(m.u)], m.pe[:len(m.u)], m.ps[:len(m.u)], m.pn[:len(m.u)]
+	v := m.v[:len(m.u)]
+	for id, u := range m.u {
+		pw[id], pe[id] = ax*max(u, 0), ax*max(-u, 0)
+		ps[id], pn[id] = ay*max(v[id], 0), ay*max(-v[id], 0)
+	}
 }
 
 // tracerRows advances level k of tracer tr into newTr on the interior
 // rows of [jLo, jHi): first-order upwind advection by the depth-attenuated
-// flow, diffusion and, when forced, the stochastic surface forcing.
+// flow, diffusion and, when forced, the stochastic surface forcing. A
+// cell's new value is a weighted sum of its own and its four neighbours'
+// with no division and no branch.
 func (m *Model) tracerRows(tr []float64, k int, forced bool, jLo, jHi int) {
 	g := m.Cfg.Grid
 	nx, n2 := g.NX, g.N2()
-	dt, kappa, decay := m.Cfg.Dt, m.Cfg.Diffusivity, m.decay[k]
-	dx, dy, dx2, dy2 := g.Dx, g.Dy, g.Dx*g.Dx, g.Dy*g.Dy
+	decay := m.decay[k]
+	cx, cy := m.Cfg.Dt*m.Cfg.Diffusivity/(g.Dx*g.Dx), m.Cfg.Dt*m.Cfg.Diffusivity/(g.Dy*g.Dy)
 	slab := tr[k*n2 : (k+1)*n2]
 	for j := max(jLo, 1); j < min(jHi, g.NY-1); j++ {
 		c, s, n := rows(slab, j, nx)
-		uc := row(m.u, j, nx)
-		vc := row(m.v, j, nx)
-		ftr := row(m.ftr, j, nx)
+		pw, pe := row(m.pw, j, nx), row(m.pe, j, nx)
+		ps, pn := row(m.ps, j, nx), row(m.pn, j, nx)
 		out := row(m.newTr, j, nx)
 		for i := 1; i < nx-1; i++ {
-			uu := uc[i] * decay
-			vv := vc[i] * decay
-			// First-order upwind: difference towards the side the flow
-			// comes from.
-			t, w, e := c[i], c[i-1], c[i+1]
-			xlo, xhi, ylo, yhi := w, t, s[i], t
-			if uu < 0 {
-				xlo, xhi = t, e
+			t, w, e, so, no := c[i], c[i-1], c[i+1], s[i], n[i]
+			adv := pw[i]*(w-t) + pe[i]*(e-t) + ps[i]*(so-t) + pn[i]*(no-t)
+			out[i] = t + decay*adv + cx*(w+e-2*t) + cy*(so+no-2*t)
+		}
+		if forced {
+			ftr := row(m.ftr, j, nx)
+			for i := 1; i < nx-1; i++ {
+				out[i] += ftr[i]
 			}
-			if vv < 0 {
-				ylo, yhi = t, n[i]
-			}
-			ddxT := (xhi - xlo) / dx
-			ddyT := (yhi - ylo) / dy
-			lap := (e-2*t+w)/dx2 + (n[i]-2*t+s[i])/dy2
-			val := t + dt*(-uu*ddxT-vv*ddyT+kappa*lap)
-			if forced {
-				val += ftr[i]
-			}
-			out[i] = val
 		}
 	}
 }
@@ -489,49 +523,53 @@ func (m *Model) finishStep() {
 	m.time += m.Cfg.Dt
 }
 
-// sampleForcing draws the wind and tracer stochastic forcing fields for
-// this step (steady wind + smoothed Wiener increments).
+// The stochastic forcing is a Karhunen–Loève field, the model error of
+// the multilevel DA scripts (ModelErrorKL): per field and step, a
+// klModes×klModes matrix Z of normals weighted by (a+b+1)^-klDecay gives
+// X Z Yᵀ, X and Y the cosine modes of each axis (cosineModes). It is
+// white in time, a Wiener increment. The two scales are calibrated on the
+// response: the η and SST spread of a forcing-only ensemble under the
+// smoothed per-cell noise it replaced (TestForcedSpreadCalibrated).
+const (
+	klModes       = 5
+	klDecay       = 1.25
+	klWindScale   = 0.215
+	klTracerScale = 0.25
+)
+
+// sampleForcing draws this step's wind and tracer forcing: the steady
+// wind plus a KL field in fx and fy, a KL field alone in ftr.
 func (m *Model) sampleForcing() {
-	// Validate rejects non-positive Dt; the clamp keeps the Sqrt
-	// NaN-free even on unvalidated configs.
-	sqrtDt := math.Sqrt(math.Max(m.Cfg.Dt, 0))
-	windNoise := m.Cfg.NoiseWind * sqrtDt / m.Cfg.Dt // acceleration equivalent
-	trNoise := m.Cfg.NoiseTracer * sqrtDt
-	fx, fy, ftr := m.fx, m.fy[:len(m.fx)], m.ftr[:len(m.fx)]
-	for id := range fx {
-		// Steady upwelling-favorable (equatorward) wind plus noise.
-		wx, wy, wt := 0.0, -m.Cfg.WindAmp, 0.0
-		if windNoise > 0 {
-			wx += windNoise * m.noise.Norm()
-			wy += windNoise * m.noise.Norm()
-		}
-		if trNoise > 0 {
-			wt = trNoise * m.noise.Norm()
-		}
-		fx[id], fy[id], ftr[id] = wx, wy, wt
+	const kk = klModes * klModes
+	z := m.noise.NormVec(m.z[:], len(m.z))
+	for n := range z {
+		z[n] *= m.zScale[n]
 	}
-	for p := 0; p < m.Cfg.NoiseSmoothPasses; p++ {
-		m.smoothForcing()
+	nx := m.Cfg.Grid.NX
+	wind := -m.Cfg.WindAmp // steady upwelling-favorable (equatorward)
+	zx, zy, zt := (*[kk]float64)(z), (*[kk]float64)(z[kk:]), (*[kk]float64)(z[2*kk:])
+	klX := m.klX[:nx]
+	for j, y := range m.klY {
+		// Row j of each field is X r with r = Z yⱼ.
+		var rx, ry, rt [klModes]float64
+		for a := range klModes {
+			for b, yb := range y {
+				rx[a] += zx[a*klModes+b] * yb
+				ry[a] += zy[a*klModes+b] * yb
+				rt[a] += zt[a*klModes+b] * yb
+			}
+		}
+		fx, fy, ftr := row(m.fx, j, nx), row(m.fy, j, nx), row(m.ftr, j, nx)
+		for i := range fx {
+			x := &klX[i]
+			fx[i], fy[i], ftr[i] = dot(x, &rx), wind+dot(x, &ry), dot(x, &rt)
+		}
 	}
 }
 
-// smoothForcing applies one in-place diffusive smoothing pass (5-point
-// average, Gauss-Seidel order) to fx, fy and ftr. The three fields are
-// independent, so one interleaved sweep gives each the values three
-// separate sweeps would and lets their dependency chains overlap.
-func (m *Model) smoothForcing() {
-	g := m.Cfg.Grid
-	nx := g.NX
-	for j := 1; j < g.NY-1; j++ {
-		xc, xs, xn := rows(m.fx, j, nx)
-		yc, ys, yn := rows(m.fy, j, nx)
-		tc, ts, tn := rows(m.ftr, j, nx)
-		for i := 1; i < nx-1; i++ {
-			xc[i] = 0.5*xc[i] + 0.125*(xc[i+1]+xc[i-1]+xn[i]+xs[i])
-			yc[i] = 0.5*yc[i] + 0.125*(yc[i+1]+yc[i-1]+yn[i]+ys[i])
-			tc[i] = 0.5*tc[i] + 0.125*(tc[i+1]+tc[i-1]+tn[i]+ts[i])
-		}
-	}
+// dot is x·r, written out: klModes is 5.
+func dot(x, r *[klModes]float64) float64 {
+	return x[0]*r[0] + x[1]*r[1] + x[2]*r[2] + x[3]*r[3] + x[4]*r[4]
 }
 
 // Run advances the model n steps.

@@ -223,10 +223,13 @@ func TestValidateCatchesBadCFL(t *testing.T) {
 	}
 }
 
-// TestStepBitIdenticalToReference is the contract of the row kernels:
-// whatever the grid shape, the configuration or the sign of the flow,
-// Step leaves every field and the noise stream exactly where
-// stepReference does.
+// TestStepBitIdenticalToReference is the contract of the row kernels
+// across re-pin 3: whatever the grid shape, the configuration or the sign
+// of the flow, Step leaves the noise stream, the clock and the dynamics
+// (eta, u, v) bit for bit where stepReference does on the same forcing,
+// and after every step each tracer within 1e-12 of the reference field's
+// range (of its magnitude, where the field is constant). The tracers feed
+// nothing back, so the difference is only the tracer kernel's rounding.
 func TestStepBitIdenticalToReference(t *testing.T) {
 	noWind := func(c *Config) { c.NoiseWind = 0 }
 	noTracer := func(c *Config) { c.NoiseTracer = 0 }
@@ -274,9 +277,19 @@ func TestStepBitIdenticalToReference(t *testing.T) {
 			}
 			for n := 0; n < steps; n++ {
 				got.Step()
+				want.sampleForcing()
 				want.stepReference()
+				gs, ws := got.State(nil), want.State(nil)
+				for _, v := range []struct {
+					name string
+					rel  float64
+				}{{"eta", 0}, {"u", 0}, {"v", 0}, {"T", 1e-12}, {"S", 1e-12}} {
+					g, w := got.Layout.SliceByName(gs, v.name), want.Layout.SliceByName(ws, v.name)
+					if d, r := maxDiffAndRange(g, w); d > v.rel*r || math.IsNaN(d) || math.IsInf(r, 0) {
+						t.Fatalf("step %d: %s differs from the reference by %g, %g of its range %g", n+1, v.name, d, d/r, r)
+					}
+				}
 			}
-			requireBitEqual(t, got.State(nil), want.State(nil))
 			if got.Time() != want.Time() {
 				t.Fatalf("time %v, reference %v", got.Time(), want.Time())
 			}
@@ -290,6 +303,185 @@ func TestStepBitIdenticalToReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestForcingStatistics holds the KL forcing to what it is built to be,
+// over 3000 draws: at interior cells each field's variance is the one its
+// modes and weights give; the edge band keeps its forcing (the
+// boundary-raw per-cell noise it replaced had its edge at 1.3 times the
+// centre's variance, a sine basis would have it near 0); and successive
+// draws are uncorrelated, a Wiener increment.
+func TestForcingStatistics(t *testing.T) {
+	const draws = 3000
+	g := grid.MontereyBay(24, 20, 2)
+	m := New(DefaultConfig(g), rng.New(11))
+	nx, ny, kk := g.NX, g.NY, klModes*klModes
+	fields := []struct {
+		name string
+		f    []float64
+		base float64
+	}{{"fx", m.fx, 0}, {"fy", m.fy, -m.Cfg.WindAmp}, {"ftr", m.ftr, 0}}
+	// want[n][id] is field n's variance at cell id: Σ_ab (zScale_ab X_ia Y_jb)².
+	want := make([][]float64, len(fields))
+	for n := range fields {
+		want[n] = make([]float64, g.N2())
+		for id := range want[n] {
+			i, j := id%nx, id/nx
+			for ab := 0; ab < kk; ab++ {
+				c := m.zScale[n*kk+ab] * m.klX[i][ab/klModes] * m.klY[j][ab%klModes]
+				want[n][id] += c * c
+			}
+		}
+	}
+	sum2 := make([][]float64, len(fields))
+	lag := make([][]float64, len(fields))
+	prev := make([][]float64, len(fields))
+	for n := range fields {
+		sum2[n], lag[n], prev[n] = make([]float64, g.N2()), make([]float64, g.N2()), make([]float64, g.N2())
+	}
+	for d := 0; d < draws; d++ {
+		m.sampleForcing()
+		for n, fl := range fields {
+			for id, v := range fl.f {
+				v -= fl.base
+				sum2[n][id] += v * v
+				lag[n][id] += v * prev[n][id]
+				prev[n][id] = v
+			}
+		}
+	}
+	band := func(i, j int) bool { return i == 1 || j == 1 || i == nx-2 || j == ny-2 }
+	centre := func(i, j int) bool { return abs(i-nx/2) <= 2 && abs(j-ny/2) <= 2 }
+	for n, fl := range fields {
+		var got, exp, edge, mid, nEdge, nMid float64
+		for id := range fl.f {
+			i, j := id%nx, id/nx
+			if i == 0 || j == 0 || i == nx-1 || j == ny-1 {
+				continue
+			}
+			got += sum2[n][id] / draws
+			exp += want[n][id]
+			if band(i, j) {
+				edge, nEdge = edge+sum2[n][id], nEdge+1
+			}
+			if centre(i, j) {
+				mid, nMid = mid+sum2[n][id], nMid+1
+			}
+		}
+		if r := got / exp; math.Abs(r-1) > 0.05 {
+			t.Errorf("%s: interior variance %g, %.3f of the modes' %g", fl.name, got, r, exp)
+		}
+		if r := (edge / nEdge) / (mid / nMid); r < 0.5 || r > 2 {
+			t.Errorf("%s: edge-band variance %.3f of the centre's, want [0.5, 2]", fl.name, r)
+		}
+		// Lag-1 correlation in time at the centre cell, over draws-1 pairs.
+		id := (ny/2)*nx + nx/2
+		if r := lag[n][id] / sum2[n][id]; math.Abs(r) > 3/math.Sqrt(draws-1) {
+			t.Errorf("%s: successive draws correlate, r = %.4f", fl.name, r)
+		}
+	}
+}
+
+// TestForcedSpreadCalibrated pins klWindScale and klTracerScale. 64
+// members start from one state and differ only in their forcing; after
+// 150 steps their SST and eta spread (the mean over cells of the members'
+// standard deviation) must be within 15 % of what the smoothed per-cell
+// forcing the KL field replaced gave. SST spread comes from ftr alone and
+// eta spread from the wind alone, so each scale sets one. The old field's
+// correlation length was fixed in cells and the KL field's is fixed by
+// the domain, so no one scale matches every grid: the constants split
+// the difference between the benchmark's grid and the twin experiment's.
+func TestForcedSpreadCalibrated(t *testing.T) {
+	// The old forcing's spreads, measured at commit 65406c3 by this
+	// protocol with 256 members (noise seeds 1000-1255).
+	cases := []struct {
+		nx, ny, nz int
+		sst, eta   float64
+	}{
+		{32, 32, 6, 4.02815e-4, 6.38258e-6},
+		{14, 14, 4, 6.52176e-4, 1.07056e-5},
+	}
+	for _, tc := range cases {
+		cfg := DefaultConfig(grid.MontereyBay(tc.nx, tc.ny, tc.nz))
+		sst, eta := forcedSpread(cfg, 64, 150)
+		for _, q := range []struct {
+			name      string
+			got, want float64
+		}{{"SST", sst, tc.sst}, {"eta", eta, tc.eta}} {
+			if r := q.got / q.want; math.Abs(r-1) > 0.15 || math.IsNaN(r) {
+				t.Errorf("%dx%dx%d: forced %s spread %.4g, %.3f of the old forcing's %.4g", tc.nx, tc.ny, tc.nz, q.name, q.got, r, q.want)
+			}
+		}
+	}
+}
+
+// forcedSpread runs members models from the climatology of rng seed 1,
+// on noise seeds 1000, 1001, …, for steps steps, and returns the mean
+// over cells of the members' standard deviation of SST and of eta.
+func forcedSpread(cfg Config, members, steps int) (sst, eta float64) {
+	init := New(cfg, rng.New(1)).State(nil)
+	n2 := cfg.Grid.N2()
+	sum, sum2 := make([]float64, 2*n2), make([]float64, 2*n2)
+	for mem := 0; mem < members; mem++ {
+		m := NewFromState(cfg, rng.New(1000+uint64(mem)), init)
+		m.Run(steps)
+		for id, v := range append(m.t[:n2:n2], m.eta...) {
+			sum[id] += v
+			sum2[id] += v * v
+		}
+	}
+	k := float64(members)
+	for id := range sum {
+		mean := sum[id] / k
+		sd := math.Sqrt(math.Max(sum2[id]/k-mean*mean, 0) * k / (k - 1))
+		if id < n2 {
+			sst += sd / float64(n2)
+		} else {
+			eta += sd / float64(n2)
+		}
+	}
+	return sst, eta
+}
+
+// TestTracerMaxPrinciple: with no tracer forcing, a step of T and S is a
+// weighted mean of each cell and its neighbours with non-negative
+// weights, so no level leaves the [min, max] it started with — not by
+// one rounding, over 2000 steps of a wind-driven flow.
+func TestTracerMaxPrinciple(t *testing.T) {
+	cfg := DefaultConfig(grid.MontereyBay(16, 16, 4))
+	cfg.NoiseTracer = 0
+	m := New(cfg, rng.New(21))
+	n2 := cfg.Grid.N2()
+	type bounds struct{ lo, hi float64 }
+	levels := func() []bounds {
+		var out []bounds
+		for _, tr := range [][]float64{m.t, m.s} {
+			for k := 0; k < cfg.Grid.NZ; k++ {
+				b := bounds{math.Inf(1), math.Inf(-1)}
+				for _, v := range tr[k*n2 : (k+1)*n2] {
+					b.lo, b.hi = math.Min(b.lo, v), math.Max(b.hi, v)
+				}
+				out = append(out, b)
+			}
+		}
+		return out
+	}
+	init := levels()
+	for n := 1; n <= 2000; n++ {
+		m.Step()
+		for l, b := range levels() {
+			if b.lo < init[l].lo || b.hi > init[l].hi || math.IsNaN(b.lo+b.hi) {
+				t.Fatalf("step %d: tracer level %d spans [%v, %v], outside its initial [%v, %v]", n, l, b.lo, b.hi, init[l].lo, init[l].hi)
+			}
+		}
+	}
+}
+
+func abs(i int) int {
+	if i < 0 {
+		return -i
+	}
+	return i
 }
 
 // TestNewFromStateMatchesNewSetState pins the member constructor: skipping
@@ -306,6 +498,21 @@ func TestNewFromStateMatchesNewSetState(t *testing.T) {
 	a.Run(60)
 	b.Run(60)
 	requireBitEqual(t, b.State(nil), a.State(nil))
+}
+
+// maxDiffAndRange returns max |got − want| and the range of want, or its
+// largest magnitude where want is constant (a grid with one interior
+// cell).
+func maxDiffAndRange(got, want []float64) (diff, span float64) {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i, w := range want {
+		diff = math.Max(diff, math.Abs(got[i]-w))
+		lo, hi = math.Min(lo, w), math.Max(hi, w)
+	}
+	if hi == lo {
+		return diff, math.Abs(hi)
+	}
+	return diff, hi - lo
 }
 
 // requireBitEqual fails unless got and want are finite and equal to the
@@ -375,10 +582,12 @@ func BenchmarkStep32x32(b *testing.B) {
 	}
 }
 
-// stepReference is Step as it stood before the row kernels — every operand
-// addressed through grid.Idx2, the Laplacian a function, the forcing
-// fields smoothed one after another, the per-level decay recomputed —
-// kept verbatim as the oracle: the kernels must reproduce it to the bit.
+// stepReference is Step as it stood before the row kernels and before
+// re-pin 3 — every operand addressed through grid.Idx2, the Laplacian a
+// function, the per-level decay recomputed, the upwind difference chosen
+// by a branch and divided by the spacing — kept verbatim as the oracle.
+// It takes the step's forcing from fx, fy and ftr as the caller left
+// them, so it runs on the forcing Step draws.
 func (m *Model) stepReference() {
 	g := m.Cfg.Grid
 	dt := m.Cfg.Dt
@@ -386,8 +595,6 @@ func (m *Model) stepReference() {
 	f := m.Cfg.Coriolis
 	r := m.Cfg.BottomFriction
 	nu := m.Cfg.Viscosity
-
-	m.sampleForcingReference()
 
 	// --- Momentum update (forward step with current eta) ---
 	for j := 1; j < g.NY-1; j++ {
@@ -485,52 +692,8 @@ func (m *Model) stepTracerReference(tr []float64, isTemp bool) {
 	}
 }
 
-// sampleForcingReference draws the wind and tracer stochastic forcing fields for
-// this step (steady wind + smoothed Wiener increments).
-func (m *Model) sampleForcingReference() {
-	g := m.Cfg.Grid
-	// Validate rejects non-positive Dt; the clamp keeps the Sqrt
-	// NaN-free even on unvalidated configs.
-	sqrtDt := math.Sqrt(math.Max(m.Cfg.Dt, 0))
-	windNoise := m.Cfg.NoiseWind * sqrtDt / m.Cfg.Dt // acceleration equivalent
-	trNoise := m.Cfg.NoiseTracer * sqrtDt
-	for j := 0; j < g.NY; j++ {
-		for i := 0; i < g.NX; i++ {
-			id := g.Idx2(i, j)
-			// Steady upwelling-favorable (equatorward) wind plus noise.
-			m.fx[id] = 0
-			m.fy[id] = -m.Cfg.WindAmp
-			if windNoise > 0 {
-				m.fx[id] += windNoise * m.noise.Norm()
-				m.fy[id] += windNoise * m.noise.Norm()
-			}
-			if trNoise > 0 {
-				m.ftr[id] = trNoise * m.noise.Norm()
-			} else {
-				m.ftr[id] = 0
-			}
-		}
-	}
-	for p := 0; p < m.Cfg.NoiseSmoothPasses; p++ {
-		smoothReference(m.fx, g)
-		smoothReference(m.fy, g)
-		smoothReference(m.ftr, g)
-	}
-}
-
 func laplacianReference(field []float64, g *grid.Grid, i, j int, dx, dy float64) float64 {
 	id := g.Idx2(i, j)
 	return (field[g.Idx2(i+1, j)]-2*field[id]+field[g.Idx2(i-1, j)])/(dx*dx) +
 		(field[g.Idx2(i, j+1)]-2*field[id]+field[g.Idx2(i, j-1)])/(dy*dy)
-}
-
-// smoothReference applies one diffusive smoothing pass (5-point average) in place.
-func smoothReference(field []float64, g *grid.Grid) {
-	for j := 1; j < g.NY-1; j++ {
-		for i := 1; i < g.NX-1; i++ {
-			id := g.Idx2(i, j)
-			field[id] = 0.5*field[id] + 0.125*(field[g.Idx2(i+1, j)]+
-				field[g.Idx2(i-1, j)]+field[g.Idx2(i, j+1)]+field[g.Idx2(i, j-1)])
-		}
-	}
 }

@@ -9,8 +9,11 @@
 // (the spread field of Fig. 5); and, on sections cut through the
 // truth at the end of the run, the acoustic climate's mean TL over its
 // tasks and the mean TL standard deviation of EnsembleTL across those
-// sections. Run it at the root of a checkout of each side (copy the file
-// into the older one), then compare the two outputs:
+// sections; and, from the truth's final state, the SST and eta spread of
+// 16 members that differ only in their stochastic forcing, after 150
+// steps (the rows that see a change of the model-error forcing, which the
+// twin statistics average away). Run it at the root of a checkout of each
+// side (copy the file into the older one), then compare the two outputs:
 //
 //	go run scripts/repin.go -seeds 30 > parent.json   # parent checkout
 //	go run scripts/repin.go -seeds 30 > change.json   # this checkout
@@ -32,10 +35,12 @@ import (
 	"os"
 
 	"esse/internal/acoustics"
+	"esse/internal/ocean"
 	"esse/internal/realtime"
+	"esse/internal/rng"
 )
 
-var stats = []string{"rounds", "members", "rho", "rmse_forecast", "rmse_analysis", "skill_ratio", "sst_std_max", "sst_std_mean", "tl_mean", "tl_std_mean"}
+var stats = []string{"rounds", "members", "rho", "rmse_forecast", "rmse_analysis", "skill_ratio", "sst_std_max", "sst_std_mean", "tl_mean", "tl_std_mean", "forced_sst_spread", "forced_eta_spread"}
 
 func main() {
 	log.SetFlags(0)
@@ -81,6 +86,7 @@ func main() {
 		if err := acousticStats(row, sys); err != nil {
 			log.Fatalf("seed %d: %v", seed, err)
 		}
+		forcedSpread(row, sys, uint64(seed))
 		out = append(out, row)
 	}
 	if err := enc.Encode(out); err != nil {
@@ -128,6 +134,36 @@ func acousticStats(row map[string]float64, sys *realtime.System) error {
 		row["tl_std_mean"] += v / float64(len(ens.Std.TL.Data))
 	}
 	return nil
+}
+
+// forcedSpread runs 16 members from the truth's final state, on noise
+// streams split from seed, for 150 steps, and sets the mean over cells of
+// their SST and eta standard deviation in row.
+func forcedSpread(row map[string]float64, sys *realtime.System, seed uint64) {
+	const members, steps = 16, 150
+	l := sys.Layout
+	cfg, init, n2 := ocean.DefaultConfig(l.G), sys.TruthState(), l.G.N2()
+	vars := []struct{ stat, name string }{{"forced_sst_spread", "T"}, {"forced_eta_spread", "eta"}}
+	sum, sum2 := make([]float64, 2*n2), make([]float64, 2*n2)
+	noise := rng.New(seed)
+	for m := 0; m < members; m++ {
+		model := ocean.NewFromState(cfg, noise.Split(uint64(m)), init)
+		model.Run(steps)
+		st := model.State(nil)
+		for f, v := range vars {
+			for id, x := range l.SliceByName(st, v.name)[:n2] {
+				sum[f*n2+id] += x
+				sum2[f*n2+id] += x * x
+			}
+		}
+	}
+	for f, v := range vars {
+		for id := f * n2; id < (f+1)*n2; id++ {
+			mean := sum[id] / members
+			sd := math.Sqrt(math.Max(sum2[id]/members-mean*mean, 0) * members / (members - 1))
+			row[v.stat] += sd / float64(n2)
+		}
+	}
 }
 
 func load(path string) []map[string]float64 {
