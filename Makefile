@@ -35,12 +35,14 @@ bench-module:
 bench-smoke:
 	bench/run.sh --workload svd-bound --seed 1 --seconds 1 --trace 1 >/dev/null
 
-# test-fuzz runs the native fuzz target briefly — a smoke pass over
-# the exposition parser, not a soak (leave FUZZTIME at the default in
-# CI; raise it locally to hunt).
+# test-fuzz runs each native fuzz target briefly — a smoke pass over
+# the exposition parser and over the DES fileserver against its
+# map-based reference, not a soak (leave FUZZTIME at the default in CI;
+# raise it locally to hunt). go test fuzzes one target a call.
 FUZZTIME ?= 10s
 test-fuzz:
 	$(GO) test -fuzz=FuzzParsePrometheus -fuzztime=$(FUZZTIME) ./internal/telemetry
+	$(GO) test -fuzz=FuzzFileserverMatchesReference -fuzztime=$(FUZZTIME) ./internal/sched
 
 vet:
 	$(GO) vet ./...

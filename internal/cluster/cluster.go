@@ -6,7 +6,10 @@
 // stdlib substitute for running the real SGE/Condor workload.
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Node is one compute host.
 type Node struct {
@@ -45,12 +48,12 @@ func (c *Cluster) TotalCores() int {
 // CoreList expands the cluster into per-core slots (node speed attached),
 // the granularity at which SGE and Condor schedule singleton jobs.
 func (c *Cluster) CoreList() []Core {
-	var cores []Core
+	cores := make([]Core, 0, c.TotalCores())
 	for ni, node := range c.Nodes {
 		for k := 0; k < node.Cores; k++ {
 			cores = append(cores, Core{
 				Node:  ni,
-				Name:  fmt.Sprintf("%s/c%d", node.Name, k),
+				Name:  node.Name + "/c" + strconv.Itoa(k),
 				Speed: node.Speed,
 			})
 		}

@@ -35,7 +35,7 @@ func SimulateBatched(c *cluster.Cluster, jobs int, spec JobSpec, cfg Config, bat
 		// the existing schedule (it usually can: it is shorter than any
 		// full batch and there are idle cores in the last wave unless
 		// full batches exactly fill every wave).
-		cores := len(c.CoreList())
+		cores := c.TotalCores()
 		if cores > 0 && full%cores == 0 {
 			partial := JobSpec{
 				PertCPU:      spec.PertCPU * float64(rem),

@@ -17,7 +17,6 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -163,21 +162,26 @@ type Result struct {
 // --- processor-sharing NFS model ------------------------------------------
 
 type psTransfer struct {
+	id        int
 	remaining float64 // MB
 	core      int     // owning core, or -1 for node prestage
 	node      int     // owning node for prestage transfers
 }
 
+// psResource keeps its active transfers in a dense slice, in no
+// particular order: a completion is swap-removed, and nextCompletion
+// breaks equal completion times by the lower id, so the order of the
+// slice never reaches a result.
 type psResource struct {
 	bw        float64
-	transfers map[int]*psTransfer
+	transfers []psTransfer
 	nextID    int
 	lastT     float64
 	moved     float64
 }
 
-func newPS(bw float64) *psResource {
-	return &psResource{bw: bw, transfers: make(map[int]*psTransfer)}
+func newPS(bw float64, capacity int) *psResource {
+	return &psResource{bw: bw, transfers: make([]psTransfer, 0, capacity)}
 }
 
 // advance drains work from all active transfers up to time t.
@@ -185,25 +189,23 @@ func (p *psResource) advance(t float64) {
 	if n := len(p.transfers); n > 0 {
 		rate := p.bw / float64(n)
 		dt := t - p.lastT
-		for _, tr := range p.transfers {
-			tr.remaining -= rate * dt
+		for i := range p.transfers {
+			p.transfers[i].remaining -= rate * dt
 		}
 		p.moved += rate * dt * float64(n)
 	}
 	p.lastT = t
 }
 
-// add registers a transfer and returns its id.
-func (p *psResource) add(mb float64, core, node int) int {
-	id := p.nextID
+// add registers a transfer under the next id.
+func (p *psResource) add(mb float64, core, node int) {
+	p.transfers = append(p.transfers, psTransfer{id: p.nextID, remaining: mb, core: core, node: node})
 	p.nextID++
-	p.transfers[id] = &psTransfer{remaining: mb, core: core, node: node}
-	return id
 }
 
-// nextCompletion returns the id and absolute time of the next transfer
-// completion, or ok=false if no transfers are active.
-func (p *psResource) nextCompletion() (id int, t float64, ok bool) {
+// nextCompletion returns the slot and absolute time of the next
+// transfer completion, or ok=false if no transfers are active.
+func (p *psResource) nextCompletion() (slot int, t float64, ok bool) {
 	n := len(p.transfers)
 	if n == 0 {
 		return 0, 0, false
@@ -211,15 +213,26 @@ func (p *psResource) nextCompletion() (id int, t float64, ok bool) {
 	rate := p.bw / float64(n)
 	best := math.Inf(1)
 	bestID := -1
-	for tid, tr := range p.transfers {
+	for i := range p.transfers {
+		tr := &p.transfers[i]
 		done := tr.remaining / rate
 		//esselint:allow floatcmp exact-equality tie-break keeps event ordering deterministic across runs
-		if done < best || (done == best && tid < bestID) {
+		if done < best || (done == best && tr.id < bestID) {
 			best = done
-			bestID = tid
+			bestID = tr.id
+			slot = i
 		}
 	}
-	return bestID, p.lastT + best, true
+	return slot, p.lastT + best, true
+}
+
+// complete removes the transfer in slot and returns it.
+func (p *psResource) complete(slot int) psTransfer {
+	tr := p.transfers[slot]
+	last := len(p.transfers) - 1
+	p.transfers[slot] = p.transfers[last]
+	p.transfers = p.transfers[:last]
+	return tr
 }
 
 // --- event heap ------------------------------------------------------------
@@ -230,20 +243,54 @@ type event struct {
 	seq  int // tiebreaker for determinism
 }
 
+// eventHeap is a binary min-heap on (t, seq). seq is unique, so the
+// order is total and any heap pops the same sequence.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	//esselint:allow floatcmp exact comparison: equal times must fall through to the seq tiebreaker bit-for-bit
 	if h[i].t != h[j].t {
 		return h[i].t < h[j].t
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)                  { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)                    { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any                      { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h *eventHeap) push(t float64, core, seq int) { heap.Push(h, event{t: t, core: core, seq: seq}) }
+
+func (h *eventHeap) push(t float64, core, seq int) {
+	*h = append(*h, event{t: t, core: core, seq: seq})
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < last && q.less(l, least) {
+			least = l
+		}
+		if r := 2*i + 2; r < last && q.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
+}
 
 // --- core state machine ------------------------------------------------------
 
@@ -266,10 +313,8 @@ const (
 
 type coreSim struct {
 	stage       stage
-	job         int // current job id, -1 if none
 	jobStart    float64
 	firstJob    bool
-	transfer    int // active PS transfer id, -1 if none
 	willFail    bool
 	pertIOStart float64
 }
@@ -285,21 +330,20 @@ func Simulate(c *cluster.Cluster, jobs int, spec JobSpec, cfg Config) *Result {
 		panic("sched: cluster has no cores")
 	}
 	random := rng.New(cfg.Seed)
-	ps := newPS(c.NFS.BandwidthMBps)
+	// At most one transfer per core and one prestage per node is active.
+	ps := newPS(c.NFS.BandwidthMBps, nCores+len(c.Nodes))
 
 	res := &Result{}
 	state := make([]coreSim, nCores)
 	for i := range state {
-		state[i] = coreSim{job: -1, transfer: -1, firstJob: true}
+		state[i] = coreSim{firstJob: true}
 	}
 
 	// Node prestage gates (LocalPrestaged only).
 	nodeReady := make([]bool, len(c.Nodes))
-	prestageOwner := map[int]int{} // transfer id → node
 	if cfg.IOMode == LocalPrestaged && cfg.PrestageMB > 0 {
 		for ni := range c.Nodes {
-			id := ps.add(cfg.PrestageMB, -1, ni)
-			prestageOwner[id] = ni
+			ps.add(cfg.PrestageMB, -1, ni)
 		}
 	} else {
 		for ni := range nodeReady {
@@ -329,7 +373,8 @@ func Simulate(c *cluster.Cluster, jobs int, spec JobSpec, cfg Config) *Result {
 		}
 	}
 
-	var fixed eventHeap
+	// A core has at most one pending event.
+	fixed := make(eventHeap, 0, nCores)
 	seq := 0
 	totalDispatchDelay := 0.0
 	pertCPUTime, pertIOTime := 0.0, 0.0
@@ -353,7 +398,6 @@ func Simulate(c *cluster.Cluster, jobs int, spec JobSpec, cfg Config) *Result {
 		start := math.Max(t, submitReady(job)) + d
 		totalDispatchDelay += (start - t)
 		cs.stage = stDispatch
-		cs.job = job
 		cs.jobStart = start
 		cs.willFail = cfg.FailureProb > 0 && random.Bool(cfg.FailureProb)
 		seq++
@@ -370,7 +414,7 @@ func Simulate(c *cluster.Cluster, jobs int, spec JobSpec, cfg Config) *Result {
 			cs.stage = stPertIO
 			cs.pertIOStart = t
 			if cfg.IOMode == MixedNFS && spec.PertInputMB > 0 {
-				cs.transfer = ps.add(spec.PertInputMB, ci, -1)
+				ps.add(spec.PertInputMB, ci, -1)
 				return
 			}
 			enterStage(ci, t) // no input wait: pert IO phase is empty
@@ -385,7 +429,7 @@ func Simulate(c *cluster.Cluster, jobs int, spec JobSpec, cfg Config) *Result {
 		case stPertCPU:
 			cs.stage = stModelIO
 			if cfg.IOMode == MixedNFS && spec.ModelInputMB > 0 {
-				cs.transfer = ps.add(spec.ModelInputMB, ci, -1)
+				ps.add(spec.ModelInputMB, ci, -1)
 				return
 			}
 			enterStage(ci, t)
@@ -406,7 +450,7 @@ func Simulate(c *cluster.Cluster, jobs int, spec JobSpec, cfg Config) *Result {
 			}
 			cs.stage = stOutIO
 			if spec.OutputMB > 0 {
-				cs.transfer = ps.add(spec.OutputMB, ci, -1)
+				ps.add(spec.OutputMB, ci, -1)
 				return
 			}
 			enterStage(ci, t)
@@ -431,35 +475,31 @@ func Simulate(c *cluster.Cluster, jobs int, spec JobSpec, cfg Config) *Result {
 	for {
 		// Choose the earliest of the fixed-event heap and PS completion.
 		var tFixed = math.Inf(1)
-		if fixed.Len() > 0 {
+		if len(fixed) > 0 {
 			tFixed = fixed[0].t
 		}
-		psID, tPS, psOK := ps.nextCompletion()
+		psSlot, tPS, psOK := ps.nextCompletion()
 		if math.IsInf(tFixed, 1) && !psOK {
 			break
 		}
 		if psOK && tPS <= tFixed {
 			now = tPS
 			ps.advance(now)
-			tr := ps.transfers[psID]
-			delete(ps.transfers, psID)
-			if ni, isPrestage := prestageOwner[psID]; isPrestage && tr.core == -1 {
-				nodeReady[ni] = true
-				delete(prestageOwner, psID)
+			tr := ps.complete(psSlot)
+			if tr.core == -1 { // a node's prestage
+				nodeReady[tr.node] = true
 				// Wake idle cores on this node.
 				for ci := range state {
-					if cores[ci].Node == ni && state[ci].stage == stIdle {
+					if cores[ci].Node == tr.node && state[ci].stage == stIdle {
 						tryAssign(ci, now)
 					}
 				}
 				continue
 			}
-			ci := tr.core
-			state[ci].transfer = -1
-			enterStage(ci, now)
+			enterStage(tr.core, now)
 			continue
 		}
-		e := heap.Pop(&fixed).(event)
+		e := fixed.pop()
 		now = e.t
 		ps.advance(now)
 		enterStage(e.core, now)
@@ -488,6 +528,5 @@ func finishJob(res *Result, cs *coreSim, t float64, sum, max *float64) {
 	if d > *max {
 		*max = d
 	}
-	cs.job = -1
 	cs.firstJob = false
 }

@@ -10,20 +10,24 @@ import (
 func mit210() *cluster.Cluster { return cluster.MITAvailable(210) }
 
 func TestPSResourceSingleTransfer(t *testing.T) {
-	ps := newPS(100) // 100 MB/s
+	ps := newPS(100, 0) // 100 MB/s
 	ps.add(500, 0, -1)
-	id, tt, ok := ps.nextCompletion()
+	slot, tt, ok := ps.nextCompletion()
 	if !ok || tt != 5 {
 		t.Fatalf("single transfer completion at %v (ok=%v), want 5", tt, ok)
 	}
 	ps.advance(tt)
-	if r := ps.transfers[id].remaining; math.Abs(r) > 1e-9 {
-		t.Fatalf("remaining = %v after completion", r)
+	tr := ps.complete(slot)
+	if tr.core != 0 || math.Abs(tr.remaining) > 1e-9 {
+		t.Fatalf("completed %+v, want core 0 with nothing remaining", tr)
+	}
+	if _, _, ok := ps.nextCompletion(); ok {
+		t.Fatal("a transfer is still active after its completion")
 	}
 }
 
 func TestPSResourceSharing(t *testing.T) {
-	ps := newPS(100)
+	ps := newPS(100, 0)
 	ps.add(500, 0, -1)
 	ps.add(500, 1, -1)
 	// Two equal transfers share bandwidth: each runs at 50 MB/s → 10 s.
@@ -34,7 +38,7 @@ func TestPSResourceSharing(t *testing.T) {
 }
 
 func TestPSResourceAccounting(t *testing.T) {
-	ps := newPS(100)
+	ps := newPS(100, 0)
 	ps.add(300, 0, -1)
 	ps.advance(2)
 	if math.Abs(ps.moved-200) > 1e-9 {
@@ -242,4 +246,160 @@ func BenchmarkSimulate600Members(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Simulate(c, 600, ESSEJob(), cfg)
 	}
+}
+
+// TestSimulateAllocsDoNotGrowWithJobs holds that a run allocates per
+// core and per node, not per event: the transfers live in a slice and
+// the event heap holds unboxed events, both sized once. The bound is
+// below 0.01 allocations per extra job (the map-and-container/heap
+// simulator allocated ≈ 7.8 per job); it is not an equality, as the
+// runtime moves a count by one now and then.
+func TestSimulateAllocsDoNotGrowWithJobs(t *testing.T) {
+	c := mit210()
+	for _, pol := range []Policy{SGE, Condor} {
+		for _, io := range []IOMode{LocalPrestaged, MixedNFS} {
+			cfg := DefaultConfig()
+			cfg.Policy, cfg.IOMode = pol, io
+			allocs := func(jobs int) float64 {
+				return testing.AllocsPerRun(2, func() { Simulate(c, jobs, ESSEJob(), cfg) })
+			}
+			small, large := allocs(60), allocs(6000)
+			if large-small >= 60 {
+				t.Errorf("%v %v: %v allocs at 6000 jobs, %v at 60; want fewer than 60 more", pol, io, large, small)
+			}
+		}
+	}
+}
+
+// --- the reference fileserver ----------------------------------------------
+
+type refTransfer struct {
+	remaining float64 // MB
+	core      int     // owning core, or -1 for node prestage
+	node      int     // owning node for prestage transfers
+}
+
+// refPS is the map-based processor-sharing fileserver the slice in
+// psResource replaced, kept verbatim as the oracle the fuzz target
+// holds the slice to, bit for bit.
+type refPS struct {
+	bw        float64
+	transfers map[int]*refTransfer
+	nextID    int
+	lastT     float64
+	moved     float64
+}
+
+func newRefPS(bw float64) *refPS {
+	return &refPS{bw: bw, transfers: make(map[int]*refTransfer)}
+}
+
+// advance drains work from all active transfers up to time t.
+func (p *refPS) advance(t float64) {
+	if n := len(p.transfers); n > 0 {
+		rate := p.bw / float64(n)
+		dt := t - p.lastT
+		for _, tr := range p.transfers {
+			tr.remaining -= rate * dt
+		}
+		p.moved += rate * dt * float64(n)
+	}
+	p.lastT = t
+}
+
+// add registers a transfer and returns its id.
+func (p *refPS) add(mb float64, core, node int) int {
+	id := p.nextID
+	p.nextID++
+	p.transfers[id] = &refTransfer{remaining: mb, core: core, node: node}
+	return id
+}
+
+// nextCompletion returns the id and absolute time of the next transfer
+// completion, or ok=false if no transfers are active.
+func (p *refPS) nextCompletion() (id int, t float64, ok bool) {
+	n := len(p.transfers)
+	if n == 0 {
+		return 0, 0, false
+	}
+	rate := p.bw / float64(n)
+	best := math.Inf(1)
+	bestID := -1
+	for tid, tr := range p.transfers {
+		done := tr.remaining / rate
+		//esselint:allow floatcmp exact-equality tie-break keeps event ordering deterministic across runs
+		if done < best || (done == best && tid < bestID) {
+			best = done
+			bestID = tid
+		}
+	}
+	return bestID, p.lastT + best, true
+}
+
+// fuzzSizesMB are the transfer sizes the fuzz target draws from. Three
+// values, so equal transfers start together and the tie-break decides.
+var fuzzSizesMB = [3]float64{11, 150, 800}
+
+// FuzzFileserverMatchesReference drives psResource and refPS with one
+// sequence of operations, a byte each: b%3 picks add a transfer of
+// fuzzSizesMB[(b/3)%3], advance the clock (b/3 of 85ths of the way to
+// the next completion, or b/3 seconds when none is active), or complete
+// the next transfer. Every completion's transfer id and time, and the
+// final moved total, must be bit-equal; whatever is left is completed
+// at the end.
+func FuzzFileserverMatchesReference(f *testing.F) {
+	// Three equal transfers: once the first completes, the slice holds
+	// ids 2 and 1 in that order, and only the lower-id tie-break picks 1.
+	f.Add([]byte{0, 0, 0, 2, 2})
+	f.Add([]byte{0, 3, 6, 0, 4, 2, 0, 130, 2, 2, 3, 1, 2})
+	f.Add([]byte{7, 0, 253, 3, 3, 6, 2, 9, 0, 127, 2, 5, 2, 2})
+	f.Add([]byte{1, 0, 6, 6, 6, 40, 2, 0, 0, 2, 85, 3, 2})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		// The drain at the end is quadratic in the transfers left; the DES
+		// has at most cores + nodes active, so 512 operations is plenty.
+		ops = ops[:min(len(ops), 512)]
+		const bw = 1250
+		ps, ref := newPS(bw, 0), newRefPS(bw)
+		// complete takes the next completion off both and compares them.
+		complete := func() bool {
+			slot, tt, ok := ps.nextCompletion()
+			rid, rt, rok := ref.nextCompletion()
+			if ok != rok {
+				t.Fatalf("slice has a completion: %v, reference: %v", ok, rok)
+			}
+			if !ok {
+				return false
+			}
+			if id := ps.transfers[slot].id; id != rid || math.Float64bits(tt) != math.Float64bits(rt) {
+				t.Fatalf("next completion: transfer %d at %v, reference %d at %v", id, tt, rid, rt)
+			}
+			ps.advance(tt)
+			ref.advance(rt)
+			ps.complete(slot)
+			delete(ref.transfers, rid)
+			return true
+		}
+		for _, b := range ops {
+			switch arg := int(b / 3); b % 3 {
+			case 0:
+				mb := fuzzSizesMB[arg%3]
+				ps.add(mb, 0, -1)
+				ref.add(mb, 0, -1)
+			case 1:
+				to := ref.lastT + float64(arg)
+				if _, tt, ok := ref.nextCompletion(); ok {
+					to = ref.lastT + (tt-ref.lastT)*float64(arg)/85
+				}
+				ps.advance(to)
+				ref.advance(to)
+			case 2:
+				complete()
+			}
+		}
+		for complete() {
+		}
+		if math.Float64bits(ps.moved) != math.Float64bits(ref.moved) {
+			t.Fatalf("moved %v MB, reference %v", ps.moved, ref.moved)
+		}
+	})
 }
