@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -39,8 +40,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "master random seed")
 		showMaps = flag.Bool("maps", true, "print Fig 5/6 style uncertainty maps")
 		pgmDir   = flag.String("pgm", "", "directory to write PGM uncertainty images (optional)")
-		status   = flag.String("status", "", "serve live ensemble progress on this address (e.g. :8090)")
-		telAddr  = flag.String("telemetry-addr", "", "serve /metrics, /events, /trace and /debug/pprof on this address (e.g. :9090)")
+		telAddr  = flag.String("telemetry-addr", "", "serve /status, /metrics, /events, /trace and /debug/pprof on this address (e.g. :9090)")
 		traceOut = flag.String("trace-out", "", "write a Chrome trace-event JSON (chrome://tracing) of the run to this file")
 		trackDir = flag.String("trackdir", "", "jobdir tracking directory: members persist and restarts skip completed work")
 		adaptive = flag.Int("adaptive", 0, "adaptively planned CTD casts per cycle")
@@ -59,7 +59,7 @@ func main() {
 	lg := telemetry.NewLogger(os.Stderr, level)
 
 	// SIGINT/SIGTERM cancel ctx: the forecast loop stops between model
-	// steps and the status/telemetry servers drain gracefully.
+	// steps and the telemetry server drains gracefully.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -89,24 +89,19 @@ func main() {
 	if *telAddr != "" {
 		sampler := telemetry.StartRuntimeSampler(tel, 0)
 		defer sampler.Stop()
+		// One server: live ensemble progress beside the telemetry.
+		mon := monitor.New()
+		cfg.Ensemble.OnProgress = mon.Callback()
+		mux := http.NewServeMux()
+		tel.Mount(mux)
+		mon.Mount(mux)
 		go func() {
-			if err := telemetry.Serve(ctx, *telAddr, tel.Handler()); err != nil {
+			if err := telemetry.Serve(ctx, *telAddr, mux); err != nil {
 				lg.Error("telemetry server failed", "addr", *telAddr, "err", err.Error())
 			}
 		}()
 		fmt.Printf("telemetry: %s\n", telemetry.DisplayURL(*telAddr, "/metrics"))
-	}
-	if *status != "" {
-		mon := monitor.New(0)
-		cfg.Ensemble.OnProgress = mon.Callback()
-		go func() {
-			// The monitor mux also carries the telemetry endpoints when
-			// telemetry is on (tel may be nil; HandlerWith tolerates that).
-			if err := telemetry.Serve(ctx, *status, mon.HandlerWith(tel)); err != nil {
-				lg.Error("status server failed", "addr", *status, "err", err.Error())
-			}
-		}()
-		fmt.Printf("live progress: %s\n", telemetry.DisplayURL(*status, "/status"))
+		fmt.Printf("live progress: %s\n", telemetry.DisplayURL(*telAddr, "/status"))
 	}
 	if *trackDir != "" {
 		cfg.WrapRunner = func(cycle int, r workflow.MemberRunner) workflow.MemberRunner {
@@ -158,11 +153,18 @@ func main() {
 			fmt.Print(metrics.RenderASCII(deep, *nx, *ny))
 		}
 		if *pgmDir != "" {
-			if err := os.MkdirAll(*pgmDir, 0o755); err == nil {
-				_ = os.WriteFile(*pgmDir+"/fig5_sst_std.pgm", metrics.RenderPGM(sst, *nx, *ny), 0o644)
-				_ = os.WriteFile(*pgmDir+"/fig6_30m_std.pgm", metrics.RenderPGM(deep, *nx, *ny), 0o644)
-				fmt.Printf("\nwrote %s/fig5_sst_std.pgm and fig6_30m_std.pgm\n", *pgmDir)
+			err := os.MkdirAll(*pgmDir, 0o755)
+			if err == nil {
+				err = os.WriteFile(*pgmDir+"/fig5_sst_std.pgm", metrics.RenderPGM(sst, *nx, *ny), 0o644)
 			}
+			if err == nil {
+				err = os.WriteFile(*pgmDir+"/fig6_30m_std.pgm", metrics.RenderPGM(deep, *nx, *ny), 0o644)
+			}
+			if err != nil {
+				lg.Error("writing PGM images failed", "dir", *pgmDir, "err", err.Error())
+				os.Exit(1)
+			}
+			fmt.Printf("\nwrote %s/fig5_sst_std.pgm and fig6_30m_std.pgm\n", *pgmDir)
 		}
 	}
 	fmt.Println("\nTimelines (Fig 1):")

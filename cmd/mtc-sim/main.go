@@ -124,8 +124,6 @@ func publishResult(tel *telemetry.Telemetry, res *sched.Result) {
 	tel.Gauge("mtc_sim_jobs", "Simulated jobs by final outcome.", "outcome", "completed").Set(float64(res.JobsCompleted))
 	tel.Gauge("mtc_sim_jobs", "Simulated jobs by final outcome.", "outcome", "failed").Set(float64(res.JobsFailed))
 	tel.Gauge("mtc_sim_pert_cpu_utilization", "Perturbation-phase CPU utilization (0..1).").Set(res.PertCPUUtilization)
-	tel.Gauge("mtc_sim_mean_dispatch_delay_seconds", "Mean scheduler dispatch delay.").Set(res.MeanDispatchDelay)
-	tel.Gauge("mtc_sim_nfs_megabytes_moved", "Simulated NFS traffic.").Set(res.NFSMBMoved)
 }
 
 func runMatrix(c *cluster.Cluster, jobs int, seed uint64) {

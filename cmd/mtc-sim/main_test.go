@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -61,7 +62,7 @@ func TestSameSeedSameReport(t *testing.T) {
 
 // TestTelemetrySurfaces boots the command with its telemetry server and
 // reads the three surfaces while the run holds the server open: /metrics
-// must parse strictly and carry the run's headline families, /events
+// must parse strictly and carry exactly the run's families, /events
 // must parse, and /trace must pass esse-report -strict's rule (at least
 // one span, no orphans). SIGTERM during the hold must then end the run
 // with exit status 0, well before the hold would.
@@ -151,10 +152,16 @@ func TestTelemetrySurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/metrics: %v", err)
 	}
-	for _, name := range []string{"mtc_sim_makespan_seconds", "mtc_sim_jobs", "mtc_sim_pert_cpu_utilization", "go_goroutines", "go_heap_objects_bytes"} {
-		if exp.Family(name) == nil {
-			t.Errorf("/metrics has no family %s", name)
-		}
+	// Exactly the families DESIGN §8 tables for mtc-sim, in the
+	// exposition's name order: one with no reader cannot come back.
+	var names []string
+	for _, f := range exp.Families {
+		names = append(names, f.Name)
+	}
+	want := []string{"go_gc_cycles_total", "go_gc_pause_seconds_total", "go_goroutines", "go_heap_objects_bytes",
+		"mtc_sim_jobs", "mtc_sim_makespan_seconds", "mtc_sim_pert_cpu_utilization"}
+	if !slices.Equal(names, want) {
+		t.Errorf("/metrics families = %v, want %v", names, want)
 	}
 	events, err := telemetry.ParseEvents(bytes.NewReader(get("/events")))
 	if err != nil {

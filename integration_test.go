@@ -53,7 +53,7 @@ func TestFullOperationalStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := monitor.New(0)
+	mon := monitor.New()
 	trackRoot := t.TempDir()
 
 	cfg := integrationConfig()

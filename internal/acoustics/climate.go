@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"esse/internal/taskpool"
-	"esse/internal/telemetry"
 )
 
 // ClimateSpec enumerates the "acoustic climate" workload: TL for every
@@ -20,9 +19,6 @@ type ClimateSpec struct {
 	FreqsKHz     []float64
 	Base         TLConfig
 	Workers      int
-	// Telemetry, when non-nil, receives per-task lifecycle events and
-	// TL task metrics. The nil default is a no-op on every hot path.
-	Telemetry *telemetry.Telemetry
 }
 
 // TaskCount returns the total number of independent TL tasks.
@@ -54,10 +50,11 @@ type ClimateResult struct {
 	Elapsed   time.Duration
 }
 
-// fanTask is one task's outcome inside a fan.
+// fanTask is one task's outcome inside a fan: done (res holds it),
+// failed, or cancelled before it ran.
 type fanTask struct {
-	res   ClimateTaskResult
-	phase telemetry.Phase // PhaseDone, PhaseFailed or PhaseCancelled
+	res               ClimateTaskResult
+	failed, cancelled bool
 }
 
 // ComputeClimate runs the full task product on the task pool. Its unit
@@ -76,47 +73,12 @@ func ComputeClimate(ctx context.Context, spec ClimateSpec, sink func(ClimateTask
 	nf := len(spec.FreqsKHz)
 	start := time.Now()
 
-	// Metric registration allocates, so it happens before any task loop
-	// runs; the handles are nil no-ops when telemetry is disabled.
-	tel := spec.Telemetry
-	cTasksDone := tel.Counter("esse_acoustics_tasks_total", "Acoustic climate TL tasks by final outcome.", "outcome", "done")
-	cTasksFailed := tel.Counter("esse_acoustics_tasks_total", "Acoustic climate TL tasks by final outcome.", "outcome", "failed")
-	cTasksCancelled := tel.Counter("esse_acoustics_tasks_total", "Acoustic climate TL tasks by final outcome.", "outcome", "cancelled")
-	hTaskSec := tel.Histogram("esse_acoustics_task_seconds", "Wall-clock duration of one TL computation.", nil)
-
-	// The pool span adopts whatever parent rides in on ctx (an ocean
-	// cycle, an HTTP request) and every TL task parents under it.
-	ctx, poolSpan := tel.SpanCtx(ctx, "acoustics", "climate", -1, 0)
-	defer poolSpan.End()
-
-	// Task ids flatten the product in (slice, source, frequency) order, as
-	// events and spans name the tasks: fan f holds ids f·nf … f·nf+nf-1.
-	// end gives a task its terminal phase, on the committing goroutine.
 	res := &ClimateResult{Tasks: make([]ClimateTaskResult, 0, spec.TaskCount())}
-	end := func(id int, t fanTask) {
-		tel.Emit("climate", id, 0, t.phase)
-		switch t.phase {
-		case telemetry.PhaseDone:
-			cTasksDone.Inc()
-			res.Tasks = append(res.Tasks, t.res)
-		case telemetry.PhaseFailed:
-			cTasksFailed.Inc()
-			res.Failed++
-		default:
-			cTasksCancelled.Inc()
-			res.Cancelled++
-		}
-	}
 	// One solver per worker amortizes the TL grids across fans; slot
 	// lane-1 is the worker's alone.
 	solvers := make([]TLSolver, max(spec.Workers, 1))
 	pool := &taskpool.Pool[[]fanTask]{
 		Workers: spec.Workers,
-		Phase: func(f int, ph telemetry.Phase) {
-			for id := f * nf; id < (f+1)*nf; id++ {
-				tel.Emit("climate", id, 0, ph)
-			}
-		},
 		Task: func(ctx context.Context, lane int64, f int) []fanTask {
 			si, di := f/len(spec.SourceDepths), f%len(spec.SourceDepths)
 			cfg := spec.Base
@@ -125,15 +87,14 @@ func ComputeClimate(ctx context.Context, spec ClimateSpec, sink func(ClimateTask
 			var err error
 			for fi, freq := range spec.FreqsKHz {
 				if ctx.Err() != nil {
-					out[fi].phase = telemetry.PhaseCancelled
+					out[fi].cancelled = true
 					continue
 				}
-				_, sp := tel.SpanCtx(ctx, "acoustics", "tl-task", int64(f*nf+fi), lane)
 				t0 := time.Now()
-				// The first task of a fan carries the trace in its span
-				// and Elapsed, so the sum of Elapsed stays the pool's
-				// busy time; a failed trace fails every task of the fan,
-				// and a cancelled first task leaves none to run untraced.
+				// The first task of a fan carries the trace in its
+				// Elapsed, so the sum of Elapsed stays the pool's busy
+				// time; a failed trace fails every task of the fan, and a
+				// cancelled first task leaves none to run untraced.
 				if fi == 0 {
 					err = solvers[lane-1].Trace(spec.Sections[si], cfg)
 				}
@@ -144,11 +105,9 @@ func ComputeClimate(ctx context.Context, spec ClimateSpec, sink func(ClimateTask
 						field = field.clone() // the sink retains it
 					}
 				}
-				sp.End()
 				elapsed := time.Since(t0)
-				hTaskSec.Observe(elapsed.Seconds())
 				if err != nil {
-					out[fi].phase = telemetry.PhaseFailed
+					out[fi].failed = true
 					continue
 				}
 				task := ClimateTask{Slice: si, Source: di, Freq: fi}
@@ -160,13 +119,20 @@ func ComputeClimate(ctx context.Context, spec ClimateSpec, sink func(ClimateTask
 					mean += v
 				}
 				mean /= float64(len(field.TL.Data))
-				out[fi] = fanTask{ClimateTaskResult{Task: task, MeanTL: mean, Elapsed: elapsed}, telemetry.PhaseDone}
+				out[fi].res = ClimateTaskResult{Task: task, MeanTL: mean, Elapsed: elapsed}
 			}
 			return out
 		},
-		Commit: func(f int, tasks []fanTask) error {
-			for fi, t := range tasks {
-				end(f*nf+fi, t)
+		Commit: func(_ int, tasks []fanTask) error {
+			for _, t := range tasks {
+				switch {
+				case t.cancelled:
+					res.Cancelled++
+				case t.failed:
+					res.Failed++
+				default:
+					res.Tasks = append(res.Tasks, t.res)
+				}
 			}
 			return nil
 		},
@@ -176,9 +142,7 @@ func ComputeClimate(ctx context.Context, spec ClimateSpec, sink func(ClimateTask
 		return nil, err
 	}
 	// Fans the pool never dispatched: ctx was cancelled first.
-	for id := n * nf; id < spec.TaskCount(); id++ {
-		end(id, fanTask{phase: telemetry.PhaseCancelled})
-	}
+	res.Cancelled += spec.TaskCount() - n*nf
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

@@ -296,9 +296,9 @@ var mutants = []mutant{
 	{
 		rule: "exhaustenum", file: "internal/telemetry/registry.go",
 		why: "a metric kind added later: the switches drop it silently",
-		old: `	kindHistogram
+		old: `	kindGauge
 )`,
-		new: `	kindHistogram
+		new: `	kindGauge
 	kindSummary
 )`,
 	},
@@ -318,7 +318,7 @@ var mutants = []mutant{
 		rule: "exhaustenum", file: "internal/telemetry/expose.go",
 		why: "gauges vanish from the exposition",
 		old: `		case kindGauge:
-			buf = appendSample(buf, fam.name, "", s.labels, "", s.g.Value())
+			buf = appendSample(buf, fam.name, s.labels, s.g.Value())
 `,
 		new: "",
 		dyn: "TestLabelValueEscaping",

@@ -2,9 +2,9 @@
 // — the capability the paper found missing on the Grid ("This approach
 // gives no easy way for the user to monitor the progress of one's jobs",
 // §5.3.1). A Monitor consumes workflow progress snapshots through the
-// engine's OnProgress hook and serves them over HTTP as JSON
-// (machine-readable) and plain text (forecaster-readable), including a
-// short history for trend display.
+// engine's OnProgress hook and serves them as JSON (machine-readable)
+// and plain text (forecaster-readable), including a short history for
+// trend display, on the same mux as the telemetry endpoints.
 package monitor
 
 import (
@@ -17,9 +17,11 @@ import (
 	"sync"
 	"time"
 
-	"esse/internal/telemetry"
 	"esse/internal/workflow"
 )
+
+// maxHistory is how many snapshots /history keeps.
+const maxHistory = 256
 
 // histEntry pairs a snapshot with the value of the update counter at
 // the moment it arrived, so /history reports true update ordinals even
@@ -35,16 +37,11 @@ type Monitor struct {
 	latest  workflow.Progress
 	history []histEntry
 	updates int64
-	maxHist int
 }
 
-// New returns a monitor keeping up to maxHistory snapshots (default 256
-// when zero).
-func New(maxHistory int) *Monitor {
-	if maxHistory <= 0 {
-		maxHistory = 256
-	}
-	return &Monitor{maxHist: maxHistory}
+// New returns a monitor keeping the newest maxHistory snapshots.
+func New() *Monitor {
+	return &Monitor{}
 }
 
 // Callback returns the function to plug into workflow.Config.OnProgress.
@@ -54,8 +51,8 @@ func (m *Monitor) Callback() func(workflow.Progress) {
 		m.latest = p
 		m.updates++
 		m.history = append(m.history, histEntry{p: p, updates: m.updates})
-		if len(m.history) > m.maxHist {
-			m.history = m.history[len(m.history)-m.maxHist:]
+		if len(m.history) > maxHistory {
+			m.history = m.history[len(m.history)-maxHistory:]
 		}
 		m.mu.Unlock()
 	}
@@ -81,10 +78,9 @@ type statusJSON struct {
 	Updates   int64   `json:"updates"`
 }
 
-// Handler serves GET /status (JSON), GET /status.txt (text) and
-// GET /history (JSON array).
-func (m *Monitor) Handler() http.Handler {
-	mux := http.NewServeMux()
+// Mount registers GET /status (JSON), GET /status.txt (text) and
+// GET /history (JSON array) on mux, beside telemetry's Mount.
+func (m *Monitor) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		p, n := m.Latest()
 		w.Header().Set("Content-Type", "application/json")
@@ -117,16 +113,6 @@ func (m *Monitor) Handler() http.Handler {
 		//esselint:allow errdrop a failed write means the client went away; nothing to do
 		_ = json.NewEncoder(w).Encode(out)
 	})
-	return mux
-}
-
-// HandlerWith serves the monitor endpoints plus tel's /metrics,
-// /events, /trace and /debug/pprof/* on one mux. A nil tel degrades to
-// the plain Handler set.
-func (m *Monitor) HandlerWith(tel *telemetry.Telemetry) http.Handler {
-	mux := m.Handler().(*http.ServeMux)
-	tel.Mount(mux)
-	return mux
 }
 
 // finiteOr returns v, or fallback when v is NaN/±Inf.

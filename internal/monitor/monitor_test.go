@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"esse/internal/core"
 	"esse/internal/linalg"
 	"esse/internal/rng"
+	"esse/internal/telemetry"
 	"esse/internal/workflow"
 )
 
@@ -42,7 +44,7 @@ func runMonitoredEnsemble(t *testing.T, m *Monitor) *workflow.Result {
 }
 
 func TestMonitorReceivesUpdates(t *testing.T) {
-	m := New(0)
+	m := New()
 	res := runMonitoredEnsemble(t, m)
 	p, n := m.Latest()
 	if n == 0 {
@@ -57,7 +59,7 @@ func TestMonitorReceivesUpdates(t *testing.T) {
 }
 
 func TestMonitorHistoryMonotone(t *testing.T) {
-	m := New(0)
+	m := New()
 	runMonitoredEnsemble(t, m)
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -74,28 +76,38 @@ func TestMonitorHistoryMonotone(t *testing.T) {
 }
 
 func TestMonitorHistoryBounded(t *testing.T) {
-	m := New(5)
+	m := New()
 	cb := m.Callback()
-	for i := 0; i < 50; i++ {
+	const updates = maxHistory + 50
+	for i := 0; i < updates; i++ {
 		cb(workflow.Progress{Completed: i})
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if len(m.history) != 5 {
-		t.Fatalf("history length %d, want 5", len(m.history))
+	if len(m.history) != maxHistory {
+		t.Fatalf("history length %d, want %d", len(m.history), maxHistory)
 	}
-	if m.history[4].p.Completed != 49 {
-		t.Fatal("history did not keep the newest snapshots")
-	}
-	if m.history[4].updates != 50 {
-		t.Fatalf("newest history entry carries update %d, want 50", m.history[4].updates)
+	// Entry i is update 51+i of the run: the oldest 50 were dropped, and
+	// each kept entry carries its true ordinal.
+	for i, e := range m.history {
+		if e.p.Completed != 50+i || e.updates != int64(51+i) {
+			t.Fatalf("history[%d] = completed %d, update %d; want %d, %d",
+				i, e.p.Completed, e.updates, 50+i, 51+i)
+		}
 	}
 }
 
+// handler mounts m on a fresh mux.
+func handler(m *Monitor) *http.ServeMux {
+	mux := http.NewServeMux()
+	m.Mount(mux)
+	return mux
+}
+
 func TestStatusEndpoints(t *testing.T) {
-	m := New(0)
+	m := New()
 	runMonitoredEnsemble(t, m)
-	ts := httptest.NewServer(m.Handler())
+	ts := httptest.NewServer(handler(m))
 	defer ts.Close()
 
 	resp, err := ts.Client().Get(ts.URL + "/status")
@@ -152,8 +164,8 @@ func TestFiniteOr(t *testing.T) {
 }
 
 func TestMonitorEmptyStatus(t *testing.T) {
-	m := New(0)
-	ts := httptest.NewServer(m.Handler())
+	m := New()
+	ts := httptest.NewServer(handler(m))
 	defer ts.Close()
 	resp, err := ts.Client().Get(ts.URL + "/status")
 	if err != nil {
@@ -168,9 +180,9 @@ func TestMonitorEmptyStatus(t *testing.T) {
 // rho goes NaN when the ensemble degenerates (§4's convergence ratio);
 // the JSON endpoints must still answer with a document.
 func TestStatusSurvivesNaNRho(t *testing.T) {
-	m := New(0)
+	m := New()
 	m.Callback()(workflow.Progress{Rho: math.NaN()})
-	h := m.Handler()
+	h := handler(m)
 	for _, path := range []string{"/status", "/history"} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
@@ -178,5 +190,43 @@ func TestStatusSurvivesNaNRho(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
 			t.Errorf("%s with rho = NaN: %v (body %q)", path, err, rec.Body.String())
 		}
+	}
+}
+
+// TestOneMux serves the monitor and the telemetry endpoints from one
+// mux, as the -telemetry-addr server of esse-forecast does.
+func TestOneMux(t *testing.T) {
+	m := New()
+	tel := telemetry.New()
+	m.Callback()(workflow.Progress{Completed: 3, Target: 8})
+	tel.Counter("esse_mux_total", "Mounted beside /status.").Inc()
+	mux := http.NewServeMux()
+	tel.Mount(mux)
+	m.Mount(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	get := func(path string) string {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s, %v", path, resp.Status, err)
+		}
+		return string(body)
+	}
+	if body := get("/status"); !strings.Contains(body, `"completed":3,`) {
+		t.Errorf("/status = %q", body)
+	}
+	exp, err := telemetry.ParsePrometheus(strings.NewReader(get("/metrics")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := exp.Value("esse_mux_total"); !ok || v != 1 {
+		t.Errorf("/metrics esse_mux_total = %v, %v", v, ok)
 	}
 }

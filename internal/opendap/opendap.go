@@ -52,8 +52,8 @@ type Server struct {
 
 // Instrument registers the server's byte counter in tel and arms the
 // telemetry middleware Handler wraps around each route, which counts
-// and times requests per route. Call it before Handler; a nil tel is a
-// no-op.
+// requests per route and opens a span per request. Call it before
+// Handler; a nil tel is a no-op.
 func (s *Server) Instrument(tel *telemetry.Telemetry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -82,8 +82,8 @@ func (s *Server) Stats() (requests, bytes int64) {
 
 // Handler returns the HTTP handler implementing the protocol. When the
 // server is instrumented, every route runs behind the telemetry
-// middleware (a span, a request count and a latency histogram per
-// route). Uninstrumented, the routes are served bare.
+// middleware (a span per request, whose duration is its latency, and a
+// request count per route). Uninstrumented, the routes are served bare.
 func (s *Server) Handler() http.Handler {
 	s.mu.RLock()
 	tel := s.tel

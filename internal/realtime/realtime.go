@@ -299,7 +299,6 @@ func (s *System) RunCycle(ctx context.Context) (*CycleResult, error) {
 	// its perturb/forecast phases) parents back to it.
 	ctx, cycleSpan := tel.SpanCtx(ctx, "realtime", "cycle", int64(k), 0)
 	defer cycleSpan.End()
-	cycleStart := time.Now()
 
 	var truthAtStart []float64
 	if s.Cfg.Smooth {
@@ -453,12 +452,6 @@ func (s *System) RunCycle(ctx context.Context) (*CycleResult, error) {
 	res.Forecaster = time.Since(forecasterStart)
 
 	tel.Counter("esse_realtime_cycles_total", "Completed forecast/assimilation cycles.").Inc()
-	tel.Histogram("esse_realtime_cycle_seconds", "Wall-clock duration of one full cycle.", nil).
-		Observe(time.Since(cycleStart).Seconds())
-	tel.Gauge("esse_realtime_rmse_temperature", "Temperature RMSE against truth for the last cycle.", "stage", "forecast").
-		Set(res.RMSEForecastT)
-	tel.Gauge("esse_realtime_rmse_temperature", "Temperature RMSE against truth for the last cycle.", "stage", "analysis").
-		Set(res.RMSEAnalysisT)
 	tel.Emit("cycle", k, 0, telemetry.PhaseDone)
 	return res, nil
 }

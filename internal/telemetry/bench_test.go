@@ -38,24 +38,6 @@ func BenchmarkGaugeSet(b *testing.B) {
 	}
 }
 
-func BenchmarkHistogramObserve(b *testing.B) {
-	h := New().Histogram("esse_bench_seconds", "", nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i%16) * 0.1)
-	}
-}
-
-func BenchmarkHistogramObserveDisabled(b *testing.B) {
-	var h *Histogram
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Observe(0.1)
-	}
-}
-
 func BenchmarkEventLogEmit(b *testing.B) {
 	l := NewEventLog(0)
 	b.ReportAllocs()
@@ -128,7 +110,6 @@ func BenchmarkWritePrometheus(b *testing.B) {
 	tel := New()
 	tel.Counter("esse_bench_scrape_total", "C.", "outcome", "done").Add(3)
 	tel.Gauge("esse_bench_scrape_gauge", "G.").Set(1.5)
-	tel.Histogram("esse_bench_scrape_seconds", "H.", nil).Observe(0.2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

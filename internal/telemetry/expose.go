@@ -52,40 +52,20 @@ func appendFamily(buf []byte, fam *family) []byte {
 	for _, s := range fam.ordered {
 		switch fam.kind {
 		case kindCounter:
-			buf = appendSample(buf, fam.name, "", s.labels, "", float64(s.c.Value()))
+			buf = appendSample(buf, fam.name, s.labels, float64(s.c.Value()))
 		case kindGauge:
-			buf = appendSample(buf, fam.name, "", s.labels, "", s.g.Value())
-		case kindHistogram:
-			cum := uint64(0)
-			for i := range s.h.upper {
-				cum += s.h.counts[i].Load()
-				buf = appendSample(buf, fam.name, "_bucket", s.labels,
-					formatFloat(s.h.upper[i]), float64(cum))
-			}
-			cum += s.h.inf.Load()
-			buf = appendSample(buf, fam.name, "_bucket", s.labels, "+Inf", float64(cum))
-			buf = appendSample(buf, fam.name, "_sum", s.labels, "", s.h.Sum())
-			buf = appendSample(buf, fam.name, "_count", s.labels, "", float64(s.h.Count()))
+			buf = appendSample(buf, fam.name, s.labels, s.g.Value())
 		}
 	}
 	return buf
 }
 
-// appendSample renders one `name[suffix]{labels[,le="..."]} value` line.
-func appendSample(buf []byte, name, suffix, labels, le string, value float64) []byte {
+// appendSample renders one `name[{labels}] value` line.
+func appendSample(buf []byte, name, labels string, value float64) []byte {
 	buf = append(buf, name...)
-	buf = append(buf, suffix...)
-	if labels != "" || le != "" {
+	if labels != "" {
 		buf = append(buf, '{')
 		buf = append(buf, labels...)
-		if le != "" {
-			if labels != "" {
-				buf = append(buf, ',')
-			}
-			buf = append(buf, "le=\""...)
-			buf = append(buf, le...)
-			buf = append(buf, '"')
-		}
 		buf = append(buf, '}')
 	}
 	buf = append(buf, ' ')
@@ -108,10 +88,6 @@ func appendEscapedHelp(dst []byte, s string) []byte {
 		}
 	}
 	return dst
-}
-
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // unescapeHelp inverts appendEscapedHelp. Unknown escapes are kept

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -25,10 +24,6 @@ func TestExpositionRoundTrip(t *testing.T) {
 	r.Counter("esse_rt_total", "Counted things.", "outcome", "failed").Add(1)
 	r.Gauge("esse_rt_gauge", `Help with \ backslash and
 newline.`).Set(-2.25)
-	h := r.Histogram("esse_rt_seconds", "Latencies.", []float64{0.1, 1, 10})
-	for _, v := range []float64{0.05, 0.5, 5, 50} {
-		h.Observe(v)
-	}
 
 	text := scrapeString(t, r)
 	exp, err := ParsePrometheus(strings.NewReader(text))
@@ -44,12 +39,9 @@ newline.`).Set(-2.25)
 	}
 
 	// The parse sees the structure, not just the bytes.
-	fam := exp.Family("esse_rt_seconds")
-	if fam == nil || fam.Type != "histogram" || fam.Help != "Latencies." {
-		t.Fatalf("histogram family = %+v", fam)
-	}
-	if n := len(fam.Samples); n != 6 { // 4 buckets (incl +Inf) + sum + count
-		t.Fatalf("histogram samples = %d, want 6", n)
+	fam := exp.Family("esse_rt_total")
+	if fam == nil || fam.Type != "counter" || fam.Help != "Counted things." || len(fam.Samples) != 2 {
+		t.Fatalf("counter family = %+v", fam)
 	}
 	g := exp.Family("esse_rt_gauge")
 	if g == nil || g.Help != "Help with \\ backslash and\nnewline." {
@@ -60,10 +52,6 @@ newline.`).Set(-2.25)
 func TestExpositionValues(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("esse_v_total", "", "outcome", "done").Add(7)
-	h := r.Histogram("esse_v_seconds", "", []float64{1, 2})
-	h.Observe(0.5)
-	h.Observe(1.5)
-	h.Observe(9)
 
 	exp, err := ParsePrometheus(strings.NewReader(scrapeString(t, r)))
 	if err != nil {
@@ -71,22 +59,6 @@ func TestExpositionValues(t *testing.T) {
 	}
 	if v, ok := exp.Value("esse_v_total", "outcome", "done"); !ok || v != 7 {
 		t.Fatalf("counter value = %v, %v", v, ok)
-	}
-	// Histogram buckets are cumulative and end at +Inf == count.
-	if v, ok := exp.Value("esse_v_seconds_bucket", "le", "1"); !ok || v != 1 {
-		t.Fatalf("le=1 bucket = %v, %v", v, ok)
-	}
-	if v, ok := exp.Value("esse_v_seconds_bucket", "le", "2"); !ok || v != 2 {
-		t.Fatalf("le=2 bucket = %v, %v", v, ok)
-	}
-	if v, ok := exp.Value("esse_v_seconds_bucket", "le", "+Inf"); !ok || v != 3 {
-		t.Fatalf("+Inf bucket = %v, %v", v, ok)
-	}
-	if v, ok := exp.Value("esse_v_seconds_count"); !ok || v != 3 {
-		t.Fatalf("count = %v, %v", v, ok)
-	}
-	if v, ok := exp.Value("esse_v_seconds_sum"); !ok || v != 11 {
-		t.Fatalf("sum = %v, %v", v, ok)
 	}
 	if _, ok := exp.Value("esse_v_total"); ok {
 		t.Fatal("label-less lookup must not match the labelled series")
@@ -140,41 +112,5 @@ func TestParsePrometheusErrors(t *testing.T) {
 		if _, err := ParsePrometheus(strings.NewReader(text)); err != nil {
 			t.Errorf("ParsePrometheus(%q): %v", text, err)
 		}
-	}
-}
-
-// TestHistogramBucketOrdering checks the exposition's cumulative-bucket
-// invariant on the default layout.
-func TestHistogramBucketOrdering(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("esse_def_seconds", "", nil)
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i) * 0.17)
-	}
-	exp, err := ParsePrometheus(strings.NewReader(scrapeString(t, r)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fam := exp.Family("esse_def_seconds")
-	if fam == nil {
-		t.Fatal("family missing")
-	}
-	prev := -1.0
-	buckets := 0
-	for _, s := range fam.Samples {
-		if s.Name != "esse_def_seconds_bucket" {
-			continue
-		}
-		buckets++
-		if s.Value < prev {
-			t.Fatalf("bucket counts not cumulative: %v after %v", s.Value, prev)
-		}
-		prev = s.Value
-	}
-	if buckets != len(DefBuckets)+1 {
-		t.Fatalf("bucket samples = %d, want %d", buckets, len(DefBuckets)+1)
-	}
-	if math.Abs(prev-100) > 0 {
-		t.Fatalf("+Inf bucket = %v, want 100", prev)
 	}
 }

@@ -13,7 +13,8 @@ import (
 // preserving every sample.
 func FuzzParsePrometheus(f *testing.F) {
 	seeds := []string{
-		// The shapes WritePrometheus emits.
+		// The shapes WritePrometheus emits, and a histogram as other
+		// exporters write one.
 		"# HELP up Whether the target is up.\n# TYPE up gauge\nup 1\n",
 		"# TYPE reqs counter\nreqs{method=\"get\",code=\"200\"} 1027\nreqs{method=\"post\"} 3\n",
 		"# TYPE lat histogram\nlat_bucket{le=\"0.1\"} 3\nlat_bucket{le=\"+Inf\"} 5\nlat_sum 0.8\nlat_count 5\n",

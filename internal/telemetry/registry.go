@@ -8,10 +8,6 @@ import (
 	"sync/atomic"
 )
 
-// DefBuckets is the default histogram bucket layout (seconds), a
-// latency-shaped geometric ladder matching the Prometheus default.
-var DefBuckets = []float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-
 // Counter is a monotonically increasing series. The nil *Counter is a
 // no-op, so disabled telemetry costs one predictable branch.
 type Counter struct {
@@ -59,66 +55,11 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram counts observations into a fixed, sorted set of upper
-// bounds plus the implicit +Inf bucket, tracking sum and count. All
-// updates are atomic; Observe never allocates. The nil *Histogram is a
-// no-op.
-type Histogram struct {
-	upper   []float64 // strictly ascending; excludes +Inf
-	counts  []atomic.Uint64
-	inf     atomic.Uint64
-	sumBits atomic.Uint64
-	count   atomic.Uint64
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	placed := false
-	for i := range h.upper {
-		if v <= h.upper[i] {
-			h.counts[i].Add(1)
-			placed = true
-			break
-		}
-	}
-	if !placed {
-		h.inf.Add(1)
-	}
-	for {
-		old := h.sumBits.Load()
-		want := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, want) {
-			break
-		}
-	}
-	h.count.Add(1)
-}
-
-// Count returns the number of observations (0 on the nil histogram).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observations (0 on the nil histogram).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
 type metricKind uint8
 
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindHistogram
 )
 
 func (k metricKind) String() string {
@@ -127,8 +68,6 @@ func (k metricKind) String() string {
 		return "counter"
 	case kindGauge:
 		return "gauge"
-	case kindHistogram:
-		return "histogram"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -139,20 +78,18 @@ type series struct {
 	labels string // rendered `k="v",k2="v2"` form, "" for unlabelled
 	c      *Counter
 	g      *Gauge
-	h      *Histogram
 }
 
 // family is one metric name: a help string, a kind and its series.
 type family struct {
 	name, help string
 	kind       metricKind
-	buckets    []float64 // histograms only
 	byLabel    map[string]*series
 	ordered    []*series // sorted by labels, maintained on insert
 }
 
-// Registry holds metric families. Registration (Counter/Gauge/
-// Histogram) takes the registry lock and may allocate; the returned
+// Registry holds metric families. Registration (Counter/Gauge) takes
+// the registry lock and may allocate; the returned
 // handles update lock-free. The nil *Registry hands out nil handles,
 // making the whole disabled path allocation-free.
 type Registry struct {
@@ -174,7 +111,7 @@ func (r *Registry) Counter(name, help string, labelKV ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	s := r.getOrCreate(name, help, kindCounter, nil, labelKV)
+	s := r.getOrCreate(name, help, kindCounter, labelKV)
 	return s.c
 }
 
@@ -183,23 +120,11 @@ func (r *Registry) Gauge(name, help string, labelKV ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	s := r.getOrCreate(name, help, kindGauge, nil, labelKV)
+	s := r.getOrCreate(name, help, kindGauge, labelKV)
 	return s.g
 }
 
-// Histogram registers (or fetches) a histogram series with the given
-// upper bucket bounds (strictly ascending, +Inf implicit; nil selects
-// DefBuckets). Bounds are fixed per family: a second registration must
-// repeat them or pass nil to reuse the family's existing layout.
-func (r *Registry) Histogram(name, help string, buckets []float64, labelKV ...string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	s := r.getOrCreate(name, help, kindHistogram, buckets, labelKV)
-	return s.h
-}
-
-func (r *Registry) getOrCreate(name, help string, kind metricKind, buckets []float64, labelKV []string) *series {
+func (r *Registry) getOrCreate(name, help string, kind metricKind, labelKV []string) *series {
 	if !validMetricName(name) {
 		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
 	}
@@ -208,13 +133,7 @@ func (r *Registry) getOrCreate(name, help string, kind metricKind, buckets []flo
 	defer r.mu.Unlock()
 	fam := r.families[name]
 	if fam == nil {
-		if kind == kindHistogram {
-			if buckets == nil {
-				buckets = DefBuckets
-			}
-			validateBuckets(name, buckets)
-		}
-		fam = &family{name: name, help: help, kind: kind, buckets: buckets, byLabel: map[string]*series{}}
+		fam = &family{name: name, help: help, kind: kind, byLabel: map[string]*series{}}
 		r.families[name] = fam
 		i := sort.SearchStrings(r.names, name)
 		r.names = append(r.names, "")
@@ -223,9 +142,6 @@ func (r *Registry) getOrCreate(name, help string, kind metricKind, buckets []flo
 	}
 	if fam.kind != kind {
 		panic(fmt.Sprintf("telemetry: metric %q registered as %v, requested as %v", name, fam.kind, kind))
-	}
-	if kind == kindHistogram && buckets != nil && !sameBuckets(fam.buckets, buckets) {
-		panic(fmt.Sprintf("telemetry: metric %q re-registered with different buckets", name))
 	}
 	if s := fam.byLabel[labels]; s != nil {
 		return s
@@ -236,11 +152,6 @@ func (r *Registry) getOrCreate(name, help string, kind metricKind, buckets []flo
 		s.c = &Counter{}
 	case kindGauge:
 		s.g = &Gauge{}
-	case kindHistogram:
-		s.h = &Histogram{
-			upper:  fam.buckets,
-			counts: make([]atomic.Uint64, len(fam.buckets)),
-		}
 	}
 	fam.byLabel[labels] = s
 	i := sort.Search(len(fam.ordered), func(i int) bool { return fam.ordered[i].labels >= labels })
@@ -318,7 +229,7 @@ func validMetricName(s string) bool {
 }
 
 func validLabelKey(s string) bool {
-	if s == "" || s == "le" { // reserved for histogram buckets
+	if s == "" || s == "le" { // Prometheus reserves le for histogram buckets
 		return false
 	}
 	for i := 0; i < len(s); i++ {
@@ -327,33 +238,6 @@ func validLabelKey(s string) bool {
 			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
 			(i > 0 && c >= '0' && c <= '9')
 		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func validateBuckets(name string, buckets []float64) {
-	if len(buckets) == 0 {
-		panic(fmt.Sprintf("telemetry: histogram %q needs at least one bucket", name))
-	}
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i] <= buckets[i-1] {
-			panic(fmt.Sprintf("telemetry: histogram %q buckets not strictly ascending", name))
-		}
-	}
-	if math.IsInf(buckets[len(buckets)-1], +1) {
-		panic(fmt.Sprintf("telemetry: histogram %q must not list +Inf explicitly", name))
-	}
-}
-
-func sameBuckets(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		//esselint:allow floatcmp bucket bounds are configuration constants compared for identity, not computed values
-		if a[i] != b[i] {
 			return false
 		}
 	}

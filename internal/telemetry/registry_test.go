@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeHistogramBasics(t *testing.T) {
+func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 
 	c := r.Counter("esse_test_total", "A counter.")
@@ -25,17 +25,6 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 	g.Set(2.5)
 	if got := g.Value(); got != 2.5 {
 		t.Fatalf("gauge = %v, want 2.5", got)
-	}
-
-	h := r.Histogram("esse_test_seconds", "A histogram.", []float64{1, 2, 4})
-	for _, v := range []float64{0.5, 1.5, 3, 100} {
-		h.Observe(v)
-	}
-	if h.Count() != 4 {
-		t.Fatalf("count = %d, want 4", h.Count())
-	}
-	if h.Sum() != 105 {
-		t.Fatalf("sum = %v, want 105", h.Sum())
 	}
 
 	// Distinct label values are distinct series of one family.
@@ -55,15 +44,13 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "nil registry hands out nil handles")
 	g := r.Gauge("x", "")
-	h := r.Histogram("x_seconds", "", nil)
-	if c != nil || g != nil || h != nil {
+	if c != nil || g != nil {
 		t.Fatal("nil registry must return nil handles")
 	}
 	c.Inc()
 	c.Add(7)
 	g.Set(1)
-	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || g.Value() != 0 {
 		t.Fatal("nil handles must read zero")
 	}
 	var sb strings.Builder
@@ -77,7 +64,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	}
 	tel.Counter("x_total", "").Inc()
 	tel.Gauge("x", "").Set(1)
-	tel.Histogram("x_seconds", "", nil).Observe(1)
 	tel.Emit("task", 0, 0, PhaseDone)
 	sp := tel.Span("cat", "name", -1, 0)
 	sp.End()
@@ -108,14 +94,6 @@ func TestRegistrationMisusePanics(t *testing.T) {
 
 	r.Counter("x_total", "")
 	mustPanic(t, "registered as counter", func() { r.Gauge("x_total", "") })
-
-	r.Histogram("h_seconds", "", []float64{1, 2})
-	mustPanic(t, "different buckets", func() { r.Histogram("h_seconds", "", []float64{1, 3}) })
-	if h := r.Histogram("h_seconds", "", nil); h == nil {
-		t.Fatal("nil buckets must reuse the family's layout")
-	}
-	mustPanic(t, "at least one bucket", func() { r.Histogram("h2_seconds", "", []float64{}) })
-	mustPanic(t, "strictly ascending", func() { r.Histogram("h3_seconds", "", []float64{2, 2}) })
 }
 
 // TestConcurrentUpdatesAndScrapes exercises the registry under the race
@@ -125,7 +103,6 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	tel := New()
 	c := tel.Counter("esse_race_total", "Racing counter.")
 	g := tel.Gauge("esse_race_gauge", "Racing gauge.")
-	h := tel.Histogram("esse_race_seconds", "Racing histogram.", nil)
 
 	const writers, iters, scrapes = 8, 2000, 50
 	var wg sync.WaitGroup
@@ -136,7 +113,6 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				c.Inc()
 				g.Set(float64(i))
-				h.Observe(float64(i%7) * 0.1)
 				tel.Emit("race", i, 0, PhaseDone)
 				// Registration of an existing series must also be safe
 				// concurrently with scrapes.
@@ -164,9 +140,6 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	if got := c.Value(); got != writers*iters {
 		t.Fatalf("counter = %d, want %d", got, writers*iters)
 	}
-	if got := h.Count(); got != writers*iters {
-		t.Fatalf("histogram count = %d, want %d", got, writers*iters)
-	}
 	// Every writer's last Set is iters-1, and so is the last Set of all.
 	if got := g.Value(); got != iters-1 {
 		t.Fatalf("gauge = %v, want %d", got, iters-1)
@@ -180,7 +153,6 @@ func TestDisabledPathAllocations(t *testing.T) {
 	var tel *Telemetry
 	var c *Counter
 	var g *Gauge
-	var h *Histogram
 	var l *EventLog
 
 	pin := func(name string, want float64, f func()) {
@@ -191,7 +163,6 @@ func TestDisabledPathAllocations(t *testing.T) {
 	}
 	pin("nil Counter.Add", 0, func() { c.Add(1) })
 	pin("nil Gauge.Set", 0, func() { g.Set(1) })
-	pin("nil Histogram.Observe", 0, func() { h.Observe(1) })
 	pin("nil EventLog.Emit", 0, func() { l.Emit("member", 3, 0, PhaseRunning) })
 	pin("nil Telemetry.Emit", 0, func() { tel.Emit("member", 3, 0, PhaseRunning) })
 	pin("nil Telemetry.Span", 0, func() {
@@ -209,15 +180,13 @@ func TestDisabledPathAllocations(t *testing.T) {
 	on := New()
 	ec := on.Counter("esse_alloc_total", "")
 	eg := on.Gauge("esse_alloc_gauge", "")
-	eh := on.Histogram("esse_alloc_seconds", "", nil)
 	pin("enabled Counter.Add", 0, func() { ec.Add(1) })
 	pin("enabled Gauge.Set", 0, func() { eg.Set(2) })
-	pin("enabled Histogram.Observe", 0, func() { eh.Observe(0.3) })
 	pin("enabled EventLog.Emit", 0, func() { on.Emit("member", 3, 0, PhaseRunning) })
 
 	// The rest of the enabled path costs a fixed count: the context that
 	// carries a span (its node and the boxed Span) and the exposition of
-	// three series.
+	// two series.
 	pin("enabled Telemetry.SpanCtx", 2, func() {
 		_, sp := on.SpanCtx(ctx, "workflow", "member", 3, 1)
 		sp.End()
@@ -225,8 +194,7 @@ func TestDisabledPathAllocations(t *testing.T) {
 	scrape := New()
 	scrape.Counter("esse_bench_scrape_total", "C.", "outcome", "done").Add(3)
 	scrape.Gauge("esse_bench_scrape_gauge", "G.").Set(1.5)
-	scrape.Histogram("esse_bench_scrape_seconds", "H.", nil).Observe(0.2)
-	pin("WritePrometheus", 12, func() {
+	pin("WritePrometheus", 1, func() {
 		if err := scrape.Registry().WritePrometheus(io.Discard); err != nil {
 			t.Fatal(err)
 		}

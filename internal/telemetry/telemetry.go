@@ -7,25 +7,26 @@
 //
 // It bundles four facilities, all stdlib-only:
 //
-//   - a metrics Registry (registry.go): atomic counters, gauges and
-//     fixed-bucket histograms with constant, sorted label sets, exposed
-//     in Prometheus text format at /metrics (expose.go);
+//   - a metrics Registry (registry.go): atomic counters and gauges with
+//     constant, sorted label sets, exposed in Prometheus text format at
+//     /metrics (expose.go);
 //   - a per-task lifecycle EventLog (events.go): a bounded ring of
 //     queued → dispatched → running → retried → done/failed/cancelled
-//     transitions emitted by the workflow engine, the realtime driver
-//     and the acoustic climate pool, served at /events;
+//     transitions emitted by the workflow engine and the realtime
+//     driver, served at /events;
 //   - a wall-clock span Tracer (spans.go) exporting Chrome trace-event
 //     JSON (load it in chrome://tracing or https://ui.perfetto.dev) so
 //     an actual run renders as the MTC task Gantt of the paper's
-//     Fig. 1. It is the one clock of this package: paper (ocean) time
-//     is data on realtime's cycle results, which realtime converts
-//     into trace rows of their own;
+//     Fig. 1. It is the one clock of this package: a duration is a
+//     span, never a metric, and paper (ocean) time is data on
+//     realtime's cycle results, which realtime converts into trace
+//     rows of their own;
 //   - a runtime/metrics sampler (runtime.go) publishing heap bytes, GC
 //     activity and goroutine counts as gauges, plus net/http/pprof
 //     mounted next to the other endpoints (http.go).
 //
 // The zero value of every handle is a no-op: a nil *Telemetry (and the
-// nil *Counter/*Gauge/*Histogram/*EventLog/*Tracer handles it yields)
+// nil *Counter/*Gauge/*EventLog/*Tracer handles it yields)
 // can be threaded through the hot paths unconditionally. The disabled
 // path performs zero allocations — testing.AllocsPerRun pins this —
 // so instrumentation stays resident in the engine with no tax when
@@ -88,12 +89,6 @@ func (t *Telemetry) Counter(name, help string, labelKV ...string) *Counter {
 // Gauge registers (or fetches) a gauge series. Nil-safe.
 func (t *Telemetry) Gauge(name, help string, labelKV ...string) *Gauge {
 	return t.Registry().Gauge(name, help, labelKV...)
-}
-
-// Histogram registers (or fetches) a fixed-bucket histogram series.
-// A nil buckets slice selects DefBuckets. Nil-safe.
-func (t *Telemetry) Histogram(name, help string, buckets []float64, labelKV ...string) *Histogram {
-	return t.Registry().Histogram(name, help, buckets, labelKV...)
 }
 
 // Emit records one lifecycle event. Nil-safe and allocation-free.

@@ -216,7 +216,6 @@ func growTarget(cur int, cfg *Config) int {
 type memberDone struct {
 	state []float64
 	err   error
-	wall  time.Duration
 }
 
 // RunParallel executes the many-task (Fig. 4) ESSE workflow: a pool of
@@ -279,8 +278,6 @@ func run(ctx context.Context, cfg Config, central []float64, runner MemberRunner
 	cMembersCancelled := tel.Counter("esse_workflow_members_total", "Ensemble members by final outcome.", "outcome", "cancelled")
 	cRetries := tel.Counter("esse_workflow_retries_total", "Member attempts that failed and were retried.")
 	cSVDRounds := tel.Counter("esse_workflow_svd_rounds_total", "SVD/convergence stage executions.")
-	hMemberSec := tel.Histogram("esse_workflow_member_seconds", "Wall-clock duration of one ensemble member forecast.", nil)
-	hSVDSec := tel.Histogram("esse_workflow_svd_seconds", "Wall-clock duration of one SVD/convergence round.", nil)
 	gTarget := tel.Gauge("esse_workflow_target_members", "Current ensemble size target.")
 	gTarget.Set(float64(cfg.InitialSize))
 
@@ -290,14 +287,13 @@ func run(ctx context.Context, cfg Config, central []float64, runner MemberRunner
 		Workers: cfg.Workers,
 		Phase:   func(idx int, ph telemetry.Phase) { tel.Emit("member", idx, 0, ph) },
 		Task: func(ctx context.Context, lane int64, idx int) memberDone {
-			t0 := time.Now()
 			// The member span carries the worker's lane and rides the
 			// context into the runner, so phase spans the runner opens
 			// (perturb, forecast) land on the same lane as children.
 			mctx, sp := tel.SpanCtx(ctx, "workflow", "member", int64(idx), lane)
 			state, err := runWithRetries(mctx, cfg.Retries, idx, runner, tel, cRetries)
 			sp.End()
-			return memberDone{state: state, err: err, wall: time.Since(t0)}
+			return memberDone{state: state, err: err}
 		},
 	}
 	target := cfg.InitialSize
@@ -314,8 +310,6 @@ func run(ctx context.Context, cfg Config, central []float64, runner MemberRunner
 		// the caller's span; SpanCtx uses the context only for lineage.
 		_, sp := tel.SpanCtx(ctx, "workflow", "svd", int64(res.SVDRounds), 0)
 		defer sp.End()
-		svdStart := time.Now()
-		defer func() { hSVDSec.Observe(time.Since(svdStart).Seconds()) }()
 		// The round reads the accumulator's columns in place: the tracker
 		// reads only the new ones against the rest.
 		cols, indices := acc.Columns(), acc.Indices()
@@ -377,7 +371,6 @@ func run(ctx context.Context, cfg Config, central []float64, runner MemberRunner
 			}
 			res.MembersUsed++
 			cMembersDone.Inc()
-			hMemberSec.Observe(done.wall.Seconds())
 			tel.Emit("member", idx, 0, telemetry.PhaseDone)
 		}
 

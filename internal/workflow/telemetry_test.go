@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -77,10 +78,6 @@ func TestRunParallelTelemetry(t *testing.T) {
 			if got := reg.Counter("esse_workflow_svd_rounds_total", "SVD/convergence stage executions.").Value(); got != uint64(res.SVDRounds) {
 				t.Fatalf("svd counter = %d, SVDRounds = %d", got, res.SVDRounds)
 			}
-			h := reg.Histogram("esse_workflow_member_seconds", "Wall-clock duration of one ensemble member forecast.", nil)
-			if h.Count() != uint64(res.MembersUsed) {
-				t.Fatalf("member histogram count = %d, want %d", h.Count(), res.MembersUsed)
-			}
 
 			// Spans: one per completed member plus one per SVD round.
 			if got := tel.Tracer().Len(); got < res.MembersUsed+res.SVDRounds {
@@ -98,6 +95,17 @@ func TestRunParallelTelemetry(t *testing.T) {
 			}
 			if v, ok := exp.Value("esse_workflow_target_members"); !ok || v < float64(cfg.InitialSize) {
 				t.Fatalf("target gauge = %v, %v", v, ok)
+			}
+			// Exactly the families DESIGN §8 tables for the engine: one
+			// with no reader cannot come back unnoticed.
+			var names []string
+			for _, f := range exp.Families {
+				names = append(names, f.Name)
+			}
+			want := []string{"esse_workflow_members_total", "esse_workflow_retries_total",
+				"esse_workflow_svd_rounds_total", "esse_workflow_target_members"}
+			if !slices.Equal(names, want) {
+				t.Fatalf("engine families = %v, want %v", names, want)
 			}
 		})
 	}

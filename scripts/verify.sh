@@ -12,8 +12,10 @@ cd "$(dirname "$0")/.."
 echo "==> go build ./..."
 go build ./...
 
-echo "==> go run scripts/unlinked.go (report only: function lines under internal/ that no binary links)"
-go run scripts/unlinked.go | grep -v '\.go:'
+echo "==> go run scripts/unlinked.go (function lines under internal/ that no binary links; fails above its ceiling)"
+# The output is captured first: a pipe would hide the script's exit status.
+unlinked=$(go run scripts/unlinked.go) || { printf '%s\n' "$unlinked" | grep -v '\.go:'; exit 1; }
+printf '%s\n' "$unlinked" | grep -v '\.go:'
 
 echo "==> go vet ./..."
 go vet ./...
