@@ -56,7 +56,7 @@ lint:
 # lint-self is the self-hosting gate: the analyzers must pass over
 # their own implementation (a lint suite that trips its own error,
 # float or lock rules has no business enforcing them). -stats prints
-# per-analyzer wall time and findings and the obligation count.
+# per-analyzer wall time and findings.
 lint-self:
 	$(GO) run ./cmd/esselint -vet=false -stats ./internal/lint/... ./cmd/esselint/...
 

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -87,8 +88,6 @@ func main() {
 		lg.Info("tracing enabled", "trace_id", tel.Tracer().TraceID().String(), "seed", *seed)
 	}
 	if *telAddr != "" {
-		sampler := telemetry.StartRuntimeSampler(tel, 0)
-		defer sampler.Stop()
 		// One server: live ensemble progress beside the telemetry.
 		mon := monitor.New()
 		cfg.Ensemble.OnProgress = mon.Callback()
@@ -175,16 +174,10 @@ func main() {
 		// trace second per ocean second) in one Chrome trace file.
 		events := tel.Tracer().ChromeEvents()
 		events = append(events, realtime.TimelineEvents(results, time.Second)...)
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			lg.Error("creating trace file failed", "path", *traceOut, "err", err.Error())
-			os.Exit(1)
-		}
-		if err := telemetry.WriteChromeTrace(f, events); err == nil {
-			err = f.Close()
-		} else {
-			// The write error takes precedence over close.
-			f.Close()
+		var buf bytes.Buffer
+		err := telemetry.WriteChromeTrace(&buf, events)
+		if err == nil {
+			err = os.WriteFile(*traceOut, buf.Bytes(), 0o644)
 		}
 		if err != nil {
 			lg.Error("writing trace failed", "path", *traceOut, "err", err.Error())

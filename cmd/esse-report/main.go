@@ -63,17 +63,13 @@ func main() {
 		fmt.Print(forensics.RenderText(d))
 	}
 	if *out != "" && *out != "-" {
-		f, err := os.Create(*out)
+		var buf bytes.Buffer
+		err := forensics.WriteDigest(&buf, d)
+		if err == nil {
+			err = os.WriteFile(*out, buf.Bytes(), 0o644)
+		}
 		if err != nil {
-			lg.Error("creating digest file failed", "path", *out, "err", err.Error())
-			os.Exit(1)
-		}
-		werr := forensics.WriteDigest(f, d)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			lg.Error("writing digest failed", "path", *out, "err", werr.Error())
+			lg.Error("writing digest failed", "path", *out, "err", err.Error())
 			os.Exit(1)
 		}
 	}

@@ -58,7 +58,7 @@ func TestErrorLinesAreWellFormed(t *testing.T) {
 		{"parsing events failed", []string{"-trace", good, "-events", garbage}},
 		{"loading metrics failed", []string{"-trace", good, "-metrics", missing}},
 		{"parsing metrics failed", []string{"-trace", good, "-metrics", garbage}},
-		{"creating digest file failed", []string{"-trace", good, "-out", filepath.Join(missing, "d.json")}},
+		{"writing digest failed", []string{"-trace", good, "-out", filepath.Join(missing, "d.json")}},
 		{"writing digest failed", []string{"-trace", good, "-out", "/dev/full"}},
 		{"strict: span tree is empty", []string{"-trace", empty, "-strict"}},
 		{"strict: orphan spans present", []string{"-trace", orphan, "-strict"}},

@@ -1,5 +1,5 @@
 // Command esselint runs the repository's custom error-handling,
-// numerical-safety, lock and resource analyzers (see esse/internal/lint)
+// numerical-safety, atomic, lock and enum analyzers (see esse/internal/lint)
 // over the given package patterns, bundled with the stock `go vet`
 // passes, and exits non-zero on any finding:
 //
@@ -32,12 +32,11 @@ type jsonDiag struct {
 	Suppressed bool   `json:"suppressed"`
 }
 
-// statsJSON is the artifact form of one run's stats (-stats-json): the
-// obligation count and per-analyzer wall times, written as a single
-// JSON object so CI can diff analyzer cost across runs.
+// statsJSON is the artifact form of one run's stats (-stats-json):
+// per-analyzer wall times and findings, written as a single JSON object
+// so CI can diff analyzer cost across runs.
 type statsJSON struct {
-	Obligations int                `json:"obligations"`
-	Analyzers   []analyzerStatJSON `json:"analyzers"`
+	Analyzers []analyzerStatJSON `json:"analyzers"`
 }
 
 type analyzerStatJSON struct {
@@ -52,11 +51,11 @@ func main() {
 	list := flag.Bool("list", false, "list the analyzers in the suite and exit")
 	jsonOut := flag.Bool("json", false, "emit one JSON object per diagnostic (including suppressed ones) instead of text")
 	audit := flag.Bool("audit", false, "list every //esselint:allow[file] directive; exit non-zero on directives with no reason or an unknown analyzer")
-	stats := flag.Bool("stats", false, "print per-analyzer wall time and findings and the obligation count to stderr after the run")
-	statsJSONPath := flag.String("stats-json", "", "write the obligation count and per-analyzer wall times as a JSON object to this file")
+	stats := flag.Bool("stats", false, "print per-analyzer wall time and findings to stderr after the run")
+	statsJSONPath := flag.String("stats-json", "", "write per-analyzer wall times and findings as a JSON object to this file")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: esselint [flags] [package patterns]\n\n")
-		fmt.Fprintf(os.Stderr, "Runs the ESSE error, float, atomic, lock, enum and resource analyzers (default patterns: ./...).\n\n")
+		fmt.Fprintf(os.Stderr, "Runs the ESSE error, float, atomic, lock and enum analyzers (default patterns: ./...).\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -144,9 +143,8 @@ func main() {
 // printStats reports where the run spent its time, so analyzer
 // slowdowns show up in CI logs instead of silently stretching the
 // verify stage.
-func printStats(s *lint.RunStats) {
-	fmt.Fprintf(os.Stderr, "esselint: stats: lifecycle facts: %d obligations tracked\n", s.Obligations)
-	for _, a := range s.Analyzers {
+func printStats(s []lint.AnalyzerStats) {
+	for _, a := range s {
 		fmt.Fprintf(os.Stderr, "esselint: stats: %-16s %10v  findings=%d suppressed=%d\n",
 			a.Name, a.Wall.Round(time.Microsecond), a.Findings, a.Suppressed)
 	}
@@ -154,9 +152,9 @@ func printStats(s *lint.RunStats) {
 
 // writeStatsJSON writes the run's stats as one JSON object, the CI
 // analyzer-cost artifact.
-func writeStatsJSON(path string, s *lint.RunStats) error {
-	out := statsJSON{Obligations: s.Obligations}
-	for _, a := range s.Analyzers {
+func writeStatsJSON(path string, s []lint.AnalyzerStats) error {
+	var out statsJSON
+	for _, a := range s {
 		out.Analyzers = append(out.Analyzers, analyzerStatJSON{
 			Name:       a.Name,
 			WallNs:     a.Wall.Nanoseconds(),

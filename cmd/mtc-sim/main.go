@@ -50,8 +50,6 @@ func main() {
 		// Seed-stable trace identity: reruns with the same -seed produce
 		// the same TraceID on /trace, so digests are comparable.
 		tel.Tracer().SetTraceID(telemetry.DeriveTraceID(*seed))
-		sampler := telemetry.StartRuntimeSampler(tel, 0)
-		defer sampler.Stop()
 		go func() {
 			if err := telemetry.Serve(ctx, *telAddr, tel.Handler()); err != nil {
 				lg.Error("telemetry server failed", "addr", *telAddr, "err", err.Error())

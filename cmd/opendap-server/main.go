@@ -66,8 +66,6 @@ func main() {
 		tel := telemetry.New()
 		tel.Tracer().SetTraceID(telemetry.DeriveTraceID(*seed))
 		srv.Instrument(tel)
-		sampler := telemetry.StartRuntimeSampler(tel, 0)
-		defer sampler.Stop()
 		go func() {
 			if err := telemetry.Serve(ctx, *telAddr, tel.Handler()); err != nil {
 				lg.Error("telemetry server failed", "addr", *telAddr, "err", err.Error())

@@ -84,13 +84,13 @@ func (s *Store) WriteSnapshot(m *linalg.Dense, indices []int) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("covstore: %w", err)
 	}
-	if err := writeSnapshot(f, v, m, indices); err != nil {
-		//esselint:allow errdrop close on the error path; the write error takes precedence
-		f.Close()
-		return 0, fmt.Errorf("covstore: writing %s: %w", live, err)
+	// One Close on both paths; a write error takes precedence over it.
+	err = writeSnapshot(f, v, m, indices)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		return 0, fmt.Errorf("covstore: %w", err)
+	if err != nil {
+		return 0, fmt.Errorf("covstore: writing %s: %w", live, err)
 	}
 	// Atomic publish: rename the completed live file over the safe file.
 	if err := os.Rename(live, s.safePath()); err != nil {

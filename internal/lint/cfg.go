@@ -6,11 +6,10 @@ import (
 )
 
 // This file implements the control-flow-graph layer the dataflow
-// analyzers (lockheld, the obligation solver) are built on. The graph is intraprocedural and syntactic: one CFG per
-// *ast.FuncDecl or *ast.FuncLit body, with basic blocks holding the
-// statements (and branch-condition expressions) that execute
-// straight-line, and edges labelled with the branch condition where one
-// exists so dataflow transfer functions can refine facts per branch arm.
+// analyzer lockheld is built on. The graph is intraprocedural and
+// syntactic: one CFG per *ast.FuncDecl or *ast.FuncLit body, with basic
+// blocks holding the statements (and branch-condition expressions) that
+// execute straight-line, joined by unlabelled edges.
 //
 // Handled control constructs: if/else, for (all three clauses), range,
 // switch (expression and type), select, labeled statements,
@@ -18,7 +17,7 @@ import (
 // and the terminating calls panic and os.Exit. A defer statement is a
 // node of the block it appears in, not woven into the graph at the
 // exits: an analyzer decides what its deferred call means (lockheld
-// skips it, the obligation solver discharges at it).
+// skips it).
 
 // CFG is the control-flow graph of one function body.
 type CFG struct {
@@ -43,13 +42,6 @@ type Block struct {
 // Edge is one control transfer.
 type Edge struct {
 	From, To *Block
-	// Cond, when non-nil, is the boolean expression the transfer
-	// branches on; the edge is taken when Cond evaluates to Branch.
-	// Unconditional transfers and branches the builder cannot express
-	// as a boolean (range emptiness, switch dispatch, select readiness)
-	// have a nil Cond.
-	Cond   ast.Expr
-	Branch bool
 }
 
 // BuildCFG constructs the control-flow graph of fn's body. fn must be a
@@ -74,13 +66,13 @@ func BuildCFG(fn ast.Node) *CFG {
 	exit := b.newBlock()
 	b.cfg.Exit = exit
 	// Fall off the end of the body: implicit return.
-	b.edgeTo(exit, nil, false)
+	b.edgeTo(exit)
 	for _, from := range b.returns {
-		b.rawEdge(from, exit, nil, false)
+		b.rawEdge(from, exit)
 	}
 	for _, g := range b.gotos {
 		if lb := b.labels[g.label]; lb != nil {
-			b.rawEdge(g.from, lb.head, nil, false)
+			b.rawEdge(g.from, lb.head)
 		}
 	}
 	return b.cfg
@@ -125,16 +117,16 @@ func (b *cfgBuilder) newBlock() *Block {
 	return blk
 }
 
-func (b *cfgBuilder) rawEdge(from, to *Block, cond ast.Expr, branch bool) {
-	e := &Edge{From: from, To: to, Cond: cond, Branch: branch}
+func (b *cfgBuilder) rawEdge(from, to *Block) {
+	e := &Edge{From: from, To: to}
 	from.Succs = append(from.Succs, e)
 	to.Preds = append(to.Preds, e)
 }
 
 // edgeTo links the current block to `to` (no-op if unreachable).
-func (b *cfgBuilder) edgeTo(to *Block, cond ast.Expr, branch bool) {
+func (b *cfgBuilder) edgeTo(to *Block) {
 	if b.cur != nil {
-		b.rawEdge(b.cur, to, cond, branch)
+		b.rawEdge(b.cur, to)
 	}
 }
 
@@ -209,7 +201,7 @@ func (b *cfgBuilder) ifStmt(v *ast.IfStmt) {
 	condBlock := b.cur
 	thenBlock := b.startBlock()
 	if condBlock != nil {
-		b.rawEdge(condBlock, thenBlock, v.Cond, true)
+		b.rawEdge(condBlock, thenBlock)
 	}
 	b.stmtList(v.Body.List)
 	thenEnd := b.cur
@@ -219,7 +211,7 @@ func (b *cfgBuilder) ifStmt(v *ast.IfStmt) {
 	if hasElse {
 		elseBlock := b.startBlock()
 		if condBlock != nil {
-			b.rawEdge(condBlock, elseBlock, v.Cond, false)
+			b.rawEdge(condBlock, elseBlock)
 		}
 		b.stmt(v.Else)
 		elseEnd = b.cur
@@ -227,14 +219,14 @@ func (b *cfgBuilder) ifStmt(v *ast.IfStmt) {
 
 	after := b.newBlock()
 	if thenEnd != nil {
-		b.rawEdge(thenEnd, after, nil, false)
+		b.rawEdge(thenEnd, after)
 	}
 	if hasElse {
 		if elseEnd != nil {
-			b.rawEdge(elseEnd, after, nil, false)
+			b.rawEdge(elseEnd, after)
 		}
 	} else if condBlock != nil {
-		b.rawEdge(condBlock, after, v.Cond, false)
+		b.rawEdge(condBlock, after)
 	}
 	b.cur = after
 }
@@ -256,7 +248,7 @@ func (b *cfgBuilder) pushSwitch() *loopCtx {
 func (b *cfgBuilder) pop(ctx *loopCtx, after *Block) {
 	b.stack = b.stack[:len(b.stack)-1]
 	for _, from := range ctx.breakEdges {
-		b.rawEdge(from, after, nil, false)
+		b.rawEdge(from, after)
 	}
 }
 
@@ -265,7 +257,7 @@ func (b *cfgBuilder) forStmt(v *ast.ForStmt) {
 		b.add(v.Init)
 	}
 	header := b.newBlock()
-	b.edgeTo(header, nil, false)
+	b.edgeTo(header)
 	b.cur = header
 	if v.Cond != nil {
 		b.add(v.Cond)
@@ -277,19 +269,19 @@ func (b *cfgBuilder) forStmt(v *ast.ForStmt) {
 
 	body := b.startBlock()
 	if headerEnd != nil {
-		b.rawEdge(headerEnd, body, v.Cond, true)
+		b.rawEdge(headerEnd, body)
 	}
 	b.stmtList(v.Body.List)
-	b.edgeTo(post, nil, false)
+	b.edgeTo(post)
 	b.cur = post
 	if v.Post != nil {
 		b.add(v.Post)
 	}
-	b.rawEdge(b.cur, header, nil, false)
+	b.rawEdge(b.cur, header)
 
 	after := b.newBlock()
 	if v.Cond != nil && headerEnd != nil {
-		b.rawEdge(headerEnd, after, v.Cond, false)
+		b.rawEdge(headerEnd, after)
 	}
 	b.pop(ctx, after)
 	b.cur = after
@@ -302,18 +294,18 @@ func (b *cfgBuilder) forStmt(v *ast.ForStmt) {
 
 func (b *cfgBuilder) rangeStmt(v *ast.RangeStmt) {
 	header := b.newBlock()
-	b.edgeTo(header, nil, false)
+	b.edgeTo(header)
 	b.cur = header
 	b.add(v) // the range header: evaluates X, binds key/value
 	ctx := b.pushLoop(header)
 
 	body := b.startBlock()
-	b.rawEdge(header, body, nil, false)
+	b.rawEdge(header, body)
 	b.stmtList(v.Body.List)
-	b.edgeTo(header, nil, false)
+	b.edgeTo(header)
 
 	after := b.newBlock()
-	b.rawEdge(header, after, nil, false)
+	b.rawEdge(header, after)
 	b.pop(ctx, after)
 	b.cur = after
 }
@@ -366,9 +358,9 @@ func (b *cfgBuilder) caseClauses(header *Block, clauses []ast.Stmt, hasDefault b
 			continue
 		}
 		clause := b.startBlock()
-		b.rawEdge(header, clause, nil, false)
+		b.rawEdge(header, clause)
 		if prevFallthrough != nil {
-			b.rawEdge(prevFallthrough, clause, nil, false)
+			b.rawEdge(prevFallthrough, clause)
 			prevFallthrough = nil
 		}
 		for _, e := range cc.List {
@@ -387,10 +379,10 @@ func (b *cfgBuilder) caseClauses(header *Block, clauses []ast.Stmt, hasDefault b
 			b.cur = nil
 			continue
 		}
-		b.edgeTo(after, nil, false)
+		b.edgeTo(after)
 	}
 	if !hasDefault {
-		b.rawEdge(header, after, nil, false)
+		b.rawEdge(header, after)
 	}
 	b.pop(ctx, after)
 	b.cur = after
@@ -410,12 +402,12 @@ func (b *cfgBuilder) selectStmt(v *ast.SelectStmt) {
 			continue
 		}
 		clause := b.startBlock()
-		b.rawEdge(header, clause, nil, false)
+		b.rawEdge(header, clause)
 		if cc.Comm != nil {
 			b.add(cc.Comm)
 		}
 		b.stmtList(cc.Body)
-		b.edgeTo(after, nil, false)
+		b.edgeTo(after)
 	}
 	// A select{} with no cases blocks forever: after stays unreachable.
 	b.pop(ctx, after)
@@ -424,7 +416,7 @@ func (b *cfgBuilder) selectStmt(v *ast.SelectStmt) {
 
 func (b *cfgBuilder) labeledStmt(v *ast.LabeledStmt) {
 	head := b.newBlock()
-	b.edgeTo(head, nil, false)
+	b.edgeTo(head)
 	b.cur = head
 	b.labels[v.Label.Name] = &labelBlocks{head: head, stmt: v}
 	b.pendingLabel = v.Label.Name
@@ -454,7 +446,7 @@ func (b *cfgBuilder) branchStmt(v *ast.BranchStmt) {
 				continue
 			}
 			if v.Label == nil || ctx.label == v.Label.Name {
-				b.rawEdge(b.cur, ctx.continueTo, nil, false)
+				b.rawEdge(b.cur, ctx.continueTo)
 				break
 			}
 		}

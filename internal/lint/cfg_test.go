@@ -60,25 +60,9 @@ func f(c bool) int {
 	return 2
 }`)
 	checkWellFormed(t, cfg)
-	// Both returns must reach Exit; the branch must carry cond-labelled
-	// edges in both polarities.
+	// Both returns must reach Exit.
 	if len(cfg.Exit.Preds) != 2 {
 		t.Fatalf("Exit has %d preds, want 2", len(cfg.Exit.Preds))
-	}
-	var sawTrue, sawFalse bool
-	for _, b := range cfg.Blocks {
-		for _, e := range b.Succs {
-			if e.Cond != nil {
-				if e.Branch {
-					sawTrue = true
-				} else {
-					sawFalse = true
-				}
-			}
-		}
-	}
-	if !sawTrue || !sawFalse {
-		t.Fatalf("missing branch-labelled edges: true=%v false=%v", sawTrue, sawFalse)
 	}
 }
 

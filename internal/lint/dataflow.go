@@ -1,15 +1,12 @@
 package lint
 
-import "go/ast"
-
-// This file implements the generic forward-dataflow fixpoint solver the
-// CFG analyzers share. An analysis supplies a lattice (Top, Meet,
-// Equal), a boundary fact for function entry, a block transfer
-// function, and an optional edge refinement (used by the obligation
-// solver to learn from nil tests). The solver iterates a worklist to a
-// fixpoint; analyses must be monotone with finite-height lattices for
-// termination, and a generous iteration cap turns any violation into a
-// sound over-approximation rather than a hang.
+// This file implements the forward-dataflow fixpoint solver lockheld
+// runs over the CFG. An analysis supplies a lattice (Top, Meet, Equal),
+// a boundary fact for function entry and a block transfer function.
+// The solver iterates a worklist to a fixpoint; analyses must be
+// monotone with finite-height lattices for termination, and a generous
+// iteration cap turns any violation into a sound over-approximation
+// rather than a hang.
 
 // Fact is one dataflow fact; its concrete type is private to each
 // analysis.
@@ -23,10 +20,6 @@ type FlowAnalysis interface {
 	Top() Fact
 	// Transfer pushes a fact through the statements of b.
 	Transfer(b *Block, in Fact) Fact
-	// FlowEdge refines the fact flowing along e (branch conditions).
-	// Implementations must not mutate out; return it unchanged if the
-	// edge carries no information.
-	FlowEdge(e *Edge, out Fact) Fact
 	// Meet combines facts at a join point.
 	Meet(a, b Fact) Fact
 	// Equal reports whether two facts are identical (fixpoint test).
@@ -37,34 +30,6 @@ type FlowAnalysis interface {
 // of block b, Out[b] after its transfer.
 type FlowResult struct {
 	In, Out map[*Block]Fact
-}
-
-// fallOffExitBlocks returns the blocks feeding the synthetic Exit whose
-// last node is neither a return statement nor a terminating call —
-// i.e. the fall-off-the-end paths a "discharged on every path" analysis
-// must check in addition to the explicit returns. A block appears once
-// even if several edges reach Exit from it.
-func fallOffExitBlocks(cfg *CFG) []*Block {
-	var out []*Block
-	seen := map[*Block]bool{}
-	for _, e := range cfg.Exit.Preds {
-		b := e.From
-		if seen[b] {
-			continue
-		}
-		seen[b] = true
-		if len(b.Nodes) > 0 {
-			last := b.Nodes[len(b.Nodes)-1]
-			if _, isRet := last.(*ast.ReturnStmt); isRet {
-				continue
-			}
-			if es, isExpr := last.(*ast.ExprStmt); isExpr && isTerminatingCall(es.X) {
-				continue
-			}
-		}
-		out = append(out, b)
-	}
-	return out
 }
 
 // Forward solves the analysis over cfg and returns the per-block facts.
@@ -104,7 +69,7 @@ func Forward(cfg *CFG, an FlowAnalysis) *FlowResult {
 
 		in := an.Top()
 		for _, e := range b.Preds {
-			in = an.Meet(in, an.FlowEdge(e, res.Out[e.From]))
+			in = an.Meet(in, res.Out[e.From])
 		}
 		if b == cfg.Entry {
 			in = an.Meet(in, an.Boundary())

@@ -10,11 +10,10 @@ import (
 // some path. Meet is OR, Top is false.
 type markFlow struct{}
 
-func (markFlow) Boundary() Fact                  { return false }
-func (markFlow) Top() Fact                       { return false }
-func (markFlow) FlowEdge(e *Edge, out Fact) Fact { return out }
-func (markFlow) Meet(a, b Fact) Fact             { return a.(bool) || b.(bool) }
-func (markFlow) Equal(a, b Fact) bool            { return a.(bool) == b.(bool) }
+func (markFlow) Boundary() Fact       { return false }
+func (markFlow) Top() Fact            { return false }
+func (markFlow) Meet(a, b Fact) Fact  { return a.(bool) || b.(bool) }
+func (markFlow) Equal(a, b Fact) bool { return a.(bool) == b.(bool) }
 
 func (markFlow) Transfer(b *Block, in Fact) Fact {
 	fact := in.(bool)

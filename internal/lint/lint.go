@@ -64,9 +64,6 @@ type Pass struct {
 	Info      *types.Info
 
 	report func(Diagnostic)
-	// obligations tallies the facts the obligation solver tracks, for
-	// -stats; shared by every pass of a run.
-	obligations *int
 }
 
 // Reportf records a diagnostic at pos.
@@ -97,7 +94,7 @@ func (d Diagnostic) String() string {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		ErrDrop, FloatCmp, AtomicMix,
-		LockHeld, ExhaustEnum, ResLeak,
+		LockHeld, ExhaustEnum,
 	}
 }
 
@@ -135,20 +132,12 @@ type AnalyzerStats struct {
 	Suppressed int
 }
 
-// RunStats reports where a run spent its time.
-type RunStats struct {
-	// Obligations counts the facts resleak's obligation solver tracked.
-	Obligations int
-	Analyzers   []AnalyzerStats
-}
-
-// RunAnalyzersStats is RunAnalyzersAll plus per-analyzer wall time and
-// the obligation count for the -stats flag. Diagnostics come back in
-// file/position order.
-func RunAnalyzersStats(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *RunStats, error) {
-	stats := &RunStats{Analyzers: make([]AnalyzerStats, len(analyzers))}
+// RunAnalyzersStats is RunAnalyzersAll plus per-analyzer wall time for
+// the -stats flag. Diagnostics come back in file/position order.
+func RunAnalyzersStats(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerStats, error) {
+	stats := make([]AnalyzerStats, len(analyzers))
 	for i, a := range analyzers {
-		stats.Analyzers[i].Name = a.Name
+		stats[i].Name = a.Name
 	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
@@ -157,7 +146,7 @@ func RunAnalyzersStats(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *R
 			if a.Scope != nil && !a.Scope(pkg.RelPath) {
 				continue
 			}
-			acc := &stats.Analyzers[i]
+			acc := &stats[i]
 			pass := &Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
@@ -176,7 +165,6 @@ func RunAnalyzersStats(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *R
 					}
 					diags = append(diags, d)
 				},
-				obligations: &stats.Obligations,
 			}
 			t0 := time.Now()
 			err := a.Run(pass)

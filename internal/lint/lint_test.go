@@ -22,10 +22,6 @@ func TestExhaustEnumFixture(t *testing.T) {
 	RunFixture(t, ExhaustEnum, "exhaustenum")
 }
 
-func TestResleakFixture(t *testing.T) {
-	RunFixture(t, ResLeak, "resleak")
-}
-
 // TestLoadRealPackage exercises the go-list/export-data loader against
 // a real module package and checks scoping: rng sits under internal/,
 // so the whole suite applies and must come back clean.
@@ -71,7 +67,7 @@ func TestScopes(t *testing.T) {
 			t.Errorf("errdrop scope(%q) = %v, want %v", c.rel, got, c.errdrop)
 		}
 	}
-	for _, a := range []*Analyzer{FloatCmp, AtomicMix, LockHeld, ExhaustEnum, ResLeak} {
+	for _, a := range []*Analyzer{FloatCmp, AtomicMix, LockHeld, ExhaustEnum} {
 		for _, rel := range []string{"internal/lint", "cmd/esselint", "internal/sched"} {
 			if !a.Scope(rel) {
 				t.Errorf("%s must cover %q", a.Name, rel)

@@ -152,8 +152,6 @@ func (h *heldFlow) Transfer(b *Block, in Fact) Fact {
 	return out
 }
 
-func (h *heldFlow) FlowEdge(e *Edge, out Fact) Fact { return out }
-
 func (h *heldFlow) Meet(a, b Fact) Fact {
 	sa, _ := a.(heldSet)
 	sb, _ := b.(heldSet)

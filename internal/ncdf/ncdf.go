@@ -119,7 +119,8 @@ func (f *File) HyperSlab(v *Variable, start, count []int) ([]float64, error) {
 	}
 	outLen := 1
 	for i := range shape {
-		if start[i] < 0 || count[i] <= 0 || start[i]+count[i] > shape[i] {
+		// count > shape-start, not start+count > shape: the sum wraps.
+		if start[i] < 0 || count[i] <= 0 || count[i] > shape[i]-start[i] {
 			return nil, fmt.Errorf("ncdf: slab [%d,+%d) outside axis %d of length %d", start[i], count[i], i, shape[i])
 		}
 		outLen *= count[i]

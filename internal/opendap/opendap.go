@@ -192,9 +192,6 @@ func parseIntList(s string, rank, def int) ([]int, error) {
 		out[i] = def
 	}
 	if s == "" {
-		if def < 0 {
-			return out, nil
-		}
 		return out, nil
 	}
 	parts := strings.Split(s, ",")

@@ -1,6 +1,7 @@
 package opendap
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -108,6 +109,20 @@ func TestFetchErrors(t *testing.T) {
 	}
 	if _, err := c.Fetch("initial-conditions", "T", []int{0, 0}, nil); err == nil {
 		t.Fatal("wrong-rank start accepted")
+	}
+}
+
+// TestDODSOverflowingSlabIs400 sends a start whose sum with its count
+// wraps past the axis length: the handler answers 400, it does not
+// index out of range.
+func TestDODSOverflowingSlabIs400(t *testing.T) {
+	srv, _, _ := testServer(t)
+	req := httptest.NewRequest(http.MethodGet,
+		"/dods/initial-conditions?var=eta&start=9223372036854775807,0&count=1,1", nil)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400; body %q", rec.Code, rec.Body.String())
 	}
 }
 

@@ -22,7 +22,8 @@ func DisplayURL(addr, path string) string {
 
 // Mount registers the telemetry endpoints on mux:
 //
-//	/metrics        Prometheus text exposition
+//	/metrics        Prometheus text exposition, with the go_* runtime
+//	                gauges read at scrape time
 //	/events         lifecycle event JSON (?since=<seq> for increments)
 //	/trace          Chrome trace-event JSON of the wall-clock spans
 //	/debug/pprof/*  the standard net/http/pprof handlers
@@ -33,7 +34,7 @@ func (t *Telemetry) Mount(mux *http.ServeMux) {
 	if t == nil || mux == nil {
 		return
 	}
-	mux.HandleFunc("/metrics", t.handleMetrics)
+	mux.HandleFunc("/metrics", t.metricsHandler())
 	mux.HandleFunc("/events", t.handleEvents)
 	mux.HandleFunc("/trace", t.handleTrace)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -51,10 +52,16 @@ func (t *Telemetry) Handler() http.Handler {
 	return mux
 }
 
-func (t *Telemetry) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	//esselint:allow errdrop HTTP response write failure means the client went away; nothing to do
-	_ = t.Registry().WritePrometheus(w)
+// metricsHandler registers the runtime gauges and returns the /metrics
+// handler, which reads them before each exposition.
+func (t *Telemetry) metricsHandler() http.HandlerFunc {
+	rt := newRuntimeGauges(t)
+	return func(w http.ResponseWriter, _ *http.Request) {
+		rt.read()
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		//esselint:allow errdrop HTTP response write failure means the client went away; nothing to do
+		_ = t.Registry().WritePrometheus(w)
+	}
 }
 
 // EventsPage is the /events response envelope. Oldest lets a poller

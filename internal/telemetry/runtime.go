@@ -3,92 +3,53 @@ package telemetry
 import (
 	"runtime"
 	"runtime/metrics"
-	"time"
 )
 
-// RuntimeSampler periodically publishes Go runtime health — heap
-// bytes, GC cycles and pause time, goroutine count — as gauges in a
-// Registry, using the runtime/metrics sample API so reads do not
-// stop the world the way runtime.ReadMemStats does.
-type RuntimeSampler struct {
-	samples    []metrics.Sample
+// runtimeGauges publishes Go runtime health — heap bytes, GC cycles
+// and pause time, goroutine count — as gauges in a Registry. Mount
+// registers them and the /metrics handler reads them on every scrape,
+// so they are current at scrape time. Reads go through the
+// runtime/metrics sample API, which does not stop the world the way
+// runtime.ReadMemStats does.
+type runtimeGauges struct {
 	heap       *Gauge
 	gcCycles   *Gauge
 	gcPauseSec *Gauge
 	goroutines *Gauge
-	interval   time.Duration
-	stop       chan struct{}
-	done       chan struct{}
 }
 
-// runtime/metrics names sampled; indices into RuntimeSampler.samples.
-const (
-	sampleHeap = iota
-	sampleGCCycles
-	sampleGCPause
-	sampleCount
-)
-
-// StartRuntimeSampler registers the runtime gauges in t's registry and
-// starts a sampling goroutine (interval <= 0 selects 1s). It returns
-// nil — and starts nothing — when telemetry is disabled. Call Stop to
-// shut the goroutine down.
-func StartRuntimeSampler(t *Telemetry, interval time.Duration) *RuntimeSampler {
-	if t == nil {
-		return nil
-	}
-	if interval <= 0 {
-		interval = time.Second
-	}
-	s := &RuntimeSampler{
-		samples:    make([]metrics.Sample, sampleCount),
+// newRuntimeGauges registers the runtime gauges in t's registry.
+func newRuntimeGauges(t *Telemetry) *runtimeGauges {
+	return &runtimeGauges{
 		heap:       t.Gauge("go_heap_objects_bytes", "Bytes of heap memory occupied by live plus unswept objects."),
 		gcCycles:   t.Gauge("go_gc_cycles_total", "Completed GC cycles since process start."),
 		gcPauseSec: t.Gauge("go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause seconds."),
 		goroutines: t.Gauge("go_goroutines", "Number of live goroutines."),
-		interval:   interval,
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
-	}
-	s.samples[sampleHeap].Name = "/memory/classes/heap/objects:bytes"
-	s.samples[sampleGCCycles].Name = "/gc/cycles/total:gc-cycles"
-	s.samples[sampleGCPause].Name = "/sched/pauses/total/gc:seconds"
-	s.SampleOnce()
-	go s.loop()
-	return s
-}
-
-func (s *RuntimeSampler) loop() {
-	defer close(s.done)
-	tick := time.NewTicker(s.interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C:
-			s.SampleOnce()
-		}
 	}
 }
 
-// SampleOnce reads the runtime metrics and updates the gauges. Safe to
-// call directly (tests, final pre-shutdown readings); nil-safe.
-func (s *RuntimeSampler) SampleOnce() {
-	if s == nil {
-		return
+// read samples the runtime metrics and updates the gauges. Each call
+// reads into its own sample slice, so concurrent scrapes share nothing
+// but the atomic gauges. (metrics.Read writes from inside the runtime,
+// where the race detector cannot see it: a shared slice would need a
+// lock that no -race test could pin.)
+func (r *runtimeGauges) read() {
+	samples := []metrics.Sample{
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/sched/pauses/total/gc:seconds"},
 	}
-	metrics.Read(s.samples)
-	if v := s.samples[sampleHeap].Value; v.Kind() == metrics.KindUint64 {
-		s.heap.Set(float64(v.Uint64()))
+	metrics.Read(samples)
+	if v := samples[0].Value; v.Kind() == metrics.KindUint64 {
+		r.heap.Set(float64(v.Uint64()))
 	}
-	if v := s.samples[sampleGCCycles].Value; v.Kind() == metrics.KindUint64 {
-		s.gcCycles.Set(float64(v.Uint64()))
+	if v := samples[1].Value; v.Kind() == metrics.KindUint64 {
+		r.gcCycles.Set(float64(v.Uint64()))
 	}
-	if v := s.samples[sampleGCPause].Value; v.Kind() == metrics.KindFloat64Histogram {
-		s.gcPauseSec.Set(histTotalSeconds(v.Float64Histogram()))
+	if v := samples[2].Value; v.Kind() == metrics.KindFloat64Histogram {
+		r.gcPauseSec.Set(histTotalSeconds(v.Float64Histogram()))
 	}
-	s.goroutines.Set(float64(runtime.NumGoroutine()))
+	r.goroutines.Set(float64(runtime.NumGoroutine()))
 }
 
 // histTotalSeconds approximates the cumulative seconds in a
@@ -119,15 +80,4 @@ func isInfOrNaN(v float64) bool {
 	// NaN self-inequality plus infinity bound checks; floatcmp exempts
 	// the identical-operand idiom.
 	return v != v || v > 1e300 || v < -1e300
-}
-
-// Stop terminates the sampling goroutine and waits for it to exit,
-// taking one final sample so shutdown-time readings are fresh.
-func (s *RuntimeSampler) Stop() {
-	if s == nil {
-		return
-	}
-	close(s.stop)
-	<-s.done
-	s.SampleOnce()
 }

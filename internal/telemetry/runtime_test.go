@@ -1,20 +1,24 @@
 package telemetry
 
 import (
+	"net/http"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 )
 
+var runtimeFamilies = []string{
+	"go_heap_objects_bytes", "go_gc_cycles_total", "go_gc_pause_seconds_total", "go_goroutines",
+}
+
+// TestRuntimeSampler pins that the runtime gauges are sampled at
+// scrape time: a /metrics scrape through the mounted mux carries all
+// four go_* families.
 func TestRuntimeSampler(t *testing.T) {
 	tel := New()
-	s := StartRuntimeSampler(tel, time.Hour) // tick never fires; SampleOnce drives it
-	if s == nil {
-		t.Fatal("sampler must start when telemetry is enabled")
-	}
-	s.SampleOnce()
-
-	exp, err := ParsePrometheus(strings.NewReader(scrapeString(t, tel.Registry())))
+	mux := http.NewServeMux()
+	tel.Mount(mux)
+	exp, err := ParsePrometheus(get(t, mux, "/metrics").Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,21 +28,60 @@ func TestRuntimeSampler(t *testing.T) {
 	if v, ok := exp.Value("go_heap_objects_bytes"); !ok || v <= 0 {
 		t.Fatalf("go_heap_objects_bytes = %v, %v", v, ok)
 	}
-	if _, ok := exp.Value("go_gc_cycles_total"); !ok {
-		t.Fatal("go_gc_cycles_total missing")
+	for _, name := range runtimeFamilies {
+		if _, ok := exp.Value(name); !ok {
+			t.Fatalf("%s missing from the scrape", name)
+		}
 	}
-	if _, ok := exp.Value("go_gc_pause_seconds_total"); !ok {
-		t.Fatal("go_gc_pause_seconds_total missing")
-	}
-
-	s.Stop() // must terminate the goroutine and not hang
 }
 
+// TestRuntimeSamplerDisabled pins that nothing samples the runtime
+// until Mount: a registry has no go_* family before it, and mounting a
+// nil *Telemetry registers none.
 func TestRuntimeSamplerDisabled(t *testing.T) {
-	s := StartRuntimeSampler(nil, time.Millisecond)
-	if s != nil {
-		t.Fatal("disabled telemetry must not start a sampler")
+	tel := New()
+	exp, err := ParsePrometheus(strings.NewReader(scrapeString(t, tel.Registry())))
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.SampleOnce() // nil-safe
-	s.Stop()       // nil-safe
+	for _, name := range runtimeFamilies {
+		if _, ok := exp.Value(name); ok {
+			t.Fatalf("%s registered before Mount", name)
+		}
+	}
+
+	var nilTel *Telemetry
+	mux := http.NewServeMux()
+	nilTel.Mount(mux)
+	if rec := get(t, mux, "/metrics"); rec.Code != http.StatusNotFound {
+		t.Fatalf("nil telemetry /metrics status = %d, want 404", rec.Code)
+	}
+}
+
+// TestConcurrentScrapes runs several /metrics scrapes on one mounted
+// mux at once. Under -race it pins that a scrape shares no unguarded
+// state with another.
+func TestConcurrentScrapes(t *testing.T) {
+	tel := New()
+	mux := http.NewServeMux()
+	tel.Mount(mux)
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				exp, err := ParsePrometheus(get(t, mux, "/metrics").Body)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if v, ok := exp.Value("go_goroutines"); !ok || v < 1 {
+					t.Errorf("go_goroutines = %v, %v", v, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

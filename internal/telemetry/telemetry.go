@@ -21,9 +21,10 @@
 //     span, never a metric, and paper (ocean) time is data on
 //     realtime's cycle results, which realtime converts into trace
 //     rows of their own;
-//   - a runtime/metrics sampler (runtime.go) publishing heap bytes, GC
-//     activity and goroutine counts as gauges, plus net/http/pprof
-//     mounted next to the other endpoints (http.go).
+//   - runtime gauges (runtime.go) for heap bytes, GC activity and
+//     goroutine counts, read from runtime/metrics when /metrics is
+//     scraped, plus net/http/pprof mounted next to the other endpoints
+//     (http.go).
 //
 // The zero value of every handle is a no-op: a nil *Telemetry (and the
 // nil *Counter/*Gauge/*EventLog/*Tracer handles it yields)
