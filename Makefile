@@ -3,13 +3,21 @@
 
 GO ?= go
 
-.PHONY: build test race race-workflow bench-module bench-smoke test-fuzz lint lint-self lint-fixtures audit vet verify
+.PHONY: build test golden race race-workflow bench-module bench-smoke test-fuzz lint lint-self lint-fixtures audit vet verify
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# golden rewrites every pinned output after a deliberate change:
+# TestGolden's fixed-seed numbers and the testdata/stdout.golden of each
+# main under cmd/ and examples/. `git diff` then lists what moved. Only
+# those packages define -update, so `go test ./... -update` would fail.
+golden:
+	$(GO) test ./internal/experiments -run TestGolden -update
+	$(GO) test ./cmd/... ./examples/... -update
 
 # race runs the whole suite under the race detector — the dynamic half
 # of the concurrency gate (esselint's lockheld and atomicmix are the

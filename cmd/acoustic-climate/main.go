@@ -79,6 +79,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "acoustic-climate:", err)
 		os.Exit(1)
 	}
+	if len(res.Tasks) == 0 {
+		fmt.Fprintf(os.Stderr, "acoustic-climate: no task completed (%d failed, %d cancelled)\n", res.Failed, res.Cancelled)
+		os.Exit(1)
+	}
 	var meanTLs []float64
 	var totalTask float64
 	for _, t := range res.Tasks {

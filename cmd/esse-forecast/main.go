@@ -22,6 +22,7 @@ import (
 	"esse/internal/jobdir"
 	"esse/internal/metrics"
 	"esse/internal/monitor"
+	"esse/internal/obs"
 	"esse/internal/realtime"
 	"esse/internal/telemetry"
 	"esse/internal/workflow"
@@ -119,8 +120,10 @@ func main() {
 		lg.Error("building system failed", "err", err.Error())
 		os.Exit(1)
 	}
-	fmt.Printf("ESSE real-time forecast: %dx%dx%d grid (state dim %d), %d obs/batch\n",
-		*nx, *ny, *nz, sys.Layout.Dim(), sys.Network.Len())
+	counts := sys.Network.CountByPlatform()
+	fmt.Printf("ESSE real-time forecast: %dx%dx%d grid (state dim %d), %d obs/batch (SST=%d CTD=%d AUV=%d glider=%d)\n",
+		*nx, *ny, *nz, sys.Layout.Dim(), sys.Network.Len(),
+		counts[obs.SatelliteSST], counts[obs.CTD], counts[obs.AUV], counts[obs.Glider])
 	fmt.Printf("%-6s %9s %9s %8s %7s %6s %5s %8s\n",
 		"cycle", "rmseF(T)", "rmseA(T)", "members", "SVDs", "rho", "conv", "elapsed")
 	var results []*realtime.CycleResult
@@ -134,10 +137,14 @@ func main() {
 		lg.Debug("cycle complete", "cycle", r.Cycle, "members", r.Ensemble.MembersUsed,
 			"svd_rounds", r.Ensemble.SVDRounds, "converged", r.Ensemble.Converged,
 			"elapsed", r.Ensemble.Elapsed)
-		fmt.Printf("%-6d %9.4f %9.4f %8d %7d %6.3f %5v %8s\n",
+		fmt.Printf("%-6d %9.4f %9.4f %8d %7d %6.3f %5v %8s",
 			r.Cycle, r.RMSEForecastT, r.RMSEAnalysisT, r.Ensemble.MembersUsed,
 			r.Ensemble.SVDRounds, r.Ensemble.Rho, r.Ensemble.Converged,
 			r.Ensemble.Elapsed.Round(1e6))
+		if *smooth {
+			fmt.Printf("  smoother: start %.4f -> %.4f", r.RMSEStartT, r.RMSESmoothedStartT)
+		}
+		fmt.Println()
 	}
 
 	if *showMaps {

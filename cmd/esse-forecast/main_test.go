@@ -2,11 +2,16 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"runtime"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/stdout.golden with this run's stdout")
 
 // TestMain runs the command itself when re-executed by runMain.
 func TestMain(m *testing.M) {
@@ -66,5 +71,46 @@ func TestPGMWritesBothImages(t *testing.T) {
 		if !bytes.HasPrefix(b, []byte("P2")) {
 			t.Fatalf("%s starts with %q, want P2", name, b[:min(len(b), 8)])
 		}
+	}
+}
+
+// elapsedCol matches a cycle row up to its right-aligned elapsed
+// column, the only wall-clock field of the output.
+var elapsedCol = regexp.MustCompile(`(?m)^(\d+(?: +\S+){6}) +\S+`)
+
+// TestStdoutGolden pins the stdout of the tiny run with -smooth: the
+// per-platform observation counts, the cycle row with its smoother
+// columns, both maps and the timelines.
+func TestStdoutGolden(t *testing.T) {
+	out, stderr, err := runMain("-smooth")
+	if err != nil {
+		t.Fatalf("esse-forecast -smooth: %v\n%s", err, stderr)
+	}
+	checkGolden(t, elapsedCol.ReplaceAll(out, []byte("${1} <elapsed>")))
+}
+
+// checkGolden compares got with testdata/stdout.golden; -update
+// rewrites the file instead.
+func checkGolden(t *testing.T, got []byte) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("stdout is pinned on amd64; on %s the compiler may fuse multiply-adds, which changes printed digits", runtime.GOARCH)
+	}
+	const path = "testdata/stdout.golden"
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("stdout differs from %s (after a deliberate change: -update, then git diff):\n--- got\n%s--- want\n%s", path, got, want)
 	}
 }

@@ -3,15 +3,19 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/stdout.golden with this run's stdout")
 
 // TestMain runs the command itself when re-executed by a test.
 func TestMain(m *testing.M) {
@@ -20,6 +24,48 @@ func TestMain(m *testing.M) {
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// TestDigestGolden pins the text digest of a small fixed trace and
+// event log: one cycle with its phase table and critical path, an
+// orphaned member, a skipped paper-time row, and the audit with its
+// dropped-events warning.
+func TestDigestGolden(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-trace", "testdata/trace.json", "-events", "testdata/events.json")
+	cmd.Env = append(os.Environ(), "ESSE_REPORT_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("esse-report: %v\n%s", err, stderr.Bytes())
+	}
+	checkGolden(t, out)
+}
+
+// checkGolden compares got with testdata/stdout.golden; -update
+// rewrites the file instead.
+func checkGolden(t *testing.T, got []byte) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("stdout is pinned on amd64; on %s the compiler may fuse multiply-adds, which changes printed digits", runtime.GOARCH)
+	}
+	const path = "testdata/stdout.golden"
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("stdout differs from %s (after a deliberate change: -update, then git diff):\n--- got\n%s--- want\n%s", path, got, want)
+	}
 }
 
 // span is one Chrome trace event as the telemetry server exports it.

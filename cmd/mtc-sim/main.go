@@ -38,6 +38,10 @@ func main() {
 
 	// Diagnostics are structured stderr log lines; results stay on stdout.
 	lg := telemetry.NewLogger(os.Stderr, slog.LevelInfo)
+	if *cores < 1 {
+		lg.Error("cores must be at least 1", "cores", *cores)
+		os.Exit(2)
+	}
 
 	// SIGINT/SIGTERM cancel ctx so a held telemetry server drains
 	// gracefully instead of dying mid-scrape.

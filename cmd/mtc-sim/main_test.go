@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"flag"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
+	"runtime"
 	"slices"
 	"strings"
 	"syscall"
@@ -18,6 +20,8 @@ import (
 	"esse/internal/forensics"
 	"esse/internal/telemetry"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/stdout.golden with this run's stdout")
 
 // TestMain runs the command itself when re-executed by runMain.
 func TestMain(m *testing.M) {
@@ -51,12 +55,68 @@ func runMain(t *testing.T, args ...string) []byte {
 }
 
 // TestSameSeedSameReport runs a simulation with failure injection twice:
-// a report is a function of its flags, so the two must be byte-equal.
+// a report is a function of its flags, so the two must be byte-equal,
+// and equal to testdata/stdout.golden.
 func TestSameSeedSameReport(t *testing.T) {
 	args := []string{"-seed", "3", "-failure", "0.05", "-jobs", "200"}
 	a, b := runMain(t, args...), runMain(t, args...)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("two runs with the same seed differ:\n%s\n---\n%s", a, b)
+	}
+	checkGolden(t, a)
+}
+
+// TestBadFlagsExitCleanly gives flags the simulation cannot run: each
+// must end in exit status 2 with its reason on stderr, not in a panic
+// (which also exits 2).
+func TestBadFlagsExitCleanly(t *testing.T) {
+	cases := []struct {
+		msg  string
+		args []string
+	}{
+		{"cores must be at least 1", []string{"-cores", "0"}},
+		{"unknown policy", []string{"-policy", "pbs"}},
+		{"unknown io mode", []string{"-io", "tape"}},
+	}
+	for _, c := range cases {
+		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+			cmd := command(c.args...)
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			var exit *exec.ExitError
+			if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("exit %v, want status 2\n%s", err, stderr.Bytes())
+			}
+			if !strings.Contains(stderr.String(), c.msg) || strings.Contains(stderr.String(), "panic:") {
+				t.Fatalf("stderr is not the %q line:\n%s", c.msg, stderr.Bytes())
+			}
+		})
+	}
+}
+
+// checkGolden compares got with testdata/stdout.golden; -update
+// rewrites the file instead.
+func checkGolden(t *testing.T, got []byte) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("stdout is pinned on amd64; on %s the compiler may fuse multiply-adds, which changes printed digits", runtime.GOARCH)
+	}
+	const path = "testdata/stdout.golden"
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("stdout differs from %s (after a deliberate change: -update, then git diff):\n--- got\n%s--- want\n%s", path, got, want)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"esse/internal/cluster"
 	"esse/internal/remote"
@@ -28,6 +29,10 @@ func main() {
 	instType := flag.String("type", "c1.xlarge", "EC2 instance type")
 	homeCores := flag.Int("cores", 210, "available home-cluster cores")
 	flag.Parse()
+	if *homeCores < 1 {
+		fmt.Fprintln(os.Stderr, "cloudburst: -cores must be at least 1")
+		os.Exit(2)
+	}
 
 	it, ok := remote.FindInstance(*instType)
 	if !ok {

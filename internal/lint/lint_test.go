@@ -60,7 +60,7 @@ func TestScopes(t *testing.T) {
 		{"internal/workflow", true},
 		{"internal/linalg", true},
 		{"cmd/esse-forecast", false},
-		{"examples/quickstart", false},
+		{"examples/cloudburst", false},
 		{".", false},
 	} {
 		if got := ErrDrop.Scope(c.rel); got != c.errdrop {
@@ -73,7 +73,7 @@ func TestScopes(t *testing.T) {
 				t.Errorf("%s must cover %q", a.Name, rel)
 			}
 		}
-		if a.Scope("examples/quickstart") {
+		if a.Scope("examples/cloudburst") {
 			t.Errorf("%s must not cover examples/", a.Name)
 		}
 	}

@@ -2,9 +2,12 @@
 # verify.sh — the repository's standing gate: build, vet, the custom
 # esselint analyzers (`esselint -list`), the suppression audit, and the
 # race-enabled test suite, which includes the mutation table the
-# analyzers are kept on (internal/lint, TestRulesCatchRealMutants) and
-# the seam tests that hold what no rule does (DESIGN.md §7). CI runs
-# exactly this; run it locally before sending a change.
+# analyzers are kept on (internal/lint, TestRulesCatchRealMutants), the
+# seam tests that hold what no rule does (DESIGN.md §7) and the
+# entry-point goldens: internal/experiments' TestGolden and the
+# testdata/stdout.golden of each of the nine mains under cmd/ and
+# examples/ (`make golden` rewrites them all). CI runs exactly this;
+# run it locally before sending a change.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -29,7 +32,7 @@ go run ./cmd/esselint -vet=false ./internal/lint/... ./cmd/esselint/...
 echo "==> esselint -audit ./... (every suppression must carry a reason)"
 go run ./cmd/esselint -audit -vet=false ./... >/dev/null
 
-echo "==> go test -race ./..."
+echo "==> go test -race ./... (the entry-point goldens among them)"
 go test -race ./...
 
 echo "==> go test -race -count=20 ./internal/taskpool ./internal/workflow (a scheduling dependence must not hide behind a lucky run)"
