@@ -53,6 +53,154 @@ func TestAssimilateMatchesScalarKalman(t *testing.T) {
 	}
 }
 
+// TestAssimilateMatchesKalmanFullRank is the exact oracle of the
+// subspace update in more than one dimension. With a full-rank subspace
+// (orthonormal modes spanning the whole 8-element state, distinct σ) the
+// ESSE update is the textbook Kalman filter: its mean must be
+// x + PHᵀ(HPHᵀ+R)⁻¹(y − Hx) and its posterior Ea Γa Eaᵀ must be
+// (I − KH)P, with P = E Γ Eᵀ, here formed with an explicit H and a
+// Gauss–Jordan inverse that share no code with Assimilate.
+func TestAssimilateMatchesKalmanFullRank(t *testing.T) {
+	s := rng.New(17)
+	g := grid.New(2, 2, 2, 1, 1, 100)
+	l := grid.NewLayout(g, []grid.VarSpec{{Name: "T", Levels: 2}})
+	dim := l.Dim()
+	sub := randomSubspace(s, dim, dim, []float64{2, 1.6, 1.3, 1, 0.8, 0.55, 0.35, 0.2})
+	n := obs.NewNetwork(l)
+	for _, o := range []obs.Observation{
+		{Var: "T", I: 0, J: 0, K: 0, Stddev: 0.3},
+		{Var: "T", I: 1, J: 0, K: 1, Stddev: 0.7},
+		{Var: "T", I: 0, J: 1, K: 0, Stddev: 1.1},
+		{Var: "T", I: 1, J: 1, K: 1, Stddev: 0.45},
+	} {
+		if err := n.Add(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x := s.NormVec(nil, dim)
+	y := s.NormVec(nil, n.Len())
+	an, err := Assimilate(x, sub, n, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// P = E Γ Eᵀ, H row by row from unit states, R diagonal.
+	cov := func(sub *Subspace) *linalg.Dense {
+		c := linalg.NewDense(dim, dim)
+		for i := 0; i < dim; i++ {
+			for j := 0; j < dim; j++ {
+				for k, sg := range sub.Sigma {
+					c.Data[i*dim+j] += sub.Modes.At(i, k) * sg * sg * sub.Modes.At(j, k)
+				}
+			}
+		}
+		return c
+	}
+	p := cov(sub)
+	m := n.Len()
+	h := linalg.NewDense(m, dim)
+	for j := 0; j < dim; j++ {
+		e := make([]float64, dim)
+		e[j] = 1
+		for i, v := range n.ApplyH(e) {
+			h.Set(i, j, v)
+		}
+	}
+	ph := linalg.NewDense(dim, m) // P Hᵀ
+	for i := 0; i < dim; i++ {
+		for o := 0; o < m; o++ {
+			for k := 0; k < dim; k++ {
+				ph.Data[i*m+o] += p.At(i, k) * h.At(o, k)
+			}
+		}
+	}
+	sm := linalg.NewDense(m, m) // H P Hᵀ + R
+	for a := 0; a < m; a++ {
+		for b := 0; b < m; b++ {
+			for k := 0; k < dim; k++ {
+				sm.Data[a*m+b] += h.At(a, k) * ph.At(k, b)
+			}
+		}
+		sm.Data[a*m+a] += n.RDiag()[a]
+	}
+	gain := linalg.NewDense(dim, m) // K = P Hᵀ S⁻¹
+	sInv := gaussJordanInverse(t, sm)
+	for i := 0; i < dim; i++ {
+		for b := 0; b < m; b++ {
+			for a := 0; a < m; a++ {
+				gain.Data[i*m+b] += ph.At(i, a) * sInv.At(a, b)
+			}
+		}
+	}
+	hx := n.ApplyH(x)
+	for i := 0; i < dim; i++ {
+		want := x[i]
+		for o := 0; o < m; o++ {
+			want += gain.At(i, o) * (y[o] - hx[o])
+		}
+		if d := math.Abs(an.Mean[i] - want); !(d <= 1e-10) {
+			t.Errorf("mean[%d] = %v, Kalman %v (|diff| %g)", i, an.Mean[i], want, d)
+		}
+	}
+	pa := cov(an.Posterior)
+	for i := 0; i < dim; i++ {
+		for j := 0; j < dim; j++ {
+			want := p.At(i, j) // ((I − KH) P)ᵢⱼ
+			for o := 0; o < m; o++ {
+				for k := 0; k < dim; k++ {
+					want -= gain.At(i, o) * h.At(o, k) * p.At(k, j)
+				}
+			}
+			if d := math.Abs(pa.At(i, j) - want); !(d <= 1e-10) {
+				t.Errorf("posterior covariance (%d,%d) = %v, (I − KH)P %v (|diff| %g)", i, j, pa.At(i, j), want, d)
+			}
+		}
+	}
+}
+
+// gaussJordanInverse inverts a small matrix by Gauss–Jordan elimination
+// with partial pivoting: an oracle that shares no code with the
+// Cholesky inverse Assimilate uses.
+func gaussJordanInverse(t *testing.T, a *linalg.Dense) *linalg.Dense {
+	t.Helper()
+	n := a.Rows
+	w, inv := a.Clone(), linalg.Identity(n)
+	for c := 0; c < n; c++ {
+		piv := c
+		for r := c + 1; r < n; r++ {
+			if math.Abs(w.At(r, c)) > math.Abs(w.At(piv, c)) {
+				piv = r
+			}
+		}
+		if w.At(piv, c) == 0 {
+			t.Fatalf("singular %dx%d matrix", n, n)
+		}
+		for _, mat := range []*linalg.Dense{w, inv} {
+			rc, rp := mat.Row(c), mat.Row(piv)
+			for j := range rc {
+				rc[j], rp[j] = rp[j], rc[j]
+			}
+		}
+		d := w.At(c, c)
+		for _, mat := range []*linalg.Dense{w, inv} {
+			for j, v := range mat.Row(c) {
+				mat.Row(c)[j] = v / d
+			}
+		}
+		for r := 0; r < n; r++ {
+			if f := w.At(r, c); r != c && f != 0 {
+				for _, mat := range []*linalg.Dense{w, inv} {
+					rr, rc := mat.Row(r), mat.Row(c)
+					for j := range rr {
+						rr[j] -= f * rc[j]
+					}
+				}
+			}
+		}
+	}
+	return inv
+}
+
 func TestAssimilateReducesResidual(t *testing.T) {
 	_, sub, n := scalarSetup(t, 4, 1)
 	an, err := Assimilate([]float64{10, 0, 0, 0}, sub, n, []float64{12})

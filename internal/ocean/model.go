@@ -45,7 +45,8 @@ type Config struct {
 	// of amplitude NoiseWind·√Dt/Dt in m/s², not a per-cell variance.
 	NoiseWind float64
 	// NoiseTracer scales the stochastic surface temperature forcing the
-	// same way (°C/√s): a field of amplitude NoiseTracer·√Dt a step.
+	// same way (°C/√s): a field of amplitude NoiseTracer·√(K·Dt) a tracer
+	// step, which spans K dynamics steps (see Step).
 	NoiseTracer float64
 	// EkmanDepth sets the e-folding depth (m) of velocity used to advect
 	// the 3-D tracers.
@@ -165,6 +166,13 @@ type Model struct {
 	time   float64
 	vmixer *VerticalMixer
 
+	// every is K, the dynamics steps a tracer step spans (tracerEvery;
+	// tests build other values through newModel). pending counts the
+	// dynamics steps since the last tracer step, and uSum, vSum sum their
+	// surface flow.
+	every, pending int
+	uSum, vSum     []float64
+
 	// scratch buffers reused across steps. newTr is shared between the
 	// temperature and salinity sweeps.
 	newEta     []float64
@@ -172,19 +180,19 @@ type Model struct {
 	newTr      []float64
 	fx, fy     []float64
 	ftr        []float64
-	// pw, pe, ps, pn are the upwind weights of the current flow
-	// (upwindWeights), shared by every tracer sweep of a step.
+	// pw, pe, ps, pn are the upwind weights of the summed flow
+	// (upwindWeights), shared by every sweep of a tracer step.
 	pw, pe, ps, pn []float64
 
 	// decay[k] is the e-folding attenuation of the flow at level k that
 	// advects the tracers, fixed by the grid and EkmanDepth.
 	decay []float64
 	// klX and klY tabulate the forcing's cosine modes on each axis; z
-	// holds a step's coefficients for fx, fy and ftr in turn, and zScale
-	// the amplitude and spectral weight of each.
+	// holds the coefficients for fx, fy and ftr in turn, and zScale the
+	// amplitude and spectral weight of each.
 	klX, klY  [][klModes]float64
-	z, zScale [3 * klModes * klModes]float64
-	// level is the tracer sweep StepParallel's bands are on (parallel.go).
+	z, zScale [3 * klCoeffs]float64
+	// level is the sweep tracerRows runs, set before each sweep.
 	level tracerLevel
 }
 
@@ -193,7 +201,7 @@ type Model struct {
 // upwelling-like temperature front, roughly matching the Monterey Bay
 // situation of the paper's Section 6.
 func New(cfg Config, noise *rng.Stream) *Model {
-	m := newModel(cfg, noise)
+	m := newModel(cfg, noise, tracerEvery)
 	m.initClimatology()
 	return m
 }
@@ -202,13 +210,15 @@ func New(cfg Config, noise *rng.Stream) *Model {
 // vector: New followed by SetState, without computing the climatology
 // that SetState would overwrite. Ensemble members start this way.
 func NewFromState(cfg Config, noise *rng.Stream, state []float64) *Model {
-	m := newModel(cfg, noise)
+	m := newModel(cfg, noise, tracerEvery)
 	m.SetState(state)
 	return m
 }
 
-// newModel allocates a model with all fields zero.
-func newModel(cfg Config, noise *rng.Stream) *Model {
+// newModel allocates a model with all fields zero whose tracers step
+// every `every` dynamics steps; the tracer forcing's amplitude is formed
+// for that span.
+func newModel(cfg Config, noise *rng.Stream, every int) *Model {
 	if cfg.Grid == nil {
 		panic("ocean: Config.Grid is nil")
 	}
@@ -225,6 +235,9 @@ func newModel(cfg Config, noise *rng.Stream) *Model {
 		t:      make([]float64, g.N3()),
 		s:      make([]float64, g.N3()),
 		noise:  noise,
+		every:  every,
+		uSum:   make([]float64, g.N2()),
+		vSum:   make([]float64, g.N2()),
 		newEta: make([]float64, g.N2()),
 		newU:   make([]float64, g.N2()),
 		newV:   make([]float64, g.N2()),
@@ -243,14 +256,15 @@ func newModel(cfg Config, noise *rng.Stream) *Model {
 	for k := range m.decay {
 		m.decay[k] = math.Exp(-g.Depths[k] / math.Max(cfg.EkmanDepth, 1))
 	}
-	// Validate rejects non-positive Dt; the clamp keeps the Sqrt
+	// Validate rejects non-positive Dt; the clamps keep the Sqrts
 	// NaN-free even on unvalidated configs.
 	sqrtDt := math.Sqrt(math.Max(cfg.Dt, 0))
 	wind := klWindScale * cfg.NoiseWind * sqrtDt / cfg.Dt // acceleration equivalent
-	amp := [3]float64{wind, wind, klTracerScale * cfg.NoiseTracer * sqrtDt}
+	tracer := klTracerScale * cfg.NoiseTracer * math.Sqrt(math.Max(float64(every)*cfg.Dt, 0))
+	amp := [3]float64{wind, wind, tracer}
 	for n := range m.zScale {
 		a, b := n/klModes%klModes, n%klModes
-		m.zScale[n] = amp[n/(klModes*klModes)] * math.Pow(float64(a+b+1), -klDecay)
+		m.zScale[n] = amp[n/klCoeffs] * math.Pow(float64(a+b+1), -klDecay)
 	}
 	return m
 }
@@ -320,8 +334,11 @@ func (m *Model) Time() float64 { return m.time }
 // StateDim returns the packed state dimension.
 func (m *Model) StateDim() int { return m.Layout.Dim() }
 
-// State packs the current model fields into dst (allocated if nil).
+// State packs the current model fields into dst (allocated if nil). It
+// first catches the tracers up, as Run's end does, so a model stepped
+// with Step alone packs tracers at the model time.
 func (m *Model) State(dst []float64) []float64 {
+	m.catchUp(1)
 	if dst == nil {
 		dst = make([]float64, m.Layout.Dim())
 	}
@@ -333,8 +350,13 @@ func (m *Model) State(dst []float64) []float64 {
 	return dst
 }
 
-// SetState loads a packed state vector into the model fields.
+// SetState loads a packed state vector into the model fields. The flow
+// of steps taken before it is dropped: the next tracer step spans only
+// the steps after it.
 func (m *Model) SetState(state []float64) {
+	m.pending = 0
+	clear(m.uSum)
+	clear(m.vSum)
 	copy(m.eta, m.Layout.SliceByName(state, "eta"))
 	copy(m.u, m.Layout.SliceByName(state, "u"))
 	copy(m.v, m.Layout.SliceByName(state, "v"))
@@ -351,30 +373,70 @@ func (m *Model) CFLNumber() float64 {
 	return c * m.Cfg.Dt / math.Min(m.Cfg.Grid.Dx, m.Cfg.Grid.Dy)
 }
 
-// Step advances the model by one time step: the forcing draw, then three
-// stencil sweeps over the interior rows — momentum, continuity, and every
-// level of each tracer — with the boundary closure after each.
+// Step advances the dynamics by one time step Dt: the forcing draw, then
+// the momentum and continuity sweeps over the interior rows, with the
+// boundary closure after each. The tracers T and S are on a clock of
+// their own: every K = tracerEvery steps, Step ends with one tracer step
+// of K·Dt on the surface flow summed over those steps, a sweep of every
+// level of each. Between tracer steps T and S lag the dynamics; the end
+// of Run and State catch them up with a partial step.
 //
 // The sweeps are row kernels over a row range so that StepParallel can
 // run the same code on bands. Within a commit a forecast is a pure
-// function of (seed, config) to the bit. The kernels are re-pin 3 (see
-// DESIGN "Re-pinning"): stepReference in model_test.go, the cell-indexed
-// stepper from before it, run on the same forcing, is the oracle, and
-// TestStepBitIdenticalToReference holds Step to it.
-func (m *Model) Step() {
-	ny := m.Cfg.Grid.NY
+// function of (seed, config) to the bit. The kernels are re-pin 3 and
+// the tracer clock re-pin 4 (see DESIGN "Re-pinning"): stepReference in
+// model_test.go, the cell-indexed stepper from before them, run on the
+// same forcing, is the oracle, and TestStepBitIdenticalToReference holds
+// Step at K = 1 to it.
+func (m *Model) Step() { m.step(1) }
+
+// step is Step with every sweep on `tasks` bands of rows.
+func (m *Model) step(tasks int) {
 	m.sampleForcing()
-	m.momentumRows(1, ny-1)
+	m.sweep(tasks, (*Model).momentumRows)
 	m.closeVelocities()
-	m.continuityRows(1, ny-1)
+	m.sweep(tasks, (*Model).continuityRows)
 	m.commitDynamics()
+	if m.pending == m.every {
+		m.stepTracers(tasks)
+	}
+	m.finishStep()
+}
+
+// stepTracers takes the tracer step over the m.pending dynamics steps
+// since the last one: the upwind weights of their summed flow, then
+// every level of T and S.
+func (m *Model) stepTracers(tasks int) {
+	m.upwindWeights()
 	for n, tr := range [2][]float64{m.t, m.s} {
 		for k := range m.decay {
-			m.tracerRows(tr, k, n == 0 && k == 0, 1, ny-1)
+			m.level = tracerLevel{tr, k, n == 0 && k == 0}
+			m.sweep(tasks, (*Model).tracerRows)
 			m.commitLevel(tr, k)
 		}
 	}
-	m.finishStep()
+	m.pending = 0
+}
+
+// catchUp takes a partial tracer step over the p < K dynamics steps since
+// the last tracer step, if there are any. Its forcing is drawn now, at
+// √(p/K) of a full tracer step's amplitude: a Wiener increment over p·Dt.
+func (m *Model) catchUp(tasks int) {
+	if m.pending == 0 {
+		return
+	}
+	m.drawTracer(math.Sqrt(float64(m.pending) / float64(m.every)))
+	m.stepTracers(tasks)
+}
+
+// tracerLevel names a tracerRows sweep: level k of tracer tr, and whether
+// it takes the surface forcing. It reaches the bands through the model,
+// written before the spawn, so that stepping allocates no closure per
+// level.
+type tracerLevel struct {
+	tr     []float64
+	k      int
+	forced bool
 }
 
 // row returns row j of a horizontal field, resliced to exactly nx so the
@@ -447,40 +509,51 @@ func (m *Model) continuityRows(jLo, jHi int) {
 }
 
 // commitDynamics closes the new eta, makes the new eta, u, v current and
-// forms the tracer sweeps' upwind weights from them.
+// adds the new u, v into the flow the next tracer step is taken on.
 func (m *Model) commitDynamics() {
 	zeroGradientBoundary(m.newEta, m.Cfg.Grid)
 	m.eta, m.newEta = m.newEta, m.eta
 	m.u, m.newU = m.newU, m.u
 	m.v, m.newV = m.newV, m.v
-	m.upwindWeights()
+	uSum, vSum, v := m.uSum[:len(m.u)], m.vSum[:len(m.u)], m.v[:len(m.u)]
+	for id, u := range m.u {
+		uSum[id] += u
+		vSum[id] += v[id]
+	}
+	m.pending++
 }
 
-// upwindWeights forms the share of each neighbour a cell takes in a step
-// of first-order upwind advection by the surface flow: pw, pe =
-// dt·max(±u, 0)/dx from the west and the east, ps, pn the same with v and
-// dy. A level scales them by its flow attenuation, which is positive.
+// upwindWeights forms the share of each neighbour a cell takes in a
+// tracer step of first-order upwind advection by the summed surface flow,
+// and clears the sums: pw, pe = Dt·max(±Σu, 0)/dx from the west and the
+// east, ps, pn the same with Σv and dy. That is the step's span p·Dt
+// times the mean flow, with no division. A level scales them by its flow
+// attenuation, which is positive.
 func (m *Model) upwindWeights() {
 	g := m.Cfg.Grid
 	ax, ay := m.Cfg.Dt/g.Dx, m.Cfg.Dt/g.Dy
-	pw, pe, ps, pn := m.pw[:len(m.u)], m.pe[:len(m.u)], m.ps[:len(m.u)], m.pn[:len(m.u)]
-	v := m.v[:len(m.u)]
-	for id, u := range m.u {
+	n := len(m.uSum)
+	pw, pe, ps, pn, vSum := m.pw[:n], m.pe[:n], m.ps[:n], m.pn[:n], m.vSum[:n]
+	for id, u := range m.uSum {
+		v := vSum[id]
 		pw[id], pe[id] = ax*max(u, 0), ax*max(-u, 0)
-		ps[id], pn[id] = ay*max(v[id], 0), ay*max(-v[id], 0)
+		ps[id], pn[id] = ay*max(v, 0), ay*max(-v, 0)
+		m.uSum[id], vSum[id] = 0, 0
 	}
 }
 
-// tracerRows advances level k of tracer tr into newTr on the interior
-// rows of [jLo, jHi): first-order upwind advection by the depth-attenuated
-// flow, diffusion and, when forced, the stochastic surface forcing. A
-// cell's new value is a weighted sum of its own and its four neighbours'
-// with no division and no branch.
-func (m *Model) tracerRows(tr []float64, k int, forced bool, jLo, jHi int) {
+// tracerRows advances the level m.level names over the tracer step's
+// span into newTr on the interior rows of [jLo, jHi): first-order upwind
+// advection by the depth-attenuated flow, diffusion and, when forced, the
+// stochastic surface forcing. A cell's new value is a weighted sum of its
+// own and its four neighbours' with no division and no branch.
+func (m *Model) tracerRows(jLo, jHi int) {
+	tr, k, forced := m.level.tr, m.level.k, m.level.forced
 	g := m.Cfg.Grid
 	nx, n2 := g.NX, g.N2()
 	decay := m.decay[k]
-	cx, cy := m.Cfg.Dt*m.Cfg.Diffusivity/(g.Dx*g.Dx), m.Cfg.Dt*m.Cfg.Diffusivity/(g.Dy*g.Dy)
+	dt := float64(m.pending) * m.Cfg.Dt
+	cx, cy := dt*m.Cfg.Diffusivity/(g.Dx*g.Dx), dt*m.Cfg.Diffusivity/(g.Dy*g.Dy)
 	slab := tr[k*n2 : (k+1)*n2]
 	for j := max(jLo, 1); j < min(jHi, g.NY-1); j++ {
 		c, s, n := rows(slab, j, nx)
@@ -513,7 +586,8 @@ func (m *Model) commitLevel(tr []float64, k int) {
 	zeroGradientBoundary(slab, g)
 }
 
-// finishStep applies the optional vertical mixing and advances the clock.
+// finishStep applies the optional vertical mixing, which stays on the
+// dynamics clock, and advances the clock.
 func (m *Model) finishStep() {
 	if err := m.applyVerticalMixing(); err != nil {
 		// The implicit operator is diagonally dominant by construction;
@@ -527,44 +601,80 @@ func (m *Model) finishStep() {
 // the multilevel DA scripts (ModelErrorKL): per field and step, a
 // klModes×klModes matrix Z of normals weighted by (a+b+1)^-klDecay gives
 // X Z Yᵀ, X and Y the cosine modes of each axis (cosineModes). It is
-// white in time, a Wiener increment. The two scales are calibrated on the
-// response: the η and SST spread of a forcing-only ensemble under the
-// smoothed per-cell noise it replaced (TestForcedSpreadCalibrated).
+// white in time, a Wiener increment: the wind's is drawn every dynamics
+// step, the tracer's once per tracer step. The two scales are calibrated
+// on the response: the η and SST spread of a forcing-only ensemble under
+// the smoothed per-cell noise it replaced (TestForcedSpreadCalibrated).
 const (
 	klModes       = 5
+	klCoeffs      = klModes * klModes // the normals of one field
 	klDecay       = 1.25
 	klWindScale   = 0.215
 	klTracerScale = 0.25
 )
 
-// sampleForcing draws this step's wind and tracer forcing: the steady
-// wind plus a KL field in fx and fy, a KL field alone in ftr.
+// tracerEvery is K, the dynamics steps one tracer step spans. The flow
+// that carries the tracers is about a thousand times slower than the
+// gravity wave that sets Dt; at K = 5 the largest tracer weights,
+// advective and diffusive, use about 1.3 % of the positivity bound
+// (EXPERIMENTS "Re-pin 4").
+const tracerEvery = 5
+
+// sampleForcing draws this step's forcing: the steady wind plus a KL
+// field in fx and fy, and, on a step that completes a tracer step, a KL
+// field alone in ftr. NormVec is sequential Norm calls, so the tracer's
+// normals drawn after the wind's are, at K = 1, the draws of a forcing
+// with no clock.
 func (m *Model) sampleForcing() {
-	const kk = klModes * klModes
-	z := m.noise.NormVec(m.z[:], len(m.z))
-	for n := range z {
-		z[n] *= m.zScale[n]
+	z := m.noise.NormVec(m.z[:], 2*klCoeffs)
+	for i := range z {
+		z[i] *= m.zScale[i]
 	}
 	nx := m.Cfg.Grid.NX
 	wind := -m.Cfg.WindAmp // steady upwelling-favorable (equatorward)
-	zx, zy, zt := (*[kk]float64)(z), (*[kk]float64)(z[kk:]), (*[kk]float64)(z[2*kk:])
+	zx, zy := (*[klCoeffs]float64)(z), (*[klCoeffs]float64)(z[klCoeffs:])
 	klX := m.klX[:nx]
 	for j, y := range m.klY {
 		// Row j of each field is X r with r = Z yⱼ.
-		var rx, ry, rt [klModes]float64
-		for a := range klModes {
-			for b, yb := range y {
-				rx[a] += zx[a*klModes+b] * yb
-				ry[a] += zy[a*klModes+b] * yb
-				rt[a] += zt[a*klModes+b] * yb
-			}
-		}
-		fx, fy, ftr := row(m.fx, j, nx), row(m.fy, j, nx), row(m.ftr, j, nx)
+		rx, ry := klRow(zx, &y), klRow(zy, &y)
+		fx, fy := row(m.fx, j, nx), row(m.fy, j, nx)
 		for i := range fx {
 			x := &klX[i]
-			fx[i], fy[i], ftr[i] = dot(x, &rx), wind+dot(x, &ry), dot(x, &rt)
+			fx[i], fy[i] = dot(x, &rx), wind+dot(x, &ry)
 		}
 	}
+	if m.pending+1 == m.every {
+		m.drawTracer(1)
+	}
+}
+
+// drawTracer draws the tracer's KL coefficients at scale times a full
+// tracer step's amplitude and forms ftr from them.
+func (m *Model) drawTracer(scale float64) {
+	z := m.noise.NormVec(m.z[2*klCoeffs:], klCoeffs)
+	for n := range z {
+		z[n] *= m.zScale[2*klCoeffs+n] * scale
+	}
+	nx := m.Cfg.Grid.NX
+	zt := (*[klCoeffs]float64)(z)
+	klX := m.klX[:nx]
+	for j, y := range m.klY {
+		rt := klRow(zt, &y)
+		ftr := row(m.ftr, j, nx)
+		for i := range ftr {
+			ftr[i] = dot(&klX[i], &rt)
+		}
+	}
+}
+
+// klRow is Z y: the coefficients on X of a field's row at y.
+func klRow(z *[klCoeffs]float64, y *[klModes]float64) (r [klModes]float64) {
+	for a := range klModes {
+		for b, yb := range y {
+			r[a] += z[a*klModes+b] * yb
+		}
+	}
+	return r
 }
 
 // dot is x·r, written out: klModes is 5.
@@ -572,11 +682,16 @@ func dot(x, r *[klModes]float64) float64 {
 	return x[0]*r[0] + x[1]*r[1] + x[2]*r[2] + x[3]*r[3] + x[4]*r[4]
 }
 
-// Run advances the model n steps.
-func (m *Model) Run(n int) {
-	for i := 0; i < n; i++ {
-		m.Step()
+// Run advances the model n steps and catches the tracers up, so the
+// state it leaves is at the model time whatever n is.
+func (m *Model) Run(n int) { m.run(n, 1) }
+
+// run is Run with every sweep on `tasks` bands of rows.
+func (m *Model) run(n, tasks int) {
+	for range n {
+		m.step(tasks)
 	}
+	m.catchUp(tasks)
 }
 
 // Energy returns the total (kinetic + potential) shallow-water energy,
@@ -594,7 +709,8 @@ func (m *Model) Energy() float64 {
 // Validate sanity-checks the configuration, returning an error describing
 // the first problem found: a time step, layer depth or grid spacing that
 // is not a positive finite number, then a CFL number beyond the stability
-// bound.
+// bound, then a Diffusivity whose tracer step would give a cell a
+// negative weight of its own value.
 func (m *Model) Validate() error {
 	g := m.Cfg.Grid
 	for _, q := range []struct {
@@ -607,6 +723,12 @@ func (m *Model) Validate() error {
 	}
 	if cfl := m.CFLNumber(); cfl > 0.7 {
 		return fmt.Errorf("ocean: CFL number %.3f exceeds stability bound 0.7", cfl)
+	}
+	// A tracer step of K·Dt keeps positivity only while the diffusive
+	// weights 2cx + 2cy leave the cell a share of its own value.
+	tdt := float64(m.every) * m.Cfg.Dt
+	if w := tdt * m.Cfg.Diffusivity * (2/(g.Dx*g.Dx) + 2/(g.Dy*g.Dy)); !(w >= 0 && w <= 1) {
+		return fmt.Errorf("ocean: Diffusivity = %v gives a tracer step of %.4g s diffusive weights %.3g, want within [0, 1]", m.Cfg.Diffusivity, tdt, w)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package ocean
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -14,6 +15,16 @@ func testModel(seed uint64) *Model {
 	g := grid.MontereyBay(16, 16, 4)
 	cfg := DefaultConfig(g)
 	return New(cfg, rng.New(seed))
+}
+
+// newEvery is New with the tracers stepping every k dynamics steps. The
+// span goes into newModel, which forms the tracer forcing's amplitude
+// for it: setting the field on a built model would leave that amplitude
+// at tracerEvery's, on both sides of any comparison.
+func newEvery(cfg Config, noise *rng.Stream, k int) *Model {
+	m := newModel(cfg, noise, k)
+	m.initClimatology()
+	return m
 }
 
 func TestDefaultConfigStable(t *testing.T) {
@@ -224,8 +235,9 @@ func TestValidateCatchesBadCFL(t *testing.T) {
 }
 
 // TestStepBitIdenticalToReference is the contract of the row kernels
-// across re-pin 3: whatever the grid shape, the configuration or the sign
-// of the flow, Step leaves the noise stream, the clock and the dynamics
+// across re-pins 3 and 4: whatever the grid shape, the configuration or
+// the sign of the flow, Step with the tracers on every step (K = 1,
+// built through newEvery) leaves the noise stream, the clock and the dynamics
 // (eta, u, v) bit for bit where stepReference does on the same forcing,
 // and after every step each tracer within 1e-12 of the reference field's
 // range (of its magnitude, where the field is constant). The tracers feed
@@ -257,21 +269,9 @@ func TestStepBitIdenticalToReference(t *testing.T) {
 			if tc.tweak != nil {
 				tc.tweak(&cfg)
 			}
-			got, want := New(cfg, rng.New(77)), New(cfg, rng.New(77))
+			got, want := newEvery(cfg, rng.New(77), 1), newEvery(cfg, rng.New(77), 1)
 			if tc.stir {
-				st := want.State(nil)
-				flow := rng.New(5)
-				u, v := want.Layout.SliceByName(st, "u"), want.Layout.SliceByName(st, "v")
-				neg := 0
-				for i := range u {
-					u[i], v[i] = 0.3*flow.Norm(), 0.3*flow.Norm()
-					if u[i] < 0 && v[i] < 0 {
-						neg++
-					}
-				}
-				if neg == 0 || neg == len(u) {
-					t.Fatalf("stirred flow is one-signed (%d of %d cells negative)", neg, len(u))
-				}
+				st := stirredState(t, want)
 				got.SetState(st)
 				want.SetState(st)
 			}
@@ -305,6 +305,154 @@ func TestStepBitIdenticalToReference(t *testing.T) {
 	}
 }
 
+// stirredState returns m's state with a sign-varying velocity field
+// loaded, so that advection takes both arms of the upwind choice.
+func stirredState(t *testing.T, m *Model) []float64 {
+	t.Helper()
+	st := m.State(nil)
+	flow := rng.New(5)
+	u, v := m.Layout.SliceByName(st, "u"), m.Layout.SliceByName(st, "v")
+	neg := 0
+	for i := range u {
+		u[i], v[i] = 0.3*flow.Norm(), 0.3*flow.Norm()
+		if u[i] < 0 && v[i] < 0 {
+			neg++
+		}
+	}
+	if neg == 0 || neg == len(u) {
+		t.Fatalf("stirred flow is one-signed (%d of %d cells negative)", neg, len(u))
+	}
+	return st
+}
+
+// clockTolerance is how far the tracer clock may put T and S from a
+// reference run, as a share of the largest change the reference made to
+// the field since its start (requireTracersClose). The runs compared
+// draw different forcing, so they differ by that and by the clock's
+// splitting; measured at most 1.7 % on TestTracerClockTracksEveryStep's
+// table. A tracer step that kept the span Dt in its weights or its
+// diffusion would be off by most of the change.
+const clockTolerance = 0.05
+
+// TestTracerClockTracksEveryStep holds the tracer clock to the stepper
+// without one: T and S at K = tracerEvery against K = 1, from one state
+// and one noise seed, after a cycle's 25 steps and a forecast-bound
+// member's 150, within clockTolerance.
+func TestTracerClockTracksEveryStep(t *testing.T) {
+	cases := []struct {
+		name       string
+		nx, ny, nz int
+		stir       bool
+	}{
+		{name: "32x32x6 default", nx: 32, ny: 32, nz: 6},
+		{name: "17x9x3 Dx!=Dy", nx: 17, ny: 9, nz: 3},
+		{name: "stirred", nx: 20, ny: 14, nz: 3, stir: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(grid.MontereyBay(tc.nx, tc.ny, tc.nz))
+			clocked, every := newEvery(cfg, rng.New(77), tracerEvery), newEvery(cfg, rng.New(77), 1)
+			if tc.stir {
+				st := stirredState(t, every)
+				clocked.SetState(st)
+				every.SetState(st)
+			}
+			init := every.State(nil)
+			done := 0
+			for _, steps := range []int{25, 150} {
+				clocked.Run(steps - done)
+				every.Run(steps - done)
+				done = steps
+				requireTracersClose(t, fmt.Sprintf("after %d steps", steps), every.Layout, clocked.State(nil), every.State(nil), init)
+			}
+		})
+	}
+}
+
+// TestRunSplitOnATracerStep pins what a Run carries into the next. Split
+// on a tracer step, two Runs are one Run to the bit. Split off one, the
+// first Run ends with a partial tracer step and draws its forcing there,
+// so the two are one Run within clockTolerance.
+func TestRunSplitOnATracerStep(t *testing.T) {
+	const steps = 25
+	cfg := DefaultConfig(grid.MontereyBay(16, 12, 4))
+	whole := New(cfg, rng.New(4))
+	init := whole.State(nil)
+	whole.Run(steps)
+	want := whole.State(nil)
+	for _, first := range []int{2 * tracerEvery, 2*tracerEvery + 2} {
+		m := New(cfg, rng.New(4))
+		m.Run(first)
+		m.Run(steps - first)
+		got := m.State(nil)
+		if first%tracerEvery == 0 {
+			requireBitEqual(t, got, want)
+			continue
+		}
+		requireTracersClose(t, fmt.Sprintf("Run(%d) then Run(%d)", first, steps-first), m.Layout, got, want, init)
+	}
+}
+
+// TestRunAndStateCatchUp: Run's end and State take the pending partial
+// tracer step, so a Run off a tracer step leaves none pending, State
+// after Steps packs what State after the same Run does, and a second
+// State returns the same bits.
+func TestRunAndStateCatchUp(t *testing.T) {
+	stepped, run := testModel(3), testModel(3)
+	for range tracerEvery - 2 {
+		stepped.Step()
+	}
+	run.Run(tracerEvery - 2)
+	if run.pending != 0 {
+		t.Fatalf("Run(%d) left %d dynamics steps pending", tracerEvery-2, run.pending)
+	}
+	first := stepped.State(nil)
+	requireBitEqual(t, first, run.State(nil))
+	requireBitEqual(t, stepped.State(nil), first)
+}
+
+// TestPartialStepIsAShorterClock: a Run of p < K steps ends with the
+// partial tracer step that a clock of K = p takes in full, on the same
+// draws (in both the tracer's normals follow the p-th step's wind), so
+// the two agree to rounding: the dynamics bit for bit, T and S within
+// 1e-12 of their range. A partial step that kept the full step's forcing
+// amplitude, or its span, would be off by far more.
+func TestPartialStepIsAShorterClock(t *testing.T) {
+	cfg := DefaultConfig(grid.MontereyBay(20, 14, 3))
+	for p := 1; p < tracerEvery; p++ {
+		partial, short := newEvery(cfg, rng.New(8), tracerEvery), newEvery(cfg, rng.New(8), p)
+		st := stirredState(t, short)
+		partial.SetState(st)
+		short.SetState(st)
+		partial.Run(p)
+		short.Run(p)
+		ps, ss := partial.State(nil), short.State(nil)
+		for _, v := range []struct {
+			name string
+			rel  float64
+		}{{"eta", 0}, {"u", 0}, {"v", 0}, {"T", 1e-12}, {"S", 1e-12}} {
+			g, w := partial.Layout.SliceByName(ps, v.name), short.Layout.SliceByName(ss, v.name)
+			if d, r := maxDiffAndRange(g, w); !(d <= v.rel*r) {
+				t.Errorf("p = %d: %s differs from K = p's by %g, %g of its range %g", p, v.name, d, d/r, r)
+			}
+		}
+	}
+}
+
+// requireTracersClose fails unless T and S in got are within
+// clockTolerance of want, as a share of the largest change want made to
+// the field from init.
+func requireTracersClose(t *testing.T, label string, l *grid.StateLayout, got, want, init []float64) {
+	t.Helper()
+	for _, name := range []string{"T", "S"} {
+		d, _ := maxDiffAndRange(l.SliceByName(got, name), l.SliceByName(want, name))
+		moved, _ := maxDiffAndRange(l.SliceByName(want, name), l.SliceByName(init, name))
+		if !(d <= clockTolerance*moved) {
+			t.Errorf("%s: %s differs by %.3g, %.3g of the %.3g it moved (tolerance %g)", label, name, d, d/moved, moved, clockTolerance)
+		}
+	}
+}
+
 // TestForcingStatistics holds the KL forcing to what it is built to be,
 // over 3000 draws: at interior cells each field's variance is the one its
 // modes and weights give; the edge band keeps its forcing (the
@@ -314,7 +462,7 @@ func TestStepBitIdenticalToReference(t *testing.T) {
 func TestForcingStatistics(t *testing.T) {
 	const draws = 3000
 	g := grid.MontereyBay(24, 20, 2)
-	m := New(DefaultConfig(g), rng.New(11))
+	m := newEvery(DefaultConfig(g), rng.New(11), 1)
 	nx, ny, kk := g.NX, g.NY, klModes*klModes
 	fields := []struct {
 		name string
@@ -485,19 +633,32 @@ func abs(i int) int {
 }
 
 // TestNewFromStateMatchesNewSetState pins the member constructor: skipping
-// the climatology changes nothing a forecast can see.
+// the climatology changes nothing a forecast can see. Nor do steps taken
+// before SetState: it drops their pending tracer flow and count, which
+// kept would put the first tracer step early and on their flow too. The
+// stepped model gets a fresh stream so that only what it carries differs;
+// the unstepped one keeps New's, so New's climatology must leave the
+// stream where NewFromState does.
 func TestNewFromStateMatchesNewSetState(t *testing.T) {
 	cfg := DefaultConfig(grid.MontereyBay(16, 12, 4))
 	spun := New(cfg, rng.New(3))
 	spun.Run(25)
 	initial := spun.State(nil)
 
-	a := New(cfg, rng.New(9))
-	a.SetState(initial)
-	b := NewFromState(cfg, rng.New(9), initial)
-	a.Run(60)
-	b.Run(60)
-	requireBitEqual(t, b.State(nil), a.State(nil))
+	for _, before := range []int{0, 3} {
+		a := New(cfg, rng.New(9))
+		for range before {
+			a.Step()
+		}
+		if before > 0 {
+			a.noise = rng.New(9)
+		}
+		a.SetState(initial)
+		b := NewFromState(cfg, rng.New(9), initial)
+		a.Run(60)
+		b.Run(60)
+		requireBitEqual(t, b.State(nil), a.State(nil))
+	}
 }
 
 // maxDiffAndRange returns max |got − want| and the range of want, or its
@@ -550,6 +711,26 @@ func TestValidateRejections(t *testing.T) {
 			} else if !strings.Contains(err.Error(), tc.name) {
 				t.Errorf("%s = %v rejected without naming the field: %v", tc.name, bad, err)
 			}
+		}
+	}
+	// A tracer step of K·Dt keeps positivity while its diffusive weights
+	// K·Dt·κ·(2/dx² + 2/dy²) are within [0, 1]. DefaultConfig's are
+	// 0.0125 at K = 5, so 79 times its Diffusivity is inside the bound and
+	// 81 times past it.
+	for _, tc := range []struct {
+		factor float64
+		ok     bool
+	}{{0, true}, {79, true}, {81, false}, {-1, false}, {nan, false}, {inf, false}} {
+		cfg := DefaultConfig(grid.MontereyBay(8, 8, 2))
+		cfg.Diffusivity *= tc.factor
+		err := New(cfg, rng.New(1)).Validate()
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("Validate rejected %v × the default Diffusivity: %v", tc.factor, err)
+		case !tc.ok && err == nil:
+			t.Errorf("Validate accepted %v × the default Diffusivity", tc.factor)
+		case !tc.ok && !strings.Contains(err.Error(), "Diffusivity"):
+			t.Errorf("%v × the default Diffusivity rejected without naming the field: %v", tc.factor, err)
 		}
 	}
 }

@@ -8,42 +8,21 @@ import "sync"
 // each ensemble member is itself a small parallel program.
 //
 // It is Step with each sweep's row kernel called on bands instead of on
-// the whole interior, and so bit-identical to it: every sweep reads only
-// the previous sweep's arrays and writes disjoint rows, with a barrier
-// between sweeps (the role halo exchanges play in the MPI version). The
-// stochastic forcing is drawn serially from the member's stream so the
-// noise sequence is independent of the task count.
-func (m *Model) StepParallel(tasks int) {
+// the whole interior, and so bit-identical to it, tracer clock included:
+// every sweep reads only the previous sweep's arrays and writes disjoint
+// rows, with a barrier between sweeps (the role halo exchanges play in
+// the MPI version). The stochastic forcing is drawn serially from the
+// member's stream so the noise sequence is independent of the task count.
+func (m *Model) StepParallel(tasks int) { m.step(tasks) }
+
+// sweep runs a row kernel over the interior rows: in one call when tasks
+// is at most 1, else on bands (parallelRows).
+func (m *Model) sweep(tasks int, kernel func(m *Model, jLo, jHi int)) {
 	if tasks <= 1 {
-		m.Step()
+		kernel(m, 1, m.Cfg.Grid.NY-1)
 		return
 	}
-	m.sampleForcing()
-	m.parallelRows(tasks, (*Model).momentumRows)
-	m.closeVelocities()
-	m.parallelRows(tasks, (*Model).continuityRows)
-	m.commitDynamics()
-	for n, tr := range [2][]float64{m.t, m.s} {
-		for k := range m.decay {
-			m.level = tracerLevel{tr, k, n == 0 && k == 0}
-			m.parallelRows(tasks, (*Model).tracerLevelRows)
-			m.commitLevel(tr, k)
-		}
-	}
-	m.finishStep()
-}
-
-// tracerLevel names the tracerRows sweep the bands are running. It reaches
-// them through the model, written before the spawn, so that stepping
-// allocates no closure per level.
-type tracerLevel struct {
-	tr     []float64
-	k      int
-	forced bool
-}
-
-func (m *Model) tracerLevelRows(jLo, jHi int) {
-	m.tracerRows(m.level.tr, m.level.k, m.level.forced, jLo, jHi)
+	m.parallelRows(tasks, kernel)
 }
 
 // parallelRows splits rows [0, NY) into contiguous bands, runs the row
@@ -74,9 +53,5 @@ func (m *Model) parallelRows(tasks int, kernel func(m *Model, jLo, jHi int)) {
 	wg.Wait()
 }
 
-// RunParallel advances n steps with task-parallel stepping.
-func (m *Model) RunParallel(n, tasks int) {
-	for i := 0; i < n; i++ {
-		m.StepParallel(tasks)
-	}
-}
+// RunParallel is Run with task-parallel stepping.
+func (m *Model) RunParallel(n, tasks int) { m.run(n, tasks) }
