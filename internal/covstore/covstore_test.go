@@ -1,9 +1,12 @@
 package covstore
 
 import (
+	"bytes"
 	"errors"
-	"io"
 	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -134,43 +137,73 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 func TestConcurrentWritersAndReaders(t *testing.T) {
 	// The safety property of the triple-file protocol: under concurrent
 	// publishing, a reader always sees a complete, checksum-valid
-	// snapshot (never a torn file).
-	st, _ := Open(t.TempDir())
+	// snapshot (never a torn file), whether each write is a generation
+	// of its own or one generation grows round by round. The reader
+	// passes back what it holds, so it also never mixes generations:
+	// version v is exactly what write v published.
 	const writes = 60
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < writes; i++ {
+	grown, grownIdx := testMatrix(99, 50, writes)
+	grownCols := grown.Columns()
+	writers := []struct {
+		name  string
+		write func(st *Store, i int) error
+		want  func(v int64) ([][]float64, []int)
+	}{
+		{"snapshots", func(st *Store, i int) error {
 			m, idx := testMatrix(uint64(i), 50, 1+i%7)
-			if _, err := st.WriteSnapshot(m, idx); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	var lastVersion int64
-	reads := 0
-	for lastVersion < writes {
-		m, idx, v, err := st.ReadSafe()
-		if errors.Is(err, os.ErrNotExist) {
-			continue
-		}
-		if err != nil {
-			t.Fatalf("read %d: %v", reads, err)
-		}
-		if v < lastVersion {
-			t.Fatalf("version went backwards: %d after %d", v, lastVersion)
-		}
-		if len(idx) != m.Cols {
-			t.Fatal("inconsistent snapshot contents")
-		}
-		lastVersion = v
-		reads++
+			_, err := st.WriteSnapshot(m, idx)
+			return err
+		}, func(v int64) ([][]float64, []int) {
+			m, idx := testMatrix(uint64(v-1), 50, 1+int(v-1)%7)
+			return m.Columns(), idx
+		}},
+		{"one generation", func(st *Store, i int) error {
+			_, err := st.Publish(grownCols[:i+1], grownIdx[:i+1])
+			return err
+		}, func(v int64) ([][]float64, []int) { return grownCols[:v], grownIdx[:v] }},
 	}
-	wg.Wait()
-	if reads == 0 {
-		t.Fatal("no successful concurrent reads")
+	for _, w := range writers {
+		st, _ := Open(t.TempDir())
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < writes; i++ {
+				if err := w.write(st, i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		var snap *Snapshot
+		reads := 0
+		for snap == nil || snap.Version < writes {
+			got, err := st.Read(snap)
+			if errors.Is(err, os.ErrNotExist) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: read %d: %v", w.name, reads, err)
+			}
+			if snap != nil && got.Version < snap.Version {
+				t.Fatalf("%s: version went backwards: %d after %d", w.name, got.Version, snap.Version)
+			}
+			cols, idx := w.want(got.Version)
+			if !slices.Equal(got.Indices, idx) || len(got.Cols) != len(cols) {
+				t.Fatalf("%s: version %d has members %v, want %v", w.name, got.Version, got.Indices, idx)
+			}
+			for j := range cols {
+				if !slices.Equal(got.Cols[j], cols[j]) {
+					t.Fatalf("%s: version %d column %d is not the one published", w.name, got.Version, j)
+				}
+			}
+			snap = got
+			reads++
+		}
+		wg.Wait()
+		if reads == 0 {
+			t.Fatalf("%s: no successful concurrent reads", w.name)
+		}
 	}
 }
 
@@ -240,19 +273,141 @@ func TestWriteSnapshotDirectoryRemoved(t *testing.T) {
 	}
 }
 
-// writeSnapshot hands binary.Write the header and the member indices as
-// one slice each, so its allocation count is fixed, whatever the number
-// of members.
-func TestWriteSnapshotAllocs(t *testing.T) {
-	for _, members := range []int{2, 64} {
-		m, idx := testMatrix(1, 20, members)
-		got := testing.AllocsPerRun(20, func() {
-			if err := writeSnapshot(io.Discard, 1, m, idx); err != nil {
+// Publish encodes into a buffer the store keeps, so what a publish
+// allocates does not grow with the members it adds or with the columns
+// its generation already has.
+func TestPublishAllocs(t *testing.T) {
+	m, idx := testMatrix(1, 20, 200)
+	cols := m.Columns()
+	for _, base := range []int{2, 64} {
+		for _, add := range []int{1, 4} {
+			st, _ := Open(t.TempDir())
+			n := base
+			if _, err := st.Publish(cols[:n], idx[:n]); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if got != 7 {
-			t.Errorf("writeSnapshot with %d members: %.0f allocs/op, want 7", members, got)
+			got := testing.AllocsPerRun(20, func() {
+				n += add
+				if _, err := st.Publish(cols[:n], idx[:n]); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != 15 {
+				t.Errorf("Publish of %d onto %d columns: %.0f allocs/op, want 15", add, base, got)
+			}
 		}
+	}
+}
+
+func publishAll(t *testing.T, st *Store, m *linalg.Dense, idx []int, steps ...int) *Snapshot {
+	t.Helper()
+	cols := m.Columns()
+	for _, n := range steps {
+		if _, err := st.Publish(cols[:n], idx[:n]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := st.Read(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// A generation's log only ever grows: after each publish it holds
+// exactly the columns published, and no earlier byte of it changes.
+func TestLogIsAppendOnly(t *testing.T) {
+	st, _ := Open(t.TempDir())
+	m, idx := testMatrix(8, 16, 9)
+	cols := m.Columns()
+	var before []byte
+	for _, n := range []int{2, 3, 7, 9} {
+		if _, err := st.Publish(cols[:n], idx[:n]); err != nil {
+			t.Fatal(err)
+		}
+		log, err := os.ReadFile(st.logPath(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(log) != 8*m.Rows*n {
+			t.Fatalf("after %d columns the log has %d bytes, want %d", n, len(log), 8*m.Rows*n)
+		}
+		if !bytes.HasPrefix(log, before) {
+			t.Fatalf("publishing %d columns rewrote an earlier one", n)
+		}
+		before = log
+	}
+	if _, err := st.Publish(cols[:4], idx[:4]); err == nil {
+		t.Fatal("a publish that drops published columns was accepted")
+	}
+}
+
+// A flipped byte in the log fails the read of its column, by name; a
+// reader that already holds that column does not read it again.
+func TestLogCorruptionNamesTheColumn(t *testing.T) {
+	st, _ := Open(t.TempDir())
+	m, idx := testMatrix(9, 10, 6)
+	held := publishAll(t, st, m, idx, 4)
+	publishAll(t, st, m, idx, 6)
+	log, err := os.ReadFile(st.logPath(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log[8*m.Rows*2+5] ^= 0x10 // column 2, member 6
+	if err := os.WriteFile(st.logPath(1), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Read(nil); err == nil || !strings.Contains(err.Error(), "column 2 (member 6)") {
+		t.Fatalf("a flipped byte in column 2 read back as %v", err)
+	}
+	got, err := st.Read(held)
+	if err != nil {
+		t.Fatalf("a reader holding columns 0-3 read column 2 again: %v", err)
+	}
+	if len(got.Cols) != 6 || &got.Cols[2][0] != &held.Cols[2][0] {
+		t.Fatal("the held columns were not kept")
+	}
+}
+
+// A reader that holds a generation reads the next one afresh, even when
+// its member indices extend the ones it holds; the older log is gone.
+func TestReaderNeverMixesGenerations(t *testing.T) {
+	st, _ := Open(t.TempDir())
+	m1, idx := testMatrix(10, 12, 5)
+	m2, _ := testMatrix(11, 12, 5)
+	held := publishAll(t, st, m1, idx, 3)
+	st.NewGeneration()
+	want := publishAll(t, st, m2, idx, 5)
+	if _, err := os.Stat(st.logPath(1)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("generation 1's log outlived generation 2's first publish: %v", err)
+	}
+	got, err := st.Read(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range want.Cols {
+		if !slices.Equal(got.Cols[j], want.Cols[j]) {
+			t.Fatalf("column %d is not generation 2's", j)
+		}
+	}
+}
+
+// A store opened over another's directory continues its numbering, so
+// its first generation neither reuses nor keeps the old log.
+func TestReopenedStoreStartsANewLog(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := Open(dir)
+	m, idx := testMatrix(12, 6, 4)
+	publishAll(t, st, m, idx, 4)
+	again, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := again.WriteSnapshot(m, idx); err != nil {
+		t.Fatal(err)
+	}
+	logs, _ := filepath.Glob(filepath.Join(dir, "cols_*.dat"))
+	if len(logs) != 1 || filepath.Base(logs[0]) != "cols_2.dat" {
+		t.Fatalf("logs after a reopened store's first write: %v", logs)
 	}
 }

@@ -1,9 +1,9 @@
 // Package linalg implements the dense linear algebra needed by ESSE:
 // matrix arithmetic with goroutine-parallel multiplication, Householder
 // QR, Cholesky factorization, a symmetric eigensolver (Householder
-// tridiagonalisation + implicit QL), and singular value decompositions
-// (one-sided Jacobi for general matrices and a Gram-matrix thin SVD for
-// the tall ensemble anomaly matrices that dominate ESSE workloads).
+// tridiagonalisation + implicit QL), and a Gram-matrix thin SVD for the
+// tall ensemble anomaly matrices that dominate ESSE workloads (a
+// one-sided Jacobi SVD, its oracle, is in the tests).
 //
 // The paper offloads these operations to shared-memory LAPACK; this
 // package is the stdlib-only replacement. All algorithms are validated

@@ -145,10 +145,7 @@ func MulTA(a, b *Dense) *Dense {
 			if aki == 0 {
 				continue
 			}
-			outRow := out.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				outRow[j] += aki * bRow[j]
-			}
+			axpy(out.Data[i*n:(i+1)*n], aki, bRow)
 		}
 	}
 	return out

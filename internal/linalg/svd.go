@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // SVDFactors holds a thin singular value decomposition A = U diag(S) Vᵀ
 // with singular values sorted in descending order. U is m×k and V is n×k
@@ -12,112 +9,6 @@ type SVDFactors struct {
 	U *Dense
 	S []float64
 	V *Dense
-}
-
-// SVD computes a thin SVD of a, dispatching on shape: for tall matrices
-// (Rows >= Cols) it runs one-sided Jacobi directly; for wide matrices it
-// factors the transpose and swaps U and V.
-//
-// ESSE anomaly matrices are extremely tall (state dimension ≫ ensemble
-// size), which is the cheap case: the Jacobi sweeps operate on the n
-// columns only.
-func SVD(a *Dense) *SVDFactors {
-	if a.Rows >= a.Cols {
-		return oneSidedJacobi(a)
-	}
-	f := oneSidedJacobi(a.T())
-	return &SVDFactors{U: f.V, S: f.S, V: f.U}
-}
-
-// oneSidedJacobi computes the thin SVD of a tall matrix (m >= n) by
-// orthogonalizing its columns with Jacobi plane rotations. V accumulates
-// the rotations; on convergence the column norms are the singular values
-// and the normalized columns form U.
-func oneSidedJacobi(a *Dense) *SVDFactors {
-	m, n := a.Rows, a.Cols
-	u := a.Clone()
-	v := Identity(n)
-
-	const maxSweeps = 60
-	tol := 1e-14
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		rotated := false
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				// Compute the 2x2 Gram entries for columns p and q.
-				alpha, beta, gamma := 0.0, 0.0, 0.0
-				for i := 0; i < m; i++ {
-					up := u.Data[i*n+p]
-					uq := u.Data[i*n+q]
-					alpha += up * up
-					beta += uq * uq
-					gamma += up * uq
-				}
-				if math.Abs(gamma) <= tol*math.Sqrt(alpha*beta) || gamma == 0 {
-					continue
-				}
-				rotated = true
-				// Rotation that annihilates the off-diagonal Gram entry.
-				zeta := (beta - alpha) / (2 * gamma)
-				var t float64
-				if zeta >= 0 {
-					t = 1 / (zeta + math.Sqrt(1+zeta*zeta))
-				} else {
-					t = -1 / (-zeta + math.Sqrt(1+zeta*zeta))
-				}
-				c := 1 / math.Sqrt(1+t*t)
-				s := t * c
-				for i := 0; i < m; i++ {
-					up := u.Data[i*n+p]
-					uq := u.Data[i*n+q]
-					u.Data[i*n+p] = c*up - s*uq
-					u.Data[i*n+q] = s*up + c*uq
-				}
-				for i := 0; i < n; i++ {
-					vp := v.Data[i*n+p]
-					vq := v.Data[i*n+q]
-					v.Data[i*n+p] = c*vp - s*vq
-					v.Data[i*n+q] = s*vp + c*vq
-				}
-			}
-		}
-		if !rotated {
-			break
-		}
-	}
-
-	// Extract singular values (column norms) and normalize U.
-	sv := make([]float64, n)
-	col := make([]float64, m)
-	for j := 0; j < n; j++ {
-		u.Col(col, j)
-		sv[j] = Norm2(col)
-		if sv[j] > 0 {
-			inv := 1 / sv[j]
-			for i := 0; i < m; i++ {
-				u.Data[i*n+j] *= inv
-			}
-		}
-	}
-	// Sort by descending singular value.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return sv[idx[i]] > sv[idx[j]] })
-	sortedS := make([]float64, n)
-	sortedU := NewDense(m, n)
-	sortedV := NewDense(n, n)
-	ucol := make([]float64, m)
-	vcol := make([]float64, n)
-	for out, in := range idx {
-		sortedS[out] = sv[in]
-		u.Col(ucol, in)
-		sortedU.SetCol(out, ucol)
-		v.Col(vcol, in)
-		sortedV.SetCol(out, vcol)
-	}
-	return &SVDFactors{U: sortedU, S: sortedS, V: sortedV}
 }
 
 // ThinSVDGram computes the dominant k singular triplets of a tall matrix
@@ -211,16 +102,4 @@ func LeftVectors(a, v *Dense, s []float64) *Dense {
 		}
 	}
 	return u
-}
-
-// Reconstruct returns U diag(S) Vᵀ (mainly for testing).
-func (f *SVDFactors) Reconstruct() *Dense {
-	k := len(f.S)
-	us := NewDense(f.U.Rows, k)
-	for i := 0; i < f.U.Rows; i++ {
-		for j := 0; j < k; j++ {
-			us.Set(i, j, f.U.At(i, j)*f.S[j])
-		}
-	}
-	return MulBT(us, f.V)
 }

@@ -266,16 +266,16 @@ var mutants = []mutant{
 	},
 	{
 		rule: "lockheld", file: "internal/covstore/covstore.go",
-		why: "ReadSafe waits for a first publish under the lock WriteSnapshot needs to make it",
+		why: "a read waits for a first publish under the lock Publish needs to make it",
 		imp: "time",
-		old: `	f, err := os.Open(s.safePath())
+		old: `	b, err := os.ReadFile(s.safePath())
 	if err != nil {`,
 		new: `	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.version == 0 {
 		time.Sleep(50 * time.Millisecond) // nothing published yet: give a writer a moment
 	}
-	f, err := os.Open(s.safePath())
+	b, err := os.ReadFile(s.safePath())
 	if err != nil {`,
 	},
 	{

@@ -90,7 +90,8 @@ type Config struct {
 	Retries int
 	// Store, when non-nil, routes anomaly snapshots through the on-disk
 	// triple-file protocol: the diff stage publishes and the SVD stage
-	// reads back the safe file, exactly as the shell implementation did.
+	// reads back the safe file, as the shell implementation did. Each
+	// run starts a generation of its own in the store.
 	Store *covstore.Store
 	// OnProgress, when non-nil, is invoked from the coordinator after
 	// every member completion and SVD round with a progress snapshot —
@@ -269,6 +270,11 @@ func run(ctx context.Context, cfg Config, central []float64, runner MemberRunner
 	}
 
 	acc := core.NewAccumulator(central)
+	if cfg.Store != nil {
+		// Member indices cannot tell this run's members from an earlier
+		// run's, so the run gets a column log of its own.
+		cfg.Store.NewGeneration()
+	}
 
 	// Metric registration may allocate, so it happens once up front; the
 	// handles below are lock-free (and nil no-ops when telemetry is off).
@@ -303,6 +309,7 @@ func run(ctx context.Context, cfg Config, central []float64, runner MemberRunner
 	// into the tracker and tests convergence on coefficients; the modes
 	// are formed once, after the loop.
 	tracker := core.NewSubspaceTracker(cfg.MaxRank, cfg.SigmaRelTol)
+	var safe *covstore.Snapshot // the columns read back from the store so far
 
 	runSVD := func() error {
 		// ctx (not runCtx) on purpose: runCtx is already cancelled when
@@ -316,15 +323,16 @@ func run(ctx context.Context, cfg Config, central []float64, runner MemberRunner
 		if cfg.Store != nil {
 			// Publish through the triple-file protocol and read back the
 			// safe file, like the shell implementation's differ/SVD pair;
-			// the round then runs on the file's columns.
-			if _, err := cfg.Store.WriteSnapshot(acc.Anomalies(), indices); err != nil {
+			// the round then runs on the file's columns. Both sides move
+			// only the members new since the last round.
+			if _, err := cfg.Store.Publish(cols, indices); err != nil {
 				return fmt.Errorf("workflow: diff publish: %w", err)
 			}
-			safe, safeIndices, _, err := cfg.Store.ReadSafe()
-			if err != nil {
+			var err error
+			if safe, err = cfg.Store.Read(safe); err != nil {
 				return fmt.Errorf("workflow: SVD read: %w", err)
 			}
-			cols, indices = safe.Columns(), safeIndices
+			cols, indices = safe.Cols, safe.Indices
 		}
 		if len(cols) < 2 {
 			return nil

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -381,6 +383,53 @@ func TestTripleFileStoreIntegration(t *testing.T) {
 	if res.Rho != res2.Rho || res.SVDRounds != res2.SVDRounds {
 		t.Fatalf("store round trip changed the rounds: rho %v in %d rounds, without the store %v in %d",
 			res.Rho, res.SVDRounds, res2.Rho, res2.SVDRounds)
+	}
+}
+
+// TestStoreLogHoldsEachMemberOnce pins what a round moves through the
+// store: the diff stage appends only the members new since the last
+// round, so a run's column log ends with exactly the members it used,
+// once each, in its own generation; the next run on the same store
+// starts another, and the older log goes.
+func TestStoreLogHoldsEachMemberOnce(t *testing.T) {
+	truth := toySubspace(19, 40, 2)
+	store, err := covstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := quickConfig()
+	cfg.Store = store
+	cfg.Criterion = core.ConvergenceCriterion{MinSimilarity: 2}
+	cfg.InitialSize, cfg.MaxSize = 16, 16
+	for run := 1; run <= 2; run++ {
+		res, err := RunParallel(context.Background(), cfg, make([]float64, 40), toyRunner(truth, uint64(20+run), 0, 0, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SVDRounds < 2 {
+			t.Fatalf("run %d: %d SVD rounds; the pin needs more than one", run, res.SVDRounds)
+		}
+		logs, err := filepath.Glob(filepath.Join(store.Dir(), "cols_*.dat"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("cols_%d.dat", run); len(logs) != 1 || filepath.Base(logs[0]) != want {
+			t.Fatalf("run %d: logs %v, want only %s", run, logs, want)
+		}
+		info, err := os.Stat(logs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cols := info.Size() / (8 * 40); cols != int64(res.MembersUsed) || info.Size()%(8*40) != 0 {
+			t.Fatalf("run %d: the log holds %d bytes, %d columns; the run used %d members", run, info.Size(), cols, res.MembersUsed)
+		}
+		snap, err := store.Read(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(snap.Indices, res.MemberIndices) {
+			t.Fatalf("run %d: the store names members %v, the run used %v", run, snap.Indices, res.MemberIndices)
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ import (
 // unlinked: the count DESIGN.md "What no binary links" accounts for
 // line by line. It only ever falls; a change that deletes unlinked
 // code lowers it to the new count.
-const ceiling = 489
+const ceiling = 386
 
 func main() {
 	log.SetFlags(0)
