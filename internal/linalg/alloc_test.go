@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"testing"
 
 	"esse/internal/rng"
@@ -29,17 +30,23 @@ func spdMatrix(n int) *Dense {
 }
 
 func TestMulIntoAllocFree(t *testing.T) {
-	// 16x16x16 = 4096 flops, far below parallelThreshold: the serial
-	// path must not touch the heap. (The parallel path spawns worker
-	// goroutines, which is an accepted, amortized-by-size cost.)
-	n := 16
-	a, b, out := spdMatrix(n), spdMatrix(n), NewDense(n, n)
-	assertAllocs(t, "mulInto", 0, func() {
-		for i := range out.Data {
-			out.Data[i] = 0
-		}
-		mulInto(out, a, b)
-	})
+	// 16x16x16 = 4096 flops is far below parallelThreshold; 600x32x32 is
+	// above it, and at GOMAXPROCS 1 (AllocsPerRun's) mulInto stays on the
+	// calling goroutine. Neither touches the heap. (The parallel path,
+	// above the threshold at GOMAXPROCS > 1, spawns worker goroutines, an
+	// accepted cost amortised by size.)
+	if 600*32*32 < parallelThreshold {
+		t.Fatal("600x32x32 is below parallelThreshold")
+	}
+	s := rng.New(2)
+	for _, rows := range []int{16, 600} {
+		n := min(rows, 32)
+		a, b, out := randomDense(s, rows, n), randomDense(s, n, n), NewDense(rows, n)
+		assertAllocs(t, fmt.Sprintf("mulInto %dx%dx%d", rows, n, n), 0, func() {
+			clear(out.Data)
+			mulInto(out, a, b)
+		})
+	}
 }
 
 // GramSVD sizes σ and its column buffer once, so its count does not
@@ -121,9 +128,9 @@ func TestMatTVecDotAxpyAllocFree(t *testing.T) {
 
 // The factorizations return fresh results; each count is what the
 // result and its fixed scratch cost at the shape of the benchmark of
-// the same kernel. ThinSVDGram's tall product takes the parallel path,
-// which at AllocsPerRun's GOMAXPROCS 1 is one worker whose goroutine
-// the runtime reuses, so its count holds; a many-worker Mul's does not.
+// the same kernel. ThinSVDGram's tall product is above the parallel
+// threshold, but AllocsPerRun runs at GOMAXPROCS 1, where mulInto stays
+// on the calling goroutine; a many-worker Mul's count would not hold.
 func TestFactorizationAllocs(t *testing.T) {
 	s := rng.New(1)
 	a, b := randomDense(s, 32, 32), randomDense(s, 32, 32)
@@ -133,5 +140,5 @@ func TestFactorizationAllocs(t *testing.T) {
 	sym := Add(a, a.T())
 	assertAllocs(t, "SymEig 32", 7, func() { SymEig(sym) })
 	tall := randomDense(s, 2000, 50)
-	assertAllocs(t, "ThinSVDGram 2000x50", 20, func() { ThinSVDGram(tall, 50) })
+	assertAllocs(t, "ThinSVDGram 2000x50", 17, func() { ThinSVDGram(tall, 50) })
 }

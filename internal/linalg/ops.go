@@ -61,14 +61,10 @@ func Mul(a, b *Dense) *Dense {
 }
 
 func mulInto(out, a, b *Dense) {
-	flops := a.Rows * a.Cols * b.Cols
-	if flops < parallelThreshold {
+	workers := min(runtime.GOMAXPROCS(0), a.Rows)
+	if workers <= 1 || a.Rows*a.Cols*b.Cols < parallelThreshold {
 		mulRange(out, a, b, 0, a.Rows)
 		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > a.Rows {
-		workers = a.Rows
 	}
 	var wg sync.WaitGroup
 	chunk := (a.Rows + workers - 1) / workers
@@ -106,7 +102,12 @@ func mulRange(out, a, b *Dense, lo, hi int) {
 	}
 }
 
-// axpy adds a·x to y, four elements an iteration and then one. Each
+// axpy adds a·x to y. It is axpyGo, or on an amd64 CPU with AVX2 the
+// four-lane axpyAVX2, chosen once from CPUID; both give every element
+// the same multiply and add, so the sums are bit-identical.
+var axpy = axpyGo
+
+// axpyGo adds a·x to y, four elements an iteration and then one. Each
 // element sees the one multiply-add a plain loop gives it, so the sums
 // are bit-identical to that loop's. The plain loop's speed depended on
 // where the linker put it: on an Intel Xeon at one thread, a 15 360×128
@@ -114,7 +115,7 @@ func mulRange(out, a, b *Dense, lo, hi int) {
 // bytes past a 64-byte boundary as when it started on one, and code
 // added anywhere before it moves it. The four-wide loop reads the same
 // either way.
-func axpy(y []float64, a float64, x []float64) {
+func axpyGo(y []float64, a float64, x []float64) {
 	y = y[:len(x)]
 	j := 0
 	for ; j+4 <= len(x); j += 4 {

@@ -197,6 +197,19 @@ func BenchmarkMulLargeParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkMulTall is the shape of the engine's tall products at the
+// paper-scale state (LeftVectors' E = A V S⁻¹, Assimilate's posterior
+// rotation): 15 360×128 by 128×128.
+func BenchmarkMulTall(b *testing.B) {
+	s := rng.New(1)
+	a := randomDense(s, 15360, 128)
+	c := randomDense(s, 128, 128)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Mul(a, c)
+	}
+}
+
 // TestExtendGramMatchesMulTA: extending the Gram matrix of any leading
 // block of columns gives MulTA(A, A) bit for bit — with a column count
 // that is not a multiple of four, and with zero entries, which MulTA

@@ -1,5 +1,6 @@
 #!/bin/sh
-# verify.sh — the repository's standing gate: build, vet, the custom
+# verify.sh — the repository's standing gate: build, the arm64 vet and
+# 386 build (the portable build, without the amd64 assembly), vet, the custom
 # esselint analyzers (`esselint -list`), the suppression audit, and the
 # race-enabled test suite, which includes the mutation table the
 # analyzers are kept on (internal/lint, TestRulesCatchRealMutants), the
@@ -14,6 +15,10 @@ cd "$(dirname "$0")/.."
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> GOARCH=arm64 go vet ./... and GOARCH=386 go build ./... (the portable build, without the amd64 assembly)"
+GOARCH=arm64 go vet ./...
+GOARCH=386 go build ./...
 
 echo "==> go run scripts/unlinked.go (function lines under internal/ that no binary links; fails above its ceiling)"
 # The output is captured first: a pipe would hide the script's exit status.
