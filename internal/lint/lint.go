@@ -1,9 +1,9 @@
 // Package lint implements esselint, the static-analysis suite that
-// enforces the repository's error-handling, numerical-safety, lock and
-// resource invariants. `esselint -list` prints the analyzers, all
-// intraprocedural; each has a fixture under testdata/ and rows of
-// real-tree mutants in mutants_test.go, the evidence it is kept on
-// (DESIGN.md §7). Invariants a test at the seam catches as well —
+// enforces the repository's error-handling, numerical-safety,
+// concurrency and enum-coverage invariants. `esselint -list` prints
+// the analyzers, all intraprocedural; each has a fixture under
+// testdata/ and rows of real-tree mutants in mutants_test.go, the
+// evidence it is kept on (DESIGN.md §7). Invariants a test at the seam catches as well —
 // seeding, map order, log key lists, goroutine drains, context flow,
 // HTTP bounds, retries — are held by those tests instead.
 //

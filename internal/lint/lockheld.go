@@ -16,10 +16,19 @@ import (
 // critical section stalls every other goroutine touching that lock; in
 // the paper's setting that is the scheduler freezing mid-ensemble.
 //
-// Held-lock state is a must-analysis (forward dataflow, meet =
-// intersection): a lock counts as held at a point only when every path
-// to it acquired the lock without releasing. Deferred unlocks keep the
-// lock held through the body by design — that is the idiom's point.
+// Held-lock state is a region rule over the syntax tree. A Lock or
+// RLock statement holds its key from the statement to the next Lock or
+// Unlock statement of that key in the same block, or to the block's
+// end; a deferred unlock therefore holds it to the end of the function,
+// which is the idiom's point. An Unlock statement in a nested block
+// releases the key for the rest of that block, so an early
+// `mu.Unlock(); return` branch is outside the region. A lock carried
+// past the end of the block that took it — taken in both arms of an
+// if, carried out of a loop by break or into another block by goto —
+// is not seen. go and defer statements are skipped, and a function
+// literal is a body of its own. A select is one operation: the
+// communications of its clauses are not reported apart, so the send
+// of a select with default passes.
 //
 // Lock identity is canonical-by-type for receiver fields: s.mu and
 // m.mu are the same key when s and m share a named type. Two distinct
@@ -33,15 +42,6 @@ var LockHeld = &Analyzer{
 	Run:   runLockHeld,
 }
 
-// lockOp classifies what a call does to a mutex.
-type lockOp int
-
-const (
-	lockNone lockOp = iota
-	lockTake
-	lockDrop
-)
-
 // lockCtx carries what lock-key canonicalization needs about the
 // package and enclosing function being analyzed.
 type lockCtx struct {
@@ -53,32 +53,38 @@ type lockCtx struct {
 	Enclosing string
 }
 
-// lockCall classifies call as a sync.Mutex/sync.RWMutex acquisition or
-// release and returns the lock's canonical key.
-func lockCall(ctx *lockCtx, call *ast.CallExpr) (string, lockOp) {
+// lockStmt classifies s as a statement that takes (Lock, RLock) or
+// drops (Unlock, RUnlock) a sync.Mutex or sync.RWMutex and returns the
+// lock's canonical key, or "" when s is neither.
+func lockStmt(ctx *lockCtx, s ast.Stmt) (key string, take bool) {
+	es, ok := s.(*ast.ExprStmt)
+	if !ok {
+		return "", false
+	}
+	call, ok := es.X.(*ast.CallExpr)
+	if !ok {
+		return "", false
+	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return "", lockNone
+		return "", false
 	}
 	obj, ok := ctx.Info.Uses[sel.Sel].(*types.Func)
 	if !ok || obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return "", lockNone
+		return "", false
 	}
 	switch recvNamed(obj) {
 	case "Mutex", "RWMutex":
 	default:
-		return "", lockNone
+		return "", false
 	}
-	var op lockOp
 	switch obj.Name() {
 	case "Lock", "RLock":
-		op = lockTake
+		return lockKeyOf(ctx, sel.X), true
 	case "Unlock", "RUnlock":
-		op = lockDrop
-	default:
-		return "", lockNone
+		return lockKeyOf(ctx, sel.X), false
 	}
-	return lockKeyOf(ctx, sel.X), op
+	return "", false
 }
 
 // lockKeyOf canonicalizes the mutex expression so the same logical
@@ -120,115 +126,124 @@ func lockKeyOf(ctx *lockCtx, x ast.Expr) string {
 	return ctx.Enclosing + "·" + path
 }
 
-// heldSet is the must-held lock fact: key → held on every path. A nil
-// set is the solver's Top (unreached).
-type heldSet map[string]bool
-
-func (h heldSet) clone() heldSet {
-	c := make(heldSet, len(h))
-	for k := range h {
-		c[k] = true
-	}
-	return c
+// A span is where one Lock or Unlock statement decides whether its key
+// is held: from the statement's end to the end of its block.
+type span struct {
+	key      string
+	held     bool
+	from, to token.Pos
 }
 
-// heldFlow is the FlowAnalysis tracking which locks are held.
-type heldFlow struct {
-	ctx *lockCtx
-}
-
-func (h *heldFlow) Boundary() Fact { return heldSet{} }
-func (h *heldFlow) Top() Fact      { return heldSet(nil) }
-
-func (h *heldFlow) Transfer(b *Block, in Fact) Fact {
-	st, _ := in.(heldSet)
-	if st == nil {
-		return heldSet(nil)
-	}
-	out := st.clone()
-	for _, n := range b.Nodes {
-		replayHeld(h.ctx, n, out, nil)
-	}
-	return out
-}
-
-func (h *heldFlow) Meet(a, b Fact) Fact {
-	sa, _ := a.(heldSet)
-	sb, _ := b.(heldSet)
-	if sa == nil {
-		return sb
-	}
-	if sb == nil {
-		return sa
-	}
-	m := heldSet{}
-	for k := range sa {
-		if sb[k] {
-			m[k] = true
+// lockSpans lists the spans of body's lock statements. Function
+// literals' spans are listed too; no position outside a literal lies
+// inside them.
+func lockSpans(ctx *lockCtx, body *ast.BlockStmt) []span {
+	var spans []span
+	ast.Inspect(body, func(n ast.Node) bool {
+		var list []ast.Stmt
+		switch v := n.(type) {
+		case *ast.BlockStmt:
+			list = v.List
+		case *ast.CaseClause:
+			list = v.Body
+		case *ast.CommClause:
+			list = v.Body
 		}
-	}
-	return m
-}
-
-func (h *heldFlow) Equal(a, b Fact) bool {
-	sa, _ := a.(heldSet)
-	sb, _ := b.(heldSet)
-	if (sa == nil) != (sb == nil) || len(sa) != len(sb) {
-		return false
-	}
-	for k := range sa {
-		if !sb[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// replayHeld walks the lock-relevant operations of block node n in
-// source order, updating held in place; onBlock, when non-nil, fires at
-// each may-block operation. Defer bodies are skipped (they run at
-// function exit) and go statements are skipped entirely (the spawned
-// call does not block the spawner, and its locks run concurrently, not
-// nested).
-func replayHeld(ctx *lockCtx, n ast.Node, held heldSet, onBlock func(desc string, pos token.Pos)) {
-	if _, isDefer := n.(*ast.DeferStmt); isDefer {
-		return
-	}
-	WalkBlockNode(n, func(m ast.Node) bool {
-		switch v := m.(type) {
-		case *ast.GoStmt:
-			return false
-		case *ast.SendStmt:
-			if onBlock != nil {
-				onBlock("channel send", v.Arrow)
-			}
-		case *ast.UnaryExpr:
-			if v.Op == token.ARROW && onBlock != nil {
-				onBlock("channel receive", v.OpPos)
-			}
-		case *ast.RangeStmt:
-			if _, isChan := exprType(ctx.Info, v.X).(*types.Chan); isChan && onBlock != nil {
-				onBlock("range over channel", v.For)
-			}
-		case *ast.SelectStmt:
-			if !selectHasDefault(v) && onBlock != nil {
-				onBlock("select without default", v.Select)
-			}
-		case *ast.CallExpr:
-			if key, op := lockCall(ctx, v); op != lockNone {
-				if op == lockTake {
-					held[key] = true
-				} else {
-					delete(held, key)
-				}
-				return true
-			}
-			if isBlockingStdCall(ctx.Info, v) && onBlock != nil {
-				onBlock(blockDesc(ctx.Info, v), v.Pos())
+		for _, s := range list {
+			if key, take := lockStmt(ctx, s); key != "" {
+				spans = append(spans, span{key: key, held: take, from: s.End(), to: n.End()})
 			}
 		}
 		return true
 	})
+	return spans
+}
+
+// heldAt is the set of keys held at pos: those whose innermost span
+// around pos holds them, that is the span of the key's last lock
+// statement before pos in a block around pos. Spans of one key nest or
+// are disjoint, so the innermost is the one that starts last.
+func heldAt(spans []span, pos token.Pos) map[string]bool {
+	inner := map[string]span{}
+	for _, s := range spans {
+		if s.from <= pos && pos < s.to && s.from > inner[s.key].from {
+			inner[s.key] = s
+		}
+	}
+	held := map[string]bool{}
+	for k, s := range inner {
+		if s.held {
+			held[k] = true
+		}
+	}
+	return held
+}
+
+func runLockHeld(pass *Pass) error {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				if fn.Body != nil {
+					checkLockHeld(pass, fn, fn.Body)
+				}
+			case *ast.FuncLit:
+				checkLockHeld(pass, fn, fn.Body)
+			}
+			return true
+		})
+	}
+	return nil
+}
+
+// checkLockHeld reports the may-block operations of one function body
+// that lie where a lock is held.
+func checkLockHeld(pass *Pass, fn ast.Node, body *ast.BlockStmt) {
+	ctx := &lockCtx{Info: pass.Info, Pkg: pass.Pkg, Path: pass.Path, Enclosing: enclosingName(pass, fn)}
+	spans := lockSpans(ctx, body)
+	if len(spans) == 0 {
+		return
+	}
+	report := func(desc string, pos token.Pos) {
+		if held := heldAt(spans, pos); len(held) > 0 {
+			pass.Reportf(pos, "%s while %s is held can stall the critical section indefinitely; "+
+				"release the lock first or make the operation non-blocking",
+				desc, strings.Join(sortedKeys(held), ", "))
+		}
+	}
+	var visit func(ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
+			return false
+		case *ast.SendStmt:
+			report("channel send", v.Arrow)
+		case *ast.UnaryExpr:
+			if v.Op == token.ARROW {
+				report("channel receive", v.OpPos)
+			}
+		case *ast.RangeStmt:
+			if _, isChan := exprType(ctx.Info, v.X).(*types.Chan); isChan {
+				report("range over channel", v.For)
+			}
+		case *ast.SelectStmt:
+			if !selectHasDefault(v) {
+				report("select without default", v.Select)
+			}
+			for _, c := range v.Body.List {
+				for _, s := range c.(*ast.CommClause).Body {
+					ast.Inspect(s, visit)
+				}
+			}
+			return false
+		case *ast.CallExpr:
+			if isBlockingStdCall(ctx.Info, v) {
+				report(blockDesc(ctx.Info, v), v.Pos())
+			}
+		}
+		return true
+	}
+	ast.Inspect(body, visit)
 }
 
 func blockDesc(info *types.Info, call *ast.CallExpr) string {
@@ -243,42 +258,6 @@ func blockDesc(info *types.Info, call *ast.CallExpr) string {
 		return obj.Pkg().Path() + "." + obj.Name()
 	}
 	return obj.Name()
-}
-
-func runLockHeld(pass *Pass) error {
-	for _, f := range pass.Files {
-		for _, fn := range FuncNodes(f) {
-			checkLockHeldFunc(pass, fn)
-		}
-	}
-	return nil
-}
-
-// checkLockHeldFunc reports may-block operations reached with a lock
-// held on every path.
-func checkLockHeldFunc(pass *Pass, fn ast.Node) {
-	ctx := &lockCtx{Info: pass.Info, Pkg: pass.Pkg, Path: pass.Path, Enclosing: enclosingName(pass, fn)}
-	cfg := BuildCFG(fn)
-	res := Forward(cfg, &heldFlow{ctx: ctx})
-	reported := map[token.Pos]bool{}
-	for _, b := range cfg.Blocks {
-		in, _ := res.In[b].(heldSet)
-		if in == nil {
-			continue // unreachable: don't report from dead code
-		}
-		held := in.clone()
-		for _, n := range b.Nodes {
-			replayHeld(ctx, n, held, func(desc string, pos token.Pos) {
-				if len(held) == 0 || reported[pos] {
-					return
-				}
-				reported[pos] = true
-				pass.Reportf(pos, "%s while %s is held can stall the critical section indefinitely; "+
-					"release the lock first or make the operation non-blocking",
-					desc, strings.Join(sortedKeys(held), ", "))
-			})
-		}
-	}
 }
 
 func enclosingName(pass *Pass, fn ast.Node) string {

@@ -42,3 +42,44 @@ func (r *rw) read() int {
 	defer r.mu.RUnlock()
 	return r.v
 }
+
+// An early unlock-and-return branch leaves the region running to the
+// final Unlock; a select with default never blocks, so the send in its
+// clause is not reported.
+func (s *store) take(ch chan int, k string) {
+	s.mu.Lock()
+	if s.vals[k] == 0 {
+		s.mu.Unlock()
+		return
+	}
+	s.vals[k]--
+	select {
+	case ch <- s.vals[k]:
+	default:
+	}
+	n := s.vals[k]
+	s.mu.Unlock()
+	ch <- n
+}
+
+// An Unlock in a nested block releases the lock for the rest of that
+// block, so the send after it is outside the region.
+func (s *store) handoff(ch chan int, k string) {
+	s.mu.Lock()
+	if n := s.vals[k]; n > 0 {
+		s.mu.Unlock()
+		ch <- n
+		return
+	}
+	s.vals[k] = 1
+	s.mu.Unlock()
+}
+
+// The literal built under the lock runs later, when the lock is no
+// longer held: a function literal is a body of its own.
+func (s *store) later(ch chan int, k string) func() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := s.vals[k]
+	return func() { ch <- n }
+}

@@ -45,26 +45,37 @@ func (f *faultRunner) distinct() int {
 // TestDeadlineIgnoresLateMembers'.
 func TestFaultyMemberOutcomes(t *testing.T) {
 	const dim, bad, delay = 30, 3, time.Millisecond
+	const deadline = 200 * time.Millisecond
 	truth := toySubspace(21, dim, 2)
-	run := func(fault func(context.Context, []float64) ([]float64, error)) (*Result, *faultRunner, error) {
+	var firstRound time.Duration // the run's Elapsed when its first SVD round was committed
+	run := func(d time.Duration, fault func(context.Context, []float64) ([]float64, error)) (*Result, *faultRunner, error) {
 		f := &faultRunner{inner: toyRunner(truth, 22, delay, 0, false), bad: bad, fault: fault, seen: map[int]bool{}}
-		res, err := RunParallel(context.Background(), quickConfig(), make([]float64, dim), f.run)
+		cfg := quickConfig()
+		cfg.Deadline = d
+		firstRound = 0
+		cfg.OnProgress = func(p Progress) {
+			if p.SVDRounds == 1 && firstRound == 0 {
+				firstRound = p.Elapsed
+			}
+		}
+		res, err := RunParallel(context.Background(), cfg, make([]float64, dim), f.run)
 		return res, f, err
 	}
-	clean, _, err := run(func(_ context.Context, s []float64) ([]float64, error) { return s, nil })
+	clean, _, err := run(0, func(_ context.Context, s []float64) ([]float64, error) { return s, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cases := []struct {
-		name  string
-		fault func(context.Context, []float64) ([]float64, error)
-		check func(t *testing.T, res *Result, err error)
+		name     string
+		deadline time.Duration // Config.Deadline; 0 is none
+		fault    func(context.Context, []float64) ([]float64, error)
+		check    func(t *testing.T, res *Result, err error)
 	}{
 		// Known defect of ROADMAP item 1a: one NaN member poisons the
 		// Gram matrix, so no round converges, the pool grows to MaxSize
 		// and the subspace is a single NaN mode. Item 1a flips this row.
-		{"nan-state", func(_ context.Context, s []float64) ([]float64, error) {
+		{"nan-state", 0, func(_ context.Context, s []float64) ([]float64, error) {
 			s[5] = math.NaN()
 			return s, nil
 		}, func(t *testing.T, res *Result, err error) {
@@ -79,7 +90,7 @@ func TestFaultyMemberOutcomes(t *testing.T) {
 		}},
 		// Known defect of ROADMAP item 1a: a state of the wrong length
 		// aborts the whole run with no Result. Item 1a flips this row.
-		{"wrong-length", func(_ context.Context, s []float64) ([]float64, error) {
+		{"wrong-length", 0, func(_ context.Context, s []float64) ([]float64, error) {
 			return s[:10], nil
 		}, func(t *testing.T, res *Result, err error) {
 			if err == nil || err.Error() != "core: member 3 has dim 10, central has 30" || res != nil {
@@ -88,7 +99,7 @@ func TestFaultyMemberOutcomes(t *testing.T) {
 		}},
 		// A member 10× the median is only late: the engine commits in
 		// index order, so the subspace is the one without the delay.
-		{"straggler", func(ctx context.Context, s []float64) ([]float64, error) {
+		{"straggler", 0, func(ctx context.Context, s []float64) ([]float64, error) {
 			select {
 			case <-time.After(9 * delay):
 				return s, nil
@@ -105,10 +116,33 @@ func TestFaultyMemberOutcomes(t *testing.T) {
 					res.MembersUsed, res.Subspace.Sigma, clean.MembersUsed, clean.Subspace.Sigma)
 			}
 		}},
+		// Known defect of ROADMAP item 1b: a member hung until the
+		// deadline holds every later member in the commit's reorder
+		// buffer, so no SVD round runs before Tmax; at the deadline the
+		// hung member is cancelled and members 4–11 are folded in after
+		// it, two rounds past the hard deadline §4 sets. Item 1b flips
+		// this row.
+		{"hung-past-deadline", deadline, func(ctx context.Context, _ []float64) ([]float64, error) {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}, func(t *testing.T, res *Result, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []int{0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11}
+			if res.MembersUsed != 11 || res.MembersCancelled != 1 || res.SVDRounds != 2 ||
+				!slices.Equal(res.MemberIndices, want) {
+				t.Fatalf("used %d, cancelled %d, %d rounds, members %v; want the pinned run: 11 used, 1 cancelled, 2 rounds, members %v",
+					res.MembersUsed, res.MembersCancelled, res.SVDRounds, res.MemberIndices, want)
+			}
+			if firstRound < deadline {
+				t.Fatalf("first SVD round at %v, before the %v deadline; want the pinned late fold", firstRound, deadline)
+			}
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			res, f, err := run(c.fault)
+			res, f, err := run(c.deadline, c.fault)
 			c.check(t, res, err)
 			if res == nil {
 				return

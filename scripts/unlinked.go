@@ -6,8 +6,7 @@
 // symbols with every bodied function declaration of the non-test files
 // under internal/. What it prints exists for tests only (DESIGN.md,
 // "What no binary links"). It exits non-zero when a build fails or when
-// the lines outside internal/lint exceed ceiling. Run from the root of
-// the checkout:
+// the lines exceed ceiling. Run from the root of the checkout:
 //
 //	go run scripts/unlinked.go
 package main
@@ -26,11 +25,11 @@ import (
 	"strings"
 )
 
-// ceiling is the most function lines outside internal/lint that may go
+// ceiling is the most function lines under internal/ that may go
 // unlinked: the count DESIGN.md "What no binary links" accounts for
 // line by line. It only ever falls; a change that deletes unlinked
 // code lowers it to the new count.
-const ceiling = 386
+const ceiling = 450
 
 func main() {
 	log.SetFlags(0)
@@ -112,17 +111,14 @@ func main() {
 		}
 		return pkgs[i] < pkgs[j]
 	})
-	total, outsideLint := 0, 0
+	total := 0
 	for _, pkg := range pkgs {
 		fmt.Printf("%-28s %5d of %5d function lines unlinked\n", pkg, unlinked[pkg], all[pkg])
 		total += unlinked[pkg]
-		if pkg != "internal/lint" {
-			outsideLint += unlinked[pkg]
-		}
 	}
-	fmt.Printf("total %d function lines in none of the %d binaries, %d outside internal/lint\n", total, len(mains), outsideLint)
-	if outsideLint > ceiling {
-		log.Fatalf("unlinked: %d function lines outside internal/lint, above the ceiling of %d: delete the new ones, move them into a _test.go file, or give them a production caller", outsideLint, ceiling)
+	fmt.Printf("total %d function lines in none of the %d binaries\n", total, len(mains))
+	if total > ceiling {
+		log.Fatalf("unlinked: %d function lines, above the ceiling of %d: delete the new ones, move them into a _test.go file, or give them a production caller", total, ceiling)
 	}
 }
 
