@@ -49,16 +49,6 @@ func Identity(n int) *Dense {
 	return m
 }
 
-// Diag returns a square matrix with d on the diagonal.
-func Diag(d []float64) *Dense {
-	n := len(d)
-	m := NewDense(n, n)
-	for i, v := range d {
-		m.Data[i*n+i] = v
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -172,15 +162,6 @@ func (m *Dense) MaxAbs() float64 {
 		}
 	}
 	return max
-}
-
-// FrobNorm returns the Frobenius norm.
-func (m *Dense) FrobNorm() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // Trace returns the sum of diagonal elements of a square matrix.

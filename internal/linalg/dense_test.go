@@ -8,6 +8,25 @@ import (
 	"esse/internal/rng"
 )
 
+// Diag returns a square matrix with d on the diagonal.
+func Diag(d []float64) *Dense {
+	n := len(d)
+	m := NewDense(n, n)
+	for i, v := range d {
+		m.Data[i*n+i] = v
+	}
+	return m
+}
+
+// FrobNorm returns the Frobenius norm.
+func (m *Dense) FrobNorm() float64 {
+	s := 0.0
+	for _, v := range m.Data {
+		s += v * v
+	}
+	return math.Sqrt(s)
+}
+
 func randomDense(s *rng.Stream, r, c int) *Dense {
 	m := NewDense(r, c)
 	for i := range m.Data {

@@ -2,12 +2,21 @@ package linalg
 
 import (
 	"math"
-	"slices"
 	"testing"
 	"testing/quick"
 
 	"esse/internal/rng"
 )
+
+// Add returns a + b.
+func Add(a, b *Dense) *Dense {
+	checkSameShape(a, b, "Add")
+	out := NewDense(a.Rows, a.Cols)
+	for i, v := range a.Data {
+		out.Data[i] = v + b.Data[i]
+	}
+	return out
+}
 
 func TestAddSub(t *testing.T) {
 	a := NewDenseFrom(2, 2, []float64{1, 2, 3, 4})
@@ -210,31 +219,75 @@ func BenchmarkMulTall(b *testing.B) {
 	}
 }
 
+// BenchmarkMulTATall is MulTA at the same shape, 15 360×128 by
+// 15 360×128: a tall Gram product such as Subspace.Check's EᵀE.
+func BenchmarkMulTATall(b *testing.B) {
+	s := rng.New(1)
+	a := randomDense(s, 15360, 128)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MulTA(a, a)
+	}
+}
+
+// BenchmarkExtendGram is one SVD round of the engine at the paper-scale
+// state: eight new anomaly columns of 15 360 rows bordered onto the Gram
+// matrix of 120 (SubspaceTracker.Update's ExtendGram).
+func BenchmarkExtendGram(b *testing.B) {
+	cols := randomDense(rng.New(1), 15360, 128).Columns()
+	g := ExtendGram(nil, cols[:120])
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ExtendGram(g, cols)
+	}
+}
+
 // TestExtendGramMatchesMulTA: extending the Gram matrix of any leading
-// block of columns gives MulTA(A, A) bit for bit — with a column count
-// that is not a multiple of four, and with zero entries, which MulTA
+// block of columns gives MulTA(A, A) bit for bit — with column counts
+// that are not a multiple of four, and with zero entries, which MulTA
 // skips. Columns is checked on the way, on a row count that is not a
-// multiple of its 32-row blocks.
+// multiple of its 32-row blocks. The second matrix also holds ±Inf and
+// NaNs, in rows without a zero (a zero times Inf is NaN where it is not
+// skipped, and the mirrored block skips the other column's zeros). Its
+// NaN results compare as NaNs: of two NaN operands MulTA and ExtendGram
+// keep different ones.
 func TestExtendGramMatchesMulTA(t *testing.T) {
-	a := randomDense(rng.New(65), 549, 13)
-	for i := 0; i < a.Rows; i += 7 {
-		a.Set(i, i%13, 0)
-	}
-	cols := a.Columns()
-	for j, col := range cols {
-		if want := a.Col(nil, j); !slices.Equal(col, want) {
-			t.Fatalf("Columns: column %d differs from Col", j)
+	nonFinite := []float64{math.Inf(1), math.Inf(-1), nanWith(3), nanWith(5)}
+	for _, c := range []struct {
+		cols      int
+		nonFinite bool
+		olds      []int
+	}{
+		{13, false, []int{0, 1, 5, 12, 13}},
+		{18, true, []int{0, 1, 4, 5, 9, 17, 18}},
+	} {
+		a := randomDense(rng.New(65), 549, c.cols)
+		for i := 0; i < a.Rows; i += 7 {
+			a.Set(i, i%c.cols, 0)
 		}
-	}
-	want := MulTA(a, a)
-	for _, old := range []int{0, 1, 5, 12, 13} {
-		var g *Dense
-		if old > 0 {
-			head := a.Slice(0, a.Rows, 0, old)
-			g = MulTA(head, head)
+		if c.nonFinite {
+			for i := 2; i < a.Rows; i += 5 {
+				if i%7 != 0 {
+					a.Set(i, (3*i)%c.cols, nonFinite[i%len(nonFinite)])
+				}
+			}
 		}
-		if got := ExtendGram(g, cols); !slices.Equal(got.Data, want.Data) {
-			t.Fatalf("from %d columns: ExtendGram differs from MulTA(A, A)", old)
+		cols := a.Columns()
+		for j, col := range cols {
+			if want := a.Col(nil, j); firstDiff(col, want, true) >= 0 {
+				t.Fatalf("Columns: column %d differs from Col", j)
+			}
+		}
+		want := MulTA(a, a)
+		for _, old := range c.olds {
+			var g *Dense
+			if old > 0 {
+				head := a.Slice(0, a.Rows, 0, old)
+				g = MulTA(head, head)
+			}
+			if i := firstDiff(ExtendGram(g, cols).Data, want.Data, !c.nonFinite); i >= 0 {
+				t.Fatalf("%d columns, from %d: ExtendGram element %d differs from MulTA(A, A)", c.cols, old, i)
+			}
 		}
 	}
 }

@@ -2,26 +2,14 @@ package linalg
 
 import "fmt"
 
-// SolveTridiagonal solves a tridiagonal system with the Thomas
+// SolveTridiagonalInto solves a tridiagonal system with the Thomas
 // algorithm: sub/diag/super are the three bands (sub[0] and
 // super[n-1] are ignored). It modifies no inputs and returns an error if
 // a pivot vanishes (no pivoting is performed — callers must supply
-// diagonally dominant systems, as implicit diffusion steps do).
-func SolveTridiagonal(sub, diag, super, b []float64) ([]float64, error) {
-	n := len(diag)
-	x := make([]float64, n)
-	c := make([]float64, n)
-	d := make([]float64, n)
-	if err := SolveTridiagonalInto(x, c, d, sub, diag, super, b); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// SolveTridiagonalInto is SolveTridiagonal with caller-supplied
-// solution vector x and scratch vectors c, d (all len n, none
-// aliasing the bands or b). It allocates nothing, so per-column
-// implicit-diffusion sweeps can reuse one set of buffers.
+// diagonally dominant systems, as implicit diffusion steps do). The
+// caller supplies the solution vector x and scratch vectors c, d (all
+// len n, none aliasing the bands or b). It allocates nothing, so
+// per-column implicit-diffusion sweeps can reuse one set of buffers.
 func SolveTridiagonalInto(x, c, d, sub, diag, super, b []float64) error {
 	n := len(diag)
 	if len(sub) != n || len(super) != n || len(b) != n || len(x) != n || len(c) != n || len(d) != n {

@@ -2,6 +2,24 @@ package linalg
 
 import "testing"
 
+// SolveTridiagonal solves a tridiagonal system with the Thomas
+// algorithm: sub/diag/super are the three bands (sub[0] and
+// super[n-1] are ignored). It modifies no inputs and returns an error if
+// a pivot vanishes (no pivoting is performed — callers must supply
+// diagonally dominant systems, as implicit diffusion steps do). No
+// binary calls it: it is SolveTridiagonalInto with fresh buffers, for
+// the tests.
+func SolveTridiagonal(sub, diag, super, b []float64) ([]float64, error) {
+	n := len(diag)
+	x := make([]float64, n)
+	c := make([]float64, n)
+	d := make([]float64, n)
+	if err := SolveTridiagonalInto(x, c, d, sub, diag, super, b); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
 func TestSolveTridiagonal(t *testing.T) {
 	// -1 2 -1 Laplacian-style system, diagonally dominant.
 	n := 8

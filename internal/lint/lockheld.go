@@ -25,8 +25,14 @@ import (
 // `mu.Unlock(); return` branch is outside the region. A lock carried
 // past the end of the block that took it — taken in both arms of an
 // if, carried out of a loop by break or into another block by goto —
-// is not seen. go and defer statements are skipped, and a function
-// literal is a body of its own. A select is one operation: the
+// is not seen. A function literal is a body of its own. The call of a
+// go statement runs elsewhere and a deferred call later, but their
+// arguments are evaluated where the statement is, so a receive among
+// them blocks there. A deferred
+// call runs at the function's end: a blocking one is reported when a
+// key is held at the end of the body and no deferred unlock of it was
+// registered after it (deferred calls run last in, first out, so such
+// an unlock would run first). A select is one operation: the
 // communications of its clauses are not reported apart, so the send
 // of a select with default passes.
 //
@@ -65,6 +71,11 @@ func lockStmt(ctx *lockCtx, s ast.Stmt) (key string, take bool) {
 	if !ok {
 		return "", false
 	}
+	return lockCall(ctx, call)
+}
+
+// lockCall is lockStmt for the call itself, statement or deferred.
+func lockCall(ctx *lockCtx, call *ast.CallExpr) (key string, take bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return "", false
@@ -204,17 +215,38 @@ func checkLockHeld(pass *Pass, fn ast.Node, body *ast.BlockStmt) {
 	if len(spans) == 0 {
 		return
 	}
-	report := func(desc string, pos token.Pos) {
-		if held := heldAt(spans, pos); len(held) > 0 {
+	reportHeld := func(desc string, pos token.Pos, held map[string]bool) {
+		if len(held) > 0 {
 			pass.Reportf(pos, "%s while %s is held can stall the critical section indefinitely; "+
 				"release the lock first or make the operation non-blocking",
 				desc, strings.Join(sortedKeys(held), ", "))
 		}
 	}
+	report := func(desc string, pos token.Pos) { reportHeld(desc, pos, heldAt(spans, pos)) }
 	var visit func(ast.Node) bool
+	// spawned walks what a go or defer statement evaluates where it
+	// stands: the function value, unless it is a literal, and the
+	// arguments.
+	spawned := func(call *ast.CallExpr) {
+		if _, lit := call.Fun.(*ast.FuncLit); !lit {
+			ast.Inspect(call.Fun, visit)
+		}
+		for _, arg := range call.Args {
+			ast.Inspect(arg, visit)
+		}
+	}
 	visit = func(n ast.Node) bool {
 		switch v := n.(type) {
-		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
+		case *ast.FuncLit:
+			return false
+		case *ast.GoStmt:
+			spawned(v.Call)
+			return false
+		case *ast.DeferStmt:
+			spawned(v.Call)
+			if isBlockingStdCall(ctx.Info, v.Call) {
+				reportHeld("deferred "+blockDesc(ctx.Info, v.Call), v.Call.Pos(), heldAtExit(ctx, spans, body, v))
+			}
 			return false
 		case *ast.SendStmt:
 			report("channel send", v.Arrow)
@@ -244,6 +276,25 @@ func checkLockHeld(pass *Pass, fn ast.Node, body *ast.BlockStmt) {
 		return true
 	}
 	ast.Inspect(body, visit)
+}
+
+// heldAtExit is the set of keys held while the deferred call of d runs:
+// those held at the end of body, less those of the deferred unlocks
+// registered after d, which run before it.
+func heldAtExit(ctx *lockCtx, spans []span, body *ast.BlockStmt, d *ast.DeferStmt) map[string]bool {
+	held := heldAt(spans, body.Rbrace)
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, lit := n.(*ast.FuncLit); lit {
+			return false
+		}
+		if later, ok := n.(*ast.DeferStmt); ok && later.Pos() > d.Pos() {
+			if key, take := lockCall(ctx, later.Call); key != "" && !take {
+				delete(held, key)
+			}
+		}
+		return true
+	})
+	return held
 }
 
 func blockDesc(info *types.Info, call *ast.CallExpr) string {

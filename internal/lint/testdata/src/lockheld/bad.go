@@ -70,3 +70,19 @@ func (c *counter) drainLocked(wg *sync.WaitGroup, wait bool) {
 		c.mu.Unlock()
 	}
 }
+
+// Deferred calls run last in, first out: a wait deferred after the
+// deferred unlock runs first, with the lock still held.
+func (c *counter) waitDeferred(wg *sync.WaitGroup) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	defer wg.Wait() // want "deferred WaitGroup.Wait while .* is held"
+	c.n++
+}
+
+// The spawner evaluates a go statement's arguments, under its lock.
+func (c *counter) spawnArg(f func(int)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	go f(<-c.ch) // want "channel receive while .* is held"
+}

@@ -83,3 +83,32 @@ func (s *store) later(ch chan int, k string) func() {
 	n := s.vals[k]
 	return func() { ch <- n }
 }
+
+// A wait deferred before the lock is taken runs after the deferred
+// unlock.
+func (s *store) waitAfter(wg *sync.WaitGroup, k string) {
+	defer wg.Wait()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.vals[k]++
+}
+
+// A wait deferred inside the critical section runs at the function's
+// end, after the explicit unlock.
+func (s *store) waitAtEnd(wg *sync.WaitGroup, k string) {
+	s.mu.Lock()
+	defer wg.Wait()
+	s.vals[k]++
+	s.mu.Unlock()
+}
+
+// A go statement's call blocks on the new goroutine, not the spawner's
+// lock; the receive among the arguments of the second runs after the
+// unlock.
+func (s *store) spawnAfter(ch chan int, wg *sync.WaitGroup, f func(int)) {
+	s.mu.Lock()
+	s.vals["x"]++
+	go wg.Wait()
+	s.mu.Unlock()
+	go f(<-ch)
+}

@@ -29,7 +29,7 @@ import (
 // unlinked: the count DESIGN.md "What no binary links" accounts for
 // line by line. It only ever falls; a change that deletes unlinked
 // code lowers it to the new count.
-const ceiling = 450
+const ceiling = 409
 
 func main() {
 	log.SetFlags(0)

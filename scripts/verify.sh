@@ -1,6 +1,7 @@
 #!/bin/sh
 # verify.sh — the repository's standing gate: build, the arm64 vet and
-# 386 build (the portable build, without the amd64 assembly), vet, the custom
+# 386 build (the portable build, without the amd64 assembly), the 386
+# tests of linalg and core (the Go loops as the only bodies), vet, the custom
 # esselint analyzers (`esselint -list`), the suppression audit, and the
 # race-enabled test suite, which includes the mutation table the
 # analyzers are kept on (internal/lint, TestRulesCatchRealMutants), the
@@ -19,6 +20,9 @@ go build ./...
 echo "==> GOARCH=arm64 go vet ./... and GOARCH=386 go build ./... (the portable build, without the amd64 assembly)"
 GOARCH=arm64 go vet ./...
 GOARCH=386 go build ./...
+
+echo "==> GOARCH=386 go test ./internal/linalg ./internal/core (the Go loops run as the only bodies, not just built)"
+GOARCH=386 go test ./internal/linalg ./internal/core
 
 echo "==> go run scripts/unlinked.go (function lines under internal/ that no binary links; fails above its ceiling)"
 # The output is captured first: a pipe would hide the script's exit status.
