@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test golden race race-workflow bench-module bench-smoke test-fuzz lint lint-self lint-fixtures audit vet verify
+.PHONY: build test golden race race-workflow bench-module bench-smoke test-fuzz lint lint-fixtures audit vet verify
 
 build:
 	$(GO) build ./...
@@ -60,13 +60,6 @@ vet:
 # the stock vet passes.
 lint:
 	$(GO) run ./cmd/esselint ./...
-
-# lint-self is the self-hosting gate: the analyzers must pass over
-# their own implementation (a lint suite that trips its own error,
-# float or lock rules has no business enforcing them). -stats prints
-# per-analyzer wall time and findings.
-lint-self:
-	$(GO) run ./cmd/esselint -vet=false -stats ./internal/lint/... ./cmd/esselint/...
 
 # lint-fixtures runs the analyzer fixture tests and the mutation table
 # (each rule against one-edit mutants of real tree code) — the inner

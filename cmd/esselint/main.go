@@ -83,8 +83,7 @@ func main() {
 		os.Exit(runAudit(pkgs, analyzers))
 	}
 
-	failed := false
-	diags, runStats, err := lint.RunAnalyzersStats(pkgs, analyzers)
+	diags, runStats, err := lint.RunAnalyzers(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "esselint:", err)
 		os.Exit(2)
@@ -98,9 +97,12 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		for _, d := range diags {
+	failed := false
+	enc := json.NewEncoder(os.Stdout)
+	for _, d := range diags {
+		failed = failed || !d.Suppressed
+		switch {
+		case *jsonOut:
 			if err := enc.Encode(jsonDiag{
 				File:       d.Pos.Filename,
 				Line:       d.Pos.Line,
@@ -112,17 +114,8 @@ func main() {
 				fmt.Fprintln(os.Stderr, "esselint:", err)
 				os.Exit(2)
 			}
-			if !d.Suppressed {
-				failed = true
-			}
-		}
-	} else {
-		for _, d := range diags {
-			if d.Suppressed {
-				continue
-			}
+		case !d.Suppressed:
 			fmt.Println(d)
-			failed = true
 		}
 	}
 
@@ -178,7 +171,7 @@ func runAudit(pkgs []*lint.Package, analyzers []*lint.Analyzer) int {
 		fmt.Println(d)
 	}
 	problems := lint.AuditDirectives(dirs, analyzers)
-	diags, err := lint.RunAnalyzersAll(pkgs, analyzers)
+	diags, _, err := lint.RunAnalyzers(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "esselint:", err)
 		return 2

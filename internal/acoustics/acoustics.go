@@ -39,14 +39,6 @@ func (s *Section) NR() int { return len(s.Ranges) }
 // NZ returns the number of depth points.
 func (s *Section) NZ() int { return len(s.Depths) }
 
-// SpeedAt bilinearly interpolates the sound speed at (r, z), clamped to
-// the section bounds.
-func (s *Section) SpeedAt(r, z float64) float64 {
-	ri, rf := seek(s.Ranges, reciprocals(make([]float64, s.NR()-1), s.Ranges), 0, r)
-	zi, zf := seek(s.Depths, reciprocals(make([]float64, s.NZ()-1), s.Depths), 0, z)
-	return speed(s.C.Row(ri), s.C.Row(ri+1), rf, 1-rf, zi, zf)
-}
-
 // speed is the package's one bilinear expression: lo and hi are the
 // rows of a section table at range cell ri and ri+1, rf the range
 // fraction, orf = 1−rf, (zi, zf) the depth cell and fraction.
@@ -183,17 +175,6 @@ type TLField struct {
 	Ranges []float64
 	Depths []float64
 	TL     *linalg.Dense // RangeCells × DepthCells
-}
-
-// At returns TL at cell (ri, zi).
-func (f *TLField) At(ri, zi int) float64 { return f.TL.At(ri, zi) }
-
-// Flatten returns the TL values as a vector (row-major), used to stack
-// acoustic fields into coupled state vectors.
-func (f *TLField) Flatten() []float64 {
-	out := make([]float64, len(f.TL.Data))
-	copy(out, f.TL.Data)
-	return out
 }
 
 // clone returns a copy that shares no memory with f.

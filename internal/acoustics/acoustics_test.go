@@ -1179,3 +1179,22 @@ func BenchmarkComputeTL(b *testing.B) {
 		}
 	}
 }
+
+// SpeedAt bilinearly interpolates the sound speed at (r, z), clamped to
+// the section bounds.
+func (s *Section) SpeedAt(r, z float64) float64 {
+	ri, rf := seek(s.Ranges, reciprocals(make([]float64, s.NR()-1), s.Ranges), 0, r)
+	zi, zf := seek(s.Depths, reciprocals(make([]float64, s.NZ()-1), s.Depths), 0, z)
+	return speed(s.C.Row(ri), s.C.Row(ri+1), rf, 1-rf, zi, zf)
+}
+
+// At returns TL at cell (ri, zi).
+func (f *TLField) At(ri, zi int) float64 { return f.TL.At(ri, zi) }
+
+// Flatten returns the TL values as a vector (row-major), used to stack
+// acoustic fields into coupled state vectors.
+func (f *TLField) Flatten() []float64 {
+	out := make([]float64, len(f.TL.Data))
+	copy(out, f.TL.Data)
+	return out
+}

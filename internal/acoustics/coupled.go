@@ -33,9 +33,6 @@ type CoupledEnsemble struct {
 	Subspace *core.Subspace
 }
 
-// CoupledDim returns the stacked state dimension.
-func (c *CoupledEnsemble) CoupledDim() int { return c.OceanDim + c.TLRows*c.TLCols }
-
 // NewCoupledEnsemble builds the coupled mean and error subspace from
 // per-member scaled ocean states and their TL fields. maxRank truncates
 // the coupled subspace (0 keeps all non-degenerate modes).
@@ -80,11 +77,6 @@ func NewCoupledEnsemble(oceanZ [][]float64, tl []*TLField, tlScale float64, maxR
 		Mean:     mean,
 		Subspace: sub,
 	}, nil
-}
-
-// OceanPart returns the ocean block of a coupled vector (still scaled).
-func (c *CoupledEnsemble) OceanPart(coupled []float64) []float64 {
-	return coupled[:c.OceanDim]
 }
 
 // TLPart returns the TL block of a coupled vector in dB.

@@ -179,3 +179,11 @@ func TestAssimilateTLDimensionError(t *testing.T) {
 		t.Fatal("observation count mismatch accepted")
 	}
 }
+
+// CoupledDim returns the stacked state dimension.
+func (c *CoupledEnsemble) CoupledDim() int { return c.OceanDim + c.TLRows*c.TLCols }
+
+// OceanPart returns the ocean block of a coupled vector (still scaled).
+func (c *CoupledEnsemble) OceanPart(coupled []float64) []float64 {
+	return coupled[:c.OceanDim]
+}

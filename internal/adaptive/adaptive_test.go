@@ -1,7 +1,9 @@
 package adaptive
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"esse/internal/core"
@@ -214,4 +216,70 @@ func TestGreedyBeatsNaiveOnCorrelatedField(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { RankCandidatesByVariance(sub, cands) }); n != 5 {
 		t.Errorf("RankCandidatesByVariance: %v allocs/op, want 5", n)
 	}
+}
+
+// ExpectedReduction evaluates a whole candidate observation batch at
+// once: the exact expected total-variance reduction
+// tr(Γ HEᵀ (HE Γ HEᵀ + R)⁻¹ HE Γ) for the batch, matching what
+// core.Assimilate will deliver on average.
+func ExpectedReduction(sub *core.Subspace, network core.ObsOperator) (float64, error) {
+	p := sub.Rank()
+	m := network.Len()
+	if m == 0 {
+		return 0, nil
+	}
+	he := network.ApplyHMat(sub.Modes) // m×p
+	rDiag := network.RDiag()
+	heg := linalg.NewDense(m, p) // HE Γ
+	for i := 0; i < m; i++ {
+		row := he.Row(i)
+		out := heg.Row(i)
+		for j := 0; j < p; j++ {
+			out[j] = row[j] * sub.Sigma[j] * sub.Sigma[j]
+		}
+	}
+	s := linalg.MulBT(heg, he)
+	for i := 0; i < m; i++ {
+		s.Set(i, i, s.At(i, i)+rDiag[i])
+	}
+	sInv, ok := linalg.InvertSPD(s)
+	if !ok {
+		return 0, fmt.Errorf("adaptive: singular innovation covariance")
+	}
+	// tr(Γ HEᵀ S⁻¹ HE Γ) = tr(S⁻¹ · (HE Γ)(HE Γ)ᵀ... ) — compute as
+	// tr(S⁻¹ · HEΓ²HEᵀ)? Careful: reduction = tr(ΓHEᵀ S⁻¹ HE Γ)
+	// = sum over modes of [HEΓ]ᵀ S⁻¹ [HEΓ] diagonal.
+	red := 0.0
+	col := make([]float64, m)
+	for j := 0; j < p; j++ {
+		heg.Col(col, j)
+		sc := linalg.MatVec(sInv, col)
+		red += linalg.Dot(col, sc)
+	}
+	return red, nil
+}
+
+// RankCandidatesByVariance is the naive baseline: sort candidates by
+// prior marginal variance (descending), ignoring correlations. Used by
+// tests and benchmarks to show what sequential greedy buys.
+func RankCandidatesByVariance(sub *core.Subspace, cands []Candidate) []int {
+	type scored struct {
+		idx int
+		v   float64
+	}
+	list := make([]scored, len(cands))
+	for i, c := range cands {
+		row := sub.Modes.Row(c.Offset)
+		v := 0.0
+		for j, e := range row {
+			v += e * e * sub.Sigma[j] * sub.Sigma[j]
+		}
+		list[i] = scored{idx: i, v: v}
+	}
+	sort.Slice(list, func(a, b int) bool { return list[a].v > list[b].v })
+	out := make([]int, len(list))
+	for i, s := range list {
+		out[i] = s.idx
+	}
+	return out
 }

@@ -334,3 +334,77 @@ func TestAssimilatePullsTowardTruth(t *testing.T) {
 		t.Fatalf("analysis beat forecast in only %d/%d trials", better, trials)
 	}
 }
+
+// TestAssimilateStatisticalConsistency checks the update's two
+// statistical invariants on a twin whose truth lies in the prior
+// subspace: x_true = x_f + E diag(σ) u with u ~ N(0, I), and
+// y = H x_true + v with v ~ N(0, R). Then the innovation d = y − H x_f
+// is N(0, S), S = HE Γ HEᵀ + R, so dᵀS⁻¹d is χ² with m degrees of
+// freedom and dᵀS⁻¹d/m has mean 1 and variance 2/m. And the analysis
+// error x_a − x_true is N(0, Pa), Pa = Ea diag(σa²) Eaᵀ, so its squared
+// norm has mean tr Pa = Σσa² and variance 2 tr Pa² = 2 Σσa⁴. Each mean
+// over the trials must lie within four standard errors of its
+// expectation. A rank-truncated subspace breaks the premise, not the
+// update: this twin is the baseline a cycled run's skill is judged on.
+func TestAssimilateStatisticalConsistency(t *testing.T) {
+	s := rng.New(2024)
+	g := grid.New(6, 6, 1, 1, 1, 0)
+	l := grid.NewLayout(g, []grid.VarSpec{{Name: "T", Levels: 1}})
+	sub := randomSubspace(s, l.Dim(), 6, []float64{2, 1.5, 1.2, 1, 0.8, 0.5})
+	n := obs.NewNetwork(l)
+	for i, sd := range []float64{0.3, 0.5, 0.8, 0.4, 0.6, 0.3, 0.7, 0.5} {
+		if err := n.Add(obs.Observation{Var: "T", I: i % 6, J: i / 2, K: 0, Stddev: sd}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := n.Len()
+
+	// S⁻¹ from an explicit S, by the Gauss–Jordan oracle.
+	he := n.ApplyHMat(sub.Modes)
+	sm := linalg.NewDense(m, m)
+	for a := 0; a < m; a++ {
+		for b := 0; b < m; b++ {
+			for k, sg := range sub.Sigma {
+				sm.Data[a*m+b] += he.At(a, k) * sg * sg * he.At(b, k)
+			}
+		}
+		sm.Data[a*m+a] += n.RDiag()[a]
+	}
+	sInv := gaussJordanInverse(t, sm)
+
+	const trials = 10000
+	var chi2, sqErr, traceA, traceA2 float64
+	for trial := 0; trial < trials; trial++ {
+		st := s.Split(uint64(trial))
+		xf := st.NormVec(nil, l.Dim())
+		truth := sub.Perturb(nil, st, 0)
+		for i := range truth {
+			truth[i] += xf[i]
+		}
+		y := n.Sample(truth, st)
+		an, err := Assimilate(xf, sub, n, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := linalg.VecSub(y, n.ApplyH(xf))
+		chi2 += linalg.Dot(d, linalg.MatVec(sInv, d)) / float64(m)
+		e := linalg.VecSub(an.Mean, truth)
+		sqErr += linalg.Dot(e, e)
+		if trial == 0 {
+			for _, sg := range an.Posterior.Sigma {
+				traceA += sg * sg
+				traceA2 += sg * sg * sg * sg
+			}
+		}
+	}
+	chi2 /= trials
+	sqErr /= trials
+
+	if se := math.Sqrt(2 / float64(m) / trials); math.Abs(chi2-1) > 4*se {
+		t.Errorf("mean dᵀS⁻¹d/m = %.4f, want 1 ± %.4f (4 standard errors)", chi2, 4*se)
+	}
+	if se := math.Sqrt(2 * traceA2 / trials); math.Abs(sqErr-traceA) > 4*se {
+		t.Errorf("mean squared analysis error %.4f, tr Pa %.4f: want within %.4f (4 standard errors)", sqErr, traceA, 4*se)
+	}
+	t.Logf("dᵀS⁻¹d/m %.4f; squared analysis error %.4f vs tr Pa %.4f (ratio %.4f)", chi2, sqErr, traceA, sqErr/traceA)
+}

@@ -95,7 +95,7 @@ func TestPropagateSubspaceStepInvarianceLinear(t *testing.T) {
 
 func TestPropagateSubspaceRotation(t *testing.T) {
 	// A 90° rotation must rotate the subspace with it.
-	a := linalg.NewDenseFrom(2, 2, []float64{0, -1, 1, 0})
+	a := &linalg.Dense{Rows: 2, Cols: 2, Data: []float64{0, -1, 1, 0}}
 	e := linalg.NewDense(2, 1)
 	e.Set(0, 0, 1)
 	sub := &Subspace{Modes: e, Sigma: []float64{2}}
@@ -114,7 +114,8 @@ func TestPropagateSubspaceRotation(t *testing.T) {
 
 func TestPropagateSubspaceContraction(t *testing.T) {
 	// A contracting model must shrink the predicted uncertainty.
-	a := linalg.Scale(0.5, linalg.Identity(5))
+	a := linalg.Identity(5)
+	linalg.ScaleInPlace(0.5, a)
 	s := rng.New(3)
 	sub := randomSubspace(s, 5, 2, []float64{2, 1})
 	_, newSub, err := PropagateSubspace(context.Background(),

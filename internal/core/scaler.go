@@ -88,6 +88,3 @@ func (s *Scaler) FromScaled(dst, z []float64) []float64 {
 
 // At returns the scale of state element i.
 func (s *Scaler) At(i int) float64 { return s.Scale[i] }
-
-// Dim returns the state dimension.
-func (s *Scaler) Dim() int { return len(s.Scale) }

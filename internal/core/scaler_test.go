@@ -95,3 +95,6 @@ func TestDefaultVarScalesCoverModelVars(t *testing.T) {
 		}
 	}
 }
+
+// Dim returns the state dimension.
+func (s *Scaler) Dim() int { return len(s.Scale) }

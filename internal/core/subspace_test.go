@@ -30,7 +30,8 @@ func TestSubspaceFromAnomaliesReconstructsCovariance(t *testing.T) {
 	}
 	sub := SubspaceFromAnomalies(a, 0, 0)
 	// P = A Aᵀ/(n−1) must equal E Σ² Eᵀ when no truncation occurs.
-	p := linalg.Scale(1/float64(n-1), linalg.MulBT(a, a))
+	p := linalg.MulBT(a, a)
+	linalg.ScaleInPlace(1/float64(n-1), p)
 	es := linalg.NewDense(m, sub.Rank())
 	for i := 0; i < m; i++ {
 		for j := 0; j < sub.Rank(); j++ {
@@ -93,7 +94,8 @@ func TestTotalVarianceMatchesTrace(t *testing.T) {
 	}
 	sub := SubspaceFromAnomalies(a, 0, 0)
 	// Trace of sample covariance == total variance (no truncation).
-	p := linalg.Scale(1/float64(a.Cols-1), linalg.MulBT(a, a))
+	p := linalg.MulBT(a, a)
+	linalg.ScaleInPlace(1/float64(a.Cols-1), p)
 	if math.Abs(sub.TotalVariance()-p.Trace()) > 1e-8*(1+p.Trace()) {
 		t.Fatalf("TotalVariance %v != trace %v", sub.TotalVariance(), p.Trace())
 	}

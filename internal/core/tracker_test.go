@@ -61,7 +61,9 @@ func TestTrackerMatchesOracleOnEveryPrefix(t *testing.T) {
 	full := randomDense(s, m, n)
 	// Rank 5 plus noise four orders below: relTol 1e-2 cuts the noise.
 	lowRank := linalg.MulBT(randomDense(s, m, 5), randomDense(s, n, 5))
-	linalg.AddInPlace(lowRank, linalg.Scale(1e-4, randomDense(s, m, n)))
+	for i, v := range randomDense(s, m, n).Data {
+		lowRank.Data[i] += 1e-4 * v
+	}
 	// Exactly repeated and exactly zero members: null directions of A
 	// whose modes are zero columns or noise, kept because relTol is 0.
 	degenerate := full.Clone()

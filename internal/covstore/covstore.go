@@ -65,14 +65,15 @@ type Snapshot struct {
 }
 
 // Open creates (or reuses) a store rooted at dir. A store found there is
-// continued: its next generation takes a new log name.
+// continued: its next generation takes a new log name, and its versions
+// go on from the published one.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("covstore: %w", err)
 	}
 	s := &Store{dir: dir}
 	if h, err := s.readHeader(); err == nil {
-		s.gen = h.gen
+		s.gen, s.version = h.gen, h.Version
 	}
 	return s, nil
 }

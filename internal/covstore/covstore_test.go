@@ -411,3 +411,34 @@ func TestReopenedStoreStartsANewLog(t *testing.T) {
 		t.Fatalf("logs after a reopened store's first write: %v", logs)
 	}
 }
+
+// A store opened over another's directory goes on from its published
+// version, so a reader across the restart never sees the version fall.
+func TestReopenedStoreContinuesVersions(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := Open(dir)
+	m, idx := testMatrix(13, 6, 4)
+	if v := publishAll(t, st, m, idx, 1, 2, 3).Version; v != 3 {
+		t.Fatalf("version after three publishes: %d", v)
+	}
+	again, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := again.Publish(m.Columns(), idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != 4 {
+		t.Fatalf("a reopened store's first publish is version %d, want 4", v)
+	}
+	for _, s := range []*Store{st, again} {
+		snap, err := s.Read(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Version != 4 {
+			t.Fatalf("Read sees version %d after the reopened publish, want 4", snap.Version)
+		}
+	}
+}

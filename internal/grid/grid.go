@@ -60,15 +60,6 @@ func (g *Grid) Idx2(i, j int) int { return j*g.NX + i }
 // Idx3 flattens a 3-D index (level k counted downward).
 func (g *Grid) Idx3(i, j, k int) int { return k*g.NX*g.NY + j*g.NX + i }
 
-// Lon returns the longitude of column i (degrees).
-func (g *Grid) Lon(i int) float64 {
-	// ~111 km per degree scaled by cos(latitude of domain center).
-	return g.Lon0 + float64(i)*g.Dx/(111e3*0.8)
-}
-
-// Lat returns the latitude of row j (degrees).
-func (g *Grid) Lat(j int) float64 { return g.Lat0 + float64(j)*g.Dy/111e3 }
-
 // InBounds reports whether (i, j) lies on the grid.
 func (g *Grid) InBounds(i, j int) bool {
 	return i >= 0 && i < g.NX && j >= 0 && j < g.NY
@@ -144,11 +135,6 @@ func (l *StateLayout) Level(state []float64, idx, k int) []float64 {
 		panic("grid: level out of range")
 	}
 	return v[k*n2 : (k+1)*n2]
-}
-
-// At returns the value of variable idx at (i, j, k).
-func (l *StateLayout) At(state []float64, idx, i, j, k int) float64 {
-	return l.Level(state, idx, k)[l.G.Idx2(i, j)]
 }
 
 // Offset returns the flat position in the state vector of variable idx at

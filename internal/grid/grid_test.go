@@ -163,3 +163,17 @@ func TestNewLayoutRejectsBadLevels(t *testing.T) {
 	}()
 	NewLayout(g, []VarSpec{{Name: "bad", Levels: 9}})
 }
+
+// Lon returns the longitude of column i (degrees).
+func (g *Grid) Lon(i int) float64 {
+	// ~111 km per degree scaled by cos(latitude of domain center).
+	return g.Lon0 + float64(i)*g.Dx/(111e3*0.8)
+}
+
+// Lat returns the latitude of row j (degrees).
+func (g *Grid) Lat(j int) float64 { return g.Lat0 + float64(j)*g.Dy/111e3 }
+
+// At returns the value of variable idx at (i, j, k).
+func (l *StateLayout) At(state []float64, idx, i, j, k int) float64 {
+	return l.Level(state, idx, k)[l.G.Idx2(i, j)]
+}

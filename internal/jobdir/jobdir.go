@@ -60,9 +60,6 @@ func Open(dir string) (*Tracker, error) {
 	return &Tracker{dir: dir}, nil
 }
 
-// Dir returns the tracking directory.
-func (t *Tracker) Dir() string { return t.dir }
-
 func (t *Tracker) statusPath(index int) string {
 	return filepath.Join(t.dir, fmt.Sprintf("member_%06d.status", index))
 }

@@ -374,3 +374,6 @@ func TestResumableRunnerRecomputesOnLostState(t *testing.T) {
 		t.Fatalf("runner called %d times, want recompute", calls)
 	}
 }
+
+// Dir returns the tracking directory.
+func (t *Tracker) Dir() string { return t.dir }

@@ -31,15 +31,6 @@ func NewDense(r, c int) *Dense {
 	return &Dense{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
-// NewDenseFrom wraps data (row-major) without copying. It panics if
-// len(data) != r*c.
-func NewDenseFrom(r, c int, data []float64) *Dense {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("linalg: data length %d does not match %dx%d", len(data), r, c))
-	}
-	return &Dense{Rows: r, Cols: c, Data: data}
-}
-
 // Identity returns the n-by-n identity matrix.
 func Identity(n int) *Dense {
 	m := NewDense(n, n)

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -250,4 +251,13 @@ func TestSliceRejectsBadBounds(t *testing.T) {
 	wantPanic(t, "Slice", func() { m.Slice(0, 4, 0, 4) })
 	wantPanic(t, "Slice", func() { m.Slice(2, 1, 0, 3) })
 	wantPanic(t, "Slice", func() { m.Slice(0, 4, 2, 1) })
+}
+
+// NewDenseFrom wraps data (row-major) without copying. It panics if
+// len(data) != r*c.
+func NewDenseFrom(r, c int, data []float64) *Dense {
+	if len(data) != r*c {
+		panic(fmt.Sprintf("linalg: data length %d does not match %dx%d", len(data), r, c))
+	}
+	return &Dense{Rows: r, Cols: c, Data: data}
 }

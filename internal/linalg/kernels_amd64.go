@@ -21,7 +21,7 @@ func cpuHasAVX2() bool
 
 // The AVX2 bodies replace the Go loops where CPUID shows it. A variable
 // initialiser naming the kernels runs after their own; an init function
-// would too, but scripts/unlinked.go cannot match its symbol
+// would too, but TestUnlinkedFunctions cannot match its symbol
 // (linalg.init.0).
 var _ = func() bool {
 	if cpuHasAVX2() {

@@ -10,33 +10,10 @@ import (
 // fans out across goroutines.
 const parallelThreshold = 1 << 18
 
-// AddInPlace accumulates b into a.
-func AddInPlace(a, b *Dense) {
-	checkSameShape(a, b, "AddInPlace")
-	for i := range a.Data {
-		a.Data[i] += b.Data[i]
-	}
-}
-
-// Scale returns s * a.
-func Scale(s float64, a *Dense) *Dense {
-	out := NewDense(a.Rows, a.Cols)
-	for i, v := range a.Data {
-		out.Data[i] = s * v
-	}
-	return out
-}
-
 // ScaleInPlace multiplies every element of a by s.
 func ScaleInPlace(s float64, a *Dense) {
 	for i := range a.Data {
 		a.Data[i] *= s
-	}
-}
-
-func checkSameShape(a, b *Dense, op string) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("linalg: " + op + " shape mismatch")
 	}
 }
 

@@ -10,7 +10,9 @@ import (
 
 // Add returns a + b.
 func Add(a, b *Dense) *Dense {
-	checkSameShape(a, b, "Add")
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		panic("linalg: Add shape mismatch")
+	}
 	out := NewDense(a.Rows, a.Cols)
 	for i, v := range a.Data {
 		out.Data[i] = v + b.Data[i]
@@ -30,11 +32,11 @@ func TestAddSub(t *testing.T) {
 }
 
 func TestScale(t *testing.T) {
-	a := NewDenseFrom(1, 3, []float64{1, -2, 3})
-	s := Scale(-2, a)
+	s := NewDenseFrom(1, 3, []float64{1, -2, 3})
+	ScaleInPlace(-2, s)
 	want := NewDenseFrom(1, 3, []float64{-2, 4, -6})
 	if !s.EqualApprox(want, 0) {
-		t.Fatal("Scale wrong")
+		t.Fatal("ScaleInPlace wrong")
 	}
 	ScaleInPlace(0.5, s)
 	want2 := NewDenseFrom(1, 3, []float64{-1, 2, -3})

@@ -61,8 +61,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 	s := rng.New(14)
 	// Build SPD matrix A = BᵀB + I.
 	b := randomDense(s, 6, 6)
-	a := MulTA(b, b)
-	AddInPlace(a, Identity(6))
+	a := Add(MulTA(b, b), Identity(6))
 	l, ok := Cholesky(a)
 	if !ok {
 		t.Fatal("Cholesky failed on SPD matrix")
@@ -82,8 +81,7 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 func TestInvertSPD(t *testing.T) {
 	s := rng.New(16)
 	b := randomDense(s, 4, 4)
-	a := MulTA(b, b)
-	AddInPlace(a, Identity(4))
+	a := Add(MulTA(b, b), Identity(4))
 	inv, ok := InvertSPD(a)
 	if !ok {
 		t.Fatal("InvertSPD failed")

@@ -2,8 +2,13 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -31,10 +36,11 @@ func RunFixture(t *testing.T, a *Analyzer, name string) {
 	// production, including directive suppression.
 	unscoped := *a
 	unscoped.Scope = nil
-	diags, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{&unscoped})
+	all, _, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{&unscoped})
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, name, err)
 	}
+	diags := unsuppressed(all)
 
 	wants := fixtureWants(t, pkg)
 	matched := make([]bool, len(diags))
@@ -115,4 +121,72 @@ func splitQuoted(s string) []string {
 
 func lineKey(d Diagnostic) string {
 	return fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)
+}
+
+// unsuppressed drops the findings a directive suppresses, leaving
+// those that fail a run.
+func unsuppressed(diags []Diagnostic) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range diags {
+		if !d.Suppressed {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// LoadDir loads the single package rooted at dir (which need not belong
+// to the enclosing module — analyzer test fixtures live under
+// testdata/). Imports are resolved by asking the go tool, from modDir,
+// for export data of everything the fixture files mention.
+func LoadDir(modDir, dir string) (*Package, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("lint: reading fixture dir: %w", err)
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	var names []string
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		names = append(names, e.Name())
+	}
+	sort.Strings(names)
+	imports := map[string]bool{}
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+		for _, spec := range f.Imports {
+			imports[strings.Trim(spec.Path.Value, `"`)] = true
+		}
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+	}
+	var paths []string
+	for p := range imports {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	exports := map[string]string{}
+	if len(paths) > 0 {
+		_, exports, err = goList(modDir, paths)
+		if err != nil {
+			return nil, err
+		}
+	}
+	name := files[0].Name.Name
+	pkg := &Package{
+		Path:    name,
+		RelPath: name,
+		Dir:     dir,
+		Fset:    fset,
+		Files:   files,
+	}
+	return pkg, typeCheck(pkg, newExportImporter(fset, exports))
 }

@@ -119,7 +119,7 @@ func knownNames(analyzers []*Analyzer) string {
 // AuditUnusedDirectives cross-checks the directives against an actual
 // run: a directive that no longer suppresses any finding is dead weight
 // that silently licenses a future regression, so the audit retires it.
-// diags must come from RunAnalyzersAll (suppressed findings included).
+// diags are a RunAnalyzers result, suppressed findings included.
 // Directives in _test.go files are exempt — several analyzers skip
 // test files entirely, so absence of a finding there proves nothing.
 func AuditUnusedDirectives(dirs []Directive, diags []Diagnostic) []string {

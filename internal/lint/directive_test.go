@@ -14,16 +14,17 @@ func TestDirectivePlacement(t *testing.T) {
 	RunFixture(t, FloatCmp, "directives")
 }
 
-// TestRunAnalyzersAllKeepsSuppressed pins the -json contract: the
-// unfiltered run returns the suppressed findings, marked.
-func TestRunAnalyzersAllKeepsSuppressed(t *testing.T) {
+// TestRunAnalyzersKeepsSuppressed pins the -json and audit contract:
+// a run returns the suppressed findings, marked, and counts them apart
+// from the findings that fail it.
+func TestRunAnalyzersKeepsSuppressed(t *testing.T) {
 	pkg, err := LoadDir(".", filepath.Join("testdata", "src", "directives"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	unscoped := *FloatCmp
 	unscoped.Scope = nil
-	all, err := RunAnalyzersAll([]*Package{pkg}, []*Analyzer{&unscoped})
+	all, stats, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{&unscoped})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,12 +36,8 @@ func TestRunAnalyzersAllKeepsSuppressed(t *testing.T) {
 			t.Errorf("diagnostic not marked suppressed: %s", d)
 		}
 	}
-	filtered, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{&unscoped})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(filtered) != 0 {
-		t.Fatalf("RunAnalyzers returned %d diagnostics, want 0", len(filtered))
+	if s := stats[0]; s.Findings != 0 || s.Suppressed != 3 {
+		t.Fatalf("stats: %d findings, %d suppressed, want 0 and 3", s.Findings, s.Suppressed)
 	}
 }
 

@@ -81,8 +81,7 @@ type Diagnostic struct {
 	Analyzer string
 	Message  string
 	// Suppressed marks findings matched by an //esselint:allow[file]
-	// directive. RunAnalyzers drops them; RunAnalyzersAll keeps them
-	// flagged for audit/JSON output.
+	// directive; they fail no run.
 	Suppressed bool
 }
 
@@ -98,31 +97,6 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// RunAnalyzers applies each analyzer to each in-scope package and
-// returns the surviving (non-suppressed) diagnostics in file/position
-// order.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	all, err := RunAnalyzersAll(pkgs, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	diags := all[:0:0]
-	for _, d := range all {
-		if !d.Suppressed {
-			diags = append(diags, d)
-		}
-	}
-	return diags, nil
-}
-
-// RunAnalyzersAll is RunAnalyzers without the suppression filter:
-// suppressed findings are kept, marked with Suppressed=true, so JSON
-// consumers and the audit can see what the directives are hiding.
-func RunAnalyzersAll(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunAnalyzersStats(pkgs, analyzers)
-	return diags, err
-}
-
 // AnalyzerStats is one analyzer's cost over a run, accumulated across
 // packages.
 type AnalyzerStats struct {
@@ -132,9 +106,11 @@ type AnalyzerStats struct {
 	Suppressed int
 }
 
-// RunAnalyzersStats is RunAnalyzersAll plus per-analyzer wall time for
-// the -stats flag. Diagnostics come back in file/position order.
-func RunAnalyzersStats(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerStats, error) {
+// RunAnalyzers applies each analyzer to each in-scope package. It
+// returns every diagnostic in file/position order, those an
+// //esselint:allow[file] directive matches marked Suppressed (the
+// audit and -json show them), and each analyzer's wall time and counts.
+func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerStats, error) {
 	stats := make([]AnalyzerStats, len(analyzers))
 	for i, a := range analyzers {
 		stats[i].Name = a.Name

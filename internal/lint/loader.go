@@ -78,62 +78,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir loads the single package rooted at dir (which need not belong
-// to the enclosing module — analyzer test fixtures live under
-// testdata/). Imports are resolved by asking the go tool, from modDir,
-// for export data of everything the fixture files mention.
-func LoadDir(modDir, dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("lint: reading fixture dir: %w", err)
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	imports := map[string]bool{}
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		for _, spec := range f.Imports {
-			imports[strings.Trim(spec.Path.Value, `"`)] = true
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	var paths []string
-	for p := range imports {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	exports := map[string]string{}
-	if len(paths) > 0 {
-		_, exports, err = goList(modDir, paths)
-		if err != nil {
-			return nil, err
-		}
-	}
-	name := files[0].Name.Name
-	pkg := &Package{
-		Path:    name,
-		RelPath: name,
-		Dir:     dir,
-		Fset:    fset,
-		Files:   files,
-	}
-	return pkg, typeCheck(pkg, newExportImporter(fset, exports))
-}
-
 // underTestdata reports whether any element of the slash-separated
 // import path is "testdata".
 func underTestdata(importPath string) bool {

@@ -83,12 +83,12 @@ func loadMutantTree(t *testing.T) *mutantTree {
 // unsuppressed finding as "analyzer file: message", positions dropped
 // so an edit that shifts lines does not make an old finding look new.
 func (mt *mutantTree) findings(p *Package) ([]string, error) {
-	diags, err := RunAnalyzers([]*Package{p}, Analyzers())
+	diags, _, err := RunAnalyzers([]*Package{p}, Analyzers())
 	if err != nil {
 		return nil, err
 	}
 	var out []string
-	for _, d := range diags {
+	for _, d := range unsuppressed(diags) {
 		rel, err := filepath.Rel(mt.root, d.Pos.Filename)
 		if err != nil {
 			return nil, err

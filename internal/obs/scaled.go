@@ -6,16 +6,6 @@ import (
 	"esse/internal/linalg"
 )
 
-// Offsets returns the flat state-vector offset of every observation, in
-// network order.
-func (n *Network) Offsets() []int {
-	out := make([]int, len(n.Obs))
-	for i, o := range n.Obs {
-		out[i] = o.offset
-	}
-	return out
-}
-
 // ScaledNetwork adapts a Network to a non-dimensionalized state space:
 // if z = x ⊘ s, then observing element e of x at error σ is the same as
 // observing element e of z at error σ/s[e]. It satisfies core.ObsOperator,

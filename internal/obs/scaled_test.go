@@ -126,3 +126,13 @@ func TestOffsetsMatchApplyH(t *testing.T) {
 		}
 	}
 }
+
+// Offsets returns the flat state-vector offset of every observation, in
+// network order.
+func (n *Network) Offsets() []int {
+	out := make([]int, len(n.Obs))
+	for i, o := range n.Obs {
+		out[i] = o.offset
+	}
+	return out
+}

@@ -328,12 +328,6 @@ func (m *Model) initClimatology() {
 	}
 }
 
-// Time returns the model time in seconds since initialization.
-func (m *Model) Time() float64 { return m.time }
-
-// StateDim returns the packed state dimension.
-func (m *Model) StateDim() int { return m.Layout.Dim() }
-
 // State packs the current model fields into dst (allocated if nil). It
 // first catches the tracers up, as Run's end does, so a model stepped
 // with Step alone packs tracers at the model time.
@@ -692,18 +686,6 @@ func (m *Model) run(n, tasks int) {
 		m.step(tasks)
 	}
 	m.catchUp(tasks)
-}
-
-// Energy returns the total (kinetic + potential) shallow-water energy,
-// a bounded diagnostic used by stability tests.
-func (m *Model) Energy() float64 {
-	g := m.Cfg.Grid
-	e := 0.0
-	for id := 0; id < g.N2(); id++ {
-		e += 0.5*m.Cfg.MeanDepth*(m.u[id]*m.u[id]+m.v[id]*m.v[id]) +
-			0.5*physics.Gravity*m.eta[id]*m.eta[id]
-	}
-	return e * g.Dx * g.Dy
 }
 
 // Validate sanity-checks the configuration, returning an error describing

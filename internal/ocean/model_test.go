@@ -878,3 +878,21 @@ func laplacianReference(field []float64, g *grid.Grid, i, j int, dx, dy float64)
 	return (field[g.Idx2(i+1, j)]-2*field[id]+field[g.Idx2(i-1, j)])/(dx*dx) +
 		(field[g.Idx2(i, j+1)]-2*field[id]+field[g.Idx2(i, j-1)])/(dy*dy)
 }
+
+// Time returns the model time in seconds since initialization.
+func (m *Model) Time() float64 { return m.time }
+
+// StateDim returns the packed state dimension.
+func (m *Model) StateDim() int { return m.Layout.Dim() }
+
+// Energy returns the total (kinetic + potential) shallow-water energy,
+// a bounded diagnostic used by stability tests.
+func (m *Model) Energy() float64 {
+	g := m.Cfg.Grid
+	e := 0.0
+	for id := 0; id < g.N2(); id++ {
+		e += 0.5*m.Cfg.MeanDepth*(m.u[id]*m.u[id]+m.v[id]*m.v[id]) +
+			0.5*physics.Gravity*m.eta[id]*m.eta[id]
+	}
+	return e * g.Dx * g.Dy
+}

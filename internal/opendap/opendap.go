@@ -73,13 +73,6 @@ func (s *Server) Publish(name string, f *ncdf.File) {
 	s.datasets[name] = f
 }
 
-// Stats returns the request count and payload bytes served so far.
-func (s *Server) Stats() (requests, bytes int64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.requests, s.bytes
-}
-
 // Handler returns the HTTP handler implementing the protocol. When the
 // server is instrumented, every route runs behind the telemetry
 // middleware (a span per request, whose duration is its latency, and a

@@ -183,3 +183,10 @@ func TestPublishReplaces(t *testing.T) {
 		t.Fatalf("replacement not visible: %v", got)
 	}
 }
+
+// Stats returns the request count and payload bytes served so far.
+func (s *Server) Stats() (requests, bytes int64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.requests, s.bytes
+}

@@ -78,7 +78,7 @@ func (p *Phase) UnmarshalJSON(b []byte) error {
 		return fmt.Errorf("telemetry: unknown phase %q", name)
 	}
 	v, err := strconv.ParseUint(s, 10, 8)
-	if err != nil {
+	if err != nil || v >= uint64(len(phaseNames)) {
 		return fmt.Errorf("telemetry: bad phase %s", s)
 	}
 	*p = Phase(v)

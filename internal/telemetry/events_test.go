@@ -146,4 +146,7 @@ func TestPhaseNamesAndJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(`"wavelet"`), &p); err == nil {
 		t.Fatal("unknown phase name must not decode")
 	}
+	if err := json.Unmarshal([]byte(`7`), &p); err == nil {
+		t.Fatal("out-of-range phase number must not decode")
+	}
 }

@@ -17,8 +17,8 @@ import (
 // smoke test validate against. The writer produces canonical
 // output: families sorted by name, series sorted by rendered label
 // string, one HELP and one TYPE line per family, values formatted with
-// strconv ('g', shortest round-trip), so Parse→Render reproduces the
-// bytes exactly.
+// strconv ('g', shortest round-trip), so Parse and the tests' Render
+// reproduce the bytes exactly.
 
 // WritePrometheus renders every family in text exposition format. The
 // registry lock is held while the buffer is built (structure only —
@@ -139,16 +139,6 @@ type Family struct {
 // Exposition is a parsed /metrics body.
 type Exposition struct {
 	Families []Family
-}
-
-// Family returns the named family, or nil.
-func (e *Exposition) Family(name string) *Family {
-	for i := range e.Families {
-		if e.Families[i].Name == name {
-			return &e.Families[i]
-		}
-	}
-	return nil
 }
 
 // ParsePrometheus parses a text exposition body. It is strict about
@@ -345,53 +335,6 @@ func unquoteLabelValue(in string) (val string, n int, err error) {
 		}
 	}
 	return "", 0, fmt.Errorf("unterminated label value")
-}
-
-// Render writes the exposition back out in the writer's canonical
-// format — Parse(WritePrometheus(r)).Render reproduces the bytes, the
-// round-trip the tests pin.
-func (e *Exposition) Render(w io.Writer) error {
-	buf := make([]byte, 0, 4096)
-	for i := range e.Families {
-		f := &e.Families[i]
-		if f.Help != "" || f.Type != "" {
-			buf = append(buf, "# HELP "...)
-			buf = append(buf, f.Name...)
-			buf = append(buf, ' ')
-			buf = appendEscapedHelp(buf, f.Help)
-			buf = append(buf, '\n')
-			buf = append(buf, "# TYPE "...)
-			buf = append(buf, f.Name...)
-			buf = append(buf, ' ')
-			if f.Type == "" {
-				buf = append(buf, "untyped"...)
-			} else {
-				buf = append(buf, f.Type...)
-			}
-			buf = append(buf, '\n')
-		}
-		for _, s := range f.Samples {
-			buf = append(buf, s.Name...)
-			if len(s.Labels) > 0 {
-				buf = append(buf, '{')
-				for j, l := range s.Labels {
-					if j > 0 {
-						buf = append(buf, ',')
-					}
-					buf = append(buf, l.Key...)
-					buf = append(buf, '=', '"')
-					buf = appendEscaped(buf, l.Value)
-					buf = append(buf, '"')
-				}
-				buf = append(buf, '}')
-			}
-			buf = append(buf, ' ')
-			buf = strconv.AppendFloat(buf, s.Value, 'g', -1, 64)
-			buf = append(buf, '\n')
-		}
-	}
-	_, err := w.Write(buf)
-	return err
 }
 
 // Value returns the value of the sample with the given name and exact

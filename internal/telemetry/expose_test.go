@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -113,4 +115,61 @@ func TestParsePrometheusErrors(t *testing.T) {
 			t.Errorf("ParsePrometheus(%q): %v", text, err)
 		}
 	}
+}
+
+// Family returns the named family, or nil.
+func (e *Exposition) Family(name string) *Family {
+	for i := range e.Families {
+		if e.Families[i].Name == name {
+			return &e.Families[i]
+		}
+	}
+	return nil
+}
+
+// Render writes the exposition back out in the writer's canonical
+// format — Parse(WritePrometheus(r)).Render reproduces the bytes, the
+// round-trip the tests pin.
+func (e *Exposition) Render(w io.Writer) error {
+	buf := make([]byte, 0, 4096)
+	for i := range e.Families {
+		f := &e.Families[i]
+		if f.Help != "" || f.Type != "" {
+			buf = append(buf, "# HELP "...)
+			buf = append(buf, f.Name...)
+			buf = append(buf, ' ')
+			buf = appendEscapedHelp(buf, f.Help)
+			buf = append(buf, '\n')
+			buf = append(buf, "# TYPE "...)
+			buf = append(buf, f.Name...)
+			buf = append(buf, ' ')
+			if f.Type == "" {
+				buf = append(buf, "untyped"...)
+			} else {
+				buf = append(buf, f.Type...)
+			}
+			buf = append(buf, '\n')
+		}
+		for _, s := range f.Samples {
+			buf = append(buf, s.Name...)
+			if len(s.Labels) > 0 {
+				buf = append(buf, '{')
+				for j, l := range s.Labels {
+					if j > 0 {
+						buf = append(buf, ',')
+					}
+					buf = append(buf, l.Key...)
+					buf = append(buf, '=', '"')
+					buf = appendEscaped(buf, l.Value)
+					buf = append(buf, '"')
+				}
+				buf = append(buf, '}')
+			}
+			buf = append(buf, ' ')
+			buf = strconv.AppendFloat(buf, s.Value, 'g', -1, 64)
+			buf = append(buf, '\n')
+		}
+	}
+	_, err := w.Write(buf)
+	return err
 }

@@ -41,14 +41,6 @@ func NewLogger(w io.Writer, min slog.Level) *Logger {
 	}
 }
 
-// Dropped reports how many records failed to write (0 when nil).
-func (l *Logger) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.dropped.Load()
-}
-
 // Debug logs at LevelDebug. kv alternates constant keys and values.
 func (l *Logger) Debug(msg string, kv ...any) {
 	if l == nil {

@@ -100,3 +100,11 @@ func TestDisabledLoggingAllocations(t *testing.T) {
 		t.Fatalf("nil Logger.Error: %v allocs/op, want 0", got)
 	}
 }
+
+// Dropped reports how many records failed to write (0 when nil).
+func (l *Logger) Dropped() uint64 {
+	if l == nil {
+		return 0
+	}
+	return l.dropped.Load()
+}

@@ -2,14 +2,16 @@
 # verify.sh — the repository's standing gate: build, the arm64 vet and
 # 386 build (the portable build, without the amd64 assembly), the 386
 # tests of linalg and core (the Go loops as the only bodies), vet, the custom
-# esselint analyzers (`esselint -list`), the suppression audit, and the
-# race-enabled test suite, which includes the mutation table the
-# analyzers are kept on (internal/lint, TestRulesCatchRealMutants), the
-# seam tests that hold what no rule does (DESIGN.md §7) and the
-# entry-point goldens: internal/experiments' TestGolden and the
-# testdata/stdout.golden of each of the nine mains under cmd/ and
-# examples/ (`make golden` rewrites them all). CI runs exactly this;
-# run it locally before sending a change.
+# esselint analyzers (`esselint -list`) over the whole tree, the linter's
+# own packages among it, the suppression audit, and the race-enabled
+# test suite, which includes the mutation table the analyzers are kept
+# on (internal/lint, TestRulesCatchRealMutants), the seam tests that
+# hold what no rule does (DESIGN.md §7), the gate on functions no binary
+# links (TestUnlinkedFunctions) and the entry-point goldens:
+# internal/experiments' TestGolden and the testdata/stdout.golden of
+# each of the nine mains under cmd/ and examples/ (`make golden`
+# rewrites them all). CI runs exactly this; run it locally before
+# sending a change.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -24,24 +26,16 @@ GOARCH=386 go build ./...
 echo "==> GOARCH=386 go test ./internal/linalg ./internal/core (the Go loops run as the only bodies, not just built)"
 GOARCH=386 go test ./internal/linalg ./internal/core
 
-echo "==> go run scripts/unlinked.go (function lines under internal/ that no binary links; fails above its ceiling)"
-# The output is captured first: a pipe would hide the script's exit status.
-unlinked=$(go run scripts/unlinked.go) || { printf '%s\n' "$unlinked" | grep -v '\.go:'; exit 1; }
-printf '%s\n' "$unlinked" | grep -v '\.go:'
-
 echo "==> go vet ./..."
 go vet ./...
 
 echo "==> esselint -stats ./... (the analyzers of esselint -list)"
 go run ./cmd/esselint -vet=false -stats ./...
 
-echo "==> esselint self-hosting gate (internal/lint + cmd/esselint)"
-go run ./cmd/esselint -vet=false ./internal/lint/... ./cmd/esselint/...
-
 echo "==> esselint -audit ./... (every suppression must carry a reason)"
 go run ./cmd/esselint -audit -vet=false ./... >/dev/null
 
-echo "==> go test -race ./... (the entry-point goldens among them)"
+echo "==> go test -race ./... (the entry-point goldens and the unlinked-function gate among them)"
 go test -race ./...
 
 echo "==> go test -race -count=20 ./internal/taskpool ./internal/workflow (a scheduling dependence must not hide behind a lucky run)"
