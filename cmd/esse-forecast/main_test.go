@@ -89,6 +89,48 @@ func TestStdoutGolden(t *testing.T) {
 	checkGolden(t, elapsedCol.ReplaceAll(out, []byte("${1} <elapsed>")))
 }
 
+// TestTrackdirResume runs tiny twice over one -trackdir directory. Each
+// tracked member leaves one status file; the second run resumes every
+// member from those files, rewrites none of them and prints what the
+// first run printed.
+func TestTrackdirResume(t *testing.T) {
+	dir := t.TempDir()
+	run := func() (stdout []byte, files map[string]os.FileInfo) {
+		t.Helper()
+		out, stderr, err := runMain("-trackdir", dir)
+		if err != nil {
+			t.Fatalf("esse-forecast -trackdir %s: %v\n%s", dir, err, stderr)
+		}
+		paths, err := filepath.Glob(filepath.Join(dir, "cycle-*", "*"))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("no files under %s/cycle-* (%v)", dir, err)
+		}
+		files = map[string]os.FileInfo{}
+		for _, p := range paths {
+			if ok, _ := filepath.Match("member_*.status", filepath.Base(p)); !ok {
+				t.Fatalf("%s: a tracking directory holds only member_*.status files", p)
+			}
+			if files[p], err = os.Stat(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return elapsedCol.ReplaceAll(out, []byte("${1} <elapsed>")), files
+	}
+	first, before := run()
+	second, after := run()
+	if !bytes.Equal(second, first) {
+		t.Errorf("resumed run printed\n%s\nthe first run printed\n%s", second, first)
+	}
+	if len(after) != len(before) {
+		t.Fatalf("the resume left %d files, the first run %d", len(after), len(before))
+	}
+	for p, fi := range before {
+		if !os.SameFile(fi, after[p]) {
+			t.Errorf("%s was rewritten by the resume", p)
+		}
+	}
+}
+
 // checkGolden compares got with testdata/stdout.golden; -update
 // rewrites the file instead.
 func checkGolden(t *testing.T, got []byte) {

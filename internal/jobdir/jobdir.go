@@ -6,19 +6,20 @@
 //	 from all execution hosts so that state information can be readily
 //	 shared."
 //
-// A Tracker owns such a directory: one status file per member index with
-// the member's exit code, plus (optionally) the member's forecast state,
-// checksummed. This is what makes an interrupted ESSE run restartable
-// "without rerunning all jobs" — completed indices are detected and
-// their results reloaded.
+// A Tracker owns such a directory: one status file per member index,
+// whose first line is the member's exit code. After a success the line
+// may be followed by the member's forecast state, checksummed. This is
+// what makes an interrupted ESSE run restartable "without rerunning all
+// jobs" — completed indices are detected and their results reloaded.
 package jobdir
 
 import (
-	"context"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -29,7 +30,7 @@ import (
 	"esse/internal/telemetry"
 )
 
-// Tracker manages per-member status and state files in one directory.
+// Tracker manages per-member status files in one directory.
 type Tracker struct {
 	dir string
 
@@ -41,9 +42,9 @@ type Tracker struct {
 	cStateLoads *telemetry.Counter
 }
 
-// Instrument registers the tracker's metrics in tel and enables spans
-// on the Ctx state variants. Call it before the tracker is shared
-// between goroutines; a nil tel is a no-op.
+// Instrument registers the tracker's metrics in tel and enables the
+// spans of ResumableRunner's loads and saves. Call it before the
+// tracker is shared between goroutines; a nil tel is a no-op.
 func (t *Tracker) Instrument(tel *telemetry.Telemetry) {
 	t.tel = tel
 	t.cCompletes = tel.Counter("esse_jobdir_completes_total", "Member status files recorded.")
@@ -64,51 +65,66 @@ func (t *Tracker) statusPath(index int) string {
 	return filepath.Join(t.dir, fmt.Sprintf("member_%06d.status", index))
 }
 
-func (t *Tracker) statePath(index int) string {
-	return filepath.Join(t.dir, fmt.Sprintf("member_%06d.state", index))
-}
-
-// Complete records the exit code for a member (0 = success). The write
-// is atomic (temp file + rename) so concurrent readers never see a torn
-// status.
-func (t *Tracker) Complete(index, code int) error {
+// write makes buf the status file of member index. The write is atomic
+// (temp file + rename) so concurrent readers never see a torn status.
+func (t *Tracker) write(index int, buf []byte) error {
 	if index < 0 {
 		return fmt.Errorf("jobdir: negative index %d", index)
 	}
-	tmp := t.statusPath(index) + ".tmp"
-	if err := os.WriteFile(tmp, []byte(strconv.Itoa(code)+"\n"), 0o644); err != nil {
+	path := t.statusPath(index)
+	if err := os.WriteFile(path+".tmp", buf, 0o644); err != nil {
 		return fmt.Errorf("jobdir: %w", err)
 	}
-	if err := os.Rename(tmp, t.statusPath(index)); err != nil {
+	if err := os.Rename(path+".tmp", path); err != nil {
 		return fmt.Errorf("jobdir: %w", err)
 	}
 	t.cCompletes.Inc()
 	return nil
 }
 
-// Status returns the recorded exit code; done is false if the member has
-// not completed (no status file).
-func (t *Tracker) Status(index int) (code int, done bool, err error) {
-	data, err := os.ReadFile(t.statusPath(index))
+// Complete records a member's exit code (0 = success) without a state.
+func (t *Tracker) Complete(index, code int) error {
+	return t.write(index, append(strconv.AppendInt(nil, int64(code), 10), '\n'))
+}
+
+// read parses the exit code on the first line of member index's status
+// file and returns the bytes after that line: all of them when whole is
+// set, else at most the few read with the line. done is false when
+// there is no file.
+func (t *Tracker) read(index int, whole bool) (code int, rest []byte, done bool, err error) {
+	f, err := os.Open(t.statusPath(index))
 	if errors.Is(err, os.ErrNotExist) {
-		return 0, false, nil
+		return 0, nil, false, nil
 	}
 	if err != nil {
-		return 0, false, fmt.Errorf("jobdir: %w", err)
+		return 0, nil, false, fmt.Errorf("jobdir: %w", err)
 	}
-	code, err = strconv.Atoi(strings.TrimSpace(string(data)))
-	if err != nil {
-		return 0, false, fmt.Errorf("jobdir: corrupt status for member %d: %w", index, err)
+	//esselint:allow errdrop read-only file; Close cannot lose data
+	defer f.Close()
+	size := int64(24) // longer than the status line of any int
+	if whole {
+		fi, err := f.Stat()
+		if err != nil {
+			return 0, nil, false, fmt.Errorf("jobdir: %w", err)
+		}
+		size = fi.Size()
 	}
-	return code, true, nil
+	buf := make([]byte, size)
+	n, err := io.ReadFull(f, buf)
+	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+		return 0, nil, false, fmt.Errorf("jobdir: %w", err)
+	}
+	line, rest, _ := bytes.Cut(buf[:n], []byte{'\n'})
+	if code, err = strconv.Atoi(strings.TrimSpace(string(line))); err != nil {
+		return 0, nil, false, fmt.Errorf("jobdir: corrupt status for member %d: %w", index, err)
+	}
+	return code, rest, true, nil
 }
 
 // Reset forgets a member's status and state (used to force a rerun).
 func (t *Tracker) Reset(index int) error {
-	for _, p := range []string{t.statusPath(index), t.statePath(index)} {
-		if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("jobdir: %w", err)
-		}
+	if err := os.Remove(t.statusPath(index)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("jobdir: %w", err)
 	}
 	t.cResets.Inc()
 	return nil
@@ -122,22 +138,17 @@ func (t *Tracker) Completed() (successes, failures []int, err error) {
 		return nil, nil, fmt.Errorf("jobdir: %w", err)
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "member_") || !strings.HasSuffix(name, ".status") {
+		num, member := strings.CutPrefix(e.Name(), "member_")
+		num, status := strings.CutSuffix(num, ".status")
+		idx, convErr := strconv.Atoi(num)
+		if !member || !status || convErr != nil {
 			continue
 		}
-		idxStr := strings.TrimSuffix(strings.TrimPrefix(name, "member_"), ".status")
-		idx, convErr := strconv.Atoi(idxStr)
-		if convErr != nil {
-			continue
-		}
-		code, done, sErr := t.Status(idx)
-		if sErr != nil || !done {
-			continue
-		}
-		if code == 0 {
+		switch code, _, done, rErr := t.read(idx, false); {
+		case rErr != nil || !done:
+		case code == 0:
 			successes = append(successes, idx)
-		} else {
+		default:
 			failures = append(failures, idx)
 		}
 	}
@@ -148,64 +159,42 @@ func (t *Tracker) Completed() (successes, failures []int, err error) {
 
 var stateCRC = crc64.MakeTable(crc64.ISO)
 
-// SaveStateCtx is SaveState wrapped in a span parented under the
-// active span in ctx (normally the member that produced the state), so
-// checkpoint I/O shows up as a child in the trace tree.
-func (t *Tracker) SaveStateCtx(ctx context.Context, index int, state []float64) error {
-	_, sp := t.tel.SpanCtx(ctx, "jobdir", "save-state", int64(index), -1)
-	defer sp.End()
-	return t.SaveState(index, state)
-}
-
-// LoadStateCtx is LoadState wrapped in a span, the read-side twin of
-// SaveStateCtx (a resumed member's "work" is exactly this load).
-func (t *Tracker) LoadStateCtx(ctx context.Context, index int) ([]float64, error) {
-	_, sp := t.tel.SpanCtx(ctx, "jobdir", "load-state", int64(index), -1)
-	defer sp.End()
-	return t.LoadState(index)
-}
-
-// SaveState persists a member's forecast state (atomic, checksummed).
+// SaveState records a member's success with its forecast state in one
+// atomic write: the status line "0", then the state's length, its values
+// as little-endian float64s and a CRC-64 of both.
 func (t *Tracker) SaveState(index int, state []float64) error {
-	buf := make([]byte, 8+8*len(state)+8)
-	binary.LittleEndian.PutUint64(buf[:8], uint64(len(state)))
-	for i, v := range state {
-		binary.LittleEndian.PutUint64(buf[8+8*i:], math.Float64bits(v))
+	buf := append(make([]byte, 0, 2+8+8*len(state)+8), "0\n"...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(state)))
+	for _, v := range state {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
-	sum := crc64.Checksum(buf[:8+8*len(state)], stateCRC)
-	binary.LittleEndian.PutUint64(buf[8+8*len(state):], sum)
-	tmp := t.statePath(index) + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return fmt.Errorf("jobdir: %w", err)
-	}
-	if err := os.Rename(tmp, t.statePath(index)); err != nil {
-		return fmt.Errorf("jobdir: %w", err)
+	buf = binary.LittleEndian.AppendUint64(buf, crc64.Checksum(buf[2:], stateCRC))
+	if err := t.write(index, buf); err != nil {
+		return err
 	}
 	t.cStateSaves.Inc()
 	return nil
 }
 
-// LoadState reads a member's persisted forecast state back.
+// LoadState reads a member's status file once and returns the forecast
+// state behind its success. A member with no status or a nonzero code
+// has none: nil, nil. A corrupt status, or a success whose state is
+// missing or damaged, is an error.
 func (t *Tracker) LoadState(index int) ([]float64, error) {
-	buf, err := os.ReadFile(t.statePath(index))
-	if err != nil {
-		return nil, fmt.Errorf("jobdir: %w", err)
+	code, rec, done, err := t.read(index, true)
+	if err != nil || !done || code != 0 {
+		return nil, err
 	}
-	if len(buf) < 16 {
-		return nil, fmt.Errorf("jobdir: state file for member %d truncated", index)
+	n := len(rec)/8 - 2
+	if len(rec) < 16 || len(rec)%8 != 0 || binary.LittleEndian.Uint64(rec) != uint64(n) {
+		return nil, fmt.Errorf("jobdir: state of member %d is %d bytes, not a whole record", index, len(rec))
 	}
-	n := binary.LittleEndian.Uint64(buf[:8])
-	want := 8 + 8*int(n) + 8
-	if len(buf) != want {
-		return nil, fmt.Errorf("jobdir: state file for member %d has %d bytes, want %d", index, len(buf), want)
-	}
-	sum := binary.LittleEndian.Uint64(buf[want-8:])
-	if crc64.Checksum(buf[:want-8], stateCRC) != sum {
+	if crc64.Checksum(rec[:len(rec)-8], stateCRC) != binary.LittleEndian.Uint64(rec[len(rec)-8:]) {
 		return nil, fmt.Errorf("jobdir: state checksum mismatch for member %d", index)
 	}
 	state := make([]float64, n)
 	for i := range state {
-		state[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8+8*i:]))
+		state[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec[8+8*i:]))
 	}
 	t.cStateLoads.Inc()
 	return state, nil

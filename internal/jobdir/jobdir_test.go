@@ -1,6 +1,7 @@
 package jobdir
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"esse/internal/core"
 	"esse/internal/linalg"
 	"esse/internal/rng"
+	"esse/internal/telemetry"
 	"esse/internal/workflow"
 )
 
@@ -81,8 +83,8 @@ func TestResetForcesRerun(t *testing.T) {
 	if _, done, _ := tr.Status(1); done {
 		t.Fatal("Reset did not clear status")
 	}
-	if _, err := tr.LoadState(1); err == nil {
-		t.Fatal("Reset did not clear state")
+	if state, err := tr.LoadState(1); state != nil || err != nil {
+		t.Fatalf("Reset did not clear state: %v, %v", state, err)
 	}
 	if err := tr.Reset(999); err != nil {
 		t.Fatal("Reset of unknown member must be a no-op, got", err)
@@ -109,7 +111,7 @@ func TestStateRoundTrip(t *testing.T) {
 func TestStateChecksumDetectsCorruption(t *testing.T) {
 	tr, _ := Open(t.TempDir())
 	_ = tr.SaveState(2, []float64{1, 2, 3})
-	path := tr.statePath(2)
+	path := tr.statusPath(2)
 	data, _ := os.ReadFile(path)
 	data[10] ^= 0x55
 	_ = os.WriteFile(path, data, 0o644)
@@ -192,6 +194,39 @@ func TestResumableRunnerSkipsCompleted(t *testing.T) {
 		if first[i] != second[i] {
 			t.Fatal("resumed state differs from computed state")
 		}
+	}
+}
+
+// TestTrackedMemberIsOneFile runs one fresh member through
+// ResumableRunner: it leaves one file, member_000005.status, made by one
+// status write (one temp file, one rename), whose first line is the code
+// and whose state follows.
+func TestTrackedMemberIsOneFile(t *testing.T) {
+	tr, _ := Open(t.TempDir())
+	tr.Instrument(telemetry.New())
+	var calls int64
+	var mu sync.Mutex
+	state, err := ResumableRunner(tr, countingRunner(toyTruth(1, 20, 2), 2, &calls, &mu, 0))(context.Background(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(tr.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if !slices.Equal(names, []string{"member_000005.status"}) {
+		t.Fatalf("a tracked member left %v, want only its status file", names)
+	}
+	if n := tr.cCompletes.Value(); n != 1 {
+		t.Fatalf("%d status writes for one member, want 1", n)
+	}
+	data, _ := os.ReadFile(tr.statusPath(5))
+	if !bytes.HasPrefix(data, []byte("0\n")) || len(data) != 2+8+8*len(state)+8 {
+		t.Fatalf("status file is %d bytes starting %q, want \"0\\n\" and a %d-value state", len(data), data[:min(len(data), 4)], len(state))
 	}
 }
 
@@ -335,12 +370,12 @@ func TestCompletedIgnoresForeignFiles(t *testing.T) {
 func TestLoadStateTruncated(t *testing.T) {
 	tr, _ := Open(t.TempDir())
 	_ = tr.SaveState(4, []float64{1, 2, 3})
-	data, _ := os.ReadFile(tr.statePath(4))
-	_ = os.WriteFile(tr.statePath(4), data[:10], 0o644)
+	data, _ := os.ReadFile(tr.statusPath(4))
+	_ = os.WriteFile(tr.statusPath(4), data[:10], 0o644)
 	if _, err := tr.LoadState(4); err == nil {
 		t.Fatal("truncated state accepted")
 	}
-	_ = os.WriteFile(tr.statePath(4), data[:len(data)-4], 0o644)
+	_ = os.WriteFile(tr.statusPath(4), data[:len(data)-4], 0o644)
 	if _, err := tr.LoadState(4); err == nil {
 		t.Fatal("short state accepted")
 	}
@@ -354,8 +389,8 @@ func TestCompleteNegativeIndex(t *testing.T) {
 }
 
 func TestResumableRunnerRecomputesOnLostState(t *testing.T) {
-	// Status says done but the state file vanished (pruned shared dir):
-	// the runner must recompute instead of failing.
+	// The status says done but the state behind it vanished (pruned
+	// shared dir): the runner must recompute instead of failing.
 	tr, _ := Open(t.TempDir())
 	truth := toyTruth(9, 10, 2)
 	var calls int64
@@ -364,8 +399,11 @@ func TestResumableRunnerRecomputesOnLostState(t *testing.T) {
 	if _, err := runner(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(tr.statePath(2)); err != nil {
+	if err := os.Truncate(tr.statusPath(2), int64(len("0\n"))); err != nil {
 		t.Fatal(err)
+	}
+	if code, done, err := tr.Status(2); err != nil || !done || code != 0 {
+		t.Fatalf("cut file reads (%d,%v,%v), want done with code 0", code, done, err)
 	}
 	if _, err := runner(context.Background(), 2); err != nil {
 		t.Fatal(err)
@@ -373,6 +411,14 @@ func TestResumableRunnerRecomputesOnLostState(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("runner called %d times, want recompute", calls)
 	}
+}
+
+// Status returns the recorded exit code, reading the first line of the
+// member's status file only; done is false if the member has not
+// completed (no status file).
+func (t *Tracker) Status(index int) (code int, done bool, err error) {
+	code, _, done, err = t.read(index, false)
+	return code, done, err
 }
 
 // Dir returns the tracking directory.

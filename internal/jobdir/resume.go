@@ -19,14 +19,16 @@ import (
 // permanently poisoning an index).
 func ResumableRunner(t *Tracker, inner workflow.MemberRunner) workflow.MemberRunner {
 	return func(ctx context.Context, index int) ([]float64, error) {
-		code, done, err := t.Status(index)
-		if err == nil && done && code == 0 {
-			state, loadErr := t.LoadStateCtx(ctx, index)
-			if loadErr == nil {
-				return state, nil
-			}
-			// Status said done but the state is unreadable: fall through
-			// and recompute (the shared directory may have been pruned).
+		// One read gives code and state; only a loaded member records a span.
+		_, sp := t.tel.SpanCtx(ctx, "jobdir", "load-state", int64(index), -1)
+		state, loadErr := t.LoadState(index)
+		if state != nil {
+			sp.End()
+			return state, nil
+		}
+		if loadErr != nil {
+			// Corrupt, or done without a readable state (the shared
+			// directory may have been pruned): forget it and recompute.
 			if resetErr := t.Reset(index); resetErr != nil {
 				return nil, fmt.Errorf("jobdir: member %d unreadable and unresettable: %w", index, resetErr)
 			}
@@ -40,10 +42,9 @@ func ResumableRunner(t *Tracker, inner workflow.MemberRunner) workflow.MemberRun
 			}
 			return nil, runErr
 		}
-		if err := t.SaveStateCtx(ctx, index, state); err != nil {
-			return nil, err
-		}
-		if err := t.Complete(index, 0); err != nil {
+		_, sp = t.tel.SpanCtx(ctx, "jobdir", "save-state", int64(index), -1)
+		defer sp.End()
+		if err := t.SaveState(index, state); err != nil {
 			return nil, err
 		}
 		return state, nil

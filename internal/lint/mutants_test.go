@@ -225,12 +225,12 @@ var mutants = []mutant{
 	},
 	{
 		rule: "errdrop", file: "internal/jobdir/jobdir.go",
-		why: "Complete blanks a failed rename",
-		old: `	if err := os.Rename(tmp, t.statusPath(index)); err != nil {
+		why: "a status write (Complete or SaveState) blanks a failed rename",
+		old: `	if err := os.Rename(path+".tmp", path); err != nil {
 		return fmt.Errorf("jobdir: %w", err)
 	}
 	t.cCompletes.Inc()`,
-		new: `	_ = os.Rename(tmp, t.statusPath(index))
+		new: `	_ = os.Rename(path+".tmp", path)
 	t.cCompletes.Inc()`,
 	},
 	{

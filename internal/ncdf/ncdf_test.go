@@ -91,12 +91,12 @@ func TestHyperSlabBounds(t *testing.T) {
 	f := sampleFile(t)
 	v, _ := f.Var("T")
 	cases := [][2][]int{
-		{{0}, {1}},                   // wrong rank
-		{{0, 0}, {4, 4}},             // count overflow
-		{{-1, 0}, {1, 1}},            // negative start
-		{{0, 0}, {0, 1}},             // zero count
-		{{3, 0}, {1, 1}},             // start at edge
-		{{math.MaxInt64, 0}, {1, 1}}, // start+count wraps
+		{{0}, {1}},                 // wrong rank
+		{{0, 0}, {4, 4}},           // count overflow
+		{{-1, 0}, {1, 1}},          // negative start
+		{{0, 0}, {0, 1}},           // zero count
+		{{3, 0}, {1, 1}},           // start at edge
+		{{math.MaxInt, 0}, {1, 1}}, // start+count wraps
 	}
 	for i, c := range cases {
 		if _, err := f.HyperSlab(v, c[0], c[1]); err == nil {

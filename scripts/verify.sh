@@ -1,6 +1,7 @@
 #!/bin/sh
 # verify.sh — the repository's standing gate: build, the arm64 vet and
-# 386 build (the portable build, without the amd64 assembly), the 386
+# 386 build and vet (the portable build, without the amd64 assembly; the
+# 386 vet type-checks the tests too), the 386
 # tests of linalg and core (the Go loops as the only bodies), vet, the custom
 # esselint analyzers (`esselint -list`) over the whole tree, the linter's
 # own packages among it, the suppression audit, and the race-enabled
@@ -19,9 +20,10 @@ cd "$(dirname "$0")/.."
 echo "==> go build ./..."
 go build ./...
 
-echo "==> GOARCH=arm64 go vet ./... and GOARCH=386 go build ./... (the portable build, without the amd64 assembly)"
+echo "==> GOARCH=arm64 go vet ./..., GOARCH=386 go build ./... and GOARCH=386 go vet ./... (the portable build, without the amd64 assembly; the 386 vet type-checks the tests too)"
 GOARCH=arm64 go vet ./...
 GOARCH=386 go build ./...
+GOARCH=386 go vet ./...
 
 echo "==> GOARCH=386 go test ./internal/linalg ./internal/core (the Go loops run as the only bodies, not just built)"
 GOARCH=386 go test ./internal/linalg ./internal/core
