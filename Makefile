@@ -55,10 +55,11 @@ test-fuzz:
 vet:
 	$(GO) vet ./...
 
-# lint runs the custom analyzers (`esselint -list` names them; each is
-# kept on a real-tree mutant only it catches, DESIGN.md §7) bundled with
-# the stock vet passes.
+# lint runs the stock vet passes, then the custom analyzers
+# (`esselint -list` names them; each is kept on a real-tree mutant only
+# it catches, DESIGN.md §7).
 lint:
+	$(GO) vet ./...
 	$(GO) run ./cmd/esselint ./...
 
 # lint-fixtures runs the analyzer fixture tests and the mutation table
@@ -70,7 +71,7 @@ lint-fixtures:
 # audit lists every //esselint:allow[file] directive and fails if any
 # is missing a reason or names an unknown analyzer.
 audit:
-	$(GO) run ./cmd/esselint -audit -vet=false ./...
+	$(GO) run ./cmd/esselint -audit ./...
 
 verify:
 	./scripts/verify.sh

@@ -1,10 +1,10 @@
 // Command esselint runs the repository's custom error-handling,
 // numerical-safety, atomic, lock and enum analyzers (see esse/internal/lint)
-// over the given package patterns, bundled with the stock `go vet`
-// passes, and exits non-zero on any finding:
+// over the given package patterns and exits non-zero on any finding
+// (`go vet` is a separate step of every gate):
 //
 //	go run ./cmd/esselint ./...
-//	go run ./cmd/esselint -vet=false ./internal/workflow
+//	go run ./cmd/esselint ./internal/workflow
 //	go run ./cmd/esselint -json ./...   # one JSON object per diagnostic
 //	go run ./cmd/esselint -audit ./...  # validate //esselint:allow directives
 //
@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"time"
 
 	"esse/internal/lint"
@@ -47,7 +46,6 @@ type analyzerStatJSON struct {
 }
 
 func main() {
-	vet := flag.Bool("vet", true, "also run the stock `go vet` passes on the same patterns")
 	list := flag.Bool("list", false, "list the analyzers in the suite and exit")
 	jsonOut := flag.Bool("json", false, "emit one JSON object per diagnostic (including suppressed ones) instead of text")
 	audit := flag.Bool("audit", false, "list every //esselint:allow[file] directive; exit non-zero on directives with no reason or an unknown analyzer")
@@ -116,15 +114,6 @@ func main() {
 			}
 		case !d.Suppressed:
 			fmt.Println(d)
-		}
-	}
-
-	if *vet {
-		cmd := exec.Command("go", append([]string{"vet"}, patterns...)...)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		if err := cmd.Run(); err != nil {
-			failed = true
 		}
 	}
 

@@ -44,7 +44,7 @@ func TestListGolden(t *testing.T) {
 // TestCleanPackagePasses runs the analyzers over a package of the tree,
 // which is clean: exit 0 and no diagnostic on stdout.
 func TestCleanPackagePasses(t *testing.T) {
-	if out := runMain(t, "-vet=false", "./internal/sched"); len(out) > 0 {
+	if out := runMain(t, "./internal/sched"); len(out) > 0 {
 		t.Fatalf("diagnostics on a clean package:\n%s", out)
 	}
 }

@@ -98,13 +98,13 @@ func main() {
 
 func runClient(lg *telemetry.Logger, base, dataset, varName, slab string) {
 	c := opendap.NewClient(base)
-	names, err := c.Datasets()
+	names, err := c.Datasets(context.Background())
 	if err != nil {
 		lg.Error("listing datasets failed", "base", base, "err", err.Error())
 		os.Exit(1)
 	}
 	fmt.Printf("server offers %d datasets: %v\n", len(names), names)
-	dds, err := c.DDS(dataset)
+	dds, err := c.DDS(context.Background(), dataset)
 	if err != nil {
 		lg.Error("DDS fetch failed", "dataset", dataset, "err", err.Error())
 		os.Exit(1)
@@ -121,7 +121,7 @@ func runClient(lg *telemetry.Logger, base, dataset, varName, slab string) {
 		start = mustInts(lg, parts[0])
 		count = mustInts(lg, parts[1])
 	}
-	data, err := c.Fetch(dataset, varName, start, count)
+	data, err := c.Fetch(context.Background(), dataset, varName, start, count)
 	if err != nil {
 		lg.Error("hyperslab fetch failed", "dataset", dataset, "var", varName, "err", err.Error())
 		os.Exit(1)

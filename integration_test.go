@@ -255,7 +255,7 @@ func TestOpenDAPPrestageFlow(t *testing.T) {
 	_ = rebuilt.AddDim("lat", g.NY)
 	_ = rebuilt.AddDim("lev", g.NZ)
 	for _, spec := range m.Layout.Vars {
-		data, err := c.Fetch("ic", spec.Name, nil, nil)
+		data, err := c.Fetch(context.Background(), "ic", spec.Name, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,29 +21,6 @@ import (
 	"esse/internal/telemetry"
 )
 
-// chromeEvent is the decode-side view of one trace event.
-// telemetry.ChromeEvent is encode-only (a hand-rolled renderer feeds
-// /trace); forensics deliberately keeps its own unexported decode
-// struct so the two directions can evolve independently and unknown
-// fields from newer exporters are ignored rather than fatal.
-type chromeEvent struct {
-	Name string     `json:"name"`
-	Cat  string     `json:"cat"`
-	Ph   string     `json:"ph"`
-	Ts   float64    `json:"ts"`
-	Dur  float64    `json:"dur"`
-	Pid  int64      `json:"pid"`
-	Tid  int64      `json:"tid"`
-	Args *spanIdent `json:"args"`
-}
-
-// spanIdent mirrors telemetry.SpanArgs on the decode side.
-type spanIdent struct {
-	TraceID    string `json:"trace_id"`
-	SpanID     string `json:"span_id"`
-	ParentSpan string `json:"parent_span_id"`
-}
-
 // Span is one reconstructed wall-clock span.
 type Span struct {
 	Name    string  // exported name, e.g. "member-3"
@@ -92,7 +69,13 @@ type Tree struct {
 // resolve is kept — as a root for timing purposes — and also reported
 // in Orphans, the causal-soundness failure the smoke test checks for.
 func ParseTrace(r io.Reader) (*Tree, error) {
-	var raw []chromeEvent
+	// id and bp are read raw and ignored: a foreign flow event may write
+	// its id as a number, which ChromeEvent's string field would reject.
+	var raw []struct {
+		telemetry.ChromeEvent
+		ID json.RawMessage `json:"id"`
+		BP json.RawMessage `json:"bp"`
+	}
 	if err := json.NewDecoder(r).Decode(&raw); err != nil {
 		return nil, fmt.Errorf("forensics: decoding trace: %w", err)
 	}

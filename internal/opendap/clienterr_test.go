@@ -26,7 +26,7 @@ func TestFetchNon200CarriesServerText(t *testing.T) {
 	c := errServer(t, func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "dataset is being republished", http.StatusServiceUnavailable)
 	})
-	_, err := c.Fetch("forecast-000", "T", nil, nil)
+	_, err := c.Fetch(context.Background(), "forecast-000", "T", nil, nil)
 	if err == nil {
 		t.Fatal("non-200 fetch accepted")
 	}
@@ -42,7 +42,7 @@ func TestDatasetsNon200(t *testing.T) {
 	c := errServer(t, func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusInternalServerError)
 	})
-	if _, err := c.Datasets(); err == nil {
+	if _, err := c.Datasets(context.Background()); err == nil {
 		t.Fatal("non-200 listing accepted")
 	}
 }
@@ -63,16 +63,16 @@ func TestDatasetsCtxHonoursItsContext(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.DatasetsCtx(ctx)
+		_, err := c.Datasets(ctx)
 		done <- err
 	}()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("DatasetsCtx = %v, want the context's deadline error", err)
+			t.Fatalf("Datasets = %v, want the context's deadline error", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("DatasetsCtx still waiting 5 s after its context ended")
+		t.Fatal("Datasets still waiting 5 s after its context ended")
 	}
 }
 
@@ -104,7 +104,7 @@ func TestFetchTruncatedPayload(t *testing.T) {
 			c := errServer(t, func(w http.ResponseWriter, r *http.Request) {
 				_, _ = w.Write(full[:len(full)-tc.cut])
 			})
-			if _, err := c.Fetch("d", "T", nil, nil); err == nil {
+			if _, err := c.Fetch(context.Background(), "d", "T", nil, nil); err == nil {
 				t.Fatal("truncated payload accepted")
 			}
 		})
@@ -118,7 +118,7 @@ func TestFetchCorruptPayload(t *testing.T) {
 	c := errServer(t, func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(flipped)
 	})
-	_, err := c.Fetch("d", "T", nil, nil)
+	_, err := c.Fetch(context.Background(), "d", "T", nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("corrupt payload not caught by checksum: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestFetchImplausibleLength(t *testing.T) {
 		b = binary.LittleEndian.AppendUint64(b, 1<<40) // claims 8 TiB of floats
 		_, _ = w.Write(b)
 	})
-	_, err := c.Fetch("d", "T", nil, nil)
+	_, err := c.Fetch(context.Background(), "d", "T", nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "implausible") {
 		t.Fatalf("implausible length header accepted: %v", err)
 	}
@@ -151,7 +151,7 @@ func TestFetchHungServer(t *testing.T) {
 	defer close(release)
 	c.HTTP = &http.Client{Timeout: 100 * time.Millisecond}
 	start := time.Now()
-	_, err := c.Fetch("d", "T", nil, nil)
+	_, err := c.Fetch(context.Background(), "d", "T", nil, nil)
 	if err == nil {
 		t.Fatal("hung server did not error")
 	}

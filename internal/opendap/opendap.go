@@ -203,8 +203,8 @@ func parseIntList(s string, rank, def int) ([]int, error) {
 
 // --- client -----------------------------------------------------------------
 
-// Client talks to a Server over HTTP. Its Ctx request variants are
-// cancellable through their context.
+// Client talks to a Server over HTTP. Each request is cancellable
+// through its context.
 type Client struct {
 	Base string // e.g. "http://host:port"
 	HTTP *http.Client
@@ -237,12 +237,7 @@ func (c *Client) get(ctx context.Context, url string) (*http.Response, error) {
 }
 
 // Datasets lists the server's dataset names.
-func (c *Client) Datasets() ([]string, error) {
-	return c.DatasetsCtx(context.Background())
-}
-
-// DatasetsCtx is Datasets under a context: the request is cancellable.
-func (c *Client) DatasetsCtx(ctx context.Context) ([]string, error) {
+func (c *Client) Datasets(ctx context.Context) ([]string, error) {
 	resp, err := c.get(ctx, c.Base+"/datasets")
 	if err != nil {
 		return nil, fmt.Errorf("opendap: %w", err)
@@ -265,12 +260,7 @@ func (c *Client) DatasetsCtx(ctx context.Context) ([]string, error) {
 }
 
 // DDS fetches the structure descriptor of a dataset.
-func (c *Client) DDS(dataset string) (string, error) {
-	return c.DDSCtx(context.Background(), dataset)
-}
-
-// DDSCtx is DDS under a context.
-func (c *Client) DDSCtx(ctx context.Context, dataset string) (string, error) {
+func (c *Client) DDS(ctx context.Context, dataset string) (string, error) {
 	resp, err := c.get(ctx, c.Base+"/dds/"+dataset)
 	if err != nil {
 		return "", fmt.Errorf("opendap: %w", err)
@@ -288,12 +278,7 @@ func (c *Client) DDSCtx(ctx context.Context, dataset string) (string, error) {
 
 // Fetch retrieves a hyperslab of a variable. Pass nil start/count for
 // the full array.
-func (c *Client) Fetch(dataset, variable string, start, count []int) ([]float64, error) {
-	return c.FetchCtx(context.Background(), dataset, variable, start, count)
-}
-
-// FetchCtx is Fetch under a context.
-func (c *Client) FetchCtx(ctx context.Context, dataset, variable string, start, count []int) ([]float64, error) {
+func (c *Client) Fetch(ctx context.Context, dataset, variable string, start, count []int) ([]float64, error) {
 	url := fmt.Sprintf("%s/dods/%s?var=%s", c.Base, dataset, variable)
 	if len(start) > 0 {
 		url += "&start=" + joinInts(start)

@@ -1,6 +1,7 @@
 package opendap
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -32,7 +33,7 @@ func testServer(t *testing.T) (*Server, *Client, *ocean.Model) {
 func TestDatasetListing(t *testing.T) {
 	srv, c, _ := testServer(t)
 	srv.Publish("another", ncdf.New())
-	names, err := c.Datasets()
+	names, err := c.Datasets(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestDatasetListing(t *testing.T) {
 
 func TestDDSRoundTrip(t *testing.T) {
 	_, c, _ := testServer(t)
-	dds, err := c.DDS("initial-conditions")
+	dds, err := c.DDS(context.Background(), "initial-conditions")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,14 +57,14 @@ func TestDDSRoundTrip(t *testing.T) {
 
 func TestDDSUnknownDataset(t *testing.T) {
 	_, c, _ := testServer(t)
-	if _, err := c.DDS("nope"); err == nil {
+	if _, err := c.DDS(context.Background(), "nope"); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 }
 
 func TestFetchFullVariable(t *testing.T) {
 	_, c, m := testServer(t)
-	got, err := c.Fetch("initial-conditions", "T", nil, nil)
+	got, err := c.Fetch(context.Background(), "initial-conditions", "T", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestFetchFullVariable(t *testing.T) {
 func TestFetchHyperslab(t *testing.T) {
 	_, c, m := testServer(t)
 	// Surface level only.
-	got, err := c.Fetch("initial-conditions", "T", []int{0, 0, 0}, []int{1, 8, 8})
+	got, err := c.Fetch(context.Background(), "initial-conditions", "T", []int{0, 0, 0}, []int{1, 8, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,16 +99,16 @@ func TestFetchHyperslab(t *testing.T) {
 
 func TestFetchErrors(t *testing.T) {
 	_, c, _ := testServer(t)
-	if _, err := c.Fetch("initial-conditions", "ghost", nil, nil); err == nil {
+	if _, err := c.Fetch(context.Background(), "initial-conditions", "ghost", nil, nil); err == nil {
 		t.Fatal("unknown variable accepted")
 	}
-	if _, err := c.Fetch("ghost", "T", nil, nil); err == nil {
+	if _, err := c.Fetch(context.Background(), "ghost", "T", nil, nil); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
-	if _, err := c.Fetch("initial-conditions", "T", []int{0, 0, 0}, []int{99, 1, 1}); err == nil {
+	if _, err := c.Fetch(context.Background(), "initial-conditions", "T", []int{0, 0, 0}, []int{99, 1, 1}); err == nil {
 		t.Fatal("oversized slab accepted")
 	}
-	if _, err := c.Fetch("initial-conditions", "T", []int{0, 0}, nil); err == nil {
+	if _, err := c.Fetch(context.Background(), "initial-conditions", "T", []int{0, 0}, nil); err == nil {
 		t.Fatal("wrong-rank start accepted")
 	}
 }
@@ -129,7 +130,7 @@ func TestDODSOverflowingSlabIs400(t *testing.T) {
 func TestServerStatsCountRequests(t *testing.T) {
 	srv, c, _ := testServer(t)
 	for i := 0; i < 5; i++ {
-		if _, err := c.Fetch("initial-conditions", "eta", nil, nil); err != nil {
+		if _, err := c.Fetch(context.Background(), "initial-conditions", "eta", nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,7 +154,7 @@ func TestConcurrentFetches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.Fetch("initial-conditions", "T", nil, nil); err != nil {
+			if _, err := c.Fetch(context.Background(), "initial-conditions", "T", nil, nil); err != nil {
 				errs <- err
 			}
 		}()
@@ -175,7 +176,7 @@ func TestPublishReplaces(t *testing.T) {
 	_ = f.AddDim("x", 2)
 	_ = f.AddVar("eta", []string{"x"}, nil, []float64{42, 43})
 	srv.Publish("initial-conditions", f)
-	got, err := c.Fetch("initial-conditions", "eta", nil, nil)
+	got, err := c.Fetch(context.Background(), "initial-conditions", "eta", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

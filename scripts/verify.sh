@@ -32,10 +32,10 @@ echo "==> go vet ./..."
 go vet ./...
 
 echo "==> esselint -stats ./... (the analyzers of esselint -list)"
-go run ./cmd/esselint -vet=false -stats ./...
+go run ./cmd/esselint -stats ./...
 
 echo "==> esselint -audit ./... (every suppression must carry a reason)"
-go run ./cmd/esselint -audit -vet=false ./... >/dev/null
+go run ./cmd/esselint -audit ./... >/dev/null
 
 echo "==> go test -race ./... (the entry-point goldens and the unlinked-function gate among them)"
 go test -race ./...
