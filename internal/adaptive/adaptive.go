@@ -69,7 +69,7 @@ func Greedy(sub *core.Subspace, cands []Candidate, k int) (*Plan, error) {
 		gamma.Set(j, j, sub.Sigma[j]*sub.Sigma[j])
 	}
 
-	plan := &Plan{}
+	plan := &Plan{Chosen: make([]int, 0, k), Reduction: make([]float64, 0, k)}
 	used := make(map[int]bool)
 	total := 0.0
 	gh := make([]float64, p)

@@ -210,8 +210,8 @@ func TestGreedyBeatsNaiveOnCorrelatedField(t *testing.T) {
 	}
 
 	// Both planners cost a fixed count at this shape, whatever the picks.
-	if n := testing.AllocsPerRun(20, func() { Greedy(sub, cands, k) }); n != 10 {
-		t.Errorf("Greedy: %v allocs/op, want 10", n)
+	if n := testing.AllocsPerRun(20, func() { Greedy(sub, cands, k) }); n != 6 {
+		t.Errorf("Greedy: %v allocs/op, want 6", n)
 	}
 	if n := testing.AllocsPerRun(20, func() { RankCandidatesByVariance(sub, cands) }); n != 5 {
 		t.Errorf("RankCandidatesByVariance: %v allocs/op, want 5", n)

@@ -93,25 +93,6 @@ func TestCholeskySolveIntoAllocFree(t *testing.T) {
 	})
 }
 
-func TestSolveTridiagonalIntoAllocFree(t *testing.T) {
-	n := 64
-	sub := make([]float64, n)
-	diag := make([]float64, n)
-	super := make([]float64, n)
-	b := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sub[i], diag[i], super[i], b[i] = -1, 4, -1, float64(i)
-	}
-	x := make([]float64, n)
-	c := make([]float64, n)
-	d := make([]float64, n)
-	assertAllocs(t, "SolveTridiagonalInto", 0, func() {
-		if err := SolveTridiagonalInto(x, c, d, sub, diag, super, b); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 func TestMatTVecDotAxpyAllocFree(t *testing.T) {
 	n := 48
 	a := spdMatrix(n)

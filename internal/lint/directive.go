@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -116,6 +117,16 @@ func knownNames(analyzers []*Analyzer) string {
 	return strings.Join(names, ", ")
 }
 
+// covers reports whether directive d suppresses diagnostic g: an allow
+// covers its own line and the line below it, an allowfile its whole
+// file, and the analyzer name "all" matches every analyzer.
+func covers(d Directive, g Diagnostic) bool {
+	if d.Pos.Filename != g.Pos.Filename || (d.Analyzer != "all" && d.Analyzer != g.Analyzer) {
+		return false
+	}
+	return d.Kind == "allowfile" || g.Pos.Line == d.Pos.Line || g.Pos.Line == d.Pos.Line+1
+}
+
 // AuditUnusedDirectives cross-checks the directives against an actual
 // run: a directive that no longer suppresses any finding is dead weight
 // that silently licenses a future regression, so the audit retires it.
@@ -123,30 +134,12 @@ func knownNames(analyzers []*Analyzer) string {
 // Directives in _test.go files are exempt — several analyzers skip
 // test files entirely, so absence of a finding there proves nothing.
 func AuditUnusedDirectives(dirs []Directive, diags []Diagnostic) []string {
-	matches := func(d Directive) bool {
-		for _, g := range diags {
-			if !g.Suppressed || g.Pos.Filename != d.Pos.Filename {
-				continue
-			}
-			if d.Analyzer != "all" && d.Analyzer != g.Analyzer {
-				continue
-			}
-			if d.Kind == "allowfile" {
-				return true
-			}
-			// An allow directive covers its own line and the line below.
-			if g.Pos.Line == d.Pos.Line || g.Pos.Line == d.Pos.Line+1 {
-				return true
-			}
-		}
-		return false
-	}
 	var problems []string
 	for _, d := range dirs {
 		if d.Analyzer == "" || strings.HasSuffix(d.Pos.Filename, "_test.go") {
 			continue
 		}
-		if !matches(d) {
+		if !slices.ContainsFunc(diags, func(g Diagnostic) bool { return g.Suppressed && covers(d, g) }) {
 			problems = append(problems,
 				fmt.Sprintf("%s: //esselint:%s %s suppresses no current finding; retire it",
 					d.Pos, d.Kind, d.Analyzer))

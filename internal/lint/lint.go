@@ -29,6 +29,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -117,7 +118,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Analy
 	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		sup := newSuppressor(pkg)
+		dirs := CollectDirectives([]*Package{pkg})
 		for i, a := range analyzers {
 			if a.Scope != nil && !a.Scope(pkg.RelPath) {
 				continue
@@ -133,7 +134,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Analy
 				Pkg:       pkg.Pkg,
 				Info:      pkg.Info,
 				report: func(d Diagnostic) {
-					d.Suppressed = sup.suppressed(d)
+					d.Suppressed = slices.ContainsFunc(dirs, func(dir Directive) bool { return covers(dir, d) })
 					if d.Suppressed {
 						acc.Suppressed++
 					} else {
@@ -164,60 +165,6 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Analy
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
 	return diags, stats, nil
-}
-
-// suppressor indexes a package's //esselint: directive comments.
-type suppressor struct {
-	// line maps filename → line → analyzer names allowed on that line
-	// and the one below it.
-	line map[string]map[int][]string
-	// file maps filename → analyzer names allowed file-wide.
-	file map[string][]string
-}
-
-func newSuppressor(pkg *Package) *suppressor {
-	s := &suppressor{
-		line: map[string]map[int][]string{},
-		file: map[string][]string{},
-	}
-	for _, d := range CollectDirectives([]*Package{pkg}) {
-		if d.Analyzer == "" {
-			continue
-		}
-		switch d.Kind {
-		case "allow":
-			m := s.line[d.Pos.Filename]
-			if m == nil {
-				m = map[int][]string{}
-				s.line[d.Pos.Filename] = m
-			}
-			m[d.Pos.Line] = append(m[d.Pos.Line], d.Analyzer)
-		case "allowfile":
-			s.file[d.Pos.Filename] = append(s.file[d.Pos.Filename], d.Analyzer)
-		}
-	}
-	return s
-}
-
-func (s *suppressor) suppressed(d Diagnostic) bool {
-	match := func(names []string) bool {
-		for _, n := range names {
-			if n == d.Analyzer || n == "all" {
-				return true
-			}
-		}
-		return false
-	}
-	if match(s.file[d.Pos.Filename]) {
-		return true
-	}
-	if m := s.line[d.Pos.Filename]; m != nil {
-		// A directive applies to its own line and the line below it.
-		if match(m[d.Pos.Line]) || match(m[d.Pos.Line-1]) {
-			return true
-		}
-	}
-	return false
 }
 
 // underInternalOrCmd scopes an analyzer to internal/ and cmd/ packages.

@@ -23,23 +23,13 @@ import (
 	"esse/internal/rng"
 )
 
-// Config collects the physical and numerical parameters of the model.
+// Config collects the parameters callers vary. The physical parameters
+// have one value in every run and no field: they are the package values
+// below, and stableStep's viscosity and diffusivity.
 type Config struct {
 	Grid *grid.Grid
 	// Dt is the time step in seconds.
 	Dt float64
-	// MeanDepth is the resting layer depth H (m) of the shallow-water core.
-	MeanDepth float64
-	// Coriolis parameter f (1/s).
-	Coriolis float64
-	// BottomFriction is the linear drag coefficient r (1/s).
-	BottomFriction float64
-	// Viscosity is the lateral eddy viscosity for momentum (m²/s).
-	Viscosity float64
-	// Diffusivity is the horizontal tracer diffusivity (m²/s).
-	Diffusivity float64
-	// WindAmp is the steady wind-stress acceleration amplitude (m/s²).
-	WindAmp float64
 	// NoiseWind scales the stochastic wind, a Wiener increment (m/s^1.5):
 	// a step adds to each component a smooth random field (sampleForcing)
 	// of amplitude NoiseWind·√Dt/Dt in m/s², not a per-cell variance.
@@ -48,14 +38,36 @@ type Config struct {
 	// same way (°C/√s): a field of amplitude NoiseTracer·√(K·Dt) a tracer
 	// step, which spans K dynamics steps (see Step).
 	NoiseTracer float64
-	// EkmanDepth sets the e-folding depth (m) of velocity used to advect
-	// the 3-D tracers.
-	EkmanDepth float64
-	// VerticalDiffusivity Kv (m²/s) enables implicit vertical tracer
-	// mixing when positive (0 = off; see vertmix.go).
-	VerticalDiffusivity float64
 	// Climo parameterizes the initial mesoscale state (eddy + front).
 	Climo ClimatologyParams
+}
+
+// The physical parameters of the model.
+const (
+	// meanDepth is the resting layer depth H (m) of the shallow-water core.
+	meanDepth = 50.0
+	// bottomFriction is the linear drag coefficient r (1/s).
+	bottomFriction = 2e-6
+	// windAmp is the steady wind-stress acceleration amplitude (m/s²).
+	windAmp = 1e-6
+	// ekmanDepth is the e-folding depth (m) of the velocity that advects
+	// the 3-D tracers.
+	ekmanDepth = 80.0
+)
+
+// coriolis is the Coriolis parameter f (1/s) at Monterey Bay.
+var coriolis = physics.Coriolis(36.6)
+
+// stableStep returns DefaultConfig's time step for grid g, well inside
+// the gravity-wave CFL bound, and the momentum's lateral eddy viscosity
+// and the tracers' horizontal diffusivity (m²/s), scaled to that step to
+// stay mild. A model's viscosity and diffusivity are these whatever its
+// Dt.
+func stableStep(g *grid.Grid) (dt, viscosity, diffusivity float64) {
+	c := math.Sqrt(physics.Gravity * meanDepth)
+	minDx := math.Min(g.Dx, g.Dy)
+	dt = 0.2 * minDx / c
+	return dt, 0.01 * minDx * minDx / dt / 8, 0.005 * minDx * minDx / dt / 8
 }
 
 // ClimatologyParams positions the initial mesoscale features: a
@@ -113,29 +125,16 @@ func (p ClimatologyParams) Jitter(s *rng.Stream) ClimatologyParams {
 	return out
 }
 
-// defaultMeanDepth is the resting layer depth (m) DefaultConfig uses.
-const defaultMeanDepth = 50.0
-
 // DefaultConfig returns a numerically stable configuration for grid g
 // sized for the mesoscale window (days, kilometers) the paper studies.
 func DefaultConfig(g *grid.Grid) Config {
-	h := defaultMeanDepth
-	c := math.Sqrt(physics.Gravity * h)
-	minDx := math.Min(g.Dx, g.Dy)
-	dt := 0.2 * minDx / c // well inside the CFL bound
+	dt, _, _ := stableStep(g)
 	return Config{
-		Grid:           g,
-		Dt:             dt,
-		MeanDepth:      h,
-		Coriolis:       physics.Coriolis(36.6),
-		BottomFriction: 2e-6,
-		Viscosity:      0.01 * minDx * minDx / dt / 8, // mild, stability-safe
-		Diffusivity:    0.005 * minDx * minDx / dt / 8,
-		WindAmp:        1e-6,
-		NoiseWind:      2e-7,
-		NoiseTracer:    2e-5,
-		EkmanDepth:     80,
-		Climo:          DefaultClimatology(),
+		Grid:        g,
+		Dt:          dt,
+		NoiseWind:   2e-7,
+		NoiseTracer: 2e-5,
+		Climo:       DefaultClimatology(),
 	}
 }
 
@@ -162,9 +161,8 @@ type Model struct {
 	t    []float64 // n3, °C
 	s    []float64 // n3, psu
 
-	noise  *rng.Stream
-	time   float64
-	vmixer *VerticalMixer
+	noise *rng.Stream
+	time  float64
 
 	// every is K, the dynamics steps a tracer step spans (tracerEvery;
 	// tests build other values through newModel). pending counts the
@@ -184,9 +182,11 @@ type Model struct {
 	// (upwindWeights), shared by every sweep of a tracer step.
 	pw, pe, ps, pn []float64
 
-	// decay[k] is the e-folding attenuation of the flow at level k that
-	// advects the tracers, fixed by the grid and EkmanDepth.
-	decay []float64
+	// nu and kappa are the viscosity and diffusivity stableStep gives
+	// the grid, and decay[k] the e-folding attenuation of the flow at
+	// level k that advects the tracers, fixed by the grid and ekmanDepth.
+	nu, kappa float64
+	decay     []float64
 	// klX and klY tabulate the forcing's cosine modes on each axis; z
 	// holds the coefficients for fx, fy and ftr in turn, and zScale the
 	// amplitude and spectral weight of each.
@@ -253,8 +253,9 @@ func newModel(cfg Config, noise *rng.Stream, every int) *Model {
 		klX:    cosineModes(g.NX),
 		klY:    cosineModes(g.NY),
 	}
+	_, m.nu, m.kappa = stableStep(g)
 	for k := range m.decay {
-		m.decay[k] = math.Exp(-g.Depths[k] / math.Max(cfg.EkmanDepth, 1))
+		m.decay[k] = math.Exp(-g.Depths[k] / ekmanDepth)
 	}
 	// Validate rejects non-positive Dt; the clamps keep the Sqrts
 	// NaN-free even on unvalidated configs.
@@ -361,9 +362,7 @@ func (m *Model) SetState(state []float64) {
 // CFLNumber returns the gravity-wave CFL number c·dt/min(dx,dy); values
 // below ~0.7 are stable for the forward-backward scheme.
 func (m *Model) CFLNumber() float64 {
-	// Validate rejects non-positive MeanDepth; the clamp keeps the Sqrt
-	// NaN-free even on unvalidated configs.
-	c := math.Sqrt(physics.Gravity * math.Max(m.Cfg.MeanDepth, 0))
+	c := math.Sqrt(physics.Gravity * meanDepth)
 	return c * m.Cfg.Dt / math.Min(m.Cfg.Grid.Dx, m.Cfg.Grid.Dy)
 }
 
@@ -394,7 +393,7 @@ func (m *Model) step(tasks int) {
 	if m.pending == m.every {
 		m.stepTracers(tasks)
 	}
-	m.finishStep()
+	m.time += m.Cfg.Dt
 }
 
 // stepTracers takes the tracer step over the m.pending dynamics steps
@@ -449,7 +448,7 @@ func rows(field []float64, j, nx int) (c, s, n []float64) {
 func (m *Model) momentumRows(jLo, jHi int) {
 	g := m.Cfg.Grid
 	nx := g.NX
-	dt, f, r, nu := m.Cfg.Dt, m.Cfg.Coriolis, m.Cfg.BottomFriction, m.Cfg.Viscosity
+	dt, f, r, nu := m.Cfg.Dt, coriolis, bottomFriction, m.nu
 	twoDx, twoDy, dx2, dy2 := 2*g.Dx, 2*g.Dy, g.Dx*g.Dx, g.Dy*g.Dy
 	for j := max(jLo, 1); j < min(jHi, g.NY-1); j++ {
 		ec, es, en := rows(m.eta, j, nx)
@@ -488,7 +487,7 @@ func (m *Model) closeVelocities() {
 func (m *Model) continuityRows(jLo, jHi int) {
 	g := m.Cfg.Grid
 	nx := g.NX
-	dt, h := m.Cfg.Dt, m.Cfg.MeanDepth
+	dt, h := m.Cfg.Dt, meanDepth
 	twoDx, twoDy := 2*g.Dx, 2*g.Dy
 	for j := max(jLo, 1); j < min(jHi, g.NY-1); j++ {
 		uc := row(m.newU, j, nx)
@@ -500,21 +499,6 @@ func (m *Model) continuityRows(jLo, jHi int) {
 			newEta[i] = eta[i] - dt*h*div
 		}
 	}
-}
-
-// commitDynamics closes the new eta, makes the new eta, u, v current and
-// adds the new u, v into the flow the next tracer step is taken on.
-func (m *Model) commitDynamics() {
-	zeroGradientBoundary(m.newEta, m.Cfg.Grid)
-	m.eta, m.newEta = m.newEta, m.eta
-	m.u, m.newU = m.newU, m.u
-	m.v, m.newV = m.newV, m.v
-	uSum, vSum, v := m.uSum[:len(m.u)], m.vSum[:len(m.u)], m.v[:len(m.u)]
-	for id, u := range m.u {
-		uSum[id] += u
-		vSum[id] += v[id]
-	}
-	m.pending++
 }
 
 // upwindWeights forms the share of each neighbour a cell takes in a
@@ -547,7 +531,7 @@ func (m *Model) tracerRows(jLo, jHi int) {
 	nx, n2 := g.NX, g.N2()
 	decay := m.decay[k]
 	dt := float64(m.pending) * m.Cfg.Dt
-	cx, cy := dt*m.Cfg.Diffusivity/(g.Dx*g.Dx), dt*m.Cfg.Diffusivity/(g.Dy*g.Dy)
+	cx, cy := dt*m.kappa/(g.Dx*g.Dx), dt*m.kappa/(g.Dy*g.Dy)
 	slab := tr[k*n2 : (k+1)*n2]
 	for j := max(jLo, 1); j < min(jHi, g.NY-1); j++ {
 		c, s, n := rows(slab, j, nx)
@@ -568,6 +552,21 @@ func (m *Model) tracerRows(jLo, jHi int) {
 	}
 }
 
+// commitDynamics closes the new eta, makes the new eta, u, v current and
+// adds the new u, v into the flow the next tracer step is taken on.
+func (m *Model) commitDynamics() {
+	zeroGradientBoundary(m.newEta, m.Cfg.Grid)
+	m.eta, m.newEta = m.newEta, m.eta
+	m.u, m.newU = m.newU, m.u
+	m.v, m.newV = m.newV, m.v
+	uSum, vSum, v := m.uSum[:len(m.u)], m.vSum[:len(m.u)], m.v[:len(m.u)]
+	for id, u := range m.u {
+		uSum[id] += u
+		vSum[id] += v[id]
+	}
+	m.pending++
+}
+
 // commitLevel copies the interior of newTr back into level k of tr and
 // gives the edge a zero gradient.
 func (m *Model) commitLevel(tr []float64, k int) {
@@ -578,17 +577,6 @@ func (m *Model) commitLevel(tr []float64, k int) {
 		copy(slab[j*nx+1:(j+1)*nx-1], m.newTr[j*nx+1:(j+1)*nx-1])
 	}
 	zeroGradientBoundary(slab, g)
-}
-
-// finishStep applies the optional vertical mixing, which stays on the
-// dynamics clock, and advances the clock.
-func (m *Model) finishStep() {
-	if err := m.applyVerticalMixing(); err != nil {
-		// The implicit operator is diagonally dominant by construction;
-		// a failure indicates a programming error, not a data condition.
-		panic(err)
-	}
-	m.time += m.Cfg.Dt
 }
 
 // The stochastic forcing is a Karhunen–Loève field, the model error of
@@ -625,7 +613,7 @@ func (m *Model) sampleForcing() {
 		z[i] *= m.zScale[i]
 	}
 	nx := m.Cfg.Grid.NX
-	wind := -m.Cfg.WindAmp // steady upwelling-favorable (equatorward)
+	wind := -windAmp // steady upwelling-favorable (equatorward)
 	zx, zy := (*[klCoeffs]float64)(z), (*[klCoeffs]float64)(z[klCoeffs:])
 	klX := m.klX[:nx]
 	for j, y := range m.klY {
@@ -689,28 +677,23 @@ func (m *Model) run(n, tasks int) {
 }
 
 // Validate sanity-checks the configuration, returning an error describing
-// the first problem found: a time step, layer depth or grid spacing that
-// is not a positive finite number, then a CFL number beyond the stability
-// bound, then a Diffusivity whose tracer step would give a cell a
-// negative weight of its own value.
+// the first problem found: a time step or grid spacing that is not a
+// positive finite number, then a CFL number beyond the stability bound.
+// Within that bound a tracer step's diffusive weights K·Dt·κ·(2/dx² +
+// 2/dy²) are at most K·(Dt/dt₀)·0.0025 ≤ 5·3.5·0.0025 ≈ 0.044, dt₀ being
+// stableStep's time step, so every cell keeps a share of its own value.
 func (m *Model) Validate() error {
 	g := m.Cfg.Grid
 	for _, q := range []struct {
 		name string
 		v    float64
-	}{{"Dt", m.Cfg.Dt}, {"MeanDepth", m.Cfg.MeanDepth}, {"Dx", g.Dx}, {"Dy", g.Dy}} {
+	}{{"Dt", m.Cfg.Dt}, {"Dx", g.Dx}, {"Dy", g.Dy}} {
 		if !(q.v > 0) || math.IsInf(q.v, 0) {
 			return fmt.Errorf("ocean: %s = %v, want a positive finite number", q.name, q.v)
 		}
 	}
 	if cfl := m.CFLNumber(); cfl > 0.7 {
 		return fmt.Errorf("ocean: CFL number %.3f exceeds stability bound 0.7", cfl)
-	}
-	// A tracer step of K·Dt keeps positivity only while the diffusive
-	// weights 2cx + 2cy leave the cell a share of its own value.
-	tdt := float64(m.every) * m.Cfg.Dt
-	if w := tdt * m.Cfg.Diffusivity * (2/(g.Dx*g.Dx) + 2/(g.Dy*g.Dy)); !(w >= 0 && w <= 1) {
-		return fmt.Errorf("ocean: Diffusivity = %v gives a tracer step of %.4g s diffusive weights %.3g, want within [0, 1]", m.Cfg.Diffusivity, tdt, w)
 	}
 	return nil
 }

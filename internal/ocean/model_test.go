@@ -39,7 +39,7 @@ func TestDefaultConfigStable(t *testing.T) {
 	// inside it — and Validate gates every model on this number.
 	for _, g := range []*grid.Grid{grid.MontereyBay(16, 16, 4), grid.MontereyBay(17, 9, 3)} {
 		m := New(DefaultConfig(g), rng.New(1))
-		want := math.Sqrt(physics.Gravity*m.Cfg.MeanDepth) * m.Cfg.Dt / math.Min(g.Dx, g.Dy)
+		want := math.Sqrt(physics.Gravity*meanDepth) * m.Cfg.Dt / math.Min(g.Dx, g.Dy)
 		if got := m.CFLNumber(); math.Abs(got-want) > 1e-12*want {
 			t.Errorf("%dx%d: CFL = %v, want √(g·H)·Dt/min(Dx,Dy) = %v", g.NX, g.NY, got, want)
 		}
@@ -245,7 +245,6 @@ func TestValidateCatchesBadCFL(t *testing.T) {
 func TestStepBitIdenticalToReference(t *testing.T) {
 	noWind := func(c *Config) { c.NoiseWind = 0 }
 	noTracer := func(c *Config) { c.NoiseTracer = 0 }
-	vmix := func(c *Config) { c.VerticalDiffusivity = 1e-3 }
 	cases := []struct {
 		name       string
 		nx, ny, nz int
@@ -257,7 +256,6 @@ func TestStepBitIdenticalToReference(t *testing.T) {
 		{name: "2x2x1 no interior", nx: 2, ny: 2, nz: 1},
 		{name: "3x3x1 one interior cell", nx: 3, ny: 3, nz: 1},
 		{name: "3x2x2 no interior row", nx: 3, ny: 2, nz: 2},
-		{name: "vertical mixing", nx: 12, ny: 10, nz: 4, tweak: vmix},
 		{name: "no wind noise", nx: 12, ny: 10, nz: 3, tweak: noWind},
 		{name: "no tracer noise", nx: 12, ny: 10, nz: 3, tweak: noTracer},
 		{name: "stirred, both upwind arms", nx: 20, ny: 14, nz: 3, stir: true},
@@ -468,7 +466,7 @@ func TestForcingStatistics(t *testing.T) {
 		name string
 		f    []float64
 		base float64
-	}{{"fx", m.fx, 0}, {"fy", m.fy, -m.Cfg.WindAmp}, {"ftr", m.ftr, 0}}
+	}{{"fx", m.fx, 0}, {"fy", m.fy, -windAmp}, {"ftr", m.ftr, 0}}
 	// want[n][id] is field n's variance at cell id: Σ_ab (zScale_ab X_ia Y_jb)².
 	want := make([][]float64, len(fields))
 	for n := range fields {
@@ -697,7 +695,6 @@ func TestValidateRejections(t *testing.T) {
 		set  func(c *Config, bad float64)
 	}{
 		{"Dt", func(c *Config, bad float64) { c.Dt = bad }},
-		{"MeanDepth", func(c *Config, bad float64) { c.MeanDepth = bad }},
 		{"Dx", func(c *Config, bad float64) { c.Grid.Dx = bad }},
 		{"Dy", func(c *Config, bad float64) { c.Grid.Dy = bad }},
 	}
@@ -711,26 +708,6 @@ func TestValidateRejections(t *testing.T) {
 			} else if !strings.Contains(err.Error(), tc.name) {
 				t.Errorf("%s = %v rejected without naming the field: %v", tc.name, bad, err)
 			}
-		}
-	}
-	// A tracer step of K·Dt keeps positivity while its diffusive weights
-	// K·Dt·κ·(2/dx² + 2/dy²) are within [0, 1]. DefaultConfig's are
-	// 0.0125 at K = 5, so 79 times its Diffusivity is inside the bound and
-	// 81 times past it.
-	for _, tc := range []struct {
-		factor float64
-		ok     bool
-	}{{0, true}, {79, true}, {81, false}, {-1, false}, {nan, false}, {inf, false}} {
-		cfg := DefaultConfig(grid.MontereyBay(8, 8, 2))
-		cfg.Diffusivity *= tc.factor
-		err := New(cfg, rng.New(1)).Validate()
-		switch {
-		case tc.ok && err != nil:
-			t.Errorf("Validate rejected %v × the default Diffusivity: %v", tc.factor, err)
-		case !tc.ok && err == nil:
-			t.Errorf("Validate accepted %v × the default Diffusivity", tc.factor)
-		case !tc.ok && !strings.Contains(err.Error(), "Diffusivity"):
-			t.Errorf("%v × the default Diffusivity rejected without naming the field: %v", tc.factor, err)
 		}
 	}
 }
@@ -773,9 +750,9 @@ func (m *Model) stepReference() {
 	g := m.Cfg.Grid
 	dt := m.Cfg.Dt
 	dx, dy := g.Dx, g.Dy
-	f := m.Cfg.Coriolis
-	r := m.Cfg.BottomFriction
-	nu := m.Cfg.Viscosity
+	f := coriolis
+	r := bottomFriction
+	nu := m.nu
 
 	// --- Momentum update (forward step with current eta) ---
 	for j := 1; j < g.NY-1; j++ {
@@ -800,7 +777,7 @@ func (m *Model) stepReference() {
 	applyClosedBoundary(m.newV, g)
 
 	// --- Continuity update (backward step with the new velocities) ---
-	h := m.Cfg.MeanDepth
+	h := meanDepth
 	for j := 1; j < g.NY-1; j++ {
 		for i := 1; i < g.NX-1; i++ {
 			id := g.Idx2(i, j)
@@ -817,11 +794,6 @@ func (m *Model) stepReference() {
 	// --- Tracer updates, level by level ---
 	m.stepTracerReference(m.t, true)
 	m.stepTracerReference(m.s, false)
-	if err := m.applyVerticalMixing(); err != nil {
-		// The implicit operator is diagonally dominant by construction;
-		// a failure indicates a programming error, not a data condition.
-		panic(err)
-	}
 
 	m.time += dt
 }
@@ -833,10 +805,10 @@ func (m *Model) stepTracerReference(tr []float64, isTemp bool) {
 	g := m.Cfg.Grid
 	dt := m.Cfg.Dt
 	dx, dy := g.Dx, g.Dy
-	kappa := m.Cfg.Diffusivity
+	kappa := m.kappa
 	n2 := g.N2()
 	for k := 0; k < g.NZ; k++ {
-		decay := math.Exp(-g.Depths[k] / math.Max(m.Cfg.EkmanDepth, 1))
+		decay := math.Exp(-g.Depths[k] / ekmanDepth)
 		slab := tr[k*n2 : (k+1)*n2]
 		out := m.newTr
 		for j := 1; j < g.NY-1; j++ {
@@ -891,7 +863,7 @@ func (m *Model) Energy() float64 {
 	g := m.Cfg.Grid
 	e := 0.0
 	for id := 0; id < g.N2(); id++ {
-		e += 0.5*m.Cfg.MeanDepth*(m.u[id]*m.u[id]+m.v[id]*m.v[id]) +
+		e += 0.5*meanDepth*(m.u[id]*m.u[id]+m.v[id]*m.v[id]) +
 			0.5*physics.Gravity*m.eta[id]*m.eta[id]
 	}
 	return e * g.Dx * g.Dy

@@ -47,10 +47,10 @@ func TestDatasetsNon200(t *testing.T) {
 	}
 }
 
-// TestDatasetsCtxHonoursItsContext lists a server that never answers
+// TestDatasetsHonoursItsContext lists a server that never answers
 // under a 100 ms context: the call ends with the context's error, long
 // before the client's own 60 s timeout.
-func TestDatasetsCtxHonoursItsContext(t *testing.T) {
+func TestDatasetsHonoursItsContext(t *testing.T) {
 	release := make(chan struct{})
 	c := errServer(t, func(w http.ResponseWriter, r *http.Request) {
 		select {

@@ -48,7 +48,6 @@ func SimulateBatched(c *cluster.Cluster, jobs int, spec JobSpec, cfg Config, bat
 			res.Makespan += tail.Makespan
 			res.NFSMBMoved += tail.NFSMBMoved
 		}
-		res.JobsCompleted += 0 // accounted below
 	}
 
 	// Convert batch counts back to member counts.

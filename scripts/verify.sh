@@ -2,7 +2,7 @@
 # verify.sh — the repository's standing gate: build, the arm64 vet and
 # 386 build and vet (the portable build, without the amd64 assembly; the
 # 386 vet type-checks the tests too), the 386
-# tests of linalg and core (the Go loops as the only bodies), vet, the custom
+# tests of the whole suite (the Go loops as the only bodies), vet, the custom
 # esselint analyzers (`esselint -list`) over the whole tree, the linter's
 # own packages among it, the suppression audit, and the race-enabled
 # test suite, which includes the mutation table the analyzers are kept
@@ -25,8 +25,8 @@ GOARCH=arm64 go vet ./...
 GOARCH=386 go build ./...
 GOARCH=386 go vet ./...
 
-echo "==> GOARCH=386 go test ./internal/linalg ./internal/core (the Go loops run as the only bodies, not just built)"
-GOARCH=386 go test ./internal/linalg ./internal/core
+echo "==> GOARCH=386 go test ./... (the Go loops run as the only bodies, not just built; the goldens skip off amd64)"
+GOARCH=386 go test ./...
 
 echo "==> go vet ./..."
 go vet ./...
