@@ -1,5 +1,6 @@
-# Standing quality gates for the ESSE reproduction. `make verify` is
-# the full pipeline CI runs; the individual targets are for local use.
+# Standing quality gates for the ESSE reproduction. `make verify` runs
+# scripts/verify.sh, the gate CI runs and the only definition of it; the
+# other targets run single stages of it, or tools, for local use.
 
 GO ?= go
 

@@ -5,6 +5,7 @@ import (
 
 	"esse/internal/core"
 	"esse/internal/linalg"
+	"esse/internal/obs"
 )
 
 // This file implements the coupled physical-acoustical estimation of the
@@ -95,16 +96,16 @@ type TLObservation struct {
 	Stddev float64
 }
 
-// TLNetwork exposes TL observations as a core.ObsOperator over the
-// coupled state (scaled units).
-type TLNetwork struct {
-	ens *CoupledEnsemble
-	obs []TLObservation
-}
-
-// NewTLNetwork validates the observations against the ensemble's TL grid.
-func (c *CoupledEnsemble) NewTLNetwork(obs []TLObservation) (*TLNetwork, error) {
-	for i, o := range obs {
+// NewTLNetwork validates the observations against the ensemble's TL grid
+// and returns them as a point operator over the coupled state: each reads
+// its TL cell, in dB over TLScale.
+func (c *CoupledEnsemble) NewTLNetwork(tl []TLObservation) (*obs.Points, error) {
+	p := &obs.Points{
+		Offsets: make([]int, len(tl)),
+		R:       make([]float64, len(tl)),
+		Scale:   make([]float64, len(tl)),
+	}
+	for i, o := range tl {
 		if o.RI < 0 || o.RI >= c.TLRows || o.ZI < 0 || o.ZI >= c.TLCols {
 			return nil, fmt.Errorf("acoustics: TL obs %d at (%d,%d) outside %dx%d grid",
 				i, o.RI, o.ZI, c.TLRows, c.TLCols)
@@ -112,52 +113,12 @@ func (c *CoupledEnsemble) NewTLNetwork(obs []TLObservation) (*TLNetwork, error) 
 		if o.Stddev <= 0 {
 			return nil, fmt.Errorf("acoustics: TL obs %d has non-positive error", i)
 		}
+		s := o.Stddev / c.TLScale
+		p.Offsets[i] = c.OceanDim + o.RI*c.TLCols + o.ZI
+		p.R[i] = s * s
+		p.Scale[i] = c.TLScale
 	}
-	return &TLNetwork{ens: c, obs: obs}, nil
-}
-
-func (t *TLNetwork) offset(o TLObservation) int {
-	return t.ens.OceanDim + o.RI*t.ens.TLCols + o.ZI
-}
-
-// Len returns the number of TL observations.
-func (t *TLNetwork) Len() int { return len(t.obs) }
-
-// ApplyH gathers the observed TL cells from a coupled (scaled) state.
-func (t *TLNetwork) ApplyH(state []float64) []float64 {
-	y := make([]float64, len(t.obs))
-	for i, o := range t.obs {
-		y[i] = state[t.offset(o)]
-	}
-	return y
-}
-
-// ApplyHMat gathers the observed rows of a coupled mode matrix.
-func (t *TLNetwork) ApplyHMat(e *linalg.Dense) *linalg.Dense {
-	out := linalg.NewDense(len(t.obs), e.Cols)
-	for i, o := range t.obs {
-		copy(out.Row(i), e.Row(t.offset(o)))
-	}
-	return out
-}
-
-// RDiag returns the observation error variances in scaled units.
-func (t *TLNetwork) RDiag() []float64 {
-	r := make([]float64, len(t.obs))
-	for i, o := range t.obs {
-		s := o.Stddev / t.ens.TLScale
-		r[i] = s * s
-	}
-	return r
-}
-
-// ScaleObs converts TL measurements in dB to scaled units.
-func (t *TLNetwork) ScaleObs(yDB []float64) []float64 {
-	out := make([]float64, len(yDB))
-	for i, v := range yDB {
-		out[i] = v / t.ens.TLScale
-	}
-	return out
+	return p, nil
 }
 
 // AssimilateTL performs the coupled update: TL measurements (dB) adjust
@@ -165,7 +126,10 @@ func (t *TLNetwork) ScaleObs(yDB []float64) []float64 {
 // ocean–acoustic cross-covariances of the subspace. It returns the
 // analysis and replaces the ensemble mean and subspace with the
 // posterior.
-func (c *CoupledEnsemble) AssimilateTL(net *TLNetwork, yDB []float64) (*core.Analysis, error) {
+func (c *CoupledEnsemble) AssimilateTL(net *obs.Points, yDB []float64) (*core.Analysis, error) {
+	if len(yDB) != net.Len() {
+		return nil, fmt.Errorf("acoustics: %d TL observations but %d values", net.Len(), len(yDB))
+	}
 	an, err := core.Assimilate(c.Mean, c.Subspace, net, net.ScaleObs(yDB))
 	if err != nil {
 		return nil, err

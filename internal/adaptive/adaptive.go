@@ -21,44 +21,39 @@ import (
 
 	"esse/internal/core"
 	"esse/internal/linalg"
+	"esse/internal/obs"
 )
 
-// Candidate is a potential observation of one state element.
-type Candidate struct {
-	// Offset is the flat index into the (scaled) state vector.
-	Offset int
-	// Stddev is the observation error in scaled units.
-	Stddev float64
-	// Label is free-form (e.g. "glider T (4,7) 30m").
-	Label string
-}
-
-// Plan is the planner's output: chosen candidate indices in pick order
-// and the cumulative expected variance reduction after each pick.
+// Plan is the planner's output: the indices of the chosen candidate
+// observations in pick order and the cumulative expected variance
+// reduction after each pick.
 type Plan struct {
 	Chosen    []int
 	Reduction []float64
 }
 
-// Greedy selects k candidates by sequential expected-variance-reduction.
-// The subspace is not modified. Complexity O(k · |cands| · p²).
-func Greedy(sub *core.Subspace, cands []Candidate, k int) (*Plan, error) {
+// Greedy selects k of the candidate observations by sequential
+// expected-variance-reduction; each candidate reads state element
+// cands.Offsets[i] with error variance cands.R[i] in the subspace's
+// units. The subspace is not modified. Complexity O(k · |cands| · p²).
+func Greedy(sub *core.Subspace, cands *obs.Points, k int) (*Plan, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("adaptive: non-positive pick count %d", k)
 	}
-	if len(cands) == 0 {
+	n := cands.Len()
+	if n == 0 {
 		return nil, fmt.Errorf("adaptive: no candidates")
 	}
-	if k > len(cands) {
-		k = len(cands)
+	if k > n {
+		k = n
 	}
 	p := sub.Rank()
 	dim := sub.StateDim()
-	for i, c := range cands {
-		if c.Offset < 0 || c.Offset >= dim {
-			return nil, fmt.Errorf("adaptive: candidate %d offset %d outside state dim %d", i, c.Offset, dim)
+	for i, off := range cands.Offsets {
+		if off < 0 || off >= dim {
+			return nil, fmt.Errorf("adaptive: candidate %d offset %d outside state dim %d", i, off, dim)
 		}
-		if c.Stddev <= 0 {
+		if cands.R[i] <= 0 {
 			return nil, fmt.Errorf("adaptive: candidate %d has non-positive error", i)
 		}
 	}
@@ -75,12 +70,11 @@ func Greedy(sub *core.Subspace, cands []Candidate, k int) (*Plan, error) {
 	gh := make([]float64, p)
 	for pick := 0; pick < k; pick++ {
 		bestIdx, bestGain := -1, -1.0
-		for ci, c := range cands {
+		for ci, off := range cands.Offsets {
 			if used[ci] {
 				continue
 			}
-			h := sub.Modes.Row(c.Offset)
-			gain := varianceGain(gamma, h, c.Stddev*c.Stddev, gh)
+			gain := varianceGain(gamma, sub.Modes.Row(off), cands.R[ci], gh)
 			if gain > bestGain {
 				bestGain = gain
 				bestIdx = ci
@@ -90,8 +84,7 @@ func Greedy(sub *core.Subspace, cands []Candidate, k int) (*Plan, error) {
 			break
 		}
 		used[bestIdx] = true
-		c := cands[bestIdx]
-		applyRankOneUpdate(gamma, sub.Modes.Row(c.Offset), c.Stddev*c.Stddev, gh)
+		applyRankOneUpdate(gamma, sub.Modes.Row(cands.Offsets[bestIdx]), cands.R[bestIdx], gh)
 		total += bestGain
 		plan.Chosen = append(plan.Chosen, bestIdx)
 		plan.Reduction = append(plan.Reduction, total)

@@ -25,12 +25,21 @@ func twoModeSubspace() *core.Subspace {
 	return &core.Subspace{Modes: e, Sigma: []float64{3, 1}}
 }
 
+// candidates observes each offset with error standard deviation sd.
+func candidates(sd float64, offsets ...int) *obs.Points {
+	r := make([]float64, len(offsets))
+	for i := range r {
+		r[i] = sd * sd
+	}
+	return &obs.Points{Offsets: offsets, R: r}
+}
+
 func TestGreedyPicksHighestVarianceFirst(t *testing.T) {
 	sub := twoModeSubspace()
-	cands := []Candidate{
-		{Offset: 5, Stddev: 0.1}, // on the weak mode
-		{Offset: 0, Stddev: 0.1}, // on the strong mode
-	}
+	cands := candidates(0.1,
+		5, // on the weak mode
+		0, // on the strong mode
+	)
 	plan, err := Greedy(sub, cands, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -45,11 +54,7 @@ func TestGreedyDiversifiesAfterFirstPick(t *testing.T) {
 	// other nearly worthless. A good planner then samples the other mode
 	// even though element 1's marginal variance is 4.5x element 5's.
 	sub := twoModeSubspace()
-	cands := []Candidate{
-		{Offset: 0, Stddev: 0.01},
-		{Offset: 1, Stddev: 0.01},
-		{Offset: 5, Stddev: 0.01},
-	}
+	cands := candidates(0.01, 0, 1, 5)
 	plan, err := Greedy(sub, cands, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -75,10 +80,11 @@ func TestGreedyReductionMonotoneAndBounded(t *testing.T) {
 	}
 	f := linalg.QR(a)
 	sub := &core.Subspace{Modes: f.Q, Sigma: []float64{5, 4, 3, 2, 1}}
-	var cands []Candidate
+	var offs []int
 	for off := 0; off < 30; off += 2 {
-		cands = append(cands, Candidate{Offset: off, Stddev: 0.5})
+		offs = append(offs, off)
 	}
+	cands := candidates(0.5, offs...)
 	plan, err := Greedy(sub, cands, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -108,16 +114,16 @@ func TestGreedyReductionMonotoneAndBounded(t *testing.T) {
 
 func TestGreedyValidation(t *testing.T) {
 	sub := twoModeSubspace()
-	if _, err := Greedy(sub, nil, 3); err == nil {
+	if _, err := Greedy(sub, candidates(1), 3); err == nil {
 		t.Fatal("empty candidates accepted")
 	}
-	if _, err := Greedy(sub, []Candidate{{Offset: 0, Stddev: 1}}, 0); err == nil {
+	if _, err := Greedy(sub, candidates(1, 0), 0); err == nil {
 		t.Fatal("zero picks accepted")
 	}
-	if _, err := Greedy(sub, []Candidate{{Offset: 99, Stddev: 1}}, 1); err == nil {
+	if _, err := Greedy(sub, candidates(1, 99), 1); err == nil {
 		t.Fatal("out-of-range offset accepted")
 	}
-	if _, err := Greedy(sub, []Candidate{{Offset: 0, Stddev: 0}}, 1); err == nil {
+	if _, err := Greedy(sub, candidates(0, 0), 1); err == nil {
 		t.Fatal("zero obs error accepted")
 	}
 }
@@ -134,12 +140,13 @@ func TestExpectedReductionMatchesAssimilation(t *testing.T) {
 	}
 	f := linalg.QR(a)
 	sub := &core.Subspace{Modes: f.Q, Sigma: []float64{2, 1.5, 1, 0.5}}
-	n := obs.NewNetwork(l)
+	net := obs.NewNetwork(l)
 	for i := 0; i < 5; i++ {
-		if err := n.Add(obs.Observation{Var: "T", I: i, J: i, K: 0, Stddev: 0.3}); err != nil {
+		if err := net.Add(obs.Observation{Var: "T", I: i, J: i, K: 0, Stddev: 0.3}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	n := unitPoints(t, net)
 	expected, err := ExpectedReduction(sub, n)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +166,7 @@ func TestExpectedReductionMatchesAssimilation(t *testing.T) {
 func TestExpectedReductionEmptyNetwork(t *testing.T) {
 	g := grid.New(4, 4, 1, 1, 1, 0)
 	l := grid.NewLayout(g, []grid.VarSpec{{Name: "T", Levels: 1}})
-	n := obs.NewNetwork(l)
+	n := unitPoints(t, obs.NewNetwork(l))
 	sub := twoModeSubspace()
 	red, err := ExpectedReduction(sub, n)
 	if err != nil || red != 0 {
@@ -181,10 +188,11 @@ func TestGreedyBeatsNaiveOnCorrelatedField(t *testing.T) {
 	}
 	f := linalg.QR(a)
 	sub := &core.Subspace{Modes: f.Q, Sigma: []float64{4, 2, 1}}
-	var cands []Candidate
+	var offs []int
 	for off := 0; off < dim; off++ {
-		cands = append(cands, Candidate{Offset: off, Stddev: 0.2})
+		offs = append(offs, off)
 	}
+	cands := candidates(0.2, offs...)
 	const k = 4
 	plan, err := Greedy(sub, cands, k)
 	if err != nil {
@@ -200,8 +208,7 @@ func TestGreedyBeatsNaiveOnCorrelatedField(t *testing.T) {
 		before := gamma.Trace()
 		gh := make([]float64, 3)
 		for _, ci := range picks {
-			c := cands[ci]
-			applyRankOneUpdate(gamma, sub.Modes.Row(c.Offset), c.Stddev*c.Stddev, gh)
+			applyRankOneUpdate(gamma, sub.Modes.Row(cands.Offsets[ci]), cands.R[ci], gh)
 		}
 		return before - gamma.Trace()
 	}
@@ -218,19 +225,32 @@ func TestGreedyBeatsNaiveOnCorrelatedField(t *testing.T) {
 	}
 }
 
+// unitPoints is the network's operator in physical units (every scale 1).
+func unitPoints(t *testing.T, n *obs.Network) *obs.Points {
+	t.Helper()
+	ones := make([]float64, n.Layout.Dim())
+	for i := range ones {
+		ones[i] = 1
+	}
+	p, err := obs.NewScaled(n, ones)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // ExpectedReduction evaluates a whole candidate observation batch at
 // once: the exact expected total-variance reduction
 // tr(Γ HEᵀ (HE Γ HEᵀ + R)⁻¹ HE Γ) for the batch, matching what
 // core.Assimilate will deliver on average.
-func ExpectedReduction(sub *core.Subspace, network core.ObsOperator) (float64, error) {
+func ExpectedReduction(sub *core.Subspace, network *obs.Points) (float64, error) {
 	p := sub.Rank()
 	m := network.Len()
 	if m == 0 {
 		return 0, nil
 	}
 	he := network.ApplyHMat(sub.Modes) // m×p
-	rDiag := network.RDiag()
-	heg := linalg.NewDense(m, p) // HE Γ
+	heg := linalg.NewDense(m, p)       // HE Γ
 	for i := 0; i < m; i++ {
 		row := he.Row(i)
 		out := heg.Row(i)
@@ -240,7 +260,7 @@ func ExpectedReduction(sub *core.Subspace, network core.ObsOperator) (float64, e
 	}
 	s := linalg.MulBT(heg, he)
 	for i := 0; i < m; i++ {
-		s.Set(i, i, s.At(i, i)+rDiag[i])
+		s.Set(i, i, s.At(i, i)+network.R[i])
 	}
 	sInv, ok := linalg.InvertSPD(s)
 	if !ok {
@@ -262,14 +282,14 @@ func ExpectedReduction(sub *core.Subspace, network core.ObsOperator) (float64, e
 // RankCandidatesByVariance is the naive baseline: sort candidates by
 // prior marginal variance (descending), ignoring correlations. Used by
 // tests and benchmarks to show what sequential greedy buys.
-func RankCandidatesByVariance(sub *core.Subspace, cands []Candidate) []int {
+func RankCandidatesByVariance(sub *core.Subspace, cands *obs.Points) []int {
 	type scored struct {
 		idx int
 		v   float64
 	}
-	list := make([]scored, len(cands))
-	for i, c := range cands {
-		row := sub.Modes.Row(c.Offset)
+	list := make([]scored, cands.Len())
+	for i, off := range cands.Offsets {
+		row := sub.Modes.Row(off)
 		v := 0.0
 		for j, e := range row {
 			v += e * e * sub.Sigma[j] * sub.Sigma[j]

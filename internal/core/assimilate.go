@@ -5,21 +5,8 @@ import (
 	"math"
 
 	"esse/internal/linalg"
+	"esse/internal/obs"
 )
-
-// ObsOperator abstracts the measurement system: a point (or generalized)
-// operator H with diagonal error covariance R. obs.Network satisfies it;
-// wrappers (e.g. non-dimensionalizing scalers) compose around it.
-type ObsOperator interface {
-	// Len returns the number of observations.
-	Len() int
-	// ApplyH computes y = H x.
-	ApplyH(state []float64) []float64
-	// ApplyHMat computes H E for a mode matrix E.
-	ApplyHMat(e *linalg.Dense) *linalg.Dense
-	// RDiag returns the diagonal of the observation error covariance.
-	RDiag() []float64
-}
 
 // Analysis is the result of an ESSE assimilation update.
 type Analysis struct {
@@ -49,9 +36,9 @@ type Analysis struct {
 // Γa is re-diagonalized (Γa = W Λ Wᵀ) and the posterior modes rotated to
 // Ea = E W so that the invariant "orthonormal modes, diagonal spectrum"
 // holds for the next forecast cycle.
-func Assimilate(x []float64, sub *Subspace, network ObsOperator, y []float64) (*Analysis, error) {
+func Assimilate(x []float64, sub *Subspace, pts *obs.Points, y []float64) (*Analysis, error) {
 	p := sub.Rank()
-	mObs := network.Len()
+	mObs := pts.Len()
 	if len(y) != mObs {
 		return nil, fmt.Errorf("core: %d observations but %d values", mObs, len(y))
 	}
@@ -64,8 +51,7 @@ func Assimilate(x []float64, sub *Subspace, network ObsOperator, y []float64) (*
 		return &Analysis{Mean: mean, Posterior: sub.Clone()}, nil
 	}
 
-	he := network.ApplyHMat(sub.Modes) // mObs × p
-	rDiag := network.RDiag()
+	he := pts.ApplyHMat(sub.Modes) // mObs × p
 
 	// S = HE Γ HEᵀ + R.
 	heg := linalg.NewDense(mObs, p) // HE Γ
@@ -78,13 +64,13 @@ func Assimilate(x []float64, sub *Subspace, network ObsOperator, y []float64) (*
 	}
 	s := linalg.MulBT(heg, he)
 	for i := 0; i < mObs; i++ {
-		s.Set(i, i, s.At(i, i)+rDiag[i])
+		s.Set(i, i, s.At(i, i)+pts.R[i])
 	}
 
 	// Innovation d = y − Hx (diagnostics use the R⁻¹ weighting).
-	hx := network.ApplyH(x)
+	hx := pts.ApplyH(x)
 	d := linalg.VecSub(y, hx)
-	innovationNorm := weightedNorm(d, rDiag)
+	innovationNorm := weightedNorm(d, pts.R)
 
 	sInv, ok := linalg.InvertSPD(s)
 	if !ok {
@@ -128,12 +114,12 @@ func Assimilate(x []float64, sub *Subspace, network ObsOperator, y []float64) (*
 	modes := linalg.Mul(sub.Modes, eig.Vectors)
 
 	post := &Subspace{Modes: modes, Sigma: sigma}
-	res := linalg.VecSub(y, network.ApplyH(mean))
+	res := linalg.VecSub(y, pts.ApplyH(mean))
 	return &Analysis{
 		Mean:           mean,
 		Posterior:      post,
 		InnovationNorm: innovationNorm,
-		ResidualNorm:   weightedNorm(res, rDiag),
+		ResidualNorm:   weightedNorm(res, pts.R),
 	}, nil
 }
 

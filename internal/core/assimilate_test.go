@@ -10,11 +10,26 @@ import (
 	"esse/internal/rng"
 )
 
+// unitPoints is the network's operator in physical units (every scale 1,
+// so R is each observation's σ²).
+func unitPoints(t *testing.T, n *obs.Network) *obs.Points {
+	t.Helper()
+	ones := make([]float64, n.Layout.Dim())
+	for i := range ones {
+		ones[i] = 1
+	}
+	p, err := obs.NewScaled(n, ones)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // scalarSetup builds a 1-variable, 2x2x1 grid whose state has 4 elements,
 // a rank-1 subspace aligned with state element 0, and one observation of
 // that element. The update then reduces to the textbook scalar Kalman
 // filter, which we can check analytically.
-func scalarSetup(t *testing.T, priorVar, obsVar float64) (*grid.StateLayout, *Subspace, *obs.Network) {
+func scalarSetup(t *testing.T, priorVar, obsVar float64) (*grid.StateLayout, *Subspace, *obs.Points) {
 	t.Helper()
 	g := grid.New(2, 2, 1, 1, 1, 0)
 	l := grid.NewLayout(g, []grid.VarSpec{{Name: "T", Levels: 1}})
@@ -25,7 +40,7 @@ func scalarSetup(t *testing.T, priorVar, obsVar float64) (*grid.StateLayout, *Su
 	if err := n.Add(obs.Observation{Var: "T", I: 0, J: 0, K: 0, Stddev: math.Sqrt(obsVar)}); err != nil {
 		t.Fatal(err)
 	}
-	return l, sub, n
+	return l, sub, unitPoints(t, n)
 }
 
 func TestAssimilateMatchesScalarKalman(t *testing.T) {
@@ -66,17 +81,18 @@ func TestAssimilateMatchesKalmanFullRank(t *testing.T) {
 	l := grid.NewLayout(g, []grid.VarSpec{{Name: "T", Levels: 2}})
 	dim := l.Dim()
 	sub := randomSubspace(s, dim, dim, []float64{2, 1.6, 1.3, 1, 0.8, 0.55, 0.35, 0.2})
-	n := obs.NewNetwork(l)
+	net := obs.NewNetwork(l)
 	for _, o := range []obs.Observation{
 		{Var: "T", I: 0, J: 0, K: 0, Stddev: 0.3},
 		{Var: "T", I: 1, J: 0, K: 1, Stddev: 0.7},
 		{Var: "T", I: 0, J: 1, K: 0, Stddev: 1.1},
 		{Var: "T", I: 1, J: 1, K: 1, Stddev: 0.45},
 	} {
-		if err := n.Add(o); err != nil {
+		if err := net.Add(o); err != nil {
 			t.Fatal(err)
 		}
 	}
+	n := unitPoints(t, net)
 	x := s.NormVec(nil, dim)
 	y := s.NormVec(nil, n.Len())
 	an, err := Assimilate(x, sub, n, y)
@@ -121,7 +137,7 @@ func TestAssimilateMatchesKalmanFullRank(t *testing.T) {
 				sm.Data[a*m+b] += h.At(a, k) * ph.At(k, b)
 			}
 		}
-		sm.Data[a*m+a] += n.RDiag()[a]
+		sm.Data[a*m+a] += n.R[a]
 	}
 	gain := linalg.NewDense(dim, m) // K = P Hᵀ S⁻¹
 	sInv := gaussJordanInverse(t, sm)
@@ -220,12 +236,13 @@ func TestAssimilateReducesVariance(t *testing.T) {
 	g := grid.New(4, 4, 2, 1, 1, 100)
 	l := grid.NewLayout(g, []grid.VarSpec{{Name: "T", Levels: 2}})
 	sub := randomSubspace(s, l.Dim(), 4, []float64{2, 1.5, 1, 0.5})
-	n := obs.NewNetwork(l)
+	net := obs.NewNetwork(l)
 	for i := 0; i < 4; i++ {
-		if err := n.Add(obs.Observation{Var: "T", I: i, J: i, K: 0, Stddev: 0.3}); err != nil {
+		if err := net.Add(obs.Observation{Var: "T", I: i, J: i, K: 0, Stddev: 0.3}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	n := unitPoints(t, net)
 	x := s.NormVec(nil, l.Dim())
 	truth := s.NormVec(nil, l.Dim())
 	y := n.ApplyH(truth)
@@ -247,7 +264,7 @@ func TestAssimilateNoObservationsIsIdentity(t *testing.T) {
 	g := grid.New(3, 3, 1, 1, 1, 0)
 	l := grid.NewLayout(g, []grid.VarSpec{{Name: "T", Levels: 1}})
 	sub := randomSubspace(s, l.Dim(), 2, []float64{1, 0.5})
-	n := obs.NewNetwork(l)
+	n := unitPoints(t, obs.NewNetwork(l))
 	x := s.NormVec(nil, l.Dim())
 	an, err := Assimilate(x, sub, n, nil)
 	if err != nil {
@@ -273,7 +290,7 @@ func TestAssimilatePerfectObservationPinsState(t *testing.T) {
 	if err := n.Add(obs.Observation{Var: "T", I: 0, J: 0, K: 0, Stddev: 1e-4}); err != nil {
 		t.Fatal(err)
 	}
-	an, err := Assimilate([]float64{10, 0, 0, 0}, sub, n, []float64{13})
+	an, err := Assimilate([]float64{10, 0, 0, 0}, sub, unitPoints(t, n), []float64{13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,12 +318,13 @@ func TestAssimilatePullsTowardTruth(t *testing.T) {
 	s := rng.New(7)
 	g := grid.New(5, 5, 1, 1, 1, 0)
 	l := grid.NewLayout(g, []grid.VarSpec{{Name: "T", Levels: 1}})
-	n := obs.NewNetwork(l)
+	net := obs.NewNetwork(l)
 	for i := 0; i < 5; i++ {
-		if err := n.Add(obs.Observation{Var: "T", I: i, J: i, K: 0, Stddev: 0.2}); err != nil {
+		if err := net.Add(obs.Observation{Var: "T", I: i, J: i, K: 0, Stddev: 0.2}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	n := unitPoints(t, net)
 	better := 0
 	const trials = 30
 	for trial := 0; trial < trials; trial++ {
@@ -319,7 +337,7 @@ func TestAssimilatePullsTowardTruth(t *testing.T) {
 		for i := range x {
 			x[i] += truth[i]
 		}
-		y := n.Sample(truth, st)
+		y := net.Sample(truth, st)
 		an, err := Assimilate(x, sub, n, y)
 		if err != nil {
 			t.Fatal(err)
@@ -351,12 +369,13 @@ func TestAssimilateStatisticalConsistency(t *testing.T) {
 	g := grid.New(6, 6, 1, 1, 1, 0)
 	l := grid.NewLayout(g, []grid.VarSpec{{Name: "T", Levels: 1}})
 	sub := randomSubspace(s, l.Dim(), 6, []float64{2, 1.5, 1.2, 1, 0.8, 0.5})
-	n := obs.NewNetwork(l)
+	net := obs.NewNetwork(l)
 	for i, sd := range []float64{0.3, 0.5, 0.8, 0.4, 0.6, 0.3, 0.7, 0.5} {
-		if err := n.Add(obs.Observation{Var: "T", I: i % 6, J: i / 2, K: 0, Stddev: sd}); err != nil {
+		if err := net.Add(obs.Observation{Var: "T", I: i % 6, J: i / 2, K: 0, Stddev: sd}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	n := unitPoints(t, net)
 	m := n.Len()
 
 	// S⁻¹ from an explicit S, by the Gauss–Jordan oracle.
@@ -368,7 +387,7 @@ func TestAssimilateStatisticalConsistency(t *testing.T) {
 				sm.Data[a*m+b] += he.At(a, k) * sg * sg * he.At(b, k)
 			}
 		}
-		sm.Data[a*m+a] += n.RDiag()[a]
+		sm.Data[a*m+a] += n.R[a]
 	}
 	sInv := gaussJordanInverse(t, sm)
 
@@ -381,7 +400,7 @@ func TestAssimilateStatisticalConsistency(t *testing.T) {
 		for i := range truth {
 			truth[i] += xf[i]
 		}
-		y := n.Sample(truth, st)
+		y := net.Sample(truth, st)
 		an, err := Assimilate(xf, sub, n, y)
 		if err != nil {
 			t.Fatal(err)

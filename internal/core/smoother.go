@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"esse/internal/linalg"
+	"esse/internal/obs"
 )
 
 // This file implements the smoothing extension of ESSE (Lermusiaux,
@@ -29,12 +30,14 @@ type SmootherResult struct {
 	IncrementNorm float64
 }
 
-// SmoothPrevious updates the earlier-time mean x0 using later-time
-// observations y through the member-aligned anomaly matrices. The two
-// anomaly matrices must have identical column counts with column j of
-// each belonging to the same ensemble member (the workflow accumulator's
-// Indices bookkeeping provides exactly this alignment).
-func SmoothPrevious(x0 []float64, anoms0, anoms1 *linalg.Dense, network ObsOperator, y []float64) (*SmootherResult, error) {
+// SmoothPrevious updates the earlier-time mean x0 with the later-time
+// innovation d = y − H x₁ (the observations minus H of the later-time
+// forecast mean, in the operator's units) through the member-aligned
+// anomaly matrices. The two anomaly matrices must have identical column
+// counts with column j of each belonging to the same ensemble member
+// (the workflow accumulator's Indices bookkeeping provides exactly this
+// alignment).
+func SmoothPrevious(x0 []float64, anoms0, anoms1 *linalg.Dense, pts *obs.Points, d []float64) (*SmootherResult, error) {
 	n := anoms0.Cols
 	if anoms1.Cols != n {
 		return nil, fmt.Errorf("core: smoother anomaly column mismatch %d vs %d", n, anoms1.Cols)
@@ -45,32 +48,28 @@ func SmoothPrevious(x0 []float64, anoms0, anoms1 *linalg.Dense, network ObsOpera
 	if len(x0) != anoms0.Rows {
 		return nil, fmt.Errorf("core: smoother state dim %d != anomalies %d", len(x0), anoms0.Rows)
 	}
-	m := network.Len()
-	if len(y) != m {
-		return nil, fmt.Errorf("core: %d observations but %d values", m, len(y))
+	m := pts.Len()
+	if len(d) != m {
+		return nil, fmt.Errorf("core: %d observations but %d values", m, len(d))
 	}
 	out := &SmootherResult{Mean: append([]float64(nil), x0...)}
 	if m == 0 {
 		return out, nil
 	}
 
-	ha1 := network.ApplyHMat(anoms1) // m × n
-	rDiag := network.RDiag()
+	ha1 := pts.ApplyHMat(anoms1) // m × n
 
 	// S = (HA₁)(HA₁)ᵀ + (N−1) R.
 	s := linalg.MulBT(ha1, ha1)
 	for i := 0; i < m; i++ {
-		s.Set(i, i, s.At(i, i)+float64(n-1)*rDiag[i])
+		s.Set(i, i, s.At(i, i)+float64(n-1)*pts.R[i])
 	}
 
-	// Innovation uses the later-time ensemble mean implied by the
-	// caller: y must already be an innovation against x₁ when the caller
-	// wants the textbook form; we accept the raw innovation directly.
 	sInv, ok := linalg.InvertSPD(s)
 	if !ok {
 		return nil, fmt.Errorf("core: smoother innovation covariance not positive definite")
 	}
-	sid := linalg.MatVec(sInv, y)    // S⁻¹ d
+	sid := linalg.MatVec(sInv, d)    // S⁻¹ d
 	w := linalg.MatTVec(ha1, sid)    // (HA₁)ᵀ S⁻¹ d  (n)
 	incr := linalg.MatVec(anoms0, w) // A₀ … (stateDim)
 	out.IncrementNorm = linalg.Norm2(incr)

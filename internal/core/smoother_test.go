@@ -14,7 +14,7 @@ import (
 // Observations at t1 should then pull the t0 estimate toward the t0
 // truth through the cross-covariance.
 func smootherTwin(t *testing.T, seed uint64, members int) (x0 []float64, truth0 []float64,
-	anoms0, anoms1 *linalg.Dense, network *obs.Network, y []float64) {
+	anoms0, anoms1 *linalg.Dense, network *obs.Points, y []float64) {
 	t.Helper()
 	s := rng.New(seed)
 	g := grid.New(5, 5, 1, 1, 1, 0)
@@ -46,14 +46,15 @@ func smootherTwin(t *testing.T, seed uint64, members int) (x0 []float64, truth0 
 		anoms1.SetCol(j, advance(pert))
 	}
 
-	network = obs.NewNetwork(l)
+	net := obs.NewNetwork(l)
 	for i := 0; i < 5; i++ {
-		if err := network.Add(obs.Observation{Var: "T", I: i, J: i, K: 0, Stddev: 0.1}); err != nil {
+		if err := net.Add(obs.Observation{Var: "T", I: i, J: i, K: 0, Stddev: 0.1}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	network = unitPoints(t, net)
 	x1 := advance(x0)
-	yObs := network.Sample(truth1, s)
+	yObs := net.Sample(truth1, s)
 	y = linalg.VecSub(yObs, network.ApplyH(x1)) // innovation at t1
 	return
 }
@@ -82,7 +83,7 @@ func TestSmootherNoObsIsIdentity(t *testing.T) {
 	x0, _, a0, a1, _, _ := smootherTwin(t, 1, 10)
 	g := grid.New(5, 5, 1, 1, 1, 0)
 	l := grid.NewLayout(g, []grid.VarSpec{{Name: "T", Levels: 1}})
-	empty := obs.NewNetwork(l)
+	empty := unitPoints(t, obs.NewNetwork(l))
 	res, err := SmoothPrevious(x0, a0, a1, empty, nil)
 	if err != nil {
 		t.Fatal(err)

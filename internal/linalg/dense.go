@@ -14,7 +14,6 @@ package linalg
 import (
 	"fmt"
 	"math"
-	"strconv"
 )
 
 // Dense is a row-major dense matrix.
@@ -188,26 +187,4 @@ func (m *Dense) IsFinite() bool {
 		}
 	}
 	return true
-}
-
-// String renders small matrices for debugging.
-func (m *Dense) String() string {
-	if m.Rows*m.Cols > 400 {
-		return fmt.Sprintf("Dense(%dx%d)", m.Rows, m.Cols)
-	}
-	// "% .4e " renders 12 bytes per element; build into one buffer
-	// instead of concatenating per cell.
-	buf := make([]byte, 0, m.Rows*(12*m.Cols+1))
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			v := m.At(i, j)
-			if !math.Signbit(v) {
-				buf = append(buf, ' ')
-			}
-			buf = strconv.AppendFloat(buf, v, 'e', 4, 64)
-			buf = append(buf, ' ')
-		}
-		buf = append(buf, '\n')
-	}
-	return string(buf)
 }

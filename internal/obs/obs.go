@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"esse/internal/grid"
-	"esse/internal/linalg"
 	"esse/internal/rng"
 )
 
@@ -25,22 +24,6 @@ const (
 	Glider
 	SatelliteSST
 )
-
-// String returns the platform name.
-func (p Platform) String() string {
-	switch p {
-	case CTD:
-		return "CTD"
-	case AUV:
-		return "AUV"
-	case Glider:
-		return "glider"
-	case SatelliteSST:
-		return "SST"
-	default:
-		return fmt.Sprintf("platform(%d)", int(p))
-	}
-}
 
 // Observation is a single point measurement of one state variable.
 type Observation struct {
@@ -94,25 +77,6 @@ func (n *Network) ApplyH(state []float64) []float64 {
 		y[i] = state[o.offset]
 	}
 	return y
-}
-
-// ApplyHMat computes H E for a mode matrix E (stateDim × p) by row
-// gathering — the point operator never needs an explicit H matrix.
-func (n *Network) ApplyHMat(e *linalg.Dense) *linalg.Dense {
-	out := linalg.NewDense(len(n.Obs), e.Cols)
-	for i, o := range n.Obs {
-		copy(out.Row(i), e.Row(o.offset))
-	}
-	return out
-}
-
-// RDiag returns the diagonal of the observation error covariance R.
-func (n *Network) RDiag() []float64 {
-	r := make([]float64, len(n.Obs))
-	for i, o := range n.Obs {
-		r[i] = o.Stddev * o.Stddev
-	}
-	return r
 }
 
 // Sample draws y = H x_truth + ε with ε ~ N(0, R).

@@ -67,7 +67,7 @@ func TestApplyHMatGathersRows(t *testing.T) {
 	off2 := l.Offset(l.VarIndex("S"), 2, 2, 3)
 	e.Set(off1, 0, 1.5)
 	e.Set(off2, 1, -2.5)
-	he := n.ApplyHMat(e)
+	he := unitPoints(t, n).ApplyHMat(e)
 	if he.Rows != 2 || he.Cols != 2 {
 		t.Fatalf("HE shape %dx%d", he.Rows, he.Cols)
 	}
@@ -80,9 +80,9 @@ func TestRDiag(t *testing.T) {
 	l := testLayout()
 	n := NewNetwork(l)
 	_ = n.Add(Observation{Var: "T", I: 0, J: 0, K: 0, Stddev: 0.5})
-	r := n.RDiag()
+	r := unitPoints(t, n).R
 	if len(r) != 1 || math.Abs(r[0]-0.25) > 1e-15 {
-		t.Fatalf("RDiag = %v", r)
+		t.Fatalf("R = %v", r)
 	}
 }
 
@@ -183,14 +183,5 @@ func TestAOSN2NetworkMultiPlatform(t *testing.T) {
 	}
 	if n.Len() < 50 {
 		t.Fatalf("AOSN2 network has only %d observations", n.Len())
-	}
-}
-
-func TestPlatformString(t *testing.T) {
-	if CTD.String() != "CTD" || Glider.String() != "glider" {
-		t.Fatal("platform names wrong")
-	}
-	if Platform(99).String() == "" {
-		t.Fatal("unknown platform must still render")
 	}
 }

@@ -7,7 +7,21 @@ import (
 	"esse/internal/linalg"
 )
 
-func scaledFixture(t *testing.T) (*Network, *ScaledNetwork, []float64) {
+// unitPoints is the network's operator in physical units (every scale 1).
+func unitPoints(t *testing.T, n *Network) *Points {
+	t.Helper()
+	ones := make([]float64, n.Layout.Dim())
+	for i := range ones {
+		ones[i] = 1
+	}
+	p, err := NewScaled(n, ones)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func scaledFixture(t *testing.T) (*Network, *Points, []float64) {
 	t.Helper()
 	l := testLayout()
 	n := NewNetwork(l)
@@ -22,9 +36,6 @@ func scaledFixture(t *testing.T) (*Network, *ScaledNetwork, []float64) {
 		scale[i] = 1
 	}
 	// T scaled by 0.5, eta by 0.05.
-	for _, v := range l.SliceByName(scale, "T") {
-		_ = v
-	}
 	tSlice := l.SliceByName(scale, "T")
 	for i := range tSlice {
 		tSlice[i] = 0.5
@@ -42,8 +53,7 @@ func scaledFixture(t *testing.T) (*Network, *ScaledNetwork, []float64) {
 
 func TestScaledRDiag(t *testing.T) {
 	n, sn, _ := scaledFixture(t)
-	r := n.RDiag()
-	rz := sn.RDiag()
+	rz := sn.R
 	// T obs: (0.5/0.5)² = 1; eta obs: (0.02/0.05)² = 0.16.
 	if math.Abs(rz[0]-1) > 1e-12 {
 		t.Fatalf("scaled T variance = %v, want 1", rz[0])
@@ -51,9 +61,9 @@ func TestScaledRDiag(t *testing.T) {
 	if math.Abs(rz[1]-0.16) > 1e-12 {
 		t.Fatalf("scaled eta variance = %v, want 0.16", rz[1])
 	}
-	// Original untouched.
-	if math.Abs(r[0]-0.25) > 1e-12 {
-		t.Fatal("RDiag mutated the base network")
+	// The network keeps its physical errors.
+	if n.Obs[0].Stddev != 0.5 {
+		t.Fatal("NewScaled mutated the base network")
 	}
 }
 
@@ -92,8 +102,7 @@ func TestScaledApplyHConsistency(t *testing.T) {
 func TestScaledApplyHMat(t *testing.T) {
 	n, sn, _ := scaledFixture(t)
 	e := linalg.NewDense(n.Layout.Dim(), 2)
-	offs := n.Offsets()
-	e.Set(offs[0], 0, 3)
+	e.Set(sn.Offsets[0], 0, 3)
 	he := sn.ApplyHMat(e)
 	if he.At(0, 0) != 3 || he.At(1, 0) != 0 {
 		t.Fatalf("ApplyHMat gather wrong: %v", he)
@@ -112,27 +121,18 @@ func TestNewScaledValidation(t *testing.T) {
 	}
 }
 
+// TestOffsetsMatchApplyH: the operator reads the elements the network
+// samples, in network order.
 func TestOffsetsMatchApplyH(t *testing.T) {
-	n, _, _ := scaledFixture(t)
-	offs := n.Offsets()
+	n, sn, _ := scaledFixture(t)
 	x := make([]float64, n.Layout.Dim())
-	for i, off := range offs {
+	for i, off := range sn.Offsets {
 		x[off] = float64(i + 1)
 	}
 	y := n.ApplyH(x)
-	for i := range offs {
+	for i := range sn.Offsets {
 		if y[i] != float64(i+1) {
-			t.Fatalf("Offsets()[%d] inconsistent with ApplyH", i)
+			t.Fatalf("Offsets[%d] inconsistent with ApplyH", i)
 		}
 	}
-}
-
-// Offsets returns the flat state-vector offset of every observation, in
-// network order.
-func (n *Network) Offsets() []int {
-	out := make([]int, len(n.Obs))
-	for i, o := range n.Obs {
-		out[i] = o.offset
-	}
-	return out
 }

@@ -27,33 +27,28 @@ func (s *System) PlanAdaptiveCasts(sub *core.Subspace, casts int, tStd float64) 
 	if tIdx < 0 {
 		return nil, fmt.Errorf("realtime: layout lacks temperature")
 	}
-	var cands []adaptive.Candidate
-	var locs [][2]int
-	for j := 0; j < g.NY; j++ {
-		for i := 0; i < g.NX; i++ {
-			off := s.Layout.Offset(tIdx, i, j, 0)
-			cands = append(cands, adaptive.Candidate{
-				Offset: off,
-				Stddev: tStd / s.scaler.At(off), // scaled obs error
-				Label:  fmt.Sprintf("cast(%d,%d)", i, j),
-			})
-			locs = append(locs, [2]int{i, j})
-		}
+	// Candidate c is the cast at (c mod NX, c div NX).
+	cands := &obs.Points{Offsets: make([]int, g.NX*g.NY), R: make([]float64, g.NX*g.NY)}
+	for c := range cands.Offsets {
+		off := s.Layout.Offset(tIdx, c%g.NX, c/g.NX, 0)
+		sd := tStd / s.scaler.At(off) // scaled obs error
+		cands.Offsets[c] = off
+		cands.R[c] = sd * sd
 	}
 	plan, err := adaptive.Greedy(sub, cands, casts)
 	if err != nil {
 		return nil, err
 	}
 	out := make([][2]int, len(plan.Chosen))
-	for k, ci := range plan.Chosen {
-		out[k] = locs[ci]
+	for k, c := range plan.Chosen {
+		out[k] = [2]int{c % g.NX, c / g.NX}
 	}
 	return out, nil
 }
 
 // AugmentedNetwork returns a copy of the base observation network with
 // full-depth T casts added at the given locations.
-func (s *System) AugmentedNetwork(castLocs [][2]int, tStd float64) (*obs.Network, *obs.ScaledNetwork, error) {
+func (s *System) AugmentedNetwork(castLocs [][2]int, tStd float64) (*obs.Network, *obs.Points, error) {
 	n := obs.NewNetwork(s.Layout)
 	for _, o := range s.Network.Obs {
 		if err := n.Add(o); err != nil {

@@ -2,6 +2,7 @@ package realtime
 
 import (
 	"context"
+	"slices"
 	"testing"
 )
 
@@ -73,6 +74,23 @@ func TestPlanAdaptiveCastsValidation(t *testing.T) {
 	}
 	if _, err := sys.PlanAdaptiveCasts(sys.Subspace(), 0, 0.05); err == nil {
 		t.Fatal("zero casts accepted")
+	}
+}
+
+// TestPlanAdaptiveCastsPicks pins the planner's picks at a fixed seed:
+// each candidate's error variance is (σ/s)² in the scaler's units, and a
+// change in those bits or in the candidate order moves the list.
+func TestPlanAdaptiveCastsPicks(t *testing.T) {
+	sys, err := NewSystem(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	locs, err := sys.PlanAdaptiveCasts(sys.Subspace(), 3, AdaptiveCastStd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][2]int{{6, 6}, {7, 6}, {5, 2}}; !slices.Equal(locs, want) {
+		t.Fatalf("planned casts %v, want %v", locs, want)
 	}
 }
 

@@ -29,6 +29,21 @@ import (
 	"esse/internal/workflow"
 )
 
+// Constants of the twin experiment that no run varies.
+const (
+	// SubspaceInflation scales the climatological snapshot spread up to
+	// realistic initial-condition error levels (snapshot spread from a
+	// short free run underestimates true forecast error).
+	SubspaceInflation = 4
+	// TruthPerturbation scales the initial-condition error injected into
+	// the truth relative to the first guess, drawn from the error
+	// subspace (so the twin experiment's true error statistics match the
+	// prior ESSE assumes, as in the paper's error nowcast initialization).
+	TruthPerturbation = 1
+	// AdaptiveCastStd is the temperature error (degC) of adaptive casts.
+	AdaptiveCastStd = 0.05
+)
+
 // Config parameterizes a twin experiment.
 type Config struct {
 	// NX, NY, NZ size the Monterey-Bay-like grid.
@@ -45,15 +60,6 @@ type Config struct {
 	// WhiteNoise is the truncation-error white noise added to each
 	// perturbation (amplitude, model units).
 	WhiteNoise float64
-	// SubspaceInflation scales the climatological snapshot spread up to
-	// realistic initial-condition error levels (snapshot spread from a
-	// short free run underestimates true forecast error).
-	SubspaceInflation float64
-	// TruthPerturbation scales the initial-condition error injected into
-	// the truth relative to the first guess, drawn from the error
-	// subspace (so the twin experiment's true error statistics match the
-	// prior ESSE assumes, as in the paper's error nowcast initialization).
-	TruthPerturbation float64
 	// Ensemble configures the MTC workflow per cycle.
 	Ensemble workflow.Config
 	// AdaptiveCasts, when positive, adds this many adaptively placed
@@ -61,8 +67,6 @@ type Config struct {
 	// expected-variance-reduction planner from the forecast subspace
 	// (the Section 7 adaptive-sampling extension).
 	AdaptiveCasts int
-	// AdaptiveCastStd is the temperature error (degC) of adaptive casts.
-	AdaptiveCastStd float64
 	// Deterministic switches the per-cycle uncertainty forecast from the
 	// stochastic MTC ensemble to the deterministic DO-style subspace
 	// propagation (core.PropagateSubspace): p+1 quiet model runs instead
@@ -101,17 +105,14 @@ func DefaultConfig() Config {
 	wf.Criterion = core.ConvergenceCriterion{MinSimilarity: 0.90, MaxVarianceChange: 0.25}
 	return Config{
 		NX: 14, NY: 14, NZ: 4,
-		Cycles:            3,
-		StepsPerCycle:     25,
-		SnapshotCount:     12,
-		SnapshotStride:    8,
-		InitialRank:       10,
-		WhiteNoise:        0.002,
-		SubspaceInflation: 4,
-		TruthPerturbation: 1,
-		AdaptiveCastStd:   0.05,
-		Ensemble:          wf,
-		Seed:              1,
+		Cycles:         3,
+		StepsPerCycle:  25,
+		SnapshotCount:  12,
+		SnapshotStride: 8,
+		InitialRank:    10,
+		WhiteNoise:     0.002,
+		Ensemble:       wf,
+		Seed:           1,
 	}
 }
 
@@ -155,7 +156,7 @@ type System struct {
 	analysis []float64      // physical units
 	subspace *core.Subspace // scaled (non-dimensional) space
 	scaler   *core.Scaler
-	scaled   *obs.ScaledNetwork
+	scaled   *obs.Points
 
 	oceanCfg ocean.Config
 	seeds    *rng.Stream
@@ -225,10 +226,8 @@ func NewSystem(cfg Config) (*System, error) {
 		snaps.SetCol(j, zbuf)
 	}
 	sub, _ := core.SubspaceFromSnapshots(snaps, cfg.InitialRank)
-	if cfg.SubspaceInflation > 0 {
-		for i := range sub.Sigma {
-			sub.Sigma[i] *= cfg.SubspaceInflation
-		}
+	for i := range sub.Sigma {
+		sub.Sigma[i] *= SubspaceInflation
 	}
 
 	// Initial analysis: an independent model spin-up (a biased first
@@ -240,15 +239,13 @@ func NewSystem(cfg Config) (*System, error) {
 	// Inject a realistic initial-condition error into the truth, drawn
 	// from the same error subspace the filter assumes: the twin-
 	// experiment analog of the paper's posterior error nowcast.
-	if cfg.TruthPerturbation > 0 {
-		truthErrZ := sub.Perturb(nil, seeds.Split(4), cfg.WhiteNoise)
-		truthErr := scaler.FromScaled(nil, truthErrZ)
-		tState := truth.State(nil)
-		for i := range tState {
-			tState[i] = analysis[i] + cfg.TruthPerturbation*truthErr[i]
-		}
-		truth.SetState(tState)
+	truthErrZ := sub.Perturb(nil, seeds.Split(4), cfg.WhiteNoise)
+	truthErr := scaler.FromScaled(nil, truthErrZ)
+	tState := truth.State(nil)
+	for i := range tState {
+		tState[i] = analysis[i] + TruthPerturbation*truthErr[i]
 	}
+	truth.SetState(tState)
 	// Let the truth decorrelate from the first guess before cycling.
 	truth.Run(cfg.StepsPerCycle / 2)
 
@@ -383,17 +380,13 @@ func (s *System) RunCycle(ctx context.Context) (*CycleResult, error) {
 	var castLocs [][2]int
 	if s.Cfg.AdaptiveCasts > 0 {
 		_, spAdaptive := tel.SpanCtx(ctx, "realtime", "adaptive-sampling", int64(k), -1)
-		castStd := s.Cfg.AdaptiveCastStd
-		if castStd <= 0 {
-			castStd = 0.05
-		}
-		castLocs, err = s.PlanAdaptiveCasts(ens.Subspace, s.Cfg.AdaptiveCasts, castStd)
+		castLocs, err = s.PlanAdaptiveCasts(ens.Subspace, s.Cfg.AdaptiveCasts, AdaptiveCastStd)
 		if err != nil {
 			spAdaptive.End()
 			tel.Emit("cycle", k, 0, telemetry.PhaseFailed)
 			return nil, fmt.Errorf("realtime: cycle %d adaptive planning: %w", k, err)
 		}
-		network, scaled, err = s.AugmentedNetwork(castLocs, castStd)
+		network, scaled, err = s.AugmentedNetwork(castLocs, AdaptiveCastStd)
 		if err != nil {
 			spAdaptive.End()
 			tel.Emit("cycle", k, 0, telemetry.PhaseFailed)

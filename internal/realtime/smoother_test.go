@@ -110,7 +110,7 @@ func TestSmootherUsesTheFilterObservations(t *testing.T) {
 	for _, idx := range ens.MemberIndices {
 		cache.put(idx, prior.Perturb(nil, cycleSeed.Split(uint64(idx+1)), cfg.WhiteNoise))
 	}
-	network, scaled, err := sys.AugmentedNetwork(r.AdaptiveCasts, cfg.AdaptiveCastStd)
+	network, scaled, err := sys.AugmentedNetwork(r.AdaptiveCasts, AdaptiveCastStd)
 	if err != nil {
 		t.Fatal(err)
 	}

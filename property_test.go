@@ -64,7 +64,15 @@ func TestPropertyAssimilationContracts(t *testing.T) {
 		x := s.NormVec(nil, l.Dim())
 		truth := s.NormVec(nil, l.Dim())
 		y := n.Sample(truth, s)
-		an, err := core.Assimilate(x, sub, n, y)
+		ones := make([]float64, l.Dim())
+		for i := range ones {
+			ones[i] = 1
+		}
+		pts, err := obs.NewScaled(n, ones)
+		if err != nil {
+			return false
+		}
+		an, err := core.Assimilate(x, sub, pts, y)
 		if err != nil {
 			return false
 		}

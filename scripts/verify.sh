@@ -1,18 +1,21 @@
 #!/bin/sh
-# verify.sh — the repository's standing gate: build, the arm64 vet and
-# 386 build and vet (the portable build, without the amd64 assembly; the
-# 386 vet type-checks the tests too), the 386
-# tests of the whole suite (the Go loops as the only bodies), vet, the custom
-# esselint analyzers (`esselint -list`) over the whole tree, the linter's
-# own packages among it, the suppression audit, and the race-enabled
-# test suite, which includes the mutation table the analyzers are kept
-# on (internal/lint, TestRulesCatchRealMutants), the seam tests that
-# hold what no rule does (DESIGN.md §7), the gate on functions no binary
-# links (TestUnlinkedFunctions) and the entry-point goldens:
-# internal/experiments' TestGolden and the testdata/stdout.golden of
-# each of the nine mains under cmd/ and examples/ (`make golden`
-# rewrites them all). CI runs exactly this; run it locally before
-# sending a change.
+# verify.sh — the repository's gate, and its only definition: CI's
+# verify job runs this script as it stands (.github/workflows/ci.yml), so
+# run it locally before sending a change. In order: build; the arm64 vet
+# and the 386 build and vet (the portable build, without the amd64
+# assembly; the 386 vet type-checks the tests too); the 386 tests of the
+# whole suite (the Go loops as the only bodies); vet; the custom
+# esselint analyzers (`esselint -list`) over the whole tree, the
+# linter's own packages among it, and the suppression audit; the
+# race-enabled test suite, which includes the mutation table the
+# analyzers are kept on (internal/lint, TestRulesCatchRealMutants), the
+# seam tests that hold what no rule does (DESIGN.md §7), the gate on
+# functions no binary links (TestUnlinkedFunctions) and the entry-point
+# goldens (internal/experiments' TestGolden and the testdata/stdout.golden
+# of each main under cmd/ and examples/; `make golden` rewrites them
+# all); twenty race-enabled runs of the task pool and the engine; the
+# bench module and one bench smoke run; and a 10 s fuzz smoke of each
+# native fuzz target.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -48,5 +51,9 @@ echo "==> bench module: gofmt, vet, race tests (its own go.mod, so ./... above d
 
 echo "==> bench smoke: one traced svd-bound run at paper scale (Serial-oracle Sigma equality, Subspace.Check)"
 bench/run.sh --workload svd-bound --seed 1 --seconds 1 --trace 1 >/dev/null
+
+echo "==> fuzz smoke: 10 s of each native fuzz target (the exposition parser, the DES fileserver against its reference)"
+go test -fuzz=FuzzParsePrometheus -fuzztime=10s ./internal/telemetry
+go test -fuzz=FuzzFileserverMatchesReference -fuzztime=10s ./internal/sched
 
 echo "verify: all gates passed"
